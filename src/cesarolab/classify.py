@@ -38,6 +38,9 @@ from .core import (
 from .powers import (
     NormSeq,
     SigmaMaxTracker,
+    cesaro_apply,
+    cesaro_operator_norm_sweep,
+    lambda_mean_norms,
     largest_singular_value,
     make_orbit,
     matrix_exponential,
@@ -250,111 +253,6 @@ def lambda_grid(samples: int) -> np.ndarray:
     return lams
 
 
-def _lambda_mean_norms(spec, x, lams: np.ndarray, checkpoints: list[int], p: float):
-    """||M_n(lam T) x||_p at each checkpoint for all lams at once.
-
-    Returns array of shape (len(lams), len(checkpoints)).
-    """
-    n_max = checkpoints[-1]
-    orbit = make_orbit(spec, x, n_max)
-    nlam = len(lams)
-    from .powers import _MatrixOrbit, _WindowOrbit
-
-    if isinstance(orbit, _WindowOrbit):
-        lo = int(orbit.orig[0])
-        hi = int(orbit.orig[-1])
-        if orbit.direction > 0:
-            range_lo, range_hi = lo, hi + n_max
-        else:
-            range_lo, range_hi = (1 if orbit.clip_low else lo - n_max), hi
-        width = range_hi - range_lo + 1
-        acc = np.zeros((nlam, width), dtype=complex)
-        comp = np.zeros_like(acc)
-
-        def add_state(lam_pow):
-            if orbit.dead:
-                return
-            idx = orbit.coords() - range_lo
-            keep = idx >= 0
-            contrib = lam_pow[:, None] * orbit.vals[keep][None, :]
-            cols = idx[keep]
-            y = contrib - comp[:, cols]
-            t = acc[:, cols] + y
-            comp[:, cols] = (t - acc[:, cols]) - y
-            acc[:, cols] = t
-
-        def norms(count):
-            mags = np.abs(acc) / count
-            if p == 2:
-                return np.sqrt(np.sum(mags * mags, axis=1))
-            return np.sum(mags**p, axis=1) ** (1.0 / p)
-
-    elif isinstance(orbit, _MatrixOrbit):
-        d = orbit.matrix.shape[0]
-        acc = np.zeros((nlam, d), dtype=complex)
-        comp = np.zeros_like(acc)
-
-        def add_state(lam_pow):
-            contrib = lam_pow[:, None] * orbit.vals[None, :]
-            y = contrib - comp
-            t = acc + y
-            comp[:] = (t - acc) - y
-            acc[:] = t
-
-        def norms(count):
-            mags = np.abs(acc) / count
-            if p == 2:
-                return np.sqrt(np.sum(mags * mags, axis=1))
-            return np.sum(mags**p, axis=1) ** (1.0 / p)
-
-    else:
-        accs = [{} for _ in range(nlam)]
-
-        def add_state(lam_pow):
-            state = orbit.state
-            items = []
-            if isinstance(state, PairVec):
-                items = [(("t", k), v) for k, v in state.top.entries.items()]
-                items += [(("b", k), v) for k, v in state.bottom.entries.items()]
-            else:
-                items = list(state.entries.items())
-            for i in range(nlam):
-                bucket = accs[i]
-                lam_k = lam_pow[i]
-                for key, v in items:
-                    bucket[key] = bucket.get(key, 0j) + lam_k * v
-
-        def norms(count):
-            out = np.zeros(nlam)
-            for i in range(nlam):
-                mags = np.abs(np.array(list(accs[i].values()) or [0.0])) / count
-                if p == 2:
-                    out[i] = math.sqrt(float(np.sum(mags * mags)))
-                else:
-                    out[i] = float(np.sum(mags**p) ** (1.0 / p))
-            return out
-
-    lam_pow = np.ones(nlam, dtype=complex)
-    add_state(lam_pow)
-    result = np.zeros((nlam, len(checkpoints)))
-    pos = 0
-    for k in range(1, n_max + 1):
-        if getattr(orbit, "dead", False):
-            # Frozen sums: remaining checkpoint norms just rescale by 1/(n+1).
-            base = norms(1)
-            while pos < len(checkpoints):
-                result[:, pos] = base / (checkpoints[pos] + 1)
-                pos += 1
-            return result
-        orbit.step()
-        lam_pow = lam_pow * lams
-        add_state(lam_pow)
-        if pos < len(checkpoints) and checkpoints[pos] == k:
-            result[:, pos] = norms(k + 1)
-            pos += 1
-    return result
-
-
 def _matrix_lambda_cesaro_norms(spec, lams: np.ndarray, checkpoints: list[int]):
     """Exact ||M_n(lam T)|| at checkpoints for every lam (batched accumulation)."""
     a = to_matrix(spec)
@@ -476,8 +374,6 @@ def cesaro_bounded_probe(spec: OperatorSpec, cfg: ProbeConfig) -> ClassVerdict:
     """sup_n ||M_n(T)||: exact for finite matrices, probe families otherwise."""
     params = cfg.echo(probe="cesaro_bounded")
     if spec_dim(spec) is not None:
-        from .powers import cesaro_operator_norm_sweep
-
         values = cesaro_operator_norm_sweep(spec, 1.0 + 0j, list(range(1, cfg.n_max + 1)))
         best_n, best = max(values, key=lambda t: t[1])
         hit, wn, wv = dyadic_divergence(values)
@@ -494,7 +390,7 @@ def cesaro_bounded_probe(spec: OperatorSpec, cfg: ProbeConfig) -> ClassVerdict:
     best_witness = None
     violated_witness = None
     for label, x in probe_vectors(spec, cfg):
-        norms = _lambda_mean_norms(spec, x, lams, checkpoints, cfg.p)[0]
+        norms = lambda_mean_norms(spec, x, lams, checkpoints, cfg.p)[0]
         series = list(zip(checkpoints, norms.tolist()))
         n_best, v_best = max(series, key=lambda t: t[1])
         if v_best > best:
@@ -504,8 +400,6 @@ def cesaro_bounded_probe(spec: OperatorSpec, cfg: ProbeConfig) -> ClassVerdict:
         if hit and violated_witness is None:
             violated_witness = {"spec": describe(spec), "vector": label, "n": wn, "value": wv}
     if cfg.include_adversarial and _is_nat_universe(spec):
-        from .powers import cesaro_apply
-
         series = []
         n = 8
         while n <= cfg.n_max:
@@ -564,7 +458,7 @@ def uniform_kreiss_probe(spec: OperatorSpec, cfg: ProbeConfig) -> ClassVerdict:
     best_witness = None
     violations = []
     for label, x in probe_vectors(spec, cfg):
-        table = _lambda_mean_norms(spec, x, lams, checkpoints, cfg.p)
+        table = lambda_mean_norms(spec, x, lams, checkpoints, cfg.p)
         local = float(table.max())
         if local > best:
             best = local

@@ -319,25 +319,9 @@ def _run_named_probe(token: str, spec: OperatorSpec, cfg: ProbeConfig, seed: int
         return {"probe": "strongly_kreiss", "result": classify.strong_kreiss_exp_probe(spec).to_dict()}
     if token in ("me", "we"):
         mode = "mean" if token == "me" else "weak"
-        statuses = []
-        details = []
-        small = ProbeConfig(basis_probes=4, seeded_probes=4, seed=seed)
-        n_max = 2**14 if mode == "mean" else 2**20
-        for label, x in classify.probe_vectors(spec, small):
-            if mode == "mean":
-                v = dynamics.mean_ergodic_probe(spec, x, n_max)
-            else:
-                v = dynamics.weak_ergodic_probe(spec, x, x, n_max)
-            statuses.append(v.status)
-            details.append({"vector": label, "status": v.status, "final_gap": v.final_gap})
-        if "diverged" in statuses:
-            overall = "diverged"
-        elif all(s == "converged" for s in statuses):
-            overall = "converged"
-        else:
-            overall = "inconclusive"
-        name = "mean_ergodic" if mode == "mean" else "weak_ergodic"
-        return {"probe": name, "result": {"status": overall, "probes": details}}
+        overall, results = dynamics.ergodic_family(spec, mode, 2**14 if mode == "mean" else 2**20, seed)
+        details = [{"vector": label, "status": v.status, "final_gap": v.final_gap} for label, v in results]
+        return {"probe": f"{mode}_ergodic", "result": {"status": overall, "probes": details}}
     raise UsageError(f"unknown probe token {token!r} (choose from {', '.join(PROBE_TOKENS)})")
 
 

@@ -19,7 +19,6 @@ from scipy import integrate
 from .core import (
     INTS,
     NAT,
-    BlockTZ,
     OperatorSpec,
     PairVec,
     ParameterError,
@@ -27,14 +26,13 @@ from .core import (
     Polynomial,
     PowerRatio,
     SparseVec,
+    expects_pair,
     p_norm,
-    vec_scale,
-    vec_sub,
     weight_at,
     weight_product,
 )
-from .powers import _MatrixOrbit, _CesaroAccumulator, _shift_kind, _unwrap_scalar, make_orbit
-from .classify import DEFAULT_SEED
+from .powers import CesaroSum, make_orbit, shift_direction
+from .classify import DEFAULT_SEED, ProbeConfig, probe_vectors
 
 __all__ = [
     "MixingVerdict",
@@ -48,6 +46,7 @@ __all__ = [
     "circle_cell_count",
     "mean_ergodic_probe",
     "weak_ergodic_probe",
+    "ergodic_family",
 ]
 
 MIXING_TOL = 1e-2
@@ -284,21 +283,10 @@ def hypercyclicity_probe(
     orbit = make_orbit(spec, x, n_max)
     hits: set[tuple[int, int]] = set()
     mag_max = 0.0
-    if isinstance(orbit, _MatrixOrbit):
-        yv = _MatrixOrbit._embed(y, orbit.matrix.shape[0], orbit.pair)
-
-        def pairing() -> complex:
-            return complex(np.vdot(yv, orbit.vals))
-
-    else:
-
-        def pairing() -> complex:
-            return orbit.inner_with(y)
-
     for n in range(n_max + 1):
         if n:
             orbit.step()
-        v = pairing()
+        v = orbit.inner_with(y)
         mag = abs(v)
         if mag > mag_max:
             mag_max = mag
@@ -365,46 +353,29 @@ def mean_ergodic_probe(spec: OperatorSpec, x, n_max: int = 2**14, p: float = 2.0
         raise ParameterError("n_max must be >= 8")
     dyadic = _dyadic_upto(n_max)
     checkpoints = sorted(set(dyadic) | {n + 1 for n in dyadic if n + 1 <= n_max})
-    orbit = make_orbit(spec, x, n_max)
-    acc = _CesaroAccumulator(orbit, n_max)
-    acc.add_current()
-    snapshots: dict[int, object] = {}
-    stepped = 0
-    frozen_sum = None
-    for n in checkpoints:
-        while stepped < n and not orbit.dead:
-            orbit.step()
-            acc.add_current()
-            stepped += 1
-        if orbit.dead and stepped < n:
-            if frozen_sum is None:
-                frozen_sum = vec_scale(float(acc.count), acc.mean_vector())
-            snapshots[n] = vec_scale(1.0 / (n + 1), frozen_sum)
-        else:
-            snapshots[n] = acc.mean_vector()
+    acc = CesaroSum(spec, x, n_max)
+    means = {}  # dyadic means still waiting for M_{n+1} or M_{2n}
     gaps = []
     parity_gaps = []
-    for n in dyadic:
-        if 2 * n in snapshots:
-            gaps.append((n, p_norm(vec_sub(snapshots[2 * n], snapshots[n]), p)))
-        if n + 1 in snapshots:
-            parity_gaps.append((n, p_norm(vec_sub(snapshots[n + 1], snapshots[n]), p)))
-    limit_norm = p_norm(snapshots[checkpoints[-1]], p)
+    for n in checkpoints:
+        acc.advance_to(n)
+        mean = acc.mean()
+        if n - 1 in means:
+            parity_gaps.append((n - 1, acc.gap(mean, means[n - 1], p)))
+        if n % 2 == 0 and n // 2 in means:
+            gaps.append((n // 2, acc.gap(mean, means.pop(n // 2), p)))
+        if n & (n - 1) == 0:
+            means[n] = mean
+    limit_norm = acc.gap(mean, 0.0, p)
     return _cauchy_verdict("mean", gaps, parity_gaps, limit_norm, limit_norm)
 
 
 def _inner_stream_stop(spec: OperatorSpec, x, y) -> int | None:
     """Index beyond which <T^k x, y> is structurally zero, if detectable."""
-    _, base = _unwrap_scalar(spec)
-    margin = 0
-    if isinstance(base, BlockTZ):
-        _, inner_base = _unwrap_scalar(base.inner)
-        kind = _shift_kind(inner_base)
-        margin = 2
-    else:
-        kind = _shift_kind(base)
-    if kind is None:
+    direction = shift_direction(spec)
+    if direction is None:
         return None
+    margin = 2 if expects_pair(spec) else 0
 
     def bounds(v):
         if isinstance(v, PairVec):
@@ -418,7 +389,6 @@ def _inner_stream_stop(spec: OperatorSpec, x, y) -> int | None:
     bx, by = bounds(x), bounds(y)
     if bx is None or by is None:
         return 0
-    direction = kind[0]
     if direction > 0:
         stop = by[1] - bx[0]
     else:
@@ -463,3 +433,23 @@ def weak_ergodic_probe(spec: OperatorSpec, x, y, n_max: int = 2**14) -> ErgodicV
     parity_gaps = [(n, abs(mus[n + 1] - mus[n])) for n in dyadic if n + 1 in mus]
     limit = mus[checkpoints[-1]]
     return _cauchy_verdict("weak", gaps, parity_gaps, limit, abs(limit))
+
+
+def ergodic_family(spec: OperatorSpec, mode: str, n_max: int, seed: int = DEFAULT_SEED):
+    """Mean or weak ladder over a small probe family, and the family's overall status.
+
+    Returns (status, [(label, verdict), ...]); any diverged probe makes the
+    family diverged, and it converges only when every probe converges.
+    """
+    if mode not in ("mean", "weak"):
+        raise ParameterError(f"mode must be mean or weak, got {mode!r}")
+    results = [
+        (label, mean_ergodic_probe(spec, x, n_max) if mode == "mean" else weak_ergodic_probe(spec, x, x, n_max))
+        for label, x in probe_vectors(spec, ProbeConfig(basis_probes=4, seeded_probes=4, seed=seed))
+    ]
+    statuses = [v.status for _, v in results]
+    if "diverged" in statuses:
+        return "diverged", results
+    if all(s == "converged" for s in statuses):
+        return "converged", results
+    return "inconclusive", results

@@ -1,11 +1,16 @@
 """Iterated powers, exact power norms, Cesàro means, and the mean identity.
 
-Orbits are driven by one of three engines chosen automatically: a dense
-numpy window for infinite weighted shifts, a dense matrix loop for
-finite-dimensional specs, and a generic sparse fallback.  All engines are
-exact (no truncation); the window engine just stores the moving support as
-a contiguous array.  Cesàro sums are Kahan-compensated so desk-scale sweeps
-(N up to 1e6) do not drift above the package tolerances.
+Orbits run on one of two exact engines, chosen from the spec.  Finite-
+dimensional specs step a dense matrix.  Every infinite spec compiles to a
+banded stencil (offsets -1, 0, +1 with per-index weight tables) acting on a
+moving dense window: a shift or a diagonal is one term and keeps the window
+width, the duplicating shift and the block operator [[T, T-I],[0, T]] have
+several offsets and grow it.  Scalar multiples are folded into the weights.
+Both engines hold the state as a start coordinate plus a rows x width array,
+so a single Kahan-compensated accumulator serves every Cesàro sum: a grid of
+unimodular lam at once, with a single mean as the one-point grid [1].
+Compensation keeps desk-scale sweeps (N up to 1e6) inside the package
+tolerances.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from .core import (
     BlockTZ,
     Diagonal,
     DomainError,
+    DuplicatingShift,
     Explicit,
     FiniteRange,
     ForwardShift,
@@ -56,6 +62,9 @@ __all__ = [
     "largest_singular_value",
     "matrix_exponential",
     "make_orbit",
+    "shift_direction",
+    "CesaroSum",
+    "lambda_mean_norms",
 ]
 
 SHIFT_SUP_HORIZON = 10**6
@@ -198,25 +207,6 @@ def matrix_exponential(a, tol: float = 1e-14) -> np.ndarray:
 # orbit engines
 
 
-def _unwrap_scalar(spec: OperatorSpec) -> tuple[complex, OperatorSpec]:
-    lam = 1.0 + 0j
-    while isinstance(spec, ScalarMultiple):
-        lam *= spec.scalar
-        spec = spec.inner
-    return lam, spec
-
-
-def _shift_kind(spec: OperatorSpec):
-    """(direction, rule, clip_low) for infinite shifts; None otherwise."""
-    if isinstance(spec, BackwardShift) and isinstance(spec.universe, NatFromOne):
-        return (-1, spec.rule, True)
-    if isinstance(spec, ForwardShift) and isinstance(spec.universe, NatFromOne):
-        return (+1, spec.rule, False)
-    if isinstance(spec, BilateralShift):
-        return ((+1 if spec.forward else -1), spec.rule, False)
-    return None
-
-
 def _rule_table(rule, lo: int, hi: int) -> np.ndarray:
     """weight_at(rule, k) for k in [lo, hi] as a dense array (vectorized)."""
     if hi < lo:
@@ -241,313 +231,334 @@ def _rule_table(rule, lo: int, hi: int) -> np.ndarray:
     raise UnsupportedVariantError(f"unknown weight rule {rule!r}")
 
 
-class _WindowOrbit:
-    """Dense-window engine for weighted-shift orbits of finitely supported vectors."""
+def _lp_norm(mags, p: float, axis=None):
+    """ell^p norm of nonnegative magnitudes, over one axis or the whole array."""
+    if p == 2:
+        return np.sqrt(np.sum(mags * mags, axis=axis))
+    if p == 1:
+        return np.sum(mags, axis=axis)
+    return np.sum(mags**p, axis=axis) ** (1.0 / p)
 
-    def __init__(self, direction: int, rule, clip_low: bool, scalar: complex, x: SparseVec, n_max: int):
-        support = x.support()
-        self.orig = np.array(support, dtype=np.int64)
-        self.vals = np.array([x.entries[k] for k in support], dtype=complex)
-        self.direction = direction
-        self.clip_low = clip_low
-        self.scalar = scalar
-        self.universe = x.universe
-        self.steps = 0
-        lo, hi = support[0], support[-1]
-        if direction > 0:
-            t_lo, t_hi = lo, hi + n_max - 1
-        else:
-            t_lo, t_hi = lo - n_max + 1, hi
-        if clip_low:
-            t_lo = max(t_lo, 2)
-        self._table_lo = t_lo
-        self._table = _rule_table(rule, t_lo, t_hi)
-        self.dead = False
 
-    def coords(self) -> np.ndarray:
-        return self.orig + self.direction * self.steps
+def _dense(x, lo: int | None = None, hi: int | None = None) -> tuple[int, np.ndarray]:
+    """(lo, rows x width array) holding a plain or pair vector on [lo, hi] (default: its support hull)."""
+    parts = (x.top, x.bottom) if isinstance(x, PairVec) else (x,)
+    if lo is None:
+        keys = [k for part in parts for k in part.entries]
+        lo, hi = min(keys, default=1), max(keys, default=0)
+    out = np.zeros((len(parts), hi - lo + 1), dtype=complex)
+    for r, part in enumerate(parts):
+        for k, v in part.entries.items():
+            out[r, k - lo] = v
+    return lo, out
 
-    def step(self) -> None:
-        if self.dead:
-            self.steps += 1
-            return
-        src = self.coords()
-        idx = src - self._table_lo
-        if self.clip_low:
-            if len(self._table) == 0:
-                w = np.zeros(len(self.vals))
-            else:
-                alive = src >= 2
-                safe = np.clip(idx, 0, len(self._table) - 1)
-                w = np.where(alive, self._table[safe], 0.0)
-        else:
-            w = self._table[idx]
-        self.vals = self.vals * w
-        if self.scalar != 1:
-            self.vals = self.vals * self.scalar
-        self.steps += 1
-        if self.clip_low and not np.any(self.vals):
-            self.dead = True
-            self.vals = np.zeros_like(self.vals)
+
+def _as_vector(universe, lo: int, vals: np.ndarray):
+    """Sparse (or pair) vector of the nonzero entries of a state array."""
+    rows = []
+    for row in vals:
+        nz = np.flatnonzero(row)
+        rows.append(SparseVec(universe, dict(zip((nz + lo).tolist(), row[nz].tolist()))))
+    return PairVec(*rows) if len(rows) == 2 else rows[0]
+
+
+class _Orbit:
+    """Engine state: vals[r, j] is row r (0 plain or pair top, 1 pair bottom) at coordinate lo + j."""
+
+    dead = False
+    steps = 0
+    floor = None  # lowest index of the universe, when the window must not pass it
+    low_off = high_off = 0  # stencil offsets; a matrix state never moves
+    _y = None
+
+    def span(self, n_max: int) -> tuple[int, int]:
+        """Coordinates the state can occupy within n_max steps, inside the universe."""
+        lo = self.lo + n_max * min(self.low_off, 0)
+        hi = self.lo + self.vals.shape[1] - 1 + n_max * max(self.high_off, 0)
+        return (lo if self.floor is None else max(lo, self.floor)), hi
 
     def norm(self, p: float) -> float:
+        self.check_p(p)
+        return float(_lp_norm(np.abs(self.vals.ravel()), p))
+
+    def check_p(self, p: float) -> None:
+        if p < 1:
+            raise ParameterError(f"p must be >= 1, got {p}")
+        if self.rows == 2 and p != 2:
+            raise ParameterError("pair vectors carry the Hilbert norm only (p=2)")
+
+    def to_sparse(self):
+        return _as_vector(self.universe, self.lo, self.vals)
+
+    def inner_with(self, y) -> complex:
+        """<T^k x, y> for the current k; y is embedded once and reused while it stays the same."""
+        if y is not self._y:
+            self._y = y
+            self._ylo, self._yv = _dense(y)
+        vals = self.vals
+        a = max(self.lo, self._ylo)
+        b = max(a, min(self.lo + vals.shape[1], self._ylo + self._yv.shape[1]))
+        # vdot conjugates its first argument
+        return complex(np.vdot(self._yv[:, a - self._ylo : b - self._ylo], vals[:, a - self.lo : b - self.lo]))
+
+
+@dataclass(frozen=True)
+class _Term:
+    """new[dst, k + offset] += weights(k) * old[src, k] for every source index k."""
+
+    dst: int
+    src: int
+    offset: int
+    weights: object  # (lo, hi) -> weight array over source indices lo..hi
+
+
+def _rule_weights(rule, k_min: int | None):
+    def table(lo: int, hi: int) -> np.ndarray:
+        start = lo if k_min is None else max(lo, k_min)
+        out = np.zeros(max(hi - lo + 1, 0))
+        if start <= hi:
+            out[start - lo :] = _rule_table(rule, start, hi)
+        return out
+
+    return table
+
+
+def _diagonal_weights(default: complex, overrides) -> object:
+    def table(lo: int, hi: int) -> np.ndarray:
+        out = np.full(max(hi - lo + 1, 0), default, dtype=complex)
+        for k, v in overrides:
+            if lo <= k <= hi:
+                out[k - lo] = v
+        return out
+
+    return table
+
+
+def _scaled(weights, c: complex):
+    return lambda lo, hi: c * weights(lo, hi)
+
+
+def _compile(spec: OperatorSpec) -> tuple[int, tuple[_Term, ...], int | None]:
+    """(rows, stencil terms, lowest index or None) of an infinite banded spec."""
+    if isinstance(spec, ScalarMultiple):
+        rows, terms, floor = _compile(spec.inner)
+        if spec.scalar != 1:
+            terms = tuple(_Term(t.dst, t.src, t.offset, _scaled(t.weights, spec.scalar)) for t in terms)
+        return rows, terms, floor
+    if isinstance(spec, BackwardShift) and isinstance(spec.universe, NatFromOne):
+        return 1, (_Term(0, 0, -1, _rule_weights(spec.rule, 2)),), 1  # e_1 -> 0
+    if isinstance(spec, ForwardShift) and isinstance(spec.universe, NatFromOne):
+        return 1, (_Term(0, 0, +1, _rule_weights(spec.rule, 1)),), 1
+    if isinstance(spec, BilateralShift):
+        return 1, (_Term(0, 0, +1 if spec.forward else -1, _rule_weights(spec.rule, None)),), None
+    if isinstance(spec, Diagonal) and not isinstance(spec.universe, FiniteRange):
+        floor = 1 if isinstance(spec.universe, NatFromOne) else None
+        return 1, (_Term(0, 0, 0, _diagonal_weights(spec.default, spec.overrides)),), floor
+    if isinstance(spec, DuplicatingShift):
+        copy_first = _diagonal_weights(0j, ((1, 1.0 + 0j),))
+        return 1, (_Term(0, 0, +1, _rule_weights(Explicit((), 1.0), 1)), _Term(0, 0, 0, copy_first)), 1
+    if isinstance(spec, BlockTZ):
+        rows, inner, floor = _compile(spec.inner)
+        if rows != 1:
+            raise UnsupportedVariantError("BlockTZ over a pair operator is not supported")
+        minus_one = _diagonal_weights(-1.0 + 0j, ())
+        top = [_Term(0, src, t.offset, t.weights) for src in (0, 1) for t in inner]
+        bottom = [_Term(1, 1, t.offset, t.weights) for t in inner]
+        return 2, (*top, _Term(0, 1, 0, minus_one), *bottom), floor  # top += T bottom - bottom
+    raise UnsupportedVariantError(f"no orbit engine for {type(spec).__name__}")
+
+
+class _WindowOrbit(_Orbit):
+    """Moving dense window for infinite specs, stepped by their compiled banded stencil.
+
+    A one-term stencil (a shift or a diagonal) translates the window by its
+    offset and keeps its width; a stencil with several offsets grows it.
+    Weights vanish at sources whose image leaves the universe, so a moving
+    window needs no per-step index checks; a growing one drops the columns
+    past the universe's lowest index.
+    """
+
+    def __init__(self, spec: OperatorSpec, x, n_max: int):
+        self.rows, self.terms, self.floor = _compile(spec)
+        self.universe = x.universe
+        self.lo, self.vals = _dense(x)
+        offsets = [t.offset for t in self.terms]
+        self.low_off, self.high_off = min(offsets), max(offsets)
+        width = self.vals.shape[1]
+        # Sources visited by n_max steps; tables cover them once.
+        self.t_lo = self.lo + max(n_max - 1, 0) * min(self.low_off, 0)
+        t_hi = self.lo + width - 1 + max(n_max - 1, 0) * max(self.high_off, 0)
+        self.tables = [t.weights(self.t_lo, t_hi) for t in self.terms]
+        self.single = len(self.terms) == 1
+        # Shifts die only by leaving the universe; other stencils can zero a state anywhere.
+        self.can_die = not self.single or offsets[0] == 0 or (self.floor is not None and offsets[0] < 0)
+        self.dead = width == 0
+
+    def step(self) -> None:
+        self.steps += 1
         if self.dead:
-            return 0.0
-        mags = np.abs(self.vals)
-        if p == 2:
-            return float(math.sqrt(np.sum(mags * mags)))
-        if p == 1:
-            return float(np.sum(mags))
-        return float(np.sum(mags**p) ** (1.0 / p))
-
-    def to_sparse(self) -> SparseVec:
-        entries = {}
-        for c, v in zip(self.coords().tolist(), self.vals.tolist()):
-            if v != 0:
-                entries[int(c)] = v
-        return SparseVec(self.universe, entries)
-
-    def inner_with(self, y: SparseVec) -> complex:
-        if self.dead:
-            return 0j
-        total = 0j
-        pos = {int(c): i for i, c in enumerate(self.coords().tolist())}
-        for k, w in y.entries.items():
-            i = pos.get(k)
-            if i is not None:
-                total += self.vals[i] * w.conjugate()
-        return total
+            return
+        vals = self.vals
+        width = vals.shape[1]
+        s = self.lo - self.t_lo
+        if self.single:
+            self.vals = vals * self.tables[0][s : s + width]
+            self.lo += self.low_off
+        else:
+            new = np.zeros((self.rows, width + self.high_off - self.low_off), dtype=complex)
+            for term, table in zip(self.terms, self.tables):
+                c = term.offset - self.low_off
+                new[term.dst, c : c + width] += vals[term.src] * table[s : s + width]
+            self.lo += self.low_off
+            if self.floor is not None and self.lo < self.floor:
+                new = new[:, self.floor - self.lo :]  # entries past the boundary carry zero weight
+                self.lo = self.floor
+            self.vals = new
+        if self.can_die and not self.vals.any():
+            self.dead = True
 
 
-class _MatrixOrbit:
+class _MatrixOrbit(_Orbit):
     """Dense loop for finite-dimensional specs; pairs stack as [top; bottom]."""
+
+    lo = 1
 
     def __init__(self, spec: OperatorSpec, x, n_max: int):
         self.matrix = to_matrix(spec)
-        self.pair = isinstance(x, PairVec)
         self.universe = spec_universe(spec)
-        d = self.matrix.shape[0]
-        v = np.zeros(d, dtype=complex)
-        if self.pair:
-            half = d // 2
-            for k, val in x.top.entries.items():
-                v[k - 1] = val
-            for k, val in x.bottom.entries.items():
-                v[half + k - 1] = val
-        else:
-            for k, val in x.entries.items():
-                v[k - 1] = val
-        self.vals = v
-        self.dead = False
-        self.steps = 0
+        self.rows = 2 if isinstance(x, PairVec) else 1
+        self.flat = _dense(x, 1, self.matrix.shape[0] // self.rows)[1].ravel()
+
+    @property
+    def vals(self) -> np.ndarray:
+        return self.flat.reshape(self.rows, -1)
 
     def step(self) -> None:
-        self.vals = self.matrix @ self.vals
+        self.flat = self.matrix @ self.flat
         self.steps += 1
 
-    def norm(self, p: float) -> float:
-        if self.pair and p != 2:
-            raise ParameterError("pair vectors carry the Hilbert norm only (p=2)")
-        mags = np.abs(self.vals)
-        if p == 2:
-            return float(math.sqrt(np.sum(mags * mags)))
-        if p == 1:
-            return float(np.sum(mags))
-        return float(np.sum(mags**p) ** (1.0 / p))
-
-    def to_sparse(self):
-        if self.pair:
-            half = self.matrix.shape[0] // 2
-            top = {i + 1: v for i, v in enumerate(self.vals[:half].tolist()) if v != 0}
-            bot = {i + 1: v for i, v in enumerate(self.vals[half:].tolist()) if v != 0}
-            return PairVec(SparseVec(self.universe, top), SparseVec(self.universe, bot))
-        entries = {i + 1: v for i, v in enumerate(self.vals.tolist()) if v != 0}
-        return SparseVec(self.universe, entries)
-
     def inner_with(self, y) -> complex:
-        other = _MatrixOrbit._embed(y, self.matrix.shape[0], self.pair)
-        return complex(np.vdot(other, self.vals))  # vdot conjugates its first argument
-
-    @staticmethod
-    def _embed(y, d: int, pair: bool) -> np.ndarray:
-        v = np.zeros(d, dtype=complex)
-        if pair:
-            half = d // 2
-            for k, val in y.top.entries.items():
-                v[k - 1] = val
-            for k, val in y.bottom.entries.items():
-                v[half + k - 1] = val
-        else:
-            for k, val in y.entries.items():
-                v[k - 1] = val
-        return v
-
-
-class _SparseOrbit:
-    """Generic fallback: repeated exact sparse application."""
-
-    def __init__(self, spec: OperatorSpec, x, n_max: int):
-        self.spec = spec
-        self.state = x
-        self.steps = 0
-        self.dead = x.is_zero()
-
-    def step(self) -> None:
-        if not self.dead:
-            self.state = apply(self.spec, self.state)
-            self.dead = self.state.is_zero()
-        self.steps += 1
-
-    def norm(self, p: float) -> float:
-        return p_norm(self.state, p)
-
-    def to_sparse(self):
-        return self.state
-
-    def inner_with(self, y) -> complex:
-        from .core import inner as _inner
-
-        return _inner(self.state, y)
+        if y is not self._y:
+            self._y = y
+            self._yv = _dense(y, 1, self.matrix.shape[0] // self.rows)[1].ravel()
+        return complex(np.vdot(self._yv, self.flat))  # vdot conjugates its first argument
 
 
 def make_orbit(spec: OperatorSpec, x, n_max: int):
-    """Pick the fastest exact engine for T^k x, k <= n_max."""
-    lam, base = _unwrap_scalar(spec)
-    kind = _shift_kind(base)
-    if kind is not None and isinstance(x, SparseVec) and x.entries:
-        direction, rule, clip = kind
-        if x.universe != spec_universe(base):
-            raise DomainError("vector universe does not match operator universe")
-        return _WindowOrbit(direction, rule, clip, lam, x, n_max)
+    """Exact engine for T^k x, k <= n_max: a matrix loop for finite specs, a banded window otherwise."""
+    if expects_pair(spec) != isinstance(x, PairVec):
+        kind = "ordered pairs of vectors" if expects_pair(spec) else "plain sparse vectors"
+        raise DomainError(f"this operator acts on {kind}")
+    if x.universe != spec_universe(spec):
+        raise DomainError(f"vector universe {x.universe} does not match operator universe {spec_universe(spec)}")
     if spec_dim(spec) is not None:
-        if expects_pair(spec) != isinstance(x, PairVec):
-            raise DomainError("pair/plain vector mismatch for this operator")
         return _MatrixOrbit(spec, x, n_max)
-    return _SparseOrbit(spec, x, n_max)
+    return _WindowOrbit(spec, x, n_max)
+
+
+def shift_direction(spec: OperatorSpec) -> int | None:
+    """Offset (+1 or -1) of an infinite weighted shift, seen through scalars and BlockTZ; else None."""
+    if spec_dim(spec) is not None:
+        return None
+    rows, terms, _ = _compile(spec)
+    offsets = {t.offset for t in terms if t.dst == t.src == rows - 1}
+    return offsets.pop() if len(offsets) == 1 and 0 not in offsets else None
 
 
 # ---------------------------------------------------------------------------
-# compensated accumulators
+# Cesàro sums
 
 
-class _KahanDense:
-    def __init__(self, length: int):
-        self.sum = np.zeros(length, dtype=complex)
-        self.comp = np.zeros(length, dtype=complex)
+class CesaroSum:
+    """Kahan-compensated sums sum_{k<=n} lam^k T^k x over a grid of lam, in one orbit pass.
 
-    def add_at(self, idx, values) -> None:
-        y = values - self.comp[idx]
-        t = self.sum[idx] + y
-        self.comp[idx] = (t - self.sum[idx]) - y
-        self.sum[idx] = t
+    A single Cesàro mean is the one-point grid ``[1]``.  Once the orbit state
+    is exactly zero the sums freeze: later means are the frozen sums over n+1.
+    """
 
-    def add_all(self, values) -> None:
-        y = values - self.comp
-        t = self.sum + y
-        self.comp = (t - self.sum) - y
-        self.sum = t
+    def __init__(self, spec: OperatorSpec, x, n_max: int, lams=None):
+        self.orbit = make_orbit(spec, x, n_max)
+        self.unit = lams is None
+        self.lams = np.ones(1, dtype=complex) if lams is None else np.asarray(lams, dtype=complex)
+        self.lam_pow = np.ones(len(self.lams), dtype=complex)
+        self.lo, hi = self.orbit.span(n_max)
+        self.sum = np.zeros((len(self.lams), self.orbit.rows, max(hi - self.lo + 1, 0)), dtype=complex)
+        self.comp = np.zeros_like(self.sum)
+        self.n = self.stepped = 0
+        self._add()
 
-
-class _KahanSparse:
-    def __init__(self):
-        self.sum: dict[int, complex] = {}
-        self.comp: dict[int, complex] = {}
-
-    def add(self, entries) -> None:
-        for k, v in entries.items():
-            y = v - self.comp.get(k, 0j)
-            s = self.sum.get(k, 0j)
-            t = s + y
-            self.comp[k] = (t - s) - y
-            self.sum[k] = t
-
-
-class _CesaroAccumulator:
-    """Running sum of orbit states, engine-aware, Kahan-compensated."""
-
-    def __init__(self, orbit, n_max: int):
-        self.orbit = orbit
-        if isinstance(orbit, _WindowOrbit):
-            lo = int(orbit.orig[0])
-            hi = int(orbit.orig[-1])
-            if orbit.direction > 0:
-                self.range_lo, range_hi = lo, hi + n_max
-            else:
-                self.range_lo, range_hi = (1 if orbit.clip_low else lo - n_max), hi
-            self.acc = _KahanDense(range_hi - self.range_lo + 1)
-            self.mode = "window"
-        elif isinstance(orbit, _MatrixOrbit):
-            self.acc = _KahanDense(orbit.matrix.shape[0])
-            self.mode = "matrix"
-        else:
-            self.mode = "sparse"
-            self.pair = isinstance(orbit.state, PairVec)
-            if self.pair:
-                self.acc = (_KahanSparse(), _KahanSparse())
-            else:
-                self.acc = _KahanSparse()
-        self.count = 0
-
-    def add_current(self) -> None:
+    def _overlap(self) -> tuple[slice, slice]:
+        """(state columns, accumulator columns) where the orbit window meets the sums."""
         o = self.orbit
-        if self.mode == "window":
-            if not o.dead:
-                idx = o.coords() - self.range_lo
-                keep = idx >= 0  # clipped-out backward entries hold exact zeros
-                self.acc.add_at(idx[keep], o.vals[keep])
-        elif self.mode == "matrix":
-            self.acc.add_all(o.vals)
-        else:
-            state = o.state
-            if self.pair:
-                self.acc[0].add(state.top.entries)
-                self.acc[1].add(state.bottom.entries)
-            else:
-                self.acc.add(state.entries)
-        self.count += 1
+        a = max(o.lo, self.lo)
+        b = max(a, min(o.lo + o.vals.shape[1], self.lo + self.sum.shape[2]))
+        return slice(a - o.lo, b - o.lo), slice(a - self.lo, b - self.lo)
 
-    def mean_vector(self):
-        """Current Cesàro mean as a sparse vector (or pair)."""
-        scale = 1.0 / self.count
+    def _add(self) -> None:
         o = self.orbit
-        if self.mode == "window":
-            entries = {}
-            base = self.range_lo
-            nz = np.nonzero(self.acc.sum)[0]
-            for i in nz.tolist():
-                entries[base + i] = self.acc.sum[i] * scale
-            return SparseVec(o.universe, entries)
-        if self.mode == "matrix":
-            vals = self.acc.sum * scale
-            if o.pair:
-                half = o.matrix.shape[0] // 2
-                top = {i + 1: v for i, v in enumerate(vals[:half].tolist()) if v != 0}
-                bot = {i + 1: v for i, v in enumerate(vals[half:].tolist()) if v != 0}
-                return PairVec(SparseVec(o.universe, top), SparseVec(o.universe, bot))
-            return SparseVec(o.universe, {i + 1: v for i, v in enumerate(vals.tolist()) if v != 0})
-        if self.pair:
-            top = {k: v * scale for k, v in self.acc[0].sum.items() if v != 0}
-            bot = {k: v * scale for k, v in self.acc[1].sum.items() if v != 0}
-            uni = o.state.universe
-            return PairVec(SparseVec(uni, top), SparseVec(uni, bot))
-        uni = o.state.universe
-        return SparseVec(uni, {k: v * scale for k, v in self.acc.sum.items() if v != 0})
+        if o.dead:
+            return
+        if self.unit:
+            vals = o.vals[None]  # same shape as the sums: numpy skips broadcasting
+        else:
+            vals = self.lam_pow[:, None, None] * o.vals
+            self.lam_pow = self.lam_pow * self.lams
+        if o.low_off == o.high_off == 0:  # the state never moves: it fills the sums exactly
+            y = vals - self.comp
+            t = self.sum + y
+            self.comp = (t - self.sum) - y
+            self.sum = t
+            return
+        state_cols, cols = self._overlap()
+        s = self.sum[:, :, cols]
+        c = self.comp[:, :, cols]
+        y = vals[..., state_cols] - c
+        t = s + y
+        c[...] = (t - s) - y
+        s[...] = t
 
-    def mean_norm(self, p: float) -> float:
-        scale = 1.0 / self.count
-        if self.mode == "window":
-            mags = np.abs(self.acc.sum) * scale
-            if p == 2:
-                return float(math.sqrt(np.sum(mags * mags)))
-            if p == 1:
-                return float(np.sum(mags))
-            return float(np.sum(mags**p) ** (1.0 / p))
-        if self.mode == "matrix":
-            mags = np.abs(self.acc.sum) * scale
-            if p == 2:
-                return float(math.sqrt(np.sum(mags * mags)))
-            return float(np.sum(mags**p) ** (1.0 / p))
-        return p_norm(self.mean_vector(), p)
+    def advance_to(self, n: int) -> None:
+        """Move the sums to index n (never backwards)."""
+        orbit, add, k = self.orbit, self._add, self.stepped
+        while k < n and not orbit.dead:
+            orbit.step()
+            add()
+            k += 1
+        self.stepped, self.n = k, n
+
+    def norms(self, p: float) -> np.ndarray:
+        """||M_n(lam T) x||_p for every lam of the grid."""
+        self.orbit.check_p(p)
+        mags = np.abs(self.sum).reshape(len(self.lams), -1)
+        if self.stepped < self.n:  # frozen
+            return _lp_norm(mags, p, axis=1) / (self.n + 1)
+        return _lp_norm(mags / (self.n + 1), p, axis=1)
+
+    def mean(self) -> np.ndarray:
+        """M_n(T) x on the accumulator's coordinates (first grid point)."""
+        return self.sum[0] * (1.0 / (self.n + 1))
+
+    def state(self) -> np.ndarray:
+        """The current orbit state on the accumulator's coordinates."""
+        out = np.zeros(self.sum.shape[1:], dtype=complex)
+        state_cols, cols = self._overlap()
+        out[:, cols] = self.orbit.vals[:, state_cols]
+        return out
+
+    def gap(self, a: np.ndarray, b: np.ndarray, p: float) -> float:
+        """||a - b||_p of two arrays on the accumulator's coordinates."""
+        self.orbit.check_p(p)
+        return float(_lp_norm(np.abs(a - b).ravel(), p))
+
+
+def lambda_mean_norms(spec: OperatorSpec, x, lams, checkpoints: list[int], p: float) -> np.ndarray:
+    """||M_n(lam T) x||_p at each checkpoint for every lam; shape (len(lams), len(checkpoints))."""
+    acc = CesaroSum(spec, x, checkpoints[-1], lams)
+    out = np.zeros((len(acc.lams), len(checkpoints)))
+    for j, n in enumerate(checkpoints):
+        acc.advance_to(n)
+        out[:, j] = acc.norms(p)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -562,8 +573,8 @@ def power_apply(spec: OperatorSpec, x, n: int):
         return x
     orbit = make_orbit(spec, x, n)
     for _ in range(n):
-        if orbit.dead and not isinstance(orbit, _MatrixOrbit):
-            return orbit.to_sparse()
+        if orbit.dead:
+            break
         orbit.step()
     return orbit.to_sparse()
 
@@ -697,13 +708,9 @@ def cesaro_apply(spec: OperatorSpec, x, n: int):
     """Cesàro mean M_n(T) x = (1/(n+1)) sum_{k<=n} T^k x."""
     if n < 0:
         raise ParameterError("n must be >= 0")
-    orbit = make_orbit(spec, x, n)
-    acc = _CesaroAccumulator(orbit, n)
-    acc.add_current()
-    for _ in range(n):
-        orbit.step()
-        acc.add_current()
-    return acc.mean_vector()
+    acc = CesaroSum(spec, x, n)
+    acc.advance_to(n)
+    return _as_vector(acc.orbit.universe, acc.lo, acc.mean())
 
 
 def cesaro_operator_norm(spec: OperatorSpec, n: int, lam: complex = 1.0 + 0j) -> float:
@@ -752,21 +759,15 @@ def media_residual_max(spec: OperatorSpec, x, n_max: int, p: float, from_n: int 
     """Max residual of the mean identity over n in [from_n, n_max] (one orbit pass)."""
     if n_max < 1 or from_n < 1 or from_n > n_max:
         raise ParameterError("need 1 <= from_n <= n_max")
-    from .core import vec_scale, vec_sub
-
-    orbit = make_orbit(spec, x, n_max)
-    acc = _CesaroAccumulator(orbit, n_max)
-    acc.add_current()
-    prev_mean = acc.mean_vector()
+    acc = CesaroSum(spec, x, n_max)
+    prev_mean = acc.mean()
     worst = 0.0
     for n in range(1, n_max + 1):
-        orbit.step()
-        acc.add_current()
-        mean = acc.mean_vector()
+        acc.advance_to(n)
+        mean = acc.mean()
         if n >= from_n:
-            lhs = vec_scale(1.0 / (n + 1), orbit.to_sparse())
-            rhs = vec_sub(mean, vec_scale(n / (n + 1), prev_mean))
-            worst = max(worst, p_norm(vec_sub(lhs, rhs), p))
+            lhs = acc.state() * (1.0 / (n + 1))
+            worst = max(worst, acc.gap(lhs, mean - prev_mean * (n / (n + 1)), p))
         prev_mean = mean
     return worst
 

@@ -29,7 +29,7 @@ from .core import (
     PowerRatio,
     to_matrix,
 )
-from .classify import DEFAULT_SEED, ProbeConfig, adversarial_vector, probe_vectors
+from .classify import DEFAULT_SEED, ProbeConfig, adversarial_vector
 
 __all__ = [
     "ExpectedRow",
@@ -325,47 +325,27 @@ def _probe_cfg(entry_id: str, probe: str, seed: int) -> ProbeConfig:
     return ProbeConfig(**kwargs)
 
 
-def _aggregate_ergodic(spec, mode: str, seed: int, n_max: int) -> str:
-    from .dynamics import mean_ergodic_probe, weak_ergodic_probe
-
-    cfg = ProbeConfig(basis_probes=4, seeded_probes=4, seed=seed)
-    statuses = []
-    for _, x in probe_vectors(spec, cfg):
-        if mode == "mean":
-            statuses.append(mean_ergodic_probe(spec, x, n_max).status)
-        else:
-            statuses.append(weak_ergodic_probe(spec, x, x, n_max).status)
-    if "diverged" in statuses:
-        return "diverged"
-    if all(s == "converged" for s in statuses):
-        return "converged"
-    return "inconclusive"
-
-
 def _run_probe(entry: ZooEntry, probe: str, seed: int) -> str:
     from . import classify, dynamics, isometry
 
     spec = entry.spec
     cfg = _probe_cfg(entry.entry_id, probe, seed)
-    if probe == "power_bounded":
-        v = classify.power_bounded_probe(spec, cfg)
-        return "bounded" if v.bounded() else v.status
-    if probe == "cesaro_bounded":
-        v = classify.cesaro_bounded_probe(spec, cfg)
-        return "bounded" if v.bounded() else v.status
-    if probe == "absolutely_cesaro":
-        v = classify.acb_constant(spec, cfg)
-        return "bounded" if v.bounded() else v.status
-    if probe == "uniformly_kreiss":
-        v = classify.uniform_kreiss_probe(spec, cfg)
+    boundedness = {
+        "power_bounded": classify.power_bounded_probe,
+        "cesaro_bounded": classify.cesaro_bounded_probe,
+        "absolutely_cesaro": classify.acb_constant,
+        "uniformly_kreiss": classify.uniform_kreiss_probe,
+    }
+    if probe in boundedness:
+        v = boundedness[probe](spec, cfg)
         return "bounded" if v.bounded() else v.status
     if probe == "strict_order":
         order = isometry.strict_order(spec, 8, cfg)
         return "none" if order is None else str(order)
     if probe == "mean_ergodic":
-        return _aggregate_ergodic(spec, "mean", seed, 2**14)
+        return dynamics.ergodic_family(spec, "mean", 2**14, seed)[0]
     if probe == "weak_ergodic":
-        return _aggregate_ergodic(spec, "weak", seed, 2**24)
+        return dynamics.ergodic_family(spec, "weak", 2**24, seed)[0]
     if probe == "mixing":
         if not isinstance(spec, BackwardShift):
             raise ParameterError("mixing probe applies to backward shifts")

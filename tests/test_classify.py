@@ -336,7 +336,7 @@ def test_checkpoint_set_shape():
 
 def test_lambda_mean_norms_against_direct_cesaro():
     # dual route: the batched accumulator must match scale-then-average per lam
-    from cesarolab.classify import _lambda_mean_norms
+    from cesarolab.powers import lambda_mean_norms
     from cesarolab.core import make_vector, scale
 
     rng = np.random.default_rng(37)
@@ -349,7 +349,7 @@ def test_lambda_mean_norms_against_direct_cesaro():
             universe,
             [(k, complex(rng.standard_normal(), rng.standard_normal())) for k in range(1, 7)],
         )
-        table = _lambda_mean_norms(spec, x, lams, checkpoints, 2.0)
+        table = lambda_mean_norms(spec, x, lams, checkpoints, 2.0)
         for i, lam in enumerate(lams):
             for j, n in enumerate(checkpoints):
                 direct = p_norm(cesaro_apply(scale(lam, spec), x, n), 2)
@@ -357,7 +357,7 @@ def test_lambda_mean_norms_against_direct_cesaro():
 
 
 def test_lambda_mean_norms_pair_path():
-    from cesarolab.classify import _lambda_mean_norms
+    from cesarolab.powers import lambda_mean_norms
     from cesarolab.core import PairVec, make_vector, scale
 
     u = BilateralShift(Explicit((), 1.0))
@@ -368,7 +368,7 @@ def test_lambda_mean_norms_pair_path():
     )
     lams = np.array([1.0 + 0j, 1j])
     checkpoints = [1, 3, 6]
-    table = _lambda_mean_norms(tz, x, lams, checkpoints, 2.0)
+    table = lambda_mean_norms(tz, x, lams, checkpoints, 2.0)
     for i, lam in enumerate(lams):
         for j, n in enumerate(checkpoints):
             direct = p_norm(cesaro_apply(scale(lam, tz), x, n), 2)

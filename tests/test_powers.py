@@ -30,6 +30,8 @@ from cesarolab.core import (
     make_vector,
     p_norm,
     scale,
+    vec_add,
+    vec_scale,
 )
 from cesarolab.powers import (
     NormSeq,
@@ -37,7 +39,9 @@ from cesarolab.powers import (
     cesaro_apply,
     cesaro_operator_norm,
     cesaro_operator_norm_sweep,
+    lambda_mean_norms,
     largest_singular_value,
+    make_orbit,
     matrix_exponential,
     media_residual,
     media_residual_max,
@@ -175,25 +179,81 @@ def test_orbit_norms_duplicating_shift():
     assert seq.values() == pytest.approx([1.0, math.sqrt(2), math.sqrt(3)], rel=1e-14)
 
 
+def _entries_close(got, want):
+    """Entry-wise comparison of plain or pair vectors at the oracle tolerance."""
+    if isinstance(want, PairVec):
+        _entries_close(got.top, want.top)
+        _entries_close(got.bottom, want.bottom)
+        return
+    keys = sorted(set(got.entries) | set(want.entries))
+    fast = [got.entries.get(k, 0j) for k in keys]
+    slow = [want.entries.get(k, 0j) for k in keys]
+    assert fast == pytest.approx(slow, rel=1e-12, abs=1e-14)
+
+
 def test_orbit_norms_engine_matches_sparse():
+    # every engine input shape against plain core.apply stepping
     rng = np.random.default_rng(9)
-    specs = [
+    shifts = [
         BackwardShift(NAT, PowerRatio(0.25, 0)),
         ForwardShift(NAT, PowerRatio(0.4, 1)),
         ForwardShift(NAT, PolyRatio(Polynomial((0.0, 0.0, 1.0)))),
         BilateralShift(Explicit((2.0, 0.5), 1.0)),
         BilateralShift(PolyRatio(Polynomial((1.0, 0.0, 1.0))), forward=False),
     ]
-    for spec in specs:
+    cases = []
+    for spec in shifts:
         universe = INTS if isinstance(spec, BilateralShift) else NAT
-        x = rand_vec(universe, rng, -4 if universe is INTS else 1, 9)
+        cases.append((spec, rand_vec(universe, rng, -4 if universe is INTS else 1, 9)))
+    bilateral = BilateralShift(Explicit((2.0, 0.5), 1.0))
+    cases += [
+        (Diagonal(NAT, cmath.exp(1j), ((2, 0.5), (3, 0.0))), rand_vec(NAT, rng, 1, 9)),
+        (Diagonal(INTS, 0.9, ((0, 1.0), (-2, 2.0), (3, 0.0))), rand_vec(INTS, rng, -4, 9)),
+        (Diagonal(NAT, 0.0, ((6, 2.0),)), make_vector(NAT, [(1, 1.0), (3, -2.0j), (5, 0.5)])),  # dies at once
+        (identity(NAT), rand_vec(NAT, rng, 2, 7)),
+        (DuplicatingShift(), rand_vec(NAT, rng, 1, 9)),
+        (DuplicatingShift(), rand_vec(NAT, rng, 3, 6)),
+        (scale(0.5j, ForwardShift(NAT, PowerRatio(0.4, 1))), rand_vec(NAT, rng, 1, 9)),
+        (scale(-0.8, DuplicatingShift()), rand_vec(NAT, rng, 1, 5)),
+    ]
+    for inner in (
+        bilateral,
+        ForwardShift(NAT, PowerRatio(0.4, 1)),
+        BackwardShift(NAT, PowerRatio(0.25, 0)),
+        DuplicatingShift(),
+        scale(0.9j, BackwardShift(NAT, PowerRatio(0.25, 0))),
+    ):
+        universe = INTS if inner is bilateral else NAT
+        lo = -4 if inner is bilateral else 1
+        cases.append((BlockTZ(inner), PairVec(rand_vec(universe, rng, lo, 6), rand_vec(universe, rng, lo + 2, 9))))
+    pair = PairVec(rand_vec(INTS, rng, -3, 3), rand_vec(INTS, rng, 0, 5))
+    cases.append((scale(cmath.exp(0.7j), BlockTZ(bilateral)), pair))
+
+    lams = np.array([1.0, -1.0, 1j, cmath.exp(0.3j)])
+    checkpoints = [1, 2, 7, 16, 30]
+    for spec, x in cases:
+        orbit = make_orbit(spec, x, 30)
         fast = orbit_norms(spec, x, 2, 30).values()
-        state = x
-        slow = [p_norm(state, 2)]
+        states = [x]
         for _ in range(30):
-            state = apply(spec, state)
-            slow.append(p_norm(state, 2))
-        assert fast == pytest.approx(slow, rel=1e-12, abs=1e-14)
+            states.append(apply(spec, states[-1]))
+        assert fast == pytest.approx([p_norm(s, 2) for s in states], rel=1e-12, abs=1e-14)
+        _entries_close(orbit.to_sparse(), x)
+        for state in states[1:]:
+            orbit.step()
+            _entries_close(orbit.to_sparse(), state)
+        table = lambda_mean_norms(spec, x, lams, checkpoints, 2.0)
+        for n in checkpoints:
+            total = states[0]
+            for s in states[1 : n + 1]:
+                total = vec_add(total, s)
+            _entries_close(cesaro_apply(spec, x, n), vec_scale(1.0 / (n + 1), total))
+        for i, lam in enumerate(lams):
+            for j, n in enumerate(checkpoints):
+                total = states[0]
+                for k, s in enumerate(states[1 : n + 1], start=1):
+                    total = vec_add(total, vec_scale(lam**k, s))
+                assert table[i, j] == pytest.approx(p_norm(total, 2) / (n + 1), rel=1e-12, abs=1e-14)
 
 
 def test_orbit_norms_submultiplicative_consistency():
