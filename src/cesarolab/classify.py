@@ -37,10 +37,10 @@ from .core import (
 )
 from .powers import (
     NormSeq,
-    SigmaMaxTracker,
     cesaro_apply,
     cesaro_operator_norm_sweep,
     lambda_mean_norms,
+    lambda_operator_norms,
     largest_singular_value,
     make_orbit,
     matrix_exponential,
@@ -253,35 +253,6 @@ def lambda_grid(samples: int) -> np.ndarray:
     return lams
 
 
-def _matrix_lambda_cesaro_norms(spec, lams: np.ndarray, checkpoints: list[int]):
-    """Exact ||M_n(lam T)|| at checkpoints for every lam (batched accumulation)."""
-    a = to_matrix(spec)
-    d = a.shape[0]
-    nlam = len(lams)
-    power = np.broadcast_to(np.eye(d, dtype=complex), (nlam, d, d)).copy()
-    total = power.copy()
-    comp = np.zeros_like(total)
-    trackers = [SigmaMaxTracker(d) for _ in range(nlam)]
-    out = np.zeros((nlam, len(checkpoints)))
-    pos = 0
-    if checkpoints[0] == 0:
-        for i in range(nlam):
-            out[i, 0] = trackers[i].value(total[i])
-        pos = 1
-    lam_a = lams[:, None, None] * a[None, :, :]
-    for k in range(1, checkpoints[-1] + 1):
-        power = lam_a @ power
-        y = power - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        if pos < len(checkpoints) and checkpoints[pos] == k:
-            for i in range(nlam):
-                out[i, pos] = trackers[i].value(total[i] / (k + 1))
-            pos += 1
-    return out
-
-
 # ---------------------------------------------------------------------------
 # probes
 
@@ -292,24 +263,13 @@ def acb_constant(spec: OperatorSpec, cfg: ProbeConfig) -> ClassVerdict:
     best_witness = None
     violated_witness = None
     for label, x in probe_vectors(spec, cfg):
-        orbit = make_orbit(spec, x, cfg.n_max)
-        running = 0.0
-        comp = 0.0
-        checkpoints = []
-        for j in range(1, cfg.n_max + 1):
-            if orbit.dead:
-                break
-            orbit.step()
-            y = orbit.norm(cfg.p) - comp
-            t = running + y
-            comp = (t - running) - y
-            running = t
-            avg = running / j
-            if avg > best:
-                best = avg
-                best_witness = {"vector": label, "N": j, "value": avg}
-            if j >= 8 and ((j & (j - 1)) == 0 or j == cfg.n_max):
-                checkpoints.append((j, avg))
+        norms = make_orbit(spec, x, cfg.n_max).norms(cfg.p, cfg.n_max)
+        # prefix sums in extended precision stand in for a compensated running sum
+        avgs = (np.cumsum(norms, dtype=np.longdouble) / np.arange(1, len(norms) + 1)).astype(float).tolist()
+        if avgs and max(avgs) > best:
+            best = max(avgs)
+            best_witness = {"vector": label, "N": avgs.index(best) + 1, "value": best}
+        checkpoints = [(j, avgs[j - 1]) for j in range(8, len(avgs) + 1) if (j & (j - 1)) == 0 or j == cfg.n_max]
         hit, wn, wv = dyadic_divergence(checkpoints)
         if hit and violated_witness is None:
             violated_witness = {"spec": describe(spec), "vector": label, "N": wn, "value": wv}
@@ -334,32 +294,26 @@ def power_bounded_probe(spec: OperatorSpec, cfg: ProbeConfig) -> ClassVerdict:
     """sup_n ||T^n||: exact norms where closed forms exist, else orbit suprema."""
     values = _exact_norm_values(spec, cfg)
     certainty = "exact"
-    witness_vec = "operator-norm"
     if values is None:
         certainty = "probe"
         probes = probe_vectors(spec, cfg)
-        sup: dict[int, float] = {}
-        sup_vec: dict[int, str] = {}
-        for label, x in probes:
-            orbit = make_orbit(spec, x, cfg.n_max)
-            for n in range(1, cfg.n_max + 1):
-                if orbit.dead:
-                    break
-                orbit.step()
-                v = orbit.norm(cfg.p)
-                if v > sup.get(n, -1.0):
-                    sup[n] = v
-                    sup_vec[n] = label
-        values = sorted(sup.items())
-        if not values:
-            values = [(1, 0.0)]
+        sup = np.full(cfg.n_max, -1.0)  # sup[n - 1] over the probes whose orbit reached n
+        sup_vec = np.zeros(cfg.n_max, dtype=int)
+        reached = 0
+        for i, (label, x) in enumerate(probes):
+            norms = make_orbit(spec, x, cfg.n_max).norms(cfg.p, cfg.n_max)
+            better = np.flatnonzero(norms > sup[: len(norms)])
+            sup[better] = norms[better]
+            sup_vec[better] = i
+            reached = max(reached, len(norms))
+        values = list(enumerate(sup[:reached].tolist(), start=1)) or [(1, 0.0)]
     best_n, best = max(values, key=lambda t: t[1])
     hit, wn, wv = dyadic_divergence(values)
     params = cfg.echo(probe="power_bounded")
     if hit:
         witness = {"spec": describe(spec), "n": wn, "value": wv}
         if certainty == "probe":
-            witness["vector"] = sup_vec.get(wn, witness_vec)
+            witness["vector"] = probes[sup_vec[wn - 1]][0]
         return ClassVerdict("power_bounded", "violated", certainty, cfg.n_max, best, witness, params)
     return ClassVerdict(
         "power_bounded", "bounded_up_to", certainty, cfg.n_max, best, {"n": best_n, "value": best}, params
@@ -399,7 +353,7 @@ def cesaro_bounded_probe(spec: OperatorSpec, cfg: ProbeConfig) -> ClassVerdict:
         hit, wn, wv = dyadic_divergence(series)
         if hit and violated_witness is None:
             violated_witness = {"spec": describe(spec), "vector": label, "n": wn, "value": wv}
-    if cfg.include_adversarial and _is_nat_universe(spec):
+    if cfg.include_adversarial and _is_nat_universe(spec) and not expects_pair(spec):
         series = []
         n = 8
         while n <= cfg.n_max:
@@ -430,7 +384,7 @@ def uniform_kreiss_probe(spec: OperatorSpec, cfg: ProbeConfig) -> ClassVerdict:
     checkpoints = checkpoint_set(cfg.n_max)
     params = cfg.echo(probe="uniformly_kreiss", lambda_grid_size=len(lams))
     if spec_dim(spec) is not None:
-        table = _matrix_lambda_cesaro_norms(spec, lams, checkpoints)
+        table = lambda_operator_norms(spec, lams, checkpoints)
         best = float(table.max())
         flat = int(np.argmax(table))
         li, ci = divmod(flat, table.shape[1])

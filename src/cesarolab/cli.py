@@ -301,6 +301,8 @@ def _make_report(command: str, operator: str, spec: OperatorSpec, probes: list[d
 
 
 PROBE_TOKENS = ("acb", "uk", "pb", "cb", "kreiss", "sk", "me", "we")
+ERGODIC_N = {"mean": 2**14, "weak": 2**20}  # ladder lengths of `classify` and `probe ergodic`
+HC_N = 10**6
 
 
 def _run_named_probe(token: str, spec: OperatorSpec, cfg: ProbeConfig, seed: int) -> dict:
@@ -319,7 +321,7 @@ def _run_named_probe(token: str, spec: OperatorSpec, cfg: ProbeConfig, seed: int
         return {"probe": "strongly_kreiss", "result": classify.strong_kreiss_exp_probe(spec).to_dict()}
     if token in ("me", "we"):
         mode = "mean" if token == "me" else "weak"
-        overall, results = dynamics.ergodic_family(spec, mode, 2**14 if mode == "mean" else 2**20, seed)
+        overall, results = dynamics.ergodic_family(spec, mode, ERGODIC_N[mode], seed)
         details = [{"vector": label, "status": v.status, "final_gap": v.final_gap} for label, v in results]
         return {"probe": f"{mode}_ergodic", "result": {"status": overall, "probes": details}}
     raise UsageError(f"unknown probe token {token!r} (choose from {', '.join(PROBE_TOKENS)})")
@@ -400,10 +402,11 @@ def cmd_orbit(args) -> int:
         y = parse_vector(args.pair, spec, seed, index=1)
         rows = ["n,re,im"]
         orbit = powers.make_orbit(spec, x, args.N)
-        for n in range(args.N + 1):
-            if n:
-                orbit.step()
-            v = orbit.inner_with(y)
+        values = np.zeros(args.N + 1, dtype=complex)
+        values[0] = orbit.inner_with(y)
+        inners = orbit.inners(y, args.N)
+        values[1 : len(inners) + 1] = inners
+        for n, v in enumerate(values.tolist()):
             rows.append(f"{n},{v.real!r},{v.imag!r}")
     else:
         seq = powers.orbit_norms(spec, x, p, args.N)
@@ -479,6 +482,7 @@ def cmd_probe(args) -> int:
     spec, hints = parse_operator(args.operator)
     mode = args.mode
     payload: dict
+    n_max = None  # mixing and chaos take no N
     if mode == "mixing":
         if not isinstance(spec, BackwardShift):
             raise UsageError("mixing probe needs a backward shift operator")
@@ -500,7 +504,7 @@ def cmd_probe(args) -> int:
                 f" tail<{verdict.summability['tail_bound']:.3g}"
             )
     elif mode == "hc":
-        n_max = int(args.N)
+        n_max = int(HC_N if args.N is None else args.N)
         x = parse_vector(args.x or ("balanced" if isinstance(spec, DiagPlusNilpotent) else "seeded"), spec, seed)
         y = parse_vector(args.y, spec, seed, index=1) if args.y else x
         report_obj = dynamics.hypercyclicity_probe(spec, x, y, n_max, args.R, args.cell)
@@ -510,12 +514,13 @@ def cmd_probe(args) -> int:
             f"  N={report_obj.n_used} max|value|={report_obj.orbit_magnitude_max:.6g}",
         ]
     elif mode == "ergodic":
+        n_max = int(ERGODIC_N["weak" if args.weak else "mean"] if args.N is None else args.N)
         x = parse_vector(args.x or "seeded", spec, seed)
         if args.weak:
             y = parse_vector(args.y, spec, seed, index=1) if args.y else x
-            verdict = dynamics.weak_ergodic_probe(spec, x, y, int(args.N))
+            verdict = dynamics.weak_ergodic_probe(spec, x, y, n_max)
         else:
-            verdict = dynamics.mean_ergodic_probe(spec, x, int(args.N))
+            verdict = dynamics.mean_ergodic_probe(spec, x, n_max)
         payload = verdict.to_dict()
         lines = [f"ergodic ({verdict.mode}) {args.operator}: {verdict.status} final_gap={verdict.final_gap:.3e}"]
     else:
@@ -524,7 +529,7 @@ def cmd_probe(args) -> int:
         "operator": args.operator,
         "mode": mode,
         "seed": seed,
-        "N": getattr(args, "N", None),
+        "N": n_max,
         "R": getattr(args, "R", None),
         "cell": getattr(args, "cell", None),
         "x": args.x,
@@ -668,7 +673,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_prb = sub.add_parser("probe", help="dynamics probes: mixing, chaos, hc, ergodic")
     p_prb.add_argument("mode", nargs="?", choices=["mixing", "chaos", "hc", "ergodic"])
     p_prb.add_argument("operator", nargs="?", default="")
-    p_prb.add_argument("--N", type=float, default=10**6)
+    p_prb.add_argument("--N", type=float, default=None, help="steps: 1e6 for hc; 2^14 (mean) or 2^20 (weak) for ergodic")
     p_prb.add_argument("--R", type=float, default=40.0)
     p_prb.add_argument("--cell", type=float, default=1.0)
     p_prb.add_argument("--x", default=None)

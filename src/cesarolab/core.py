@@ -461,16 +461,22 @@ def weight_product(rule: WeightRule, start: int, count: int) -> float:
             j = start if not a > 0 else start + count
             raise ConstructionError(f"weight polynomial {rule.p} is not positive at index {j}")
         return math.sqrt(b / a)
-    # Explicit: log-space accumulation beyond 1000 factors to dodge overflow.
+    # Explicit: the listed factors inside the range, then the tail for the rest;
+    # log-space accumulation beyond 1000 factors to dodge overflow.
+    listed = rule.values[max(start, 1) - 1 : max(start + count - 1, 0)]
+    remaining = count - len(listed)
     if count <= 1000:
         prod = 1.0
-        for k in range(start, start + count):
-            prod *= weight_at(rule, k)
-        return prod
+        for w in listed:
+            prod *= w
+        try:
+            return prod * rule.tail**remaining
+        except OverflowError:  # saturates, as the factor-by-factor product does
+            return math.inf
     log_sum = 0.0
-    for k in range(start, start + count):
-        log_sum += math.log(weight_at(rule, k))
-    return math.exp(log_sum)
+    for w in listed:
+        log_sum += math.log(w)
+    return math.exp(log_sum + remaining * math.log(rule.tail))
 
 
 def reindex_rule(rule: WeightRule, delta: int) -> WeightRule:

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .core import (
     INTS,
@@ -31,7 +30,7 @@ from .core import (
     weight_at,
     weight_product,
 )
-from .powers import CesaroSum, make_orbit, shift_direction
+from .powers import CesaroSum, compensated_add, make_orbit, shift_direction
 from .classify import DEFAULT_SEED, ProbeConfig, probe_vectors
 
 __all__ = [
@@ -54,6 +53,7 @@ MIXING_N_CLOSED = 2**40
 MIXING_N_NUMERIC = 2**20
 SUMMABILITY_TERMS = 10**4
 CAUCHY_REL_TOL = 1e-6
+HC_CHUNK = 2**16  # pairings binned per numpy pass: 1 MiB of complex values
 
 
 @dataclass(frozen=True)
@@ -203,6 +203,8 @@ def chaos_criterion_shift_adjoint(p: Polynomial, side: str = "unilateral") -> Ch
         terms = p1 / p(ns + 1.0)
         partial = float(math.fsum(terms.tolist()))
         if degree >= 2:
+            from scipy import integrate  # deferred: importing scipy.integrate costs about half a second
+
             tail, _ = integrate.quad(lambda t: p1 / p(t + 1.0), SUMMABILITY_TERMS, np.inf)
             tail = float(tail)
             converges = True
@@ -283,16 +285,18 @@ def hypercyclicity_probe(
     orbit = make_orbit(spec, x, n_max)
     hits: set[tuple[int, int]] = set()
     mag_max = 0.0
-    for n in range(n_max + 1):
-        if n:
-            orbit.step()
-        v = orbit.inner_with(y)
-        mag = abs(v)
-        if mag > mag_max:
-            mag_max = mag
-        re, im = v.real, v.imag
-        if -r <= re < r and -r <= im < r:
-            hits.add((int((re + r) // cell), int((im + r) // cell)))
+    values = np.array([orbit.inner_with(y)])
+    done = 0
+    while len(values):
+        mag_max = max(mag_max, float(np.abs(values).max()))
+        re, im = values.real, values.imag
+        inside = (-r <= re) & (re < r) & (-r <= im) & (im < r)
+        cols = ((re[inside] + r) // cell).astype(int)
+        rows = ((im[inside] + r) // cell).astype(int)
+        hits.update(zip(cols.tolist(), rows.tolist()))
+        # a dead orbit's later pairings are zero, the value its last state already binned
+        values = orbit.inners(y, min(n_max - done, HC_CHUNK))
+        done += len(values)
     fraction = len(hits) / float(per_side * per_side)
     return CoverageReport(r, cell, frozenset(hits), fraction, n_max, mag_max)
 
@@ -410,25 +414,15 @@ def weak_ergodic_probe(spec: OperatorSpec, x, y, n_max: int = 2**14) -> ErgodicV
     stop = _inner_stream_stop(spec, x, y)
     hard_stop = n_max if stop is None else min(stop, n_max)
     orbit = make_orbit(spec, x, hard_stop)
-    total = complex(0.0)
-    comp = complex(0.0)
-
-    def add(value: complex) -> None:
-        nonlocal total, comp
-        yv = value - comp
-        t = total + yv
-        comp = (t - total) - yv
-        total = t
-
-    add(orbit.inner_with(y))
+    total = orbit.inner_with(y)
+    comp = 0j
     mus: dict[int, complex] = {}
     stepped = 0
     for n in checkpoints:
-        while stepped < n and stepped < hard_stop and not orbit.dead:
-            orbit.step()
-            add(orbit.inner_with(y))
-            stepped += 1
-        mus[n] = total / (n + 1)
+        values = orbit.inners(y, min(n, hard_stop) - stepped)
+        stepped += len(values)
+        total, comp = compensated_add(total, comp, values)
+        mus[n] = complex(total) / (n + 1)
     gaps = [(n, abs(mus[2 * n] - mus[n])) for n in dyadic if 2 * n in mus]
     parity_gaps = [(n, abs(mus[n + 1] - mus[n])) for n in dyadic if n + 1 in mus]
     limit = mus[checkpoints[-1]]

@@ -11,6 +11,16 @@ so a single Kahan-compensated accumulator serves every Cesàro sum: a grid of
 unimodular lam at once, with a single mean as the one-point grid [1].
 Compensation keeps desk-scale sweeps (N up to 1e6) inside the package
 tolerances.
+
+A state that never moves (a matrix, or a diagonal window) is a fixed frame:
+its engine advances a block of B steps per numpy call from a stack of the
+step operator's powers A^1 .. A^B, built once in extended precision, with B
+set by a 1 MiB cap on the stack.  The engines' batched reductions
+(``norms``, ``inners``) and the Cesàro sums read those blocks; a moving
+window steps one state at a time.  A block is summed in extended precision
+and folded in by a TwoSum update, so its sums stay correctly rounded.  The
+operator-norm sweep ``lambda_operator_norms`` is the matrix counterpart: one
+compensated pass over the powers (lam A)^k for a whole lam grid.
 """
 
 from __future__ import annotations
@@ -64,10 +74,15 @@ __all__ = [
     "make_orbit",
     "shift_direction",
     "CesaroSum",
+    "compensated_add",
     "lambda_mean_norms",
+    "lambda_operator_norms",
 ]
 
 SHIFT_SUP_HORIZON = 10**6
+_STACK_BYTES = 2**20  # cap on a fixed frame's power stack; it fixes the block length B
+# Equal doubles that an extended-precision sum adds exactly: 2^11 with an x87 long double.
+_EXACT_ROWS = 2 ** max(np.finfo(np.longdouble).nmant - np.finfo(float).nmant, 6)
 
 
 @dataclass(frozen=True)
@@ -262,14 +277,43 @@ def _as_vector(universe, lo: int, vals: np.ndarray):
     return PairVec(*rows) if len(rows) == 2 else rows[0]
 
 
+def _power_stack(op: np.ndarray, size: int) -> np.ndarray:
+    """op^1 .. op^size of a matrix (matrix powers) or a weight vector (elementwise powers).
+
+    Built by doubling, stack[k : 2k] = stack[:k] op^k, in extended precision:
+    log2(size) numpy calls fill it, and each power, rounded once to double, is
+    as accurate as one step (in double, powers that share a factor op^k would
+    share its rounding error).
+    """
+    mul = np.matmul if op.ndim == 2 else np.multiply
+    stack = np.empty((size, *op.shape), dtype=np.clongdouble)
+    stack[0] = op
+    k = 1
+    while k < size:
+        m = min(k, size - k)
+        mul(stack[:m], stack[k - 1], out=stack[k : k + m])
+        k += m
+    return stack.astype(complex)
+
+
 class _Orbit:
-    """Engine state: vals[r, j] is row r (0 plain or pair top, 1 pair bottom) at coordinate lo + j."""
+    """Engine state: vals[r, j] is row r (0 plain or pair top, 1 pair bottom) at coordinate lo + j.
+
+    ``norms`` and ``inners`` reduce the next ``count`` states in one call.  On
+    a fixed frame (a state that never moves: a matrix, or a diagonal window)
+    they read whole blocks of states off a power stack of the step operator
+    ``_op``; every other engine steps one state at a time.
+    """
 
     dead = False
+    can_die = False  # whether a zero state is detected and ends the orbit
+    fixed = False  # the state never moves, so blocks of steps come from a power stack
     steps = 0
     floor = None  # lowest index of the universe, when the window must not pass it
     low_off = high_off = 0  # stencil offsets; a matrix state never moves
+    horizon = 0  # steps the caller asked for; the power stack never exceeds what is left
     _y = None
+    _stack = None
 
     def span(self, n_max: int) -> tuple[int, int]:
         """Coordinates the state can occupy within n_max steps, inside the universe."""
@@ -295,11 +339,78 @@ class _Orbit:
         if y is not self._y:
             self._y = y
             self._ylo, self._yv = _dense(y)
-        vals = self.vals
-        a = max(self.lo, self._ylo)
-        b = max(a, min(self.lo + vals.shape[1], self._ylo + self._yv.shape[1]))
-        # vdot conjugates its first argument
-        return complex(np.vdot(self._yv[:, a - self._ylo : b - self._ylo], vals[:, a - self.lo : b - self.lo]))
+        mine, theirs = _overlap(self.lo, self.vals.shape[1], self._ylo, self._yv.shape[1])
+        return complex(np.vdot(self._yv[:, theirs], self.vals[:, mine]))  # vdot conjugates its first argument
+
+    def norms(self, p: float, count: int) -> np.ndarray:
+        """||T^k x||_p for the next count steps; shorter when the orbit dies, ending at the zero state."""
+        self.check_p(p)
+        if self.fixed:
+            return _joined([_lp_norm(np.abs(s), p, axis=1) for s in self._blocks(count)], float)
+        return self._walk(count, lambda: self.norm(p), float)
+
+    def inners(self, y, count: int) -> np.ndarray:
+        """<T^k x, y> for the next count steps; shorter when the orbit dies, ending at the zero state."""
+        if self.fixed:
+            ylo, yv = _dense(y)
+            frame = np.zeros_like(self.vals)
+            mine, theirs = _overlap(self.lo, frame.shape[1], ylo, yv.shape[1])
+            frame[:, mine] = yv[:, theirs]
+            yc = frame.ravel().conj()
+            return _joined([s @ yc for s in self._blocks(count)], complex)
+        return self._walk(count, lambda: self.inner_with(y), complex)
+
+    def _walk(self, count: int, value, dtype) -> np.ndarray:
+        """The stepping loop: value() after each of the next count steps, up to the zero state."""
+        out = []
+        while len(out) < count and not self.dead:
+            self.step()
+            out.append(value())
+        return np.array(out, dtype=dtype)
+
+    def _blocks(self, count: int):
+        """Yield the next count states of a fixed frame, flattened and stacked (m, rows * width), m <= B.
+
+        The first multi-step advance builds the power stack A^1 .. A^B once; B
+        fills a 1 MiB cap and never exceeds the steps left to the horizon.  Each
+        block is one numpy call.  The first all-zero state of an orbit that can
+        die ends the block and the orbit.
+        """
+        while count > 0 and not self.dead:
+            if self._stack is None and count == 1:
+                self.step()
+                states = self.vals.reshape(1, -1)
+            else:
+                if self._stack is None:
+                    per_power = 16 * self._op.size
+                    size = min(max(_STACK_BYTES // per_power, 1), max(self.horizon - self.steps, count))
+                    self._stack = _power_stack(self._op, size)
+                m = min(count, len(self._stack))
+                stack, flat = self._stack[:m], self.vals.ravel()
+                if stack.ndim == 3:  # matrix powers: one gemv for the whole block
+                    states = (stack.reshape(-1, flat.size) @ flat).reshape(m, -1)
+                else:
+                    states = stack * flat
+                if self.can_die:
+                    zero = np.flatnonzero(~states.any(axis=1))
+                    if zero.size:
+                        states = states[: zero[0] + 1]
+                        self.dead = True
+                self.vals = states[-1].reshape(self.rows, -1).copy()
+                self.steps += len(states)
+            count -= len(states)
+            yield states
+
+
+def _overlap(lo: int, width: int, other_lo: int, other_width: int) -> tuple[slice, slice]:
+    """(own columns, other columns) where the windows [lo, lo + width) and [other_lo, other_lo + other_width) meet."""
+    a = max(lo, other_lo)
+    b = max(a, min(lo + width, other_lo + other_width))
+    return slice(a - lo, b - lo), slice(a - other_lo, b - other_lo)
+
+
+def _joined(parts: list, dtype) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=dtype)
 
 
 @dataclass(frozen=True)
@@ -375,13 +486,15 @@ class _WindowOrbit(_Orbit):
     offset and keeps its width; a stencil with several offsets grows it.
     Weights vanish at sources whose image leaves the universe, so a moving
     window needs no per-step index checks; a growing one drops the columns
-    past the universe's lowest index.
+    past the universe's lowest index.  A diagonal (one term at offset 0) is a
+    fixed frame whose step operator is its weight table over the window.
     """
 
     def __init__(self, spec: OperatorSpec, x, n_max: int):
         self.rows, self.terms, self.floor = _compile(spec)
         self.universe = x.universe
         self.lo, self.vals = _dense(x)
+        self.horizon = n_max
         offsets = [t.offset for t in self.terms]
         self.low_off, self.high_off = min(offsets), max(offsets)
         width = self.vals.shape[1]
@@ -393,6 +506,9 @@ class _WindowOrbit(_Orbit):
         # Shifts die only by leaving the universe; other stencils can zero a state anywhere.
         self.can_die = not self.single or offsets[0] == 0 or (self.floor is not None and offsets[0] < 0)
         self.dead = width == 0
+        self.fixed = self.single and offsets == [0]
+        if self.fixed:
+            self._op = self.tables[0][:width]
 
     def step(self) -> None:
         self.steps += 1
@@ -419,29 +535,21 @@ class _WindowOrbit(_Orbit):
 
 
 class _MatrixOrbit(_Orbit):
-    """Dense loop for finite-dimensional specs; pairs stack as [top; bottom]."""
+    """Dense matrix for finite-dimensional specs, a fixed frame; pairs stack as [top; bottom]."""
 
     lo = 1
+    fixed = True
 
     def __init__(self, spec: OperatorSpec, x, n_max: int):
-        self.matrix = to_matrix(spec)
+        self.matrix = self._op = to_matrix(spec)
         self.universe = spec_universe(spec)
+        self.horizon = n_max
         self.rows = 2 if isinstance(x, PairVec) else 1
-        self.flat = _dense(x, 1, self.matrix.shape[0] // self.rows)[1].ravel()
-
-    @property
-    def vals(self) -> np.ndarray:
-        return self.flat.reshape(self.rows, -1)
+        self.vals = _dense(x, 1, self.matrix.shape[0] // self.rows)[1]
 
     def step(self) -> None:
-        self.flat = self.matrix @ self.flat
+        self.vals = (self.matrix @ self.vals.ravel()).reshape(self.rows, -1)
         self.steps += 1
-
-    def inner_with(self, y) -> complex:
-        if y is not self._y:
-            self._y = y
-            self._yv = _dense(y, 1, self.matrix.shape[0] // self.rows)[1].ravel()
-        return complex(np.vdot(self._yv, self.flat))  # vdot conjugates its first argument
 
 
 def make_orbit(spec: OperatorSpec, x, n_max: int):
@@ -485,14 +593,13 @@ class CesaroSum:
         self.sum = np.zeros((len(self.lams), self.orbit.rows, max(hi - self.lo + 1, 0)), dtype=complex)
         self.comp = np.zeros_like(self.sum)
         self.n = self.stepped = 0
+        self._lam_run = None
         self._add()
 
     def _overlap(self) -> tuple[slice, slice]:
         """(state columns, accumulator columns) where the orbit window meets the sums."""
         o = self.orbit
-        a = max(o.lo, self.lo)
-        b = max(a, min(o.lo + o.vals.shape[1], self.lo + self.sum.shape[2]))
-        return slice(a - o.lo, b - o.lo), slice(a - self.lo, b - self.lo)
+        return _overlap(o.lo, o.vals.shape[1], self.lo, self.sum.shape[2])
 
     def _add(self) -> None:
         o = self.orbit
@@ -503,12 +610,6 @@ class CesaroSum:
         else:
             vals = self.lam_pow[:, None, None] * o.vals
             self.lam_pow = self.lam_pow * self.lams
-        if o.low_off == o.high_off == 0:  # the state never moves: it fills the sums exactly
-            y = vals - self.comp
-            t = self.sum + y
-            self.comp = (t - self.sum) - y
-            self.sum = t
-            return
         state_cols, cols = self._overlap()
         s = self.sum[:, :, cols]
         c = self.comp[:, :, cols]
@@ -517,13 +618,40 @@ class CesaroSum:
         c[...] = (t - s) - y
         s[...] = t
 
+    def _add_block(self, states: np.ndarray) -> None:
+        """Fold a fixed frame's block of states (m, rows * width) into the sums.
+
+        A fixed frame fills the sums exactly.  On a grid the block is weighted
+        by a (lams x m) power matrix, in chunks that keep it under the stack cap.
+        """
+        if self.unit:
+            s, c = compensated_add(self.sum.ravel(), self.comp.ravel(), states)
+            self.sum, self.comp = s.reshape(self.sum.shape), c.reshape(self.sum.shape)
+            return
+        if self._lam_run is None:
+            chunk = max(_STACK_BYTES // (16 * len(self.lams)), 1)
+            run = np.ones((len(self.lams), chunk + 1), dtype=complex)
+            run[:, 1:] = self.lams[:, None]
+            self._lam_run = np.cumprod(run, axis=1)  # lam^0 .. lam^chunk
+        chunk = self._lam_run.shape[1] - 1
+        for j in range(0, len(states), chunk):
+            part = states[j : j + chunk]
+            block = (self.lam_pow[:, None] * self._lam_run[:, : len(part)]) @ part
+            self.sum, self.comp = _two_sum(self.sum, self.comp, block.reshape(self.sum.shape), 0.0)
+            self.lam_pow = self.lam_pow * self._lam_run[:, len(part)]
+
     def advance_to(self, n: int) -> None:
         """Move the sums to index n (never backwards)."""
-        orbit, add, k = self.orbit, self._add, self.stepped
-        while k < n and not orbit.dead:
-            orbit.step()
-            add()
-            k += 1
+        orbit, k = self.orbit, self.stepped
+        if orbit.fixed:
+            for states in orbit._blocks(n - k):
+                self._add_block(states)
+                k += len(states)
+        else:
+            while k < n and not orbit.dead:
+                orbit.step()
+                self._add()
+                k += 1
         self.stepped, self.n = k, n
 
     def norms(self, p: float) -> np.ndarray:
@@ -549,6 +677,31 @@ class CesaroSum:
         """||a - b||_p of two arrays on the accumulator's coordinates."""
         self.orbit.check_p(p)
         return float(_lp_norm(np.abs(a - b).ravel(), p))
+
+
+def compensated_add(total, comp, values: np.ndarray):
+    """(total, comp) after adding values[0] + values[1] + ... to a compensated running sum.
+
+    ``comp`` is the running residual with the sign of a Kahan correction
+    (the exact sum is total - comp).  Rows are summed in extended precision,
+    ``_EXACT_ROWS`` at a time, so a run of equal rows sums exactly; each partial
+    sum and its residual enter by a TwoSum update, which keeps ``total`` the
+    correctly rounded sum.
+    """
+    for j in range(0, len(values), _EXACT_ROWS):
+        exact = np.sum(values[j : j + _EXACT_ROWS], axis=0, dtype=np.clongdouble)
+        hi = exact.astype(complex)
+        total, comp = _two_sum(total, comp, hi, (exact - hi).astype(complex))
+    return total, comp
+
+
+def _two_sum(total, comp, hi, lo):
+    """Add hi + lo (lo well below hi) to the sum total - comp, exactly up to the final rounding."""
+    t = total + hi
+    bb = t - total
+    low = (lo + ((total - (t - bb)) + (hi - bb))) - comp  # total + hi == t + rounding error, exactly
+    total = t + low
+    return total, (total - t) - low
 
 
 def lambda_mean_norms(spec: OperatorSpec, x, lams, checkpoints: list[int], p: float) -> np.ndarray:
@@ -694,14 +847,11 @@ def orbit_norms(spec: OperatorSpec, x, p: float, n_max: int) -> NormSeq:
     if n_max < 1:
         raise ParameterError("n_max must be >= 1")
     orbit = make_orbit(spec, x, n_max)
-    entries = [(0, orbit.norm(p))]
-    for n in range(1, n_max + 1):
-        if orbit.dead:
-            entries.append((n, 0.0))
-            continue
-        orbit.step()
-        entries.append((n, orbit.norm(p)))
-    return NormSeq(tuple(entries), "vector-orbit", p)
+    values = np.zeros(n_max + 1)
+    values[0] = orbit.norm(p)
+    norms = orbit.norms(p, n_max)
+    values[1 : len(norms) + 1] = norms
+    return NormSeq(tuple(enumerate(values.tolist())), "vector-orbit", p)
 
 
 def cesaro_apply(spec: OperatorSpec, x, n: int):
@@ -724,27 +874,41 @@ def cesaro_operator_norm(spec: OperatorSpec, n: int, lam: complex = 1.0 + 0j) ->
 
 
 def cesaro_operator_norm_sweep(spec: OperatorSpec, lam: complex, ns) -> list[tuple[int, float]]:
-    """Exact ||M_n(lam T)|| at each requested n, accumulated incrementally."""
+    """Exact ||M_n(lam T)|| at each requested n: the one-point grid of ``lambda_operator_norms``."""
     ns = sorted(set(int(n) for n in ns))
     if not ns or ns[0] < 0:
         raise ParameterError("requested indices must be >= 0")
-    a = to_matrix(spec) * lam
+    return list(zip(ns, lambda_operator_norms(spec, [lam], ns)[0].tolist()))
+
+
+def lambda_operator_norms(spec: OperatorSpec, lams, checkpoints: list[int]) -> np.ndarray:
+    """Exact ||M_n(lam T)|| at sorted checkpoints n >= 0 for every lam; shape (len(lams), len(checkpoints)).
+
+    One Kahan-compensated sweep accumulates the powers (lam A)^k for the whole
+    grid; a warm-started largest singular value per lam reads each checkpoint.
+    """
+    lams = np.asarray(lams, dtype=complex)
+    a = to_matrix(spec)
     d = a.shape[0]
-    power = np.eye(d, dtype=complex)
-    total = np.eye(d, dtype=complex)
+    nlam = len(lams)
+    power = np.broadcast_to(np.eye(d, dtype=complex), (nlam, d, d)).copy()
+    total = power.copy()
     comp = np.zeros_like(total)
-    tracker = SigmaMaxTracker(d)
-    out = []
-    k = 0
-    for n in ns:
-        while k < n:
-            power = a @ power
+    trackers = [SigmaMaxTracker(d) for _ in range(nlam)]
+    out = np.zeros((nlam, len(checkpoints)))
+    pos = 0
+    lam_a = lams[:, None, None] * a[None, :, :]
+    for k in range(checkpoints[-1] + 1):
+        if k:
+            power = lam_a @ power
             y = power - comp
             t = total + y
             comp = (t - total) - y
             total = t
-            k += 1
-        out.append((n, tracker.value(total / (n + 1))))
+        if checkpoints[pos] == k:
+            for i in range(nlam):
+                out[i, pos] = trackers[i].value(total[i] / (k + 1))
+            pos += 1
     return out
 
 

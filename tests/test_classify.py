@@ -376,10 +376,15 @@ def test_lambda_mean_norms_pair_path():
 
 
 def test_matrix_lambda_sweep_matches_single_lambda():
-    from cesarolab.classify import _matrix_lambda_cesaro_norms
-    from cesarolab.powers import cesaro_operator_norm
+    from cesarolab.powers import cesaro_operator_norm_sweep, lambda_operator_norms
 
-    lam = cmath.exp(0.3j)
-    table = _matrix_lambda_cesaro_norms(ASSANI, np.array([lam]), [1, 4, 9])
-    for j, n in enumerate([1, 4, 9]):
-        assert table[0, j] == pytest.approx(cesaro_operator_norm(ASSANI, n, lam), rel=1e-10)
+    lams = [cmath.exp(0.3j), 1.0, -1.0, 1j]
+    ns = [0, 1, 4, 9]
+    table = lambda_operator_norms(ASSANI, lams, ns)
+    a = np.array([[-1.0, 2.0], [0.0, -1.0]])
+    for i, lam in enumerate(lams):
+        single = cesaro_operator_norm_sweep(ASSANI, lam, ns)
+        for j, n in enumerate(ns):
+            mean = sum(np.linalg.matrix_power(lam * a, k) for k in range(n + 1)) / (n + 1)
+            assert table[i, j] == pytest.approx(single[j][1], rel=1e-12)
+            assert table[i, j] == pytest.approx(np.linalg.norm(mean, 2), rel=1e-10)

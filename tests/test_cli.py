@@ -220,6 +220,23 @@ def test_probe_ergodic_weak_blocktz():
     assert json.loads(out)["probes"][0]["result"]["status"] == "converged"
 
 
+def test_probe_ergodic_default_ladder_is_the_classify_one():
+    code, out, _ = run_cli(["probe", "ergodic", "dupshift", "--json"])
+    assert code == 0
+    assert json.loads(out)["config"]["N"] == 2**14
+    code, out, _ = run_cli(["probe", "ergodic", "bshift:alpha=0.25", "--weak", "--x", "window:4", "--json"])
+    assert code == 0
+    assert json.loads(out)["config"]["N"] == 2**20
+
+
+def test_classify_cesaro_probe_on_block_operators_over_n():
+    # pair operators take no plain adversarial vectors
+    for op in ("blocktz:fshift:alpha=0.4", "blocktz:bshift:alpha=0.25", "blocktz:dupshift"):
+        code, out, err = run_cli(["classify", op, "--probes", "cb", "--n-max", "64", "--json"])
+        assert code == 0, err
+        assert json.loads(out)["probes"][0]["result"]["status"] in ("violated", "bounded_up_to")
+
+
 # ---------------------------------------------------------------------------
 # determinism and replay
 

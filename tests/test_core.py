@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -141,6 +142,30 @@ def test_weight_product_telescopes():
     assert weight_product(rule, 2, 9) == pytest.approx(10**0.25, rel=1e-15)
     rule2 = PolyRatio(Polynomial((0.0, 1.0)))
     assert weight_product(rule2, 1, 5) == pytest.approx(math.sqrt(6.0), rel=1e-15)
+
+
+def test_weight_product_explicit_matches_factor_loop():
+    # listed factors times tail**remaining against the product taken factor by factor
+    rng = np.random.default_rng(5)
+    for _ in range(12):
+        values = tuple(rng.uniform(0.8, 1.25, int(rng.integers(0, 30))).tolist())
+        for tail in (float(rng.uniform(0.999, 1.001)), 1.0):
+            rule = Explicit(values, tail)
+            for count in (int(rng.integers(0, 60)), int(rng.integers(1001, 1500))):
+                start = int(rng.integers(-5, 40))
+                got = weight_product(rule, start, count)
+                exact = Fraction(1)
+                for k in range(start, start + count):
+                    exact *= Fraction(weight_at(rule, k))
+                assert got == pytest.approx(float(exact), rel=1e-14, abs=0)
+                if tail == 1.0:  # the per-factor loops, bit for bit
+                    if count <= 1000:
+                        loop = 1.0
+                        for k in range(start, start + count):
+                            loop *= weight_at(rule, k)
+                    else:
+                        loop = math.exp(sum(math.log(weight_at(rule, k)) for k in range(start, start + count)))
+                    assert got == loop
 
 
 def test_explicit_rule_tail_and_validation():

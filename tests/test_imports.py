@@ -1,6 +1,9 @@
 """Module boundaries: package modules use each other's public names only."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "cesarolab"
@@ -18,3 +21,10 @@ def test_no_private_cross_module_imports():
             private = [alias.name for alias in node.names if alias.name.startswith("_")]
             offenders += [f"{path.name}:{node.lineno} {name}" for name in private]
     assert SRC.is_dir() and not offenders, offenders
+
+
+def test_cli_start_leaves_scipy_integrate_unloaded():
+    # scipy.integrate is imported by the one criterion that integrates, on first use
+    code = "import sys, cesarolab.cli; cesarolab.zoo.all_entries(); assert 'scipy.integrate' not in sys.modules"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")]))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=120)

@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from cesarolab.core import (
     vec_scale,
 )
 from cesarolab.powers import (
+    CesaroSum,
     NormSeq,
     block_tz_power_check,
     cesaro_apply,
@@ -254,6 +256,104 @@ def test_orbit_norms_engine_matches_sparse():
                 for k, s in enumerate(states[1 : n + 1], start=1):
                     total = vec_add(total, vec_scale(lam**k, s))
                 assert table[i, j] == pytest.approx(p_norm(total, 2) / (n + 1), rel=1e-12, abs=1e-14)
+
+
+def _fixed_frame_cases():
+    """(spec, x, y) on every fixed-frame engine shape: matrices, pairs, diagonals on N and Z."""
+    from cesarolab import zoo
+    from cesarolab.classify import ProbeConfig, probe_vectors
+    from cesarolab.core import spec_dim
+
+    rng = np.random.default_rng(17)
+    cases = []
+    for entry in zoo.all_entries():
+        if spec_dim(entry.spec) is not None:
+            vecs = probe_vectors(entry.spec, ProbeConfig(basis_probes=1, seeded_probes=2))
+            cases.append((entry.spec, vecs[-1][1], vecs[-2][1]))
+    a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    a *= 0.9 / np.linalg.norm(a, 2)
+    u6 = FiniteRange(6)
+    cases.append((FiniteMatrix(tuple(map(tuple, a.tolist()))), rand_vec(u6, rng, 1, 6), rand_vec(u6, rng, 2, 5)))
+    tz = BlockTZ(FiniteMatrix(((1.0, 0.5), (0.0, cmath.exp(0.4j)))))
+    pairs = [PairVec(rand_vec(U2, rng, 1, 2), rand_vec(U2, rng, 1, 2)) for _ in range(2)]
+    cases.append((tz, *pairs))
+    cases += [
+        (Diagonal(NAT, cmath.exp(1j), ((2, 0.5), (3, 0.0))), rand_vec(NAT, rng, 1, 16), rand_vec(NAT, rng, 4, 30)),
+        (Diagonal(INTS, cmath.exp(0.7j), ((0, 1.0), (-2, 0.99))), rand_vec(INTS, rng, -8, 7), rand_vec(INTS, rng, -20, 0)),
+        # dies at once; and by underflow at step 1075, inside a block
+        (Diagonal(NAT, 0.0, ((6, 2.0),)), make_vector(NAT, [(1, 1.0), (3, -2.0j), (5, 0.5)]), rand_vec(NAT, rng, 1, 5)),
+        (Diagonal(NAT, 0.5, ((2, 0.0),)), make_vector(NAT, [(1, 1.0), (2, 1.0)] + [(k, 0.0) for k in range(3, 17)]),
+         rand_vec(NAT, rng, 1, 3)),
+    ]
+    return cases
+
+
+def _close(a, b, scale):
+    """|a - b| <= 1e-12 * scale elementwise (scale: the size of the reference); subnormals match absolutely."""
+    assert a.shape == b.shape
+    assert np.all(np.abs(a - b) <= 1e-12 * scale + np.finfo(float).tiny)
+
+
+def test_block_path_matches_stepping():
+    # fixed frames read blocks off a power stack; the reference is the base-class stepping loop
+    lams = np.array([1.0, -1.0, 1j, cmath.exp(0.3j)])
+    for spec, x, y in _fixed_frame_cases():
+        probe = make_orbit(spec, x, 10**9)
+        probe.norms(2, 2)
+        block = len(probe._stack)
+        n_top = 3 * block + 7
+        ns = [0, 1, block - 1, block, block + 1, n_top]
+
+        ref = make_orbit(spec, x, n_top)
+        ref.fixed = False
+        ref_norms = ref.norms(2, n_top)
+        death = len(ref_norms) if ref.dead else None
+        walker = make_orbit(spec, x, n_top)
+        walker.fixed = False
+        ref_states = [walker.vals]
+        for _ in range(len(ref_norms)):
+            walker.step()
+            ref_states.append(walker.vals)
+        inner_ref = make_orbit(spec, x, n_top)
+        inner_ref.fixed = False
+        ref_inners = inner_ref.inners(y, n_top)
+        ynorm = p_norm(y, 2)
+
+        # rounding scales (Higham ch. 3-4): ||T^n|| ||x|| for a state, sum_k ||T^k x|| for a sum
+        sizes = np.array([np.hypot.reduce(np.abs(v).ravel()) for v in ref_states])  # ||T^k x||, no underflow
+        magnitudes = np.cumsum(sizes)
+        sums = [CesaroSum(spec, x, n_top), CesaroSum(spec, x, n_top, lams)]
+        ref_sums = [CesaroSum(spec, x, n_top), CesaroSum(spec, x, n_top, lams)]
+        for acc in ref_sums:
+            acc.orbit.fixed = False
+        for n in ns:
+            dies = min(n, len(ref_norms))  # steps taken: the death index ends the orbit
+            orbit = make_orbit(spec, x, n_top)
+            norms = orbit.norms(2, n)
+            _close(norms, ref_norms[:dies], sizes[1 : dies + 1])
+            power = power_norm_exact(spec, dies, 2) if dies else 1.0
+            _close(orbit.vals, ref_states[dies], power * p_norm(x, 2))
+            assert orbit.dead == (death is not None and n >= death)
+            inners = make_orbit(spec, x, n_top).inners(y, n)
+            _close(inners, ref_inners[:dies], sizes[1 : dies + 1] * ynorm)
+            for acc, want in zip(sums, ref_sums):
+                acc.advance_to(n)
+                want.advance_to(n)
+                assert acc.stepped == want.stepped
+                summed = magnitudes[acc.stepped]
+                _close(acc.norms(2), want.norms(2), summed / (n + 1))
+                _close(acc.sum, want.sum, summed)
+                _close(acc.state(), want.state(), power * p_norm(x, 2))
+
+
+def test_cesaro_sum_of_a_constant_orbit_is_correctly_rounded():
+    # blocks of equal states, longer than one extended-precision chunk, still sum exactly
+    x = make_vector(NAT, [(1, 0.6), (2, 0.8j), (5, -0.3)])
+    acc = CesaroSum(identity(NAT), x, 2**16)
+    for n in sorted({2**k + d for k in range(17) for d in (0, 1)} - {2**16 + 1}):
+        acc.advance_to(n)
+        want = [complex(float(Fraction(v.real) * (n + 1)), float(Fraction(v.imag) * (n + 1))) for v in acc.state()[0]]
+        assert acc.sum[0, 0].tolist() == want
 
 
 def test_orbit_norms_submultiplicative_consistency():
