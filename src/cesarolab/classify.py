@@ -293,31 +293,56 @@ def _exact_norm_values(spec, cfg) -> list[tuple[int, float]] | None:
 def power_bounded_probe(spec: OperatorSpec, cfg: ProbeConfig) -> ClassVerdict:
     """sup_n ||T^n||: exact norms where closed forms exist, else orbit suprema."""
     values = _exact_norm_values(spec, cfg)
-    certainty = "exact"
-    if values is None:
-        certainty = "probe"
-        probes = probe_vectors(spec, cfg)
-        sup = np.full(cfg.n_max, -1.0)  # sup[n - 1] over the probes whose orbit reached n
-        sup_vec = np.zeros(cfg.n_max, dtype=int)
-        reached = 0
-        for i, (label, x) in enumerate(probes):
-            norms = make_orbit(spec, x, cfg.n_max).norms(cfg.p, cfg.n_max)
-            better = np.flatnonzero(norms > sup[: len(norms)])
-            sup[better] = norms[better]
-            sup_vec[better] = i
-            reached = max(reached, len(norms))
-        values = list(enumerate(sup[:reached].tolist(), start=1)) or [(1, 0.0)]
+    if values is not None:
+        return _exact_verdict("power_bounded", spec, cfg, values, cfg.echo(probe="power_bounded"))
+    probes = probe_vectors(spec, cfg)
+    sup = np.full(cfg.n_max, -1.0)  # sup[n - 1] over the probes whose orbit reached n
+    sup_vec = np.zeros(cfg.n_max, dtype=int)
+    reached = 0
+    for i, (label, x) in enumerate(probes):
+        norms = make_orbit(spec, x, cfg.n_max).norms(cfg.p, cfg.n_max)
+        better = np.flatnonzero(norms > sup[: len(norms)])
+        sup[better] = norms[better]
+        sup_vec[better] = i
+        reached = max(reached, len(norms))
+    values = list(enumerate(sup[:reached].tolist(), start=1)) or [(1, 0.0)]
     best_n, best = max(values, key=lambda t: t[1])
     hit, wn, wv = dyadic_divergence(values)
     params = cfg.echo(probe="power_bounded")
     if hit:
-        witness = {"spec": describe(spec), "n": wn, "value": wv}
-        if certainty == "probe":
-            witness["vector"] = probes[sup_vec[wn - 1]][0]
-        return ClassVerdict("power_bounded", "violated", certainty, cfg.n_max, best, witness, params)
+        witness = {"spec": describe(spec), "n": wn, "value": wv, "vector": probes[sup_vec[wn - 1]][0]}
+        return ClassVerdict("power_bounded", "violated", "probe", cfg.n_max, best, witness, params)
     return ClassVerdict(
-        "power_bounded", "bounded_up_to", certainty, cfg.n_max, best, {"n": best_n, "value": best}, params
+        "power_bounded", "bounded_up_to", "probe", cfg.n_max, best, {"n": best_n, "value": best}, params
     )
+
+
+def _finite_prefix(values: list[tuple[int, float]]) -> tuple[list[tuple[int, float]], int | None]:
+    """(the series before its first non-finite value, the n of that value or None)."""
+    for i, (n, v) in enumerate(values):
+        if not math.isfinite(v):
+            return values[:i], n
+    return values, None
+
+
+def _exact_verdict(class_name: str, spec, cfg: ProbeConfig, values, params: dict) -> ClassVerdict:
+    """Verdict on an exact (n, value) series, judged on its finite prefix.
+
+    The dyadic protocol firing on the prefix gives ``violated``; a series cut
+    by a non-finite value is otherwise ``inconclusive``, never bounded.  A
+    cut records its index as ``non_finite_at``.
+    """
+    values, non_finite_at = _finite_prefix(values)
+    if non_finite_at is not None:
+        params["non_finite_at"] = non_finite_at
+    best_n, best = max(values, key=lambda t: t[1], default=(None, 0.0))
+    hit, wn, wv = dyadic_divergence(values)
+    if hit:
+        witness = {"spec": describe(spec), "n": wn, "value": wv}
+        return ClassVerdict(class_name, "violated", "exact", cfg.n_max, best, witness, params)
+    status = "bounded_up_to" if non_finite_at is None else "inconclusive"
+    witness = {"n": best_n, "value": best} if values else None
+    return ClassVerdict(class_name, status, "exact", cfg.n_max, best, witness, params)
 
 
 def _is_nat_universe(spec) -> bool:
@@ -329,14 +354,7 @@ def cesaro_bounded_probe(spec: OperatorSpec, cfg: ProbeConfig) -> ClassVerdict:
     params = cfg.echo(probe="cesaro_bounded")
     if spec_dim(spec) is not None:
         values = cesaro_operator_norm_sweep(spec, 1.0 + 0j, list(range(1, cfg.n_max + 1)))
-        best_n, best = max(values, key=lambda t: t[1])
-        hit, wn, wv = dyadic_divergence(values)
-        if hit:
-            witness = {"spec": describe(spec), "n": wn, "value": wv}
-            return ClassVerdict("cesaro_bounded", "violated", "exact", cfg.n_max, best, witness, params)
-        return ClassVerdict(
-            "cesaro_bounded", "bounded_up_to", "exact", cfg.n_max, best, {"n": best_n, "value": best}, params
-        )
+        return _exact_verdict("cesaro_bounded", spec, cfg, values, params)
 
     checkpoints = checkpoint_set(cfg.n_max)
     lams = np.array([1.0 + 0j])
@@ -385,6 +403,13 @@ def uniform_kreiss_probe(spec: OperatorSpec, cfg: ProbeConfig) -> ClassVerdict:
     params = cfg.echo(probe="uniformly_kreiss", lambda_grid_size=len(lams))
     if spec_dim(spec) is not None:
         table = lambda_operator_norms(spec, lams, checkpoints)
+        # the whole grid is judged up to the first checkpoint where any lam is non-finite
+        finite, non_finite_at = _finite_prefix(list(zip(checkpoints, table.max(axis=0).tolist())))
+        table = table[:, : len(finite)]
+        if non_finite_at is not None:
+            params["non_finite_at"] = non_finite_at
+        if not finite:
+            return ClassVerdict("uniformly_kreiss", "inconclusive", "exact", cfg.n_max, 0.0, None, params)
         best = float(table.max())
         flat = int(np.argmax(table))
         li, ci = divmod(flat, table.shape[1])
@@ -404,9 +429,8 @@ def uniform_kreiss_probe(spec: OperatorSpec, cfg: ProbeConfig) -> ClassVerdict:
                 "value": wv,
             }
             return ClassVerdict("uniformly_kreiss", "violated", "exact", cfg.n_max, best, witness, params)
-        return ClassVerdict(
-            "uniformly_kreiss", "bounded_up_to", "exact", cfg.n_max, best, best_witness, params
-        )
+        status = "bounded_up_to" if non_finite_at is None else "inconclusive"
+        return ClassVerdict("uniformly_kreiss", status, "exact", cfg.n_max, best, best_witness, params)
 
     best = 0.0
     best_witness = None

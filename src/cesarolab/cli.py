@@ -435,11 +435,11 @@ def cmd_isometry(args) -> int:
     seed = _parse_seed(args.seed)
     spec, _ = parse_operator(args.operator)
     cfg = ProbeConfig(basis_probes=8, seeded_probes=8, seed=seed, tolerance=args.tol or 1e-9)
-    order = isometry.strict_order(spec, args.m_max, cfg)
-    defects = []
-    for m in range(1, args.m_max + 1):
-        rep = isometry.is_m_isometry(spec, m, cfg)
-        defects.append({"m": m, "max_defect": rep.max_defect, "scale": rep.scale, "passed": rep.passed})
+    reports = isometry.isometry_table(spec, args.m_max, cfg)
+    order = next((rep.m_tested for rep in reports if rep.passed), None)
+    defects = [
+        {"m": rep.m_tested, "max_defect": rep.max_defect, "scale": rep.scale, "passed": rep.passed} for rep in reports
+    ]
     degree_profile = {}
     for label, x in classify.probe_vectors(spec, ProbeConfig(basis_probes=4, seeded_probes=0, seed=seed)):
         try:

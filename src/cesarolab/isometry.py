@@ -36,6 +36,7 @@ __all__ = [
     "defect",
     "defect_via_differences",
     "is_m_isometry",
+    "isometry_table",
     "strict_order",
     "norm_square_degree",
     "detect_degree",
@@ -118,31 +119,37 @@ def defect_via_differences(spec: OperatorSpec, x, m: int) -> float:
     return float(np.diff(squares, n=m)[0])
 
 
-def _defect_and_scale(spec: OperatorSpec, x, m: int) -> tuple[float, float]:
-    squares = _orbit_squares(spec, x, m)
-    total = sum(((-1.0) ** (m - k)) * math.comb(m, k) * s for k, s in enumerate(squares))
-    return total, max(squares) if squares else 0.0
-
-
-def is_m_isometry(spec: OperatorSpec, m: int, cfg: ProbeConfig | None = None) -> IsometryReport:
-    """Max |defect| over the probe family; passes when below tolerance * scale."""
-    if m < 1:
-        raise ParameterError("m must be >= 1")
+def isometry_table(spec: OperatorSpec, m_max: int, cfg: ProbeConfig | None = None) -> list[IsometryReport]:
+    """The is_m_isometry reports for m = 1..m_max, from each probe vector's orbit squares up to m_max."""
+    if m_max < 1:
+        raise ParameterError(f"isometry order must be >= 1, got {m_max}")
     cfg = cfg or ProbeConfig()
+    squares = [(label, _orbit_squares(spec, x, m_max)) for label, x in probe_vectors(spec, cfg)]
+    return [_report(m, squares, cfg.tolerance) for m in range(1, m_max + 1)]
+
+
+def _report(m: int, squares: list[tuple[str, list[float]]], tolerance: float) -> IsometryReport:
+    """The order-m report from (label, orbit squares up to at least m) of each probe vector."""
     worst = 0.0
     worst_rel = 0.0
     worst_label = None
     worst_scale = 1.0
-    for label, x in probe_vectors(spec, cfg):
-        d, scale = _defect_and_scale(spec, x, m)
+    for label, sq in squares:
+        sq = sq[: m + 1]
+        d = sum(((-1.0) ** (m - k)) * math.comb(m, k) * s for k, s in enumerate(sq))
+        scale = max(sq)
         rel = abs(d) / max(scale, 1e-300)
         if rel > worst_rel:
             worst_rel = rel
             worst = abs(d)
             worst_label = label
             worst_scale = scale
-    passed = worst_rel < cfg.tolerance
-    return IsometryReport(m, passed, worst, worst_scale, worst_label)
+    return IsometryReport(m, worst_rel < tolerance, worst, worst_scale, worst_label)
+
+
+def is_m_isometry(spec: OperatorSpec, m: int, cfg: ProbeConfig | None = None) -> IsometryReport:
+    """Max |defect| over the probe family; passes when below tolerance * scale."""
+    return isometry_table(spec, m, cfg)[-1]
 
 
 def strict_order(spec: OperatorSpec, m_max: int, cfg: ProbeConfig | None = None) -> int | None:
@@ -151,13 +158,7 @@ def strict_order(spec: OperatorSpec, m_max: int, cfg: ProbeConfig | None = None)
     Minimality supplies the strictness witness: the (m-1) probe failed on some
     vector, and m-isometries are automatically (m+1)-isometries.
     """
-    if m_max < 1:
-        raise ParameterError("m_max must be >= 1")
-    cfg = cfg or ProbeConfig()
-    for m in range(1, m_max + 1):
-        if is_m_isometry(spec, m, cfg).passed:
-            return m
-    return None
+    return next((r.m_tested for r in isometry_table(spec, m_max, cfg) if r.passed), None)
 
 
 def _difference_degree(squares: np.ndarray) -> int | None:

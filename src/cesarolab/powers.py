@@ -124,74 +124,17 @@ class NormSeq:
 # numerical kernels
 
 
-def largest_singular_value(a, tol: float = 1e-12, max_iter: int = 10_000, start=None) -> float:
-    """Largest singular value by power iteration on the conjugate-transpose product.
+def largest_singular_value(a):
+    """Largest singular value of a matrix (a float) or of each matrix in a stack (..., d, d) (an array).
 
-    Deterministic all-ones start (with two fixed fallbacks if the start lies
-    in the kernel), relative tolerance on the squared estimate, iteration cap.
+    LAPACK's SVD computes it; a matrix with a non-finite entry has value inf
+    and never reaches LAPACK.
     """
     a = np.asarray(a, dtype=complex)
-    if a.size == 0:
-        return 0.0
-    b = a.conj().T @ a
-    d = b.shape[0]
-    starts = []
-    if start is not None:
-        starts.append(np.asarray(start, dtype=complex))
-    starts.append(np.ones(d, dtype=complex))
-    starts.append(np.arange(1, d + 1, dtype=complex))
-    starts.append(np.array([(-1.0) ** i * (i + 1) for i in range(d)], dtype=complex))
-    for v in starts:
-        nv = np.linalg.norm(v)
-        if nv == 0:
-            continue
-        v = v / nv
-        est = 0.0
-        for _ in range(max_iter):
-            w = b @ v
-            nw = np.linalg.norm(w)
-            if nw == 0.0:
-                est = 0.0
-                break
-            v_new = w / nw
-            new_est = float(np.real(np.vdot(v_new, b @ v_new)))
-            if abs(new_est - est) <= tol * max(new_est, 1e-300):
-                v = v_new
-                est = new_est
-                break
-            v = v_new
-            est = new_est
-        if est > 0.0:
-            return math.sqrt(est)
-    return 0.0
-
-
-class SigmaMaxTracker:
-    """Warm-started largest-singular-value evaluations along a matrix sweep."""
-
-    def __init__(self, dim: int):
-        self._start = np.ones(dim, dtype=complex) / math.sqrt(dim)
-
-    def value(self, a) -> float:
-        a = np.asarray(a, dtype=complex)
-        b = a.conj().T @ a
-        v = self._start
-        est = float(np.real(np.vdot(v, b @ v)))
-        for _ in range(10_000):
-            w = b @ v
-            nw = np.linalg.norm(w)
-            if nw == 0.0:
-                return largest_singular_value(a)
-            v = w / nw
-            new_est = float(np.real(np.vdot(v, b @ v)))
-            if abs(new_est - est) <= 1e-12 * max(new_est, 1e-300):
-                est = new_est
-                break
-            est = new_est
-        self._start = v
-        if est <= 0.0:
-            return largest_singular_value(a)
-        return math.sqrt(est)
+    finite = np.isfinite(a).all(axis=(-2, -1))
+    out = np.full(finite.shape, np.inf)
+    out[finite] = np.linalg.svd(a[finite], compute_uv=False)[..., 0]
+    return float(out) if out.ndim == 0 else out
 
 
 def matrix_exponential(a, tol: float = 1e-14) -> np.ndarray:
@@ -247,12 +190,26 @@ def _rule_table(rule, lo: int, hi: int) -> np.ndarray:
 
 
 def _lp_norm(mags, p: float, axis=None):
-    """ell^p norm of nonnegative magnitudes, over one axis or the whole array."""
-    if p == 2:
-        return np.sqrt(np.sum(mags * mags, axis=axis))
+    """ell^p norm of nonnegative magnitudes: of the whole array, or of each row (axis=1).
+
+    For p > 1 the powers can underflow or overflow: a norm that comes out 0 or
+    inf while the largest magnitude is finite and nonzero is recomputed on the
+    magnitudes divided by that maximum.  Every other norm is the plain sum.
+    """
     if p == 1:
         return np.sum(mags, axis=axis)
-    return np.sum(mags**p, axis=axis) ** (1.0 / p)
+    if p == 2:
+        norm = np.sqrt(np.sum(mags * mags, axis=axis))
+    else:
+        norm = np.sum(mags**p, axis=axis) ** (1.0 / p)
+    if axis is not None:
+        for i in np.flatnonzero((norm == 0) | np.isinf(norm)):
+            norm[i] = _lp_norm(mags[i], p)
+        return norm
+    if 0 < norm < math.inf:  # plain comparisons: a single norm is taken once per orbit step
+        return norm
+    top = np.max(mags, initial=0.0)
+    return _lp_norm(mags / top, p) * top if 0 < top < math.inf else norm
 
 
 def _dense(x, lo: int | None = None, hi: int | None = None) -> tuple[int, np.ndarray]:
@@ -885,7 +842,8 @@ def lambda_operator_norms(spec: OperatorSpec, lams, checkpoints: list[int]) -> n
     """Exact ||M_n(lam T)|| at sorted checkpoints n >= 0 for every lam; shape (len(lams), len(checkpoints)).
 
     One Kahan-compensated sweep accumulates the powers (lam A)^k for the whole
-    grid; a warm-started largest singular value per lam reads each checkpoint.
+    grid; one batched largest singular value over the lam stack reads each
+    checkpoint (inf once a mean holds a non-finite entry).
     """
     lams = np.asarray(lams, dtype=complex)
     a = to_matrix(spec)
@@ -894,7 +852,6 @@ def lambda_operator_norms(spec: OperatorSpec, lams, checkpoints: list[int]) -> n
     power = np.broadcast_to(np.eye(d, dtype=complex), (nlam, d, d)).copy()
     total = power.copy()
     comp = np.zeros_like(total)
-    trackers = [SigmaMaxTracker(d) for _ in range(nlam)]
     out = np.zeros((nlam, len(checkpoints)))
     pos = 0
     lam_a = lams[:, None, None] * a[None, :, :]
@@ -906,8 +863,7 @@ def lambda_operator_norms(spec: OperatorSpec, lams, checkpoints: list[int]) -> n
             comp = (t - total) - y
             total = t
         if checkpoints[pos] == k:
-            for i in range(nlam):
-                out[i, pos] = trackers[i].value(total[i] / (k + 1))
+            out[:, pos] = largest_singular_value(total / (k + 1))
             pos += 1
     return out
 

@@ -133,6 +133,16 @@ def test_classify_scalar_matrix_kreiss():
     assert result["best_constant"] == pytest.approx(1.0, rel=1e-9)
 
 
+def test_classify_exponential_growth_is_violated_past_overflow():
+    # ||diag(2, 1)^n|| = 2^n overflows at n = 1024; the finite prefix already diverges
+    for extra in (["--n-max", "512"], []):
+        code, out, err = run_cli(["classify", "matrix:[[2,0],[0,1]]", "--probes", "pb,cb,uk", "--json", *extra])
+        assert code == 0, err
+        results = [probe["result"] for probe in json.loads(out)["probes"]]
+        assert [r["status"] for r in results] == ["violated"] * 3
+        assert all(math.isfinite(r["best_constant"]) for r in results)
+
+
 def test_classify_malformed_grammar_exits_2():
     code, _, err = run_cli(["classify", "matrix:[[1,2],[3]]", "--probes", "cb"])
     assert code == 2

@@ -37,6 +37,7 @@ from cesarolab.isometry import (
     defect_via_differences,
     detect_degree,
     is_m_isometry,
+    isometry_table,
     norm_square_degree,
     shift_from_polynomial,
     strict_order,
@@ -82,6 +83,18 @@ def test_is_m_isometry_reports():
     assert is_m_isometry(unitary, 1).passed
     backward = BackwardShift(NAT, PowerRatio(0.25, 0))
     assert not is_m_isometry(backward, 2).passed
+
+
+def test_isometry_table_rows_match_single_orders():
+    # one orbit per probe vector up to m_max serves every order m <= m_max
+    for spec in (HYPER4, ASSANI, shift_from_polynomial(Polynomial((0.0, 1.0))), BackwardShift(NAT, PowerRatio(0.25, 0))):
+        table = isometry_table(spec, 6)
+        assert [row.m_tested for row in table] == [1, 2, 3, 4, 5, 6]
+        for m, row in enumerate(table, start=1):
+            single = is_m_isometry(spec, m)
+            assert (row.passed, row.witness) == (single.passed, single.witness)
+            assert row.scale == pytest.approx(single.scale, rel=1e-12)
+            assert row.max_defect == pytest.approx(single.max_defect, rel=1e-12, abs=1e-12 * single.scale)
 
 
 def test_strict_orders():

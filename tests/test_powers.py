@@ -176,6 +176,15 @@ def test_orbit_norms_identity():
     assert seq.values() == [1.0] * 6
 
 
+def test_orbit_norms_keep_states_below_the_square_underflow():
+    # 1e-200 squares to 0 and 1e200 to inf; the norms are rescaled by the largest magnitude
+    seq = orbit_norms(Diagonal(NAT, 1e-100), basis_vector(NAT, 1), 2, 3)
+    for n, value in seq.entries:
+        assert value == pytest.approx(10.0 ** (-100 * n), rel=1e-12)
+    seq = orbit_norms(Diagonal(NAT, 1e100), basis_vector(NAT, 1), 2, 3)
+    assert seq.values()[3] == pytest.approx(1e300, rel=1e-12)
+
+
 def test_orbit_norms_duplicating_shift():
     seq = orbit_norms(DuplicatingShift(), basis_vector(NAT, 1), 2, 2)
     assert seq.values() == pytest.approx([1.0, math.sqrt(2), math.sqrt(3)], rel=1e-14)
@@ -480,14 +489,20 @@ def test_block_tz_power_check_examples():
 def test_largest_singular_value_against_svd():
     rng = np.random.default_rng(17)
     for d in (1, 2, 3, 5, 8):
-        for _ in range(8):
-            a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        stack = rng.standard_normal((8, d, d)) + 1j * rng.standard_normal((8, d, d))
+        values = largest_singular_value(stack)
+        assert values.shape == (8,)
+        for a, value in zip(stack, values):
             expected = np.linalg.svd(a, compute_uv=False)[0]
-            assert largest_singular_value(a) == pytest.approx(expected, rel=1e-10)
+            assert value == pytest.approx(expected, rel=1e-10)
+            assert largest_singular_value(a) == value
     assert largest_singular_value(np.zeros((3, 3))) == 0.0
-    # all-ones start lies in the kernel of A^H A here; fallback start must recover
-    tricky = np.array([[1.0, -1.0], [1.0, -1.0]])
-    assert largest_singular_value(tricky) == pytest.approx(2.0, rel=1e-10)
+    # squaring 1e200 overflows; sigma of the all-1e200 3x3 matrix is 3e200
+    assert largest_singular_value(np.full((3, 3), 1e200)) == pytest.approx(3e200, rel=1e-12)
+    big = np.array([[np.inf, 0.0], [0.0, 1.0]])
+    assert largest_singular_value(big) == math.inf
+    mixed = largest_singular_value(np.stack([np.eye(2), np.full((2, 2), np.nan), 2.0 * np.eye(2)]))
+    assert mixed.tolist() == [1.0, math.inf, 2.0]
 
 
 def test_matrix_exponential_against_scipy_and_closed_form():
