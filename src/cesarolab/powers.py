@@ -16,10 +16,13 @@ A state that never moves (a matrix, or a diagonal window) is a fixed frame:
 its engine advances a block of B steps per numpy call from a stack of the
 step operator's powers A^1 .. A^B, built once in extended precision, with B
 set by a 1 MiB cap on the stack.  The engines' batched reductions
-(``norms``, ``inners``) and the Cesàro sums read those blocks; a moving
-window steps one state at a time.  A block is summed in extended precision
-and folded in by a TwoSum update, so its sums stay correctly rounded.  The
-operator-norm sweep ``lambda_operator_norms`` is the matrix counterpart: one
+(``norms``, ``inners``) and the Cesàro sums read those blocks.  A block is
+summed in extended precision and folded in by a TwoSum update, so its sums
+stay correctly rounded.  A one-term weighted shift is a translating frame:
+its weight products telescope, so states, their reductions and the Cesàro
+sums are read off one cumulative product table, the sums by prefix sums.
+Every other moving window steps one state at a time.  The operator-norm
+sweep ``lambda_operator_norms`` is the matrix counterpart of the sums: one
 compensated pass over the powers (lam A)^k for a whole lam grid.
 """
 
@@ -83,6 +86,7 @@ SHIFT_SUP_HORIZON = 10**6
 _STACK_BYTES = 2**20  # cap on a fixed frame's power stack; it fixes the block length B
 # Equal doubles that an extended-precision sum adds exactly: 2^11 with an x87 long double.
 _EXACT_ROWS = 2 ** max(np.finfo(np.longdouble).nmant - np.finfo(float).nmant, 6)
+_DOUBLE = np.finfo(float)
 
 
 @dataclass(frozen=True)
@@ -259,12 +263,14 @@ class _Orbit:
     ``norms`` and ``inners`` reduce the next ``count`` states in one call.  On
     a fixed frame (a state that never moves: a matrix, or a diagonal window)
     they read whole blocks of states off a power stack of the step operator
-    ``_op``; every other engine steps one state at a time.
+    ``_op``; on a translating frame (a one-term shift) off its product table
+    (see ``_WindowOrbit``); every other engine steps one state at a time.
     """
 
     dead = False
     can_die = False  # whether a zero state is detected and ends the orbit
     fixed = False  # the state never moves, so blocks of steps come from a power stack
+    translating = False  # a one-term shift whose states come from a product table
     steps = 0
     floor = None  # lowest index of the universe, when the window must not pass it
     low_off = high_off = 0  # stencil offsets; a matrix state never moves
@@ -302,7 +308,7 @@ class _Orbit:
     def norms(self, p: float, count: int) -> np.ndarray:
         """||T^k x||_p for the next count steps; shorter when the orbit dies, ending at the zero state."""
         self.check_p(p)
-        if self.fixed:
+        if self.fixed or self.translating:
             return _joined([_lp_norm(np.abs(s), p, axis=1) for s in self._blocks(count)], float)
         return self._walk(count, lambda: self.norm(p), float)
 
@@ -315,7 +321,41 @@ class _Orbit:
             frame[:, mine] = yv[:, theirs]
             yc = frame.ravel().conj()
             return _joined([s @ yc for s in self._blocks(count)], complex)
+        if self.translating:
+            # conj(y) at the travel coordinates of the product table, windowed like it
+            width, d, length = self.vals.shape[1], self.low_off, len(self._wt)
+            ylo, yv = _dense(y)
+            lo = self._trail if d > 0 else self._trail - (length - 1)
+            frame = np.zeros(length, dtype=complex)
+            mine, theirs = _overlap(lo, length, ylo, yv.shape[1])
+            frame[mine] = yv[0, theirs].conj()
+            windows = np.lib.stride_tricks.sliding_window_view(frame if d > 0 else frame[::-1], width)
+            parts = []
+            for s in self._blocks(count):
+                first = self.steps - len(s) + 1
+                parts.append(np.einsum("ij,ij->i", s, windows[first : first + len(s)]))
+            return _joined(parts, complex)
         return self._walk(count, lambda: self.inner_with(y), complex)
+
+    def advance(self, n: int) -> None:
+        """Move the orbit to step n (never backwards); a dead orbit stays at the step where it died.
+
+        A translating frame jumps there off its product table; every other
+        engine steps.
+        """
+        if not self.translating:
+            while self.steps < n and not self.dead:
+                self.step()
+            return
+        if self._death is not None:
+            n = min(n, self._death)
+        if n == self.steps:
+            return
+        state = self._travel_states(n, 1)[0]
+        self.vals = (state if self.low_off > 0 else state[::-1]).reshape(1, -1)
+        self.lo += self.low_off * (n - self.steps)
+        self.steps = n
+        self.dead = n == self._death
 
     def _walk(self, count: int, value, dtype) -> np.ndarray:
         """The stepping loop: value() after each of the next count steps, up to the zero state."""
@@ -326,17 +366,23 @@ class _Orbit:
         return np.array(out, dtype=dtype)
 
     def _blocks(self, count: int):
-        """Yield the next count states of a fixed frame, flattened and stacked (m, rows * width), m <= B.
+        """Yield the next count states of a fixed or translating frame, flattened and stacked (m, rows * width).
 
-        The first multi-step advance builds the power stack A^1 .. A^B once; B
-        fills a 1 MiB cap and never exceeds the steps left to the horizon.  Each
-        block is one numpy call.  The first all-zero state of an orbit that can
-        die ends the block and the orbit.
+        A fixed frame's first multi-step advance builds the power stack
+        A^1 .. A^B once; B fills a 1 MiB cap and never exceeds the steps left
+        to the horizon.  A translating frame reads its states off its product
+        table, in travel order (a backward window's columns reversed), in
+        blocks under the same cap.  Each block is one numpy call.  The first
+        all-zero state of an orbit that can die ends the block and the orbit.
         """
         while count > 0 and not self.dead:
-            if self._stack is None and count == 1:
+            if self.translating:
+                states = self._travel_states(self.steps + 1, count)
+            elif self._stack is None and count == 1:
                 self.step()
-                states = self.vals.reshape(1, -1)
+                count -= 1
+                yield self.vals.reshape(1, -1)
+                continue
             else:
                 if self._stack is None:
                     per_power = 16 * self._op.size
@@ -348,15 +394,35 @@ class _Orbit:
                     states = (stack.reshape(-1, flat.size) @ flat).reshape(m, -1)
                 else:
                     states = stack * flat
-                if self.can_die:
-                    zero = np.flatnonzero(~states.any(axis=1))
-                    if zero.size:
-                        states = states[: zero[0] + 1]
-                        self.dead = True
-                self.vals = states[-1].reshape(self.rows, -1).copy()
-                self.steps += len(states)
+            if self.can_die:
+                zero = np.flatnonzero(~states.any(axis=1))
+                if zero.size:
+                    states = states[: zero[0] + 1]
+                    self.dead = True
+            last = states[-1] if self.low_off >= 0 else states[-1, ::-1]
+            self.vals = last.reshape(self.rows, -1).copy()
+            self.lo += self.low_off * len(states)
+            self.steps += len(states)
             count -= len(states)
             yield states
+
+
+def _running_products(factors: np.ndarray) -> np.ndarray:
+    """Each row's running products 1, f0, f0 f1, ... of a (rows, count) array, shape (rows, count + 1).
+
+    They accumulate in extended precision and are rounded once to double, as
+    a power stack is.  The extended run is taken 128 KiB at a time, so the
+    only large array is the result.
+    """
+    rows, count = factors.shape
+    out = np.ones((rows, count + 1), dtype=complex)
+    carry = np.ones((rows, 1), dtype=np.clongdouble)
+    chunk = max(2**12 // rows, 1)
+    for j in range(0, count, chunk):
+        run = np.cumprod(np.concatenate((carry, factors[:, j : j + chunk]), axis=1), axis=1)
+        out[:, j + 1 : j + run.shape[1]] = run[:, 1:]
+        carry = run[:, -1:]
+    return out
 
 
 def _overlap(lo: int, width: int, other_lo: int, other_width: int) -> tuple[slice, slice]:
@@ -445,6 +511,25 @@ class _WindowOrbit(_Orbit):
     window needs no per-step index checks; a growing one drops the columns
     past the universe's lowest index.  A diagonal (one term at offset 0) is a
     fixed frame whose step operator is its weight table over the window.
+
+    A one-term shift (offset d = +-1) is a translating frame.  Read its window
+    in the direction of motion: travel coordinate u is the coordinate
+    ``trail + d u``, where ``trail`` is the end of the initial window that the
+    motion leaves behind.  Every step moves u to u + 1, so with W(u) the
+    product of the weights at travel coordinates 0 .. u-1,
+
+        (T^n x)(u) = x(u - n) W(u) / W(u - n),
+
+    and T^n x is x / W times the window W[n : n + width]: a telescoping
+    product, read without stepping.  W is built once, in extended precision,
+    over the travel coordinates the horizon can visit.  A backward shift on N
+    has weight 0 at the floor, so W is zero past it: entries that cross the
+    floor vanish, and the orbit dies at the step where the last one crosses,
+    as it does when stepped.  The table is used only if the ratios of its
+    live part, times the entries of x, stay normal doubles (so no step of
+    the stepping loop overflows or underflows either); otherwise the window
+    steps.  A translating frame keeps no weight tables: even ``step`` moves
+    along W.
     """
 
     def __init__(self, spec: OperatorSpec, x, n_max: int):
@@ -455,8 +540,12 @@ class _WindowOrbit(_Orbit):
         offsets = [t.offset for t in self.terms]
         self.low_off, self.high_off = min(offsets), max(offsets)
         width = self.vals.shape[1]
-        # Sources visited by n_max steps; tables cover them once.
+        # Sources visited by n_max steps; tables cover them once.  Inside the universe
+        # only: a one-term window keeps its width, so until the orbit dies up to
+        # width - 1 of its columns hang past the floor, where the weights are zero.
         self.t_lo = self.lo + max(n_max - 1, 0) * min(self.low_off, 0)
+        if self.floor is not None:
+            self.t_lo = max(self.t_lo, self.floor - max(width - 1, 0))
         t_hi = self.lo + width - 1 + max(n_max - 1, 0) * max(self.high_off, 0)
         self.tables = [t.weights(self.t_lo, t_hi) for t in self.terms]
         self.single = len(self.terms) == 1
@@ -466,8 +555,43 @@ class _WindowOrbit(_Orbit):
         self.fixed = self.single and offsets == [0]
         if self.fixed:
             self._op = self.tables[0][:width]
+        elif self.single and width:
+            self.translating = self._product_table(n_max)
+
+    def _product_table(self, n_max: int) -> bool:
+        """Build the travel table W and x / W of a translating frame; False (keep stepping) if they leave double range."""
+        d, width, table = self.low_off, self.vals.shape[1], self.tables[0]
+        trail = self.lo if d > 0 else self.lo + width - 1
+        death = None if self.floor is None or d > 0 else trail - self.floor + 1  # the last column crosses
+        length = (n_max if death is None else min(n_max, death)) + width
+        s = trail - self.t_lo
+        weights = table[s : s + length - 1] if d > 0 else table[s - (length - 2) : s + 1][::-1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            wt = _running_products(weights[None])[0]  # inf past double range
+            mags = np.abs(wt[:death])
+            top, bottom = mags.max(), mags.min()
+            xs = np.abs(self.vals[0][self.vals[0] != 0])
+            if not (0 < bottom and top < np.inf and not wt[len(mags) :].any()):
+                return False
+            if xs.max() * (top / bottom) > _DOUBLE.max or xs.min() * (bottom / top) < _DOUBLE.tiny:
+                return False
+        self._src = (self.vals[0] if d > 0 else self.vals[0, ::-1]) / wt[:width]
+        self._wt, self._trail, self._death = wt, trail, death
+        self.tables = None  # W replaces them: even a single step reads W
+        self._windows = np.lib.stride_tricks.sliding_window_view(wt, width)  # row n: W[n : n + width]
+        return True
+
+    def _travel_states(self, first: int, count: int) -> np.ndarray:
+        """States first, first + 1, ... of a translating frame in travel order, (m, width) with 1 <= m <= count."""
+        m = min(count, max(_STACK_BYTES // (16 * len(self._src)), 1), len(self._windows) - first)
+        if m < 1:
+            raise ParameterError(f"the orbit was built for {self.horizon} steps")
+        return self._windows[first : first + m] * self._src
 
     def step(self) -> None:
+        if self.translating:
+            self.advance(self.steps + 1)
+            return
         self.steps += 1
         if self.dead:
             return
@@ -539,6 +663,8 @@ class CesaroSum:
 
     A single Cesàro mean is the one-point grid ``[1]``.  Once the orbit state
     is exactly zero the sums freeze: later means are the frozen sums over n+1.
+    On a translating frame and a unimodular grid the sums at n are written
+    straight off the frame's product table (see ``_write``), with no pass.
     """
 
     def __init__(self, spec: OperatorSpec, x, n_max: int, lams=None):
@@ -548,10 +674,70 @@ class CesaroSum:
         self.lam_pow = np.ones(len(self.lams), dtype=complex)
         self.lo, hi = self.orbit.span(n_max)
         self.sum = np.zeros((len(self.lams), self.orbit.rows, max(hi - self.lo + 1, 0)), dtype=complex)
-        self.comp = np.zeros_like(self.sum)
         self.n = self.stepped = 0
         self._lam_run = None
-        self._add()
+        self._live = slice(None)  # columns that can be nonzero; a translating frame narrows it
+        self.closed = self.orbit.translating and bool(np.all(np.abs(np.abs(self.lams) - 1.0) <= 1e-12))
+        if self.closed:  # written, never accumulated: no compensation
+            self._prefix_sums()
+            state_cols, self._live = self._overlap()
+            self.sum[:, :, self._live] = self.orbit.vals[:, state_cols]
+        else:
+            self.comp = np.zeros_like(self.sum)
+            self._add()
+
+    def _prefix_sums(self) -> None:
+        """Prefix sums of lam^-j x(j) / W(j) over the window of x, and the gains lam^u W(u) (travel coordinates)."""
+        o = self.orbit
+        terms = o._src[None]
+        self._gains = o._wt[None]
+        if not self.unit:
+            lams = self.lams[:, None].astype(np.clongdouble)
+            inverse = np.ones((len(lams), len(o._src)), dtype=np.clongdouble)
+            inverse[:, 1:] = 1 / lams
+            terms = terms * np.cumprod(inverse, axis=1)
+            # lam^u, relative to the window's trailing end
+            self._gains = _running_products(np.broadcast_to(lams, (len(lams), len(o._wt) - 1)))
+            self._gains *= o._wt
+        self._prefix = np.zeros((len(terms), terms.shape[1] + 1), dtype=np.clongdouble)
+        np.cumsum(terms, axis=1, out=self._prefix[:, 1:])
+        self._rounded = self._prefix.astype(complex)
+
+    def _write(self, k: int) -> None:
+        """Write the sums over steps 0..k of a translating frame.
+
+        In travel coordinates (see ``_WindowOrbit``) lam^m (T^m x)(u) is
+        lam^u W(u) lam^-j x(j) / W(j) with j = u - m, so
+
+            (sum_{m<=k} lam^m T^m x)(u) = lam^u W(u) sum_{j in [u-k, u]} lam^-j x(j) / W(j):
+
+        a difference of two prefix sums over the window of x, or all of it
+        where [u - k, u] covers the window.  Prefix sums, powers of lam and
+        the gains lam^u W(u) are taken in extended precision and rounded, so
+        the cancellation in a difference stays far below double rounding
+        (Higham, Accuracy and Stability of Numerical Algorithms, ch. 4).
+        """
+        o = self.orbit
+        width, prefix, gains = len(o._src), self._prefix, self._gains
+        start = o._trail - self.lo  # accumulator column of travel coordinate 0
+        if o.low_off > 0:
+            top = width - 1 + k
+            self._live = slice(start, start + top + 1)
+            out = self.sum[:, 0, self._live]
+        else:
+            top = min(width - 1 + k, start)  # not past the floor
+            self._live = slice(start - top, start + 1)
+            out = self.sum[:, 0, self._live][:, ::-1]  # travel order
+        head = min(width - 1, top + 1)  # u < head: the window [u - k, u] ends inside x
+        tail = min(max(k + 1, width - 1), top + 1)  # u >= tail: it starts inside x
+        full = min(head, k + 1)  # u < full: it starts before x
+        # differences of prefix sums are taken in extended precision, products in double
+        np.multiply(self._rounded[:, 1 : full + 1], gains[:, :full], out=out[:, :full])
+        inside = prefix[:, full + 1 : head + 1] - prefix[:, full - k : head - k]
+        np.multiply(inside.astype(complex), gains[:, full:head], out=out[:, full:head])
+        np.multiply(self._rounded[:, -1:], gains[:, head:tail], out=out[:, head:tail])
+        closing = prefix[:, -1:] - prefix[:, tail - k : top - k + 1]
+        np.multiply(closing.astype(complex), gains[:, tail : top + 1], out=out[:, tail:])
 
     def _overlap(self) -> tuple[slice, slice]:
         """(state columns, accumulator columns) where the orbit window meets the sums."""
@@ -600,7 +786,12 @@ class CesaroSum:
     def advance_to(self, n: int) -> None:
         """Move the sums to index n (never backwards)."""
         orbit, k = self.orbit, self.stepped
-        if orbit.fixed:
+        if self.closed:
+            orbit.advance(n)
+            k = orbit.steps
+            if k != self.stepped:
+                self._write(k)
+        elif orbit.fixed:
             for states in orbit._blocks(n - k):
                 self._add_block(states)
                 k += len(states)
@@ -614,7 +805,7 @@ class CesaroSum:
     def norms(self, p: float) -> np.ndarray:
         """||M_n(lam T) x||_p for every lam of the grid."""
         self.orbit.check_p(p)
-        mags = np.abs(self.sum).reshape(len(self.lams), -1)
+        mags = np.abs(self.sum[..., self._live]).reshape(len(self.lams), -1)
         if self.stepped < self.n:  # frozen
             return _lp_norm(mags, p, axis=1) / (self.n + 1)
         return _lp_norm(mags / (self.n + 1), p, axis=1)
@@ -682,10 +873,7 @@ def power_apply(spec: OperatorSpec, x, n: int):
     if n == 0:
         return x
     orbit = make_orbit(spec, x, n)
-    for _ in range(n):
-        if orbit.dead:
-            break
-        orbit.step()
+    orbit.advance(n)
     return orbit.to_sparse()
 
 
@@ -699,80 +887,85 @@ def _shift_sup_candidates(lowest: int, span: int) -> list[int]:
     return out
 
 
-def _scan_products(rule, starts, window, monotone_shortcut: bool) -> tuple[float, int]:
-    """Max weight product over candidate starts.
+def _scan_products(rule, starts, n: int, monotone_shortcut: bool = False) -> float:
+    """Max of the n-term weight products over [s, s + n) for the candidate starts s.
 
     With the shortcut enabled, a strictly decreasing head lets the scan jump
-    to the final two (horizon) candidates only; the package's closed-form
-    weight families have monotone products in the start index, so the
-    supremum sits at the boundary.
+    to the final two (horizon) candidates only: power-ratio products are
+    monotone in the start, so the supremum sits at the boundary.
     """
     best = 0.0
-    best_j = starts[0] if starts else 0
     values = []
-    scanned = 0
-    for pos, j in enumerate(starts):
-        start, count = window(j)
+    for s in starts:
         try:
-            prod = weight_product(rule, start, count)
+            prod = weight_product(rule, s, n)
         except ParameterError:
             continue
         values.append(prod)
-        scanned += 1
-        if prod > best:
-            best = prod
-            best_j = j
-        if monotone_shortcut and scanned == 6 and all(a > b for a, b in zip(values, values[1:])):
-            for tail_j in starts[-2:]:
-                t_start, t_count = window(tail_j)
+        best = max(best, prod)
+        if monotone_shortcut and len(values) == 6 and all(a > b for a, b in zip(values, values[1:])):
+            for tail in starts[-2:]:
                 try:
-                    t_prod = weight_product(rule, t_start, t_count)
+                    best = max(best, weight_product(rule, tail, n))
                 except ParameterError:
                     continue
-                if t_prod > best:
-                    best = t_prod
-                    best_j = tail_j
             break
-    return best, best_j
+    return best
 
 
-def _shift_power_norm(spec, n: int) -> tuple[float, int]:
-    """(sup weight product over basis starts, attaining start index)."""
-    shortcut = isinstance(spec.rule, (PowerRatio, PolyRatio))
-    if isinstance(spec, BackwardShift):
-        if isinstance(spec.universe, FiniteRange):
-            starts = list(range(n + 1, spec.universe.dim + 1))
-            shortcut = False
-        else:
-            starts = _shift_sup_candidates(n + 1, SHIFT_SUP_HORIZON)
-        window = lambda j: (j - n + 1, n)  # noqa: E731  sources j-n+1 .. j
-    elif isinstance(spec, ForwardShift):
-        if isinstance(spec.universe, FiniteRange):
-            starts = list(range(1, spec.universe.dim - n + 1))
-            shortcut = False
-        else:
-            starts = _shift_sup_candidates(1, SHIFT_SUP_HORIZON)
-        window = lambda j: (j, n)  # noqa: E731
-    elif isinstance(spec, BilateralShift):
-        heads = _shift_sup_candidates(0, SHIFT_SUP_HORIZON)
-        starts = sorted(set(heads + [-s for s in heads]))
-        shortcut = False
-        if spec.forward:
-            window = lambda j: (j, n)  # noqa: E731
-        else:
-            window = lambda j: (j - n + 1, n)  # noqa: E731
-    else:
-        raise UnsupportedVariantError(f"not a shift: {spec!r}")
-    return _scan_products(spec.rule, starts, window, shortcut)
+def _poly_sup(rule: PolyRatio, n: int, lowest: int | None) -> float:
+    """sup over the integer starts s >= lowest (every s if None) of sqrt(p(s + n) / p(s)).
+
+    f(s) = p(s + n) / p(s) is continuous and monotone between consecutive
+    real breakpoints: the roots of f's numerator p'(s + n) p(s) - p(s + n) p'(s)
+    and of p(s) and p(s + n).  Over the integers it therefore peaks at an
+    integer next to a breakpoint, or at ``lowest``; each breakpoint adds its
+    neighbours within 2 (the error of the computed roots).  At infinity f
+    tends to 1, and on the far right, where p increases, it exceeds 1, so a
+    limit never decides the supremum.
+    """
+    from numpy.polynomial import polynomial as P  # loaded only here: 5 ms of start-up
+
+    p, q = rule.p.coefficients, rule.p.shifted(n).coefficients  # q(s) = p(s + n)
+    numerator = P.polysub(P.polymul(P.polyder(q), p), P.polymul(q, P.polyder(p)))
+    breaks = [P.polyroots(P.polytrim(numerator)), P.polyroots(p), P.polyroots(q)]
+    starts = {0 if lowest is None else lowest}
+    for c in np.concatenate(breaks).real:
+        starts.update(range(math.floor(c) - 2, math.floor(c) + 4))
+    s = np.array(sorted(t for t in starts if lowest is None or t >= lowest), dtype=float)
+    return float(np.sqrt(rule.p(s + n) / rule.p(s)).max())
+
+
+def _shift_power_norm(spec, n: int) -> float:
+    """sup of the n-term weight products over the windows [s, s + n) that T^n maps from basis vectors."""
+    rule = spec.rule
+    bilateral = isinstance(spec, BilateralShift)
+    lowest = 0 if bilateral else 2 if isinstance(spec, BackwardShift) else 1  # e_1 is killed by a backward shift
+    if not bilateral and isinstance(spec.universe, FiniteRange):
+        return _scan_products(rule, range(lowest, spec.universe.dim - n + lowest), n)
+    if isinstance(rule, Explicit):
+        tail = len(rule.values) + 1  # windows from here on, or ending before 1, hold tail weights only
+        if bilateral:
+            return _scan_products(rule, sorted({*range(1 - n, tail - n + 1), *range(1, tail + 1)}), n)
+        return _scan_products(rule, range(lowest, max(lowest, tail) + 1), n)
+    if isinstance(rule, PolyRatio):
+        return _poly_sup(rule, n, None if bilateral else lowest)
+    heads = _shift_sup_candidates(lowest, SHIFT_SUP_HORIZON)
+    if not bilateral:
+        return _scan_products(rule, heads, n, monotone_shortcut=True)
+    starts = sorted(set(heads + [-s for s in heads]))
+    return _scan_products(rule, starts if spec.forward else [s - n + 1 for s in starts], n)
 
 
 def power_norm_exact(spec: OperatorSpec, n: int, p: float) -> float:
     """Exact ||T^n|| for shifts (any p), diagonals, and finite matrices (p=2).
 
-    Shift norms are suprema of n-term weight products over basis starts,
-    evaluated through telescoping closed forms at a dense head of start
-    indices plus dyadic tail probes (the package's weight families attain
-    the supremum at the boundary).
+    A shift's norm is the supremum of its n-term weight products over basis
+    starts, each a telescoping closed form.  Explicit rules scan every start
+    whose window meets the listed weights, plus one window of tail weights;
+    polynomial ratios scan every start up to where the products turn
+    monotone (see ``_poly_sup``); power ratios, whose products are monotone in
+    the start, take a dense head of starts plus dyadic tail probes.
     """
     if n < 1:
         raise ParameterError("power must be >= 1")
@@ -786,28 +979,35 @@ def power_norm_exact(spec: OperatorSpec, n: int, p: float) -> float:
             candidates.append(abs(spec.default))
         return max(candidates) ** n
     if isinstance(spec, (BackwardShift, ForwardShift, BilateralShift)):
-        value, _ = _shift_power_norm(spec, n)
-        return value
+        return _shift_power_norm(spec, n)
     dim = spec_dim(spec)
     if dim is not None:
         if p != 2:
             raise ParameterError("operator norms of matrices are computed for p=2 only")
-        a = to_matrix(spec)
-        return largest_singular_value(np.linalg.matrix_power(a, n))
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing power has norm inf
+            return largest_singular_value(np.linalg.matrix_power(to_matrix(spec), n))
     raise UnsupportedVariantError(
         f"no closed-form power norm for {type(spec).__name__}; use orbit probes for lower bounds"
     )
 
 
 def orbit_norms(spec: OperatorSpec, x, p: float, n_max: int) -> NormSeq:
-    """(n, ||T^n x||_p) for n = 0..n_max with incremental application."""
+    """(n, ||T^n x||_p) for n = 0..n_max with incremental application.
+
+    An orbit that overflows raises FloatingPointError naming the first n
+    whose norm is not finite.
+    """
     if n_max < 1:
         raise ParameterError("n_max must be >= 1")
     orbit = make_orbit(spec, x, n_max)
     values = np.zeros(n_max + 1)
-    values[0] = orbit.norm(p)
-    norms = orbit.norms(p, n_max)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values[0] = orbit.norm(p)
+        norms = orbit.norms(p, n_max)
     values[1 : len(norms) + 1] = norms
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise FloatingPointError(f"||T^n x|| is not finite at n={bad[0]}: the orbit overflows")
     return NormSeq(tuple(enumerate(values.tolist())), "vector-orbit", p)
 
 
@@ -855,16 +1055,17 @@ def lambda_operator_norms(spec: OperatorSpec, lams, checkpoints: list[int]) -> n
     out = np.zeros((nlam, len(checkpoints)))
     pos = 0
     lam_a = lams[:, None, None] * a[None, :, :]
-    for k in range(checkpoints[-1] + 1):
-        if k:
-            power = lam_a @ power
-            y = power - comp
-            t = total + y
-            comp = (t - total) - y
-            total = t
-        if checkpoints[pos] == k:
-            out[:, pos] = largest_singular_value(total / (k + 1))
-            pos += 1
+    with np.errstate(over="ignore", invalid="ignore"):  # overflowing means read as inf
+        for k in range(checkpoints[-1] + 1):
+            if k:
+                power = lam_a @ power
+                y = power - comp
+                t = total + y
+                comp = (t - total) - y
+                total = t
+            if checkpoints[pos] == k:
+                out[:, pos] = largest_singular_value(total / (k + 1))
+                pos += 1
     return out
 
 

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -141,6 +142,25 @@ def test_classify_exponential_growth_is_violated_past_overflow():
         results = [probe["result"] for probe in json.loads(out)["probes"]]
         assert [r["status"] for r in results] == ["violated"] * 3
         assert all(math.isfinite(r["best_constant"]) for r in results)
+
+
+def test_classify_overflowing_matrix_prints_no_warnings():
+    # the non-finite powers and means become verdicts, not numpy RuntimeWarnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["classify", "matrix:[[2,0],[0,1]]", "--probes", "pb,cb,uk", "--json"])
+    assert code == 0, err
+    assert [probe["result"]["status"] for probe in json.loads(out)["probes"]] == ["violated"] * 3
+
+
+def test_orbit_overflow_exits_1_naming_the_index():
+    # ||T^n e_1|| = (n + 1)^200 leaves double range at n = 34
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["orbit", "fshift:alpha=200", "--N", "400"])
+    assert code == 1
+    assert out == ""
+    assert "n=34" in err
 
 
 def test_classify_malformed_grammar_exits_2():

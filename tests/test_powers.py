@@ -33,9 +33,11 @@ from cesarolab.core import (
     scale,
     vec_add,
     vec_scale,
+    weight_product,
 )
 from cesarolab.powers import (
     CesaroSum,
+    _WindowOrbit,
     NormSeq,
     block_tz_power_check,
     cesaro_apply,
@@ -137,6 +139,38 @@ def test_power_norm_matches_attaining_basis_vector():
                     continue
                 best = max(best, p_norm(power_apply(spec, basis_vector(universe, j), n), 2))
             assert value == pytest.approx(best, rel=1e-12)
+
+
+def test_power_norm_is_exact_for_non_monotone_weights():
+    # the largest weight sits past a dense head of starts, or between complex roots of p
+    explicit = ForwardShift(NAT, Explicit((1.0,) * 9 + (7.0,), 1.0))
+    assert power_norm_exact(explicit, 1, 2) == 7.0
+    assert power_norm_exact(explicit, 3, 2) == 7.0
+    assert power_norm_exact(BackwardShift(NAT, Explicit((1.0,) * 9 + (7.0,), 1.0)), 2, 2) == 7.0
+    valley = PolyRatio(Polynomial((100.01, -20.0, 1.0)))  # (x - 10)^2 + 0.01: weight(10) = sqrt(1.01 / 0.01)
+    for spec in (ForwardShift(NAT, valley), BilateralShift(valley, forward=False)):
+        assert power_norm_exact(spec, 1, 2) == weight_product(valley, 10, 1) == pytest.approx(math.sqrt(101), rel=1e-12)
+    # log p is convex between 10 - 5 and 10 + 5, so the products peak inside, at start 15
+    wide = ForwardShift(NAT, PolyRatio(Polynomial((125.0, -20.0, 1.0))))  # (x - 10)^2 + 25
+    assert power_norm_exact(wide, 1, 2) == pytest.approx(math.sqrt(61.0 / 50.0), rel=1e-15)
+
+
+def test_power_norm_equals_the_largest_basis_orbit():
+    # sup over basis vectors, brute force over the starts where the weights vary
+    rules = [
+        Explicit((0.5, 3.0, 0.25, 2.0), 1.1),
+        Explicit((4.0,), 0.5),
+        PolyRatio(Polynomial((125.0, -20.0, 1.0))),
+        PolyRatio(Polynomial((2.0, -3.0, 1.5, 0.25))),
+    ]
+    specs = [cls(NAT, rule) for rule in rules for cls in (ForwardShift, BackwardShift)]
+    specs += [BilateralShift(rule, forward) for rule in rules[:3] for forward in (True, False)]
+    for spec in specs:
+        universe = INTS if isinstance(spec, BilateralShift) else NAT
+        for n in (1, 2, 5, 40):
+            best = max(p_norm(power_apply(spec, basis_vector(universe, j), n), 2)
+                       for j in range(-60 if universe is INTS else 1, 80))
+            assert power_norm_exact(spec, n, 2) == pytest.approx(best, rel=1e-12)
 
 
 def test_power_norm_diagonal_and_errors():
@@ -353,6 +387,99 @@ def test_block_path_matches_stepping():
                 _close(acc.norms(2), want.norms(2), summed / (n + 1))
                 _close(acc.sum, want.sum, summed)
                 _close(acc.state(), want.state(), power * p_norm(x, 2))
+
+
+def _translating_cases():
+    """(spec, x, y) on every translating-frame shape, each with a support of width 8."""
+    rng = np.random.default_rng(23)
+    fwd = ForwardShift(NAT, PowerRatio(0.4, 1))
+    return [
+        (fwd, rand_vec(NAT, rng, 3, 10), rand_vec(NAT, rng, 1, 40)),
+        # dies at step 5000, inside the first block of 8192 states
+        (BackwardShift(NAT, PowerRatio(0.25, 0)), make_vector(NAT, [(4993, 1.0), (4996, -0.5j), (5000, 2.0)]),
+         rand_vec(NAT, rng, 1, 30)),
+        (BilateralShift(Explicit((2.0, 0.5, 1.5), 0.9999)), rand_vec(INTS, rng, -4, 3), rand_vec(INTS, rng, -2, 20)),
+        (BilateralShift(PolyRatio(Polynomial((1.0, 0.0, 1.0))), forward=False), rand_vec(INTS, rng, -3, 4),
+         rand_vec(INTS, rng, -40, 0)),
+        (scale(0.999 * cmath.exp(0.4j), fwd), rand_vec(NAT, rng, 1, 8), rand_vec(NAT, rng, 1, 12)),
+        (ForwardShift(NAT, Explicit((1.5, 0.5, 3.0, 1.0, 0.25), 1.0)), rand_vec(NAT, rng, 1, 8), rand_vec(NAT, rng, 1, 30)),
+    ]
+
+
+def _stepping(make):
+    """make() with every product table refused, so its orbits and sums take the stepping loop."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_WindowOrbit, "_product_table", lambda self, n_max: False)
+        return make()
+
+
+def test_translating_frames_match_stepping():
+    # one-term shifts read states and sums off a product table; the reference is the stepping loop
+    lams = np.array([1.0, -1.0, 1j, cmath.exp(0.3j)])
+    block = 2**20 // (16 * 8)  # states per block at width 8
+    n_top = 3 * block + 7
+    ns = [0, 1, block - 1, block, block + 1, n_top]
+    for spec, x, y in _translating_cases():
+        assert make_orbit(spec, x, n_top).translating
+        ref_norms = _stepping(lambda: make_orbit(spec, x, n_top)).norms(2, n_top)
+        death = len(ref_norms) if len(ref_norms) < n_top else None
+        walker = _stepping(lambda: make_orbit(spec, x, n_top))
+        ref_states = [(walker.lo, walker.vals)]
+        for _ in range(len(ref_norms)):
+            walker.step()
+            ref_states.append((walker.lo, walker.vals))
+        ref_inners = _stepping(lambda: make_orbit(spec, x, n_top)).inners(y, n_top)
+        sizes = np.array([np.hypot.reduce(np.abs(v).ravel()) for _, v in ref_states])  # ||T^k x||
+        magnitudes = np.cumsum(sizes)
+        sums = [CesaroSum(spec, x, n_top), CesaroSum(spec, x, n_top, lams)]
+        ref_sums = _stepping(lambda: [CesaroSum(spec, x, n_top), CesaroSum(spec, x, n_top, lams)])
+        assert all(acc.closed for acc in sums) and not any(acc.closed for acc in ref_sums)
+        for n in ns:
+            dies = min(n, len(ref_norms))
+            orbit = make_orbit(spec, x, n_top)
+            _close(orbit.norms(2, n), ref_norms[:dies], sizes[1 : dies + 1])
+            assert orbit.dead == (death is not None and n >= death)
+            power = power_norm_exact(spec, dies, 2) if dies else 1.0
+            jump = make_orbit(spec, x, n_top)
+            jump.advance(n)
+            for state in (orbit, jump):
+                assert state.lo == ref_states[dies][0] and state.dead == orbit.dead
+                _close(state.vals, ref_states[dies][1], power * p_norm(x, 2))
+            inners = make_orbit(spec, x, n_top).inners(y, n)
+            _close(inners, ref_inners[:dies], sizes[1 : dies + 1] * p_norm(y, 2))
+            for acc, want in zip(sums, ref_sums):
+                acc.advance_to(n)
+                want.advance_to(n)
+                assert acc.stepped == want.stepped
+                summed = magnitudes[acc.stepped]
+                _close(acc.norms(2), want.norms(2), summed / (n + 1))
+                _close(acc.sum, want.sum, summed)
+                _close(acc.state(), want.state(), power * p_norm(x, 2))
+
+
+def test_translating_frame_falls_back_outside_double_range():
+    # W(u) = ((u + 1) / 1)^200 leaves double range at u = 35: the window steps, and the overflow is named
+    spec = ForwardShift(NAT, PowerRatio(200.0, 1))
+    x = basis_vector(NAT, 1)
+    assert not make_orbit(spec, x, 400).translating
+    assert not CesaroSum(spec, x, 400).closed
+    assert make_orbit(spec, x, 30).translating
+    with pytest.raises(FloatingPointError, match="n=34"):
+        orbit_norms(spec, x, 2, 400)
+    assert power_apply(spec, x, 20).entries == pytest.approx({21: 21.0**200}, rel=1e-13)
+
+
+def test_window_tables_stay_inside_the_universe():
+    # a backward window dies within its width; no table covers the 2^20-step horizon
+    x = make_vector(NAT, [(k, 1.0) for k in range(1, 33)])
+    bshift = BackwardShift(NAT, PowerRatio(0.25, 0))
+    translating = make_orbit(bshift, x, 2**20)
+    stepping = [_stepping(lambda: make_orbit(bshift, x, 2**20)), make_orbit(BlockTZ(bshift), PairVec(x, x), 2**20)]
+    assert len(translating._wt) <= 64
+    assert all(len(t) <= 64 for orbit in stepping for t in orbit.tables)
+    for orbit in (translating, *stepping):
+        norms = orbit.norms(2, 2**20)
+        assert orbit.dead and len(norms) <= 33 and norms[-1] == 0
 
 
 def test_cesaro_sum_of_a_constant_orbit_is_correctly_rounded():

@@ -1,0 +1,140 @@
+"""Property tests: translating-frame orbits and Cesàro sums against the n-fold core.apply oracle.
+
+Weighted shifts (forward and backward on N, bilateral both ways on Z) with
+power-ratio, polynomial-ratio and explicit weights, optionally times a
+complex scalar, act on random finitely supported vectors for up to a few
+hundred steps; power_norm_exact bounds every basis orbit.  Tolerances are the package's 1e-12, at the rounding scale of
+each quantity: ||T^n|| ||x|| for a state, ||T^k x|| for a norm, ||T^k x|| ||y||
+for an inner product and sum_k ||T^k x|| for a Cesàro sum.
+"""
+
+import cmath
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cesarolab.core import (
+    INTS,
+    basis_vector,
+    NAT,
+    BackwardShift,
+    BilateralShift,
+    Explicit,
+    ForwardShift,
+    PolyRatio,
+    Polynomial,
+    PowerRatio,
+    apply,
+    inner,
+    make_vector,
+    p_norm,
+    scale,
+)
+from cesarolab.powers import CesaroSum, make_orbit, power_apply, power_norm_exact
+
+SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+unit = st.floats(0.0, 2 * math.pi)
+explicit = st.builds(
+    Explicit, st.lists(st.floats(0.2, 3.0), max_size=6).map(tuple), st.floats(0.6, 1.4)
+)
+nat_rules = st.one_of(
+    st.builds(PowerRatio, st.floats(-1.0, 1.0), st.integers(1, 3)),
+    st.builds(
+        lambda c0, c1, c2: PolyRatio(Polynomial((c0, c1, c2))),
+        st.floats(0.1, 5.0), st.floats(0.0, 3.0), st.floats(0.0, 1.0),
+    ),
+    explicit,
+)
+# (x - a)^2 + d: even degree and positive on every integer
+int_rules = st.one_of(
+    st.builds(
+        lambda a, d: PolyRatio(Polynomial((a * a + d, -2.0 * a, 1.0))), st.floats(-6.0, 6.0), st.floats(0.1, 5.0)
+    ),
+    explicit,
+)
+
+
+@st.composite
+def shift_cases(draw):
+    kind = draw(st.sampled_from(["forward", "backward", "bilateral+", "bilateral-"]))
+    if kind.startswith("bilateral"):
+        spec = BilateralShift(draw(int_rules), forward=kind == "bilateral+")
+        universe, lo = INTS, draw(st.integers(-20, 20))
+    else:
+        spec = (ForwardShift if kind == "forward" else BackwardShift)(NAT, draw(nat_rules))
+        universe, lo = NAT, draw(st.integers(1, 20))
+    if draw(st.booleans()):
+        spec = scale(draw(st.floats(0.7, 1.3)) * cmath.exp(1j * draw(unit)), spec)
+    entry = st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)).filter(lambda z: abs(z) > 1e-3)
+    offsets = draw(st.dictionaries(st.integers(0, 10), entry, min_size=1, max_size=6))
+    x = make_vector(universe, [(lo + j, v) for j, v in offsets.items()])
+    y = make_vector(universe, [(k, 1.0 - 0.5j * (k - lo)) for k in range(lo - 3, lo + 14) if universe.contains(k)])
+    return spec, x, y, draw(st.integers(0, 300))
+
+
+def _oracle(spec, x, n):
+    """T^0 x .. T^k x by n-fold core.apply, ending early at the first zero state (included)."""
+    states = [x]
+    while len(states) <= n and (len(states) == 1 or states[-1].entries):
+        states.append(apply(spec, states[-1]))
+    return states
+
+
+def _dense(vec, lo, width):
+    out = np.zeros(width, dtype=complex)
+    for k, v in vec.entries.items():
+        out[k - lo] = v
+    return out
+
+
+def _close(got, want, scale_):
+    assert np.all(np.abs(np.asarray(got) - np.asarray(want)) <= 1e-12 * np.asarray(scale_) + 1e-300)
+
+
+@SETTINGS
+@given(shift_cases())
+def test_translating_states_norms_and_inners_match_apply(case):
+    spec, x, y, n = case
+    states = _oracle(spec, x, n)
+    sizes = np.array([p_norm(s, 2) for s in states])
+    orbit = make_orbit(spec, x, n)
+    assert orbit.translating
+    _close(orbit.norms(2, n), sizes[1:], sizes[1:])
+    _close(make_orbit(spec, x, n).inners(y, n), [inner(s, y) for s in states[1:]], sizes[1:] * p_norm(y, 2))
+    jump = make_orbit(spec, x, n)
+    jump.advance(n)
+    got, want = jump.to_sparse(), states[-1]
+    keys = sorted(set(got.entries) | set(want.entries))
+    bound = power_norm_exact(spec, len(states) - 1, 2) * p_norm(x, 2) if len(states) > 1 else p_norm(x, 2)
+    _close([got.entries.get(k, 0j) for k in keys], [want.entries.get(k, 0j) for k in keys], bound)
+
+
+@SETTINGS
+@given(shift_cases(), st.lists(unit, min_size=1, max_size=3))
+def test_translating_cesaro_sums_match_apply(case, angles):
+    spec, x, _, n = case
+    lams = np.exp(1j * np.array([0.0, *angles]))
+    acc = CesaroSum(spec, x, n, lams)
+    assert acc.closed
+    acc.advance_to(n)
+    states = _oracle(spec, x, n)
+    width = acc.sum.shape[2]
+    magnitude = sum(p_norm(s, 2) for s in states)
+    for i, lam in enumerate(lams):
+        want = sum(lam**k * _dense(s, acc.lo, width) for k, s in enumerate(states))
+        _close(acc.sum[i, 0], want, magnitude)
+        _close(acc.norms(2)[i], np.linalg.norm(want) / (n + 1), magnitude / (n + 1))
+
+
+@SETTINGS
+@given(shift_cases())
+def test_power_norm_bounds_basis_orbits(case):
+    spec, x, _, n = case
+    n = n % 40 + 1
+    universe = x.universe
+    starts = [j for j in range(min(x.entries) - 30, max(x.entries) + 30) if universe.contains(j)]
+    best = max(p_norm(power_apply(spec, basis_vector(universe, j), n), 2) for j in starts)
+    assert power_norm_exact(spec, n, 2) >= best * (1 - 1e-12)
