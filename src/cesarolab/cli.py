@@ -10,10 +10,12 @@ Exit codes: 0 success/match, 1 expectation mismatch or runtime failure,
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import sys
 import time
+from contextlib import redirect_stdout
 
 import numpy as np
 
@@ -300,49 +302,15 @@ def _make_report(command: str, operator: str, spec: OperatorSpec, probes: list[d
 # classify subcommand
 
 
-PROBE_TOKENS = ("acb", "uk", "pb", "cb", "kreiss", "sk", "me", "we")
-ERGODIC_N = {"mean": 2**14, "weak": 2**20}  # ladder lengths of `classify` and `probe ergodic`
-HC_N = 10**6
-
-
-def _run_named_probe(token: str, spec: OperatorSpec, cfg: ProbeConfig, seed: int) -> dict:
-    if token == "acb":
-        return {"probe": "absolutely_cesaro", "result": classify.acb_constant(spec, cfg).to_dict()}
-    if token == "uk":
-        return {"probe": "uniformly_kreiss", "result": classify.uniform_kreiss_probe(spec, cfg).to_dict()}
-    if token == "pb":
-        return {"probe": "power_bounded", "result": classify.power_bounded_probe(spec, cfg).to_dict()}
-    if token == "cb":
-        return {"probe": "cesaro_bounded", "result": classify.cesaro_bounded_probe(spec, cfg).to_dict()}
-    if token == "kreiss":
-        deltas = [2.0**-k for k in range(3, 17)]
-        return {"probe": "kreiss", "result": classify.kreiss_resolvent_constant(spec, deltas).to_dict()}
-    if token == "sk":
-        return {"probe": "strongly_kreiss", "result": classify.strong_kreiss_exp_probe(spec).to_dict()}
-    if token in ("me", "we"):
-        mode = "mean" if token == "me" else "weak"
-        overall, results = dynamics.ergodic_family(spec, mode, ERGODIC_N[mode], seed)
-        details = [{"vector": label, "status": v.status, "final_gap": v.final_gap} for label, v in results]
-        return {"probe": f"{mode}_ergodic", "result": {"status": overall, "probes": details}}
-    raise UsageError(f"unknown probe token {token!r} (choose from {', '.join(PROBE_TOKENS)})")
-
-
 def cmd_classify(args) -> int:
-    if args.replay:
-        return _replay(args)
+    tokens = [t.strip() for t in args.probes.split(",") if t.strip()]
+    unknown = [t for t in tokens if t not in zoo.TOKENS]
+    if unknown:
+        raise UsageError(f"unknown probe token {unknown[0]!r} (choose from {', '.join(zoo.TOKENS)})")
     seed = _parse_seed(args.seed)
-    spec, hints = parse_operator(args.operator)
-    entry = None
-    try:
-        entry = zoo.get_entry(args.operator.strip())
-    except KeyError:
-        pass
-    cfg = ProbeConfig(
-        n_max=args.n_max or 1024,
-        p=hints.get("p", 2.0),
-        tolerance=args.tol or 1e-9,
-        seed=seed,
-    )
+    entry = zoo.get_entry(args.operator.strip()) if args.operator.strip() in zoo.ENTRIES else None
+    spec, hints = (entry.spec, {}) if entry else parse_operator(args.operator)
+    cfg = ProbeConfig(n_max=args.n_max or 1024, p=hints.get("p", 2.0), tolerance=args.tol or 1e-9, seed=seed)
     probes: list[dict] = []
     timings: dict[str, float] = {}
     exit_code = 0
@@ -357,10 +325,12 @@ def cmd_classify(args) -> int:
         probes.append({"probe": "expected_table", "result": {"rows": rows, "all_match": all(c.passed for c in checks)}})
         if not all(c.passed for c in checks):
             exit_code = 1
-    for token in [t for t in (args.probes.split(",") if args.probes else []) if t]:
+    for token in tokens:
         t0 = time.perf_counter()
-        probes.append(_run_named_probe(token.strip(), spec, cfg, seed))
-        timings[token.strip()] = time.perf_counter() - t0
+        probe = zoo.TOKENS[token]
+        result, _ = probe.run(spec, zoo.Profile(cfg))
+        probes.append({"probe": probe.name, "result": result})
+        timings[token] = time.perf_counter() - t0
     config = {
         "operator": args.operator,
         "probes": args.probes or "",
@@ -430,8 +400,6 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_isometry(args) -> int:
-    if args.replay:
-        return _replay(args)
     seed = _parse_seed(args.seed)
     spec, _ = parse_operator(args.operator)
     cfg = ProbeConfig(basis_probes=8, seeded_probes=8, seed=seed, tolerance=args.tol or 1e-9)
@@ -473,9 +441,10 @@ def cmd_isometry(args) -> int:
 # probe subcommand
 
 
+HC_N = 10**6
+
+
 def cmd_probe(args) -> int:
-    if args.replay:
-        return _replay(args)
     if not args.mode:
         raise UsageError("probe needs a mode: mixing, chaos, hc, or ergodic")
     seed = _parse_seed(args.seed)
@@ -484,12 +453,9 @@ def cmd_probe(args) -> int:
     payload: dict
     n_max = None  # mixing and chaos take no N
     if mode == "mixing":
-        if not isinstance(spec, BackwardShift):
-            raise UsageError("mixing probe needs a backward shift operator")
-        verdict = dynamics.mixing_criterion_backward_shift(spec.rule)
-        payload = verdict.to_dict()
-        lines = [f"mixing {args.operator}: {verdict.status}",
-                 f"  final inverse product: {verdict.samples[-1][1]!r} at n={verdict.samples[-1][0]}"]
+        payload, status = zoo.PROBES["mixing"].run(spec, zoo.Profile(ProbeConfig(seed=seed)))
+        n, product = payload["samples"][-1]
+        lines = [f"mixing {args.operator}: {status}", f"  final inverse product: {product!r} at n={n}"]
     elif mode == "chaos":
         poly = hints.get("polynomial")
         if poly is None:
@@ -514,7 +480,7 @@ def cmd_probe(args) -> int:
             f"  N={report_obj.n_used} max|value|={report_obj.orbit_magnitude_max:.6g}",
         ]
     elif mode == "ergodic":
-        n_max = int(ERGODIC_N["weak" if args.weak else "mean"] if args.N is None else args.N)
+        n_max = int((zoo.Profile.weak_n if args.weak else zoo.MEAN_N) if args.N is None else args.N)
         x = parse_vector(args.x or "seeded", spec, seed)
         if args.weak:
             y = parse_vector(args.y, spec, seed, index=1) if args.y else x
@@ -535,6 +501,7 @@ def cmd_probe(args) -> int:
         "x": args.x,
         "y": args.y,
         "weak": bool(getattr(args, "weak", False)),
+        "verbose": args.verbose,
     }
     report = _make_report("probe", args.operator, spec, [{"probe": mode, "result": payload}], config)
     _emit(args, report, lines)
@@ -549,9 +516,6 @@ def cmd_zoo(args) -> int:
     if args.action != "list":
         raise UsageError("supported: zoo list")
     entries = zoo.all_entries()
-    if args.json:
-        _emit(args, [e.to_dict() for e in entries], [])
-        return 0
     lines = []
     for e in entries:
         expected = ", ".join(f"{r.probe}={r.expected}" for r in e.expected)
@@ -565,47 +529,19 @@ def cmd_zoo(args) -> int:
 
 
 def _replay(args) -> int:
+    """Re-run a report's command, its stored config (keyed by ``dest`` names) over the defaults; compare verdicts."""
     with open(args.replay, "r", encoding="utf-8") as fh:
         original = json.load(fh)
     command = original.get("command")
-    config = original.get("config", {})
-    argv = [command, config["operator"], "--seed", hex(config.get("seed", DEFAULT_SEED)), "--json"]
-    if command == "classify":
-        if config.get("probes"):
-            argv += ["--probes", config["probes"]]
-        if config.get("n_max"):
-            argv += ["--n-max", str(config["n_max"])]
-        if config.get("tol"):
-            argv += ["--tol", repr(config["tol"])]
-    elif command == "probe":
-        argv = [command, config["mode"], config["operator"], "--seed", hex(config.get("seed", DEFAULT_SEED)), "--json"]
-        if config.get("N"):
-            argv += ["--N", str(config["N"])]
-        if config.get("R"):
-            argv += ["--R", repr(config["R"])]
-        if config.get("cell"):
-            argv += ["--cell", repr(config["cell"])]
-        if config.get("x"):
-            argv += ["--x", config["x"]]
-        if config.get("y"):
-            argv += ["--y", config["y"]]
-        if config.get("weak"):
-            argv += ["--weak"]
-    elif command == "isometry":
-        argv += ["--m-max", str(config.get("m_max", 8))]
-    else:
+    if command not in ("classify", "isometry", "probe"):
         raise UsageError(f"cannot replay command {command!r}")
-    import io
-    from contextlib import redirect_stdout
-
+    fresh = build_parser().parse_args([command])
+    stored = {k: v for k, v in original.get("config", {}).items() if k in vars(fresh) and k not in ("func", "replay")}
+    vars(fresh).update(stored, json=True, out=None)
     buffer = io.StringIO()
     with redirect_stdout(buffer):
-        code = main(argv)
-    if code not in (0, 1):
-        print("replay run failed", file=sys.stderr)
-        return 1
-    fresh = json.loads(buffer.getvalue())
-    match = fresh.get("probes") == original.get("probes")
+        fresh.func(fresh)
+    match = json.loads(buffer.getvalue()).get("probes") == original.get("probes")
     print("replay: verdicts match" if match else "replay: MISMATCH")
     return 0 if match else 1
 
@@ -626,8 +562,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true", help="emit the JSON report document")
     p.add_argument("--seed", default=None, help="RNG seed (hex like 0xCE5A70 or decimal)")
     p.add_argument("--out", default=None, help="write output to this path")
-    p.add_argument("--tol", type=float, default=None, help="probe tolerance")
-    p.add_argument("--timing", action="store_true", help="include wall times in the report")
     p.add_argument("--replay", default=None, help="re-run from a report document and compare")
 
 
@@ -649,8 +583,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_cls = sub.add_parser("classify", help="run boundedness probes", epilog=GRAMMAR_HELP,
                            formatter_class=argparse.RawDescriptionHelpFormatter)
     p_cls.add_argument("operator", nargs="?", default="")
-    p_cls.add_argument("--probes", default="", help="comma list: acb,uk,pb,cb,kreiss,sk,me,we")
+    tokens = ", ".join(f"{t} ({probe.name})" for t, probe in zoo.TOKENS.items())
+    p_cls.add_argument("--probes", default="", help=f"comma list of tokens: {tokens}")
     p_cls.add_argument("--n-max", dest="n_max", type=int, default=None)
+    p_cls.add_argument("--timing", action="store_true", help="include wall times in the report")
+    p_cls.add_argument("--tol", type=float, default=None, help="probe tolerance")
     _add_common(p_cls)
     p_cls.set_defaults(func=cmd_classify)
 
@@ -667,6 +604,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_iso = sub.add_parser("isometry", help="defect table, strict order, covariance forms")
     p_iso.add_argument("operator", nargs="?", default="")
     p_iso.add_argument("--m-max", dest="m_max", type=int, default=8)
+    p_iso.add_argument("--tol", type=float, default=None, help="probe tolerance")
     _add_common(p_iso)
     p_iso.set_defaults(func=cmd_isometry)
 
@@ -693,7 +631,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return _replay(args) if getattr(args, "replay", None) else args.func(args)
     except OperatorParseError as exc:
         print(exc.pretty(), file=sys.stderr)
         return 2

@@ -454,7 +454,10 @@ def weight_product(rule: WeightRule, start: int, count: int) -> float:
         lo = start - 1 + rule.offset
         if lo < 1:
             raise ParameterError(f"power-ratio product undefined from index {start} (offset {rule.offset})")
-        return (hi / lo) ** rule.alpha
+        try:
+            return (hi / lo) ** rule.alpha
+        except OverflowError:  # saturates, as in the Explicit branch below
+            return math.inf
     if isinstance(rule, PolyRatio):
         a, b = rule.p(float(start)), rule.p(float(start + count))
         if not (a > 0 and b > 0):

@@ -313,7 +313,19 @@ class _Orbit:
         return self._walk(count, lambda: self.norm(p), float)
 
     def inners(self, y, count: int) -> np.ndarray:
-        """<T^k x, y> for the next count steps; shorter when the orbit dies, ending at the zero state."""
+        """<T^k x, y> for the next count steps; shorter when the orbit dies, ending at the zero state.
+
+        A pairing that is not finite raises FloatingPointError naming its k.
+        """
+        first = self.steps + 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = self._inners(y, count)
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise FloatingPointError(f"<T^n x, y> is not finite at n={first + bad[0]}: the orbit overflows")
+        return values
+
+    def _inners(self, y, count: int) -> np.ndarray:
         if self.fixed:
             ylo, yv = _dense(y)
             frame = np.zeros_like(self.vals)

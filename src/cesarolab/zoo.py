@@ -1,16 +1,19 @@
-"""Named constructors for the package's concrete operators.
+"""Named constructors for the package's concrete operators, and the probe registry.
 
 Every entry carries an expected-properties table (probe name, expected
 verdict, one-line claim) that the acceptance suite and the CLI replay at
-desk scale.  Defaults follow the Hilbert-space setting (p = 2) and the
-4-dimensional diagonal-plus-nilpotent construction with chain length 2.
+desk scale.  ``PROBES`` maps each probe name to the code that runs it, for
+these tables and for ``cesarolab classify --probes`` alike.  Defaults
+follow the Hilbert-space setting (p = 2) and the 4-dimensional
+diagonal-plus-nilpotent construction with chain length 2.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
+from typing import Callable
 
 from .core import (
     NAT,
@@ -27,8 +30,10 @@ from .core import (
     OperatorSpec,
     ParameterError,
     PowerRatio,
+    describe,
     to_matrix,
 )
+from . import classify, dynamics, isometry
 from .classify import DEFAULT_SEED, ProbeConfig, adversarial_vector
 
 __all__ = [
@@ -50,6 +55,11 @@ __all__ = [
     "RATIONALLY_INDEPENDENT",
     "all_entries",
     "get_entry",
+    "ENTRIES",
+    "MEAN_N",
+    "Profile",
+    "PROBES",
+    "TOKENS",
     "verify_entry",
 ]
 
@@ -62,6 +72,7 @@ class ExpectedRow:
     probe: str
     expected: str
     claim: str
+    overrides: dict = field(default_factory=dict, compare=False)  # ProbeConfig fields set for this row
 
 
 @dataclass(frozen=True)
@@ -73,8 +84,6 @@ class ZooEntry:
     notes: str = ""
 
     def to_dict(self) -> dict:
-        from .core import describe
-
         return {
             "id": self.entry_id,
             "description": self.description,
@@ -166,7 +175,8 @@ def forward_kreiss_shift(alpha: float = 0.4) -> ZooEntry:
         raise ParameterError(f"alpha must lie in (0, 1/2), got {alpha}")
     spec = ForwardShift(NAT, PowerRatio(alpha, 1))
     expected = (
-        ExpectedRow("uniformly_kreiss", "bounded", "unimodular-averaged powers stay bounded"),
+        ExpectedRow("uniformly_kreiss", "bounded", "unimodular-averaged powers stay bounded",
+                    {"n_max": 2**10, "seeded_probes": 6, "basis_probes": 4}),
         ExpectedRow("absolutely_cesaro", "violated", "orbit of e_1 has norms (n+1)^alpha"),
     )
     return ZooEntry(
@@ -182,7 +192,8 @@ def non_cesaro_backward_shift(p: float = 2.0) -> ZooEntry:
     if p < 1:
         raise ParameterError("p must be >= 1")
     spec = BackwardShift(NAT, PowerRatio(1.0 / p, 0))
-    expected = (ExpectedRow("cesaro_bounded", "violated", "flat-window vectors force log growth"),)
+    expected = (ExpectedRow("cesaro_bounded", "violated", "flat-window vectors force log growth",
+                            {"n_max": 2**14, "seeded_probes": 4, "basis_probes": 4}),)
     return ZooEntry(
         "noncesaro-bshift",
         f"backward shift with weights (j/(j-1))^(1/{p:g}) on ell^{p:g}",
@@ -196,7 +207,8 @@ def two_isometry_embedding() -> ZooEntry:
     spec = DuplicatingShift()
     expected = (
         ExpectedRow("strict_order", "2", "squared orbit norms are exact linear polynomials"),
-        ExpectedRow("cesaro_bounded", "violated", "averages accumulate the duplicated head"),
+        ExpectedRow("cesaro_bounded", "violated", "averages accumulate the duplicated head",
+                    {"n_max": 2**10, "seeded_probes": 4, "basis_probes": 4}),
     )
     return ZooEntry(
         "embed2iso",
@@ -208,10 +220,8 @@ def two_isometry_embedding() -> ZooEntry:
 
 def block_tz(inner: OperatorSpec, entry_id: str = "blocktz", description: str = "") -> ZooEntry:
     """BlockTZ entry; the Cesàro row is instantiated from a power probe of the inner operator."""
-    from .classify import power_bounded_probe
-
     spec: OperatorSpec = BlockTZ(inner)
-    inner_pb = power_bounded_probe(inner, ProbeConfig(n_max=512, basis_probes=6, seeded_probes=6))
+    inner_pb = classify.power_bounded_probe(inner, ProbeConfig(n_max=512, basis_probes=6, seeded_probes=6))
     cb_expected = "bounded" if inner_pb.bounded() else "violated"
     expected = (
         ExpectedRow(
@@ -286,85 +296,121 @@ def rotation_control() -> ZooEntry:
     )
 
 
-def all_entries() -> list[ZooEntry]:
-    return [
-        assani(),
-        lambda_block(),
-        acb_backward_shift(),
-        forward_kreiss_shift(),
-        non_cesaro_backward_shift(),
-        two_isometry_embedding(),
-        _blocktz_bilateral_entry(),
-        _blocktz_nilpotent_entry(),
-        diag_nilpotent_3isometry(),
-        rotation_control(),
-    ]
-
-
-def get_entry(entry_id: str) -> ZooEntry:
-    for entry in all_entries():
-        if entry.entry_id == entry_id:
-            return entry
-    raise KeyError(f"no zoo entry named {entry_id!r}")
-
-
-# ---------------------------------------------------------------------------
-# expected-table verification
-
-
-_PROFILES: dict[tuple[str, str], dict] = {
-    ("noncesaro-bshift", "cesaro_bounded"): {"n_max": 2**14, "seeded_probes": 4, "basis_probes": 4},
-    ("kreiss-fshift", "uniformly_kreiss"): {"n_max": 2**10, "seeded_probes": 6, "basis_probes": 4},
-    ("embed2iso", "cesaro_bounded"): {"n_max": 2**10, "seeded_probes": 4, "basis_probes": 4},
+ENTRIES = {  # zoo id -> constructor at the default parameters
+    "assani": assani, "lambda-block": lambda_block, "acb-bshift": acb_backward_shift,
+    "kreiss-fshift": forward_kreiss_shift, "noncesaro-bshift": non_cesaro_backward_shift,
+    "embed2iso": two_isometry_embedding, "blocktz-bilateral": _blocktz_bilateral_entry,
+    "blocktz-nilpotent": _blocktz_nilpotent_entry, "hyper4": diag_nilpotent_3isometry, "rotation": rotation_control,
 }
 
 
-def _probe_cfg(entry_id: str, probe: str, seed: int) -> ProbeConfig:
-    kwargs = {"n_max": 1024, "basis_probes": 8, "seeded_probes": 8, "seed": seed}
-    kwargs.update(_PROFILES.get((entry_id, probe), {}))
-    return ProbeConfig(**kwargs)
+def all_entries() -> list[ZooEntry]:
+    return [make() for make in ENTRIES.values()]
 
 
-def _run_probe(entry: ZooEntry, probe: str, seed: int) -> str:
-    from . import classify, dynamics, isometry
+def get_entry(entry_id: str) -> ZooEntry:
+    if entry_id not in ENTRIES:
+        raise KeyError(f"no zoo entry named {entry_id!r}")
+    return ENTRIES[entry_id]()
 
-    spec = entry.spec
-    cfg = _probe_cfg(entry.entry_id, probe, seed)
-    boundedness = {
-        "power_bounded": classify.power_bounded_probe,
-        "cesaro_bounded": classify.cesaro_bounded_probe,
-        "absolutely_cesaro": classify.acb_constant,
-        "uniformly_kreiss": classify.uniform_kreiss_probe,
-    }
-    if probe in boundedness:
-        v = boundedness[probe](spec, cfg)
-        return "bounded" if v.bounded() else v.status
-    if probe == "strict_order":
-        order = isometry.strict_order(spec, 8, cfg)
-        return "none" if order is None else str(order)
-    if probe == "mean_ergodic":
-        return dynamics.ergodic_family(spec, "mean", 2**14, seed)[0]
-    if probe == "weak_ergodic":
-        return dynamics.ergodic_family(spec, "weak", 2**24, seed)[0]
-    if probe == "mixing":
-        if not isinstance(spec, BackwardShift):
-            raise ParameterError("mixing probe applies to backward shifts")
-        return dynamics.mixing_criterion_backward_shift(spec.rule).status
-    if probe == "covariance_kernel":
-        return isometry.covariance_injectivity_probe(spec).status
-    if probe == "coverage_increasing":
-        from .dynamics import balanced_witness, hypercyclicity_probe
 
-        w = balanced_witness(spec, seed)
-        counts = [len(hypercyclicity_probe(spec, w, w, n).hits) for n in (2**7, 2**10, 2**13)]
-        return "increasing" if counts[0] < counts[1] < counts[2] else "stalled"
-    raise ParameterError(f"unknown probe {probe!r} in expected table")
+# ---------------------------------------------------------------------------
+# the probe registry, shared by `classify` and the expected tables
+
+
+MEAN_N = 2**14  # mean-ergodic ladder length, for `classify`, `probe ergodic` and the tables
+
+
+@dataclass(frozen=True)
+class Profile:
+    """What a probe reads besides the operator: probe settings and the weak-ergodic ladder length.
+
+    ``Profile(cfg)`` is the command-line profile; ``Profile.table(seed)`` is
+    the one the expected tables run on.  Its weak ladder goes to 2^24: at
+    2^20 the blocktz-bilateral family still reads ``inconclusive``.
+    """
+
+    cfg: ProbeConfig
+    weak_n: int = 2**20
+
+    @classmethod
+    def table(cls, seed: int) -> Profile:
+        return cls(ProbeConfig(basis_probes=8, seeded_probes=8, seed=seed), weak_n=2**24)
+
+
+KREISS_DELTAS = tuple(2.0**-k for k in range(3, 17))
+
+
+@dataclass(frozen=True)
+class Probe:
+    """A report name, its ``--probes`` token (None: expected tables only) and
+    ``run(spec, profile) -> (report result, table status)``."""
+
+    name: str
+    token: str | None
+    run: Callable[[OperatorSpec, Profile], tuple[dict, str]]
+
+
+def _verdict(v) -> tuple[dict, str]:
+    """A verdict's report result and table status; a class verdict within its bound reads ``bounded``."""
+    return v.to_dict(), "bounded" if isinstance(v, classify.ClassVerdict) and v.bounded() else v.status
+
+
+def _ergodic(mode: str):
+    def run(spec: OperatorSpec, prof: Profile) -> tuple[dict, str]:
+        n_max = MEAN_N if mode == "mean" else prof.weak_n
+        overall, results = dynamics.ergodic_family(spec, mode, n_max, prof.cfg.seed)
+        details = [{"vector": label, "status": v.status, "final_gap": v.final_gap} for label, v in results]
+        return {"status": overall, "probes": details}, overall
+
+    return run
+
+
+def _strict_order(spec: OperatorSpec, prof: Profile) -> tuple[dict, str]:
+    order = isometry.strict_order(spec, 8, prof.cfg)
+    return {"strict_order": order}, "none" if order is None else str(order)
+
+
+def _mixing(spec: OperatorSpec, prof: Profile) -> tuple[dict, str]:
+    if not isinstance(spec, BackwardShift):
+        raise ParameterError("mixing probe needs a backward shift operator")
+    return _verdict(dynamics.mixing_criterion_backward_shift(spec.rule))
+
+
+def _coverage(spec: OperatorSpec, prof: Profile) -> tuple[dict, str]:
+    w = dynamics.balanced_witness(spec, prof.cfg.seed)
+    counts = [len(dynamics.hypercyclicity_probe(spec, w, w, n).hits) for n in (2**7, 2**10, 2**13)]
+    status = "increasing" if counts[0] < counts[1] < counts[2] else "stalled"
+    return {"status": status, "hit_counts": counts}, status
+
+
+# Module functions are looked up at call time, so wrappers installed on them are seen.
+PROBES = {
+    probe.name: probe
+    for probe in (
+        Probe("absolutely_cesaro", "acb", lambda s, pr: _verdict(classify.acb_constant(s, pr.cfg))),
+        Probe("uniformly_kreiss", "uk", lambda s, pr: _verdict(classify.uniform_kreiss_probe(s, pr.cfg))),
+        Probe("power_bounded", "pb", lambda s, pr: _verdict(classify.power_bounded_probe(s, pr.cfg))),
+        Probe("cesaro_bounded", "cb", lambda s, pr: _verdict(classify.cesaro_bounded_probe(s, pr.cfg))),
+        Probe("kreiss", "kreiss", lambda s, pr: _verdict(classify.kreiss_resolvent_constant(s, KREISS_DELTAS))),
+        Probe("strongly_kreiss", "sk", lambda s, pr: _verdict(classify.strong_kreiss_exp_probe(s))),
+        Probe("mean_ergodic", "me", _ergodic("mean")),
+        Probe("weak_ergodic", "we", _ergodic("weak")),
+        Probe("strict_order", None, _strict_order),
+        Probe("mixing", None, _mixing),
+        Probe("covariance_kernel", None, lambda s, pr: _verdict(isometry.covariance_injectivity_probe(s))),
+        Probe("coverage_increasing", None, _coverage),
+    )
+}
+TOKENS = {probe.token: probe for probe in PROBES.values() if probe.token}
 
 
 def verify_entry(entry: ZooEntry, seed: int = DEFAULT_SEED) -> list[RowCheck]:
-    """Run every expected-table row at desk scale and report matches."""
+    """Run every expected-table row on the table profile, with the row's overrides, and report matches."""
+    table = Profile.table(seed)
     checks = []
     for row in entry.expected:
-        actual = _run_probe(entry, row.probe, seed)
+        profile = replace(table, cfg=replace(table.cfg, **row.overrides))
+        _, actual = PROBES[row.probe].run(entry.spec, profile)
         checks.append(RowCheck(row, actual, actual == row.expected))
     return checks

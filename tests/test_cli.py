@@ -6,6 +6,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from cesarolab import zoo
 from cesarolab.cli import main, parse_operator, parse_vector, OperatorParseError
 from cesarolab.core import (
     BackwardShift,
@@ -14,6 +15,8 @@ from cesarolab.core import (
     FiniteMatrix,
     ForwardShift,
     PairVec,
+    PowerRatio,
+    weight_product,
 )
 
 
@@ -163,6 +166,36 @@ def test_orbit_overflow_exits_1_naming_the_index():
     assert "n=34" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["orbit", "fshift:alpha=200", "--N", "60", "--vector", "e1", "--pair", "e40"],
+        ["probe", "hc", "fshift:alpha=200", "--x", "e1", "--y", "e40", "--N", "100"],
+        ["probe", "ergodic", "fshift:alpha=200", "--weak", "--x", "e1", "--y", "e40", "--N", "64"],
+    ],
+)
+def test_pairing_overflow_exits_1_naming_the_index(argv):
+    # <T^39 e_1, e_40> = 40^200 leaves double range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(argv)
+    assert code == 1
+    assert out == ""
+    assert "n=39" in err
+
+
+def test_power_bounded_overflowing_power_ratio_is_violated():
+    # ||T^n|| = (n + 1)^200 overflows at n = 34; the product saturates instead of raising
+    assert weight_product(PowerRatio(200.0, 1), 1, 40) == math.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["classify", "fshift:alpha=200", "--probes", "pb", "--json"])
+    assert code == 0, err
+    result = json.loads(out)["probes"][0]["result"]
+    assert result["status"] == "violated"
+    assert result["parameters"]["non_finite_at"] == 34
+
+
 def test_classify_malformed_grammar_exits_2():
     code, _, err = run_cli(["classify", "matrix:[[1,2],[3]]", "--probes", "cb"])
     assert code == 2
@@ -303,6 +336,92 @@ def test_probe_replay_roundtrip(tmp_path):
     code, _, err = run_cli(["probe"])
     assert code == 2
     assert "mode" in err
+
+
+def test_isometry_replay_keeps_tolerance(tmp_path):
+    # at tol 2 the unilateral shift also passes m = 1, which the default tolerance rejects
+    path = tmp_path / "iso.json"
+    code, _, _ = run_cli(["isometry", "polyshift:p=0,1", "--m-max", "3", "--tol", "2", "--json", "--out", str(path)])
+    assert code == 0
+    assert json.loads(path.read_text())["config"]["tol"] == 2.0
+    code, out, _ = run_cli(["isometry", "--replay", str(path)])
+    assert code == 0
+    assert "verdicts match" in out
+
+
+def test_probe_replay_keeps_verbose(tmp_path):
+    path = tmp_path / "hc.json"
+    code, _, _ = run_cli(["probe", "hc", "hyper4", "--N", "2000", "--verbose", "--json", "--out", str(path)])
+    assert code == 0
+    assert json.loads(path.read_text())["config"]["verbose"] is True
+    code, out, _ = run_cli(["probe", "--replay", str(path)])
+    assert code == 0
+    assert "verdicts match" in out
+
+
+def test_replay_overlays_only_parser_settings(tmp_path):
+    # report keys that are not settings of the command (`func`, a stale `p`) must not reach the run
+    path = tmp_path / "report.json"
+    code, _, _ = run_cli(["classify", "rotation", "--probes", "pb", "--n-max", "64", "--json", "--out", str(path)])
+    assert code == 0
+    report = json.loads(path.read_text())
+    report["config"].update(func="x", replay="elsewhere.json", p=3.0)
+    path.write_text(json.dumps(report))
+    code, out, _ = run_cli(["classify", "--replay", str(path)])
+    assert code == 0
+    assert "verdicts match" in out
+
+
+def test_probe_mixing_needs_a_backward_shift():
+    code, _, err = run_cli(["probe", "mixing", "fshift:alpha=0.4"])
+    assert code == 2
+    assert "backward shift" in err
+
+
+def test_ignored_flags_are_not_accepted():
+    assert run_cli(["probe", "mixing", "bshift:alpha=0.25", "--tol", "2"])[0] == 2
+    assert run_cli(["probe", "mixing", "bshift:alpha=0.25", "--timing"])[0] == 2
+    assert run_cli(["isometry", "rotation", "--m-max", "2", "--timing"])[0] == 2
+    code, out, _ = run_cli(["classify", "matrix:[[0.5]]", "--probes", "pb", "--tol", "1e-6", "--timing", "--json"])
+    assert code == 0
+    assert set(json.loads(out)["timing"]) == {"pb"}
+
+
+def test_unknown_probe_token_exits_2_before_the_table(monkeypatch):
+    calls = []
+    monkeypatch.setattr(zoo, "verify_entry", lambda *a, **k: calls.append(a))
+    code, _, err = run_cli(["classify", "blocktz-bilateral", "--probes", "cb,zz"])
+    assert code == 2
+    assert "'zz'" in err
+    assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# probe registry
+
+
+def test_every_expected_row_is_a_registry_probe():
+    for entry in zoo.all_entries():
+        assert zoo.get_entry(entry.entry_id).entry_id == entry.entry_id
+        for row in entry.expected:
+            assert row.probe in zoo.PROBES
+
+
+@pytest.mark.parametrize("token", list(zoo.TOKENS))
+def test_token_reports_under_its_registry_name(token):
+    code, out, err = run_cli(["classify", "matrix:[[0.5,1],[0,0.5]]", "--probes", token, "--n-max", "64", "--json"])
+    assert code == 0, err
+    assert [item["probe"] for item in json.loads(out)["probes"]] == [zoo.TOKENS[token].name]
+
+
+@pytest.mark.parametrize("operator", ["rotation", "diag:0.5,dim=3"])
+def test_classify_replay_roundtrip_on_zoo_id_and_spec(tmp_path, operator):
+    path = tmp_path / "report.json"
+    code, _, _ = run_cli(["classify", operator, "--probes", "pb,me", "--n-max", "128", "--seed", "7", "--json", "--out", str(path)])
+    assert code == 0
+    code, out, _ = run_cli(["classify", "--replay", str(path)])
+    assert code == 0
+    assert "verdicts match" in out
 
 
 def test_exit_code_contract():
