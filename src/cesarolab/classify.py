@@ -258,14 +258,20 @@ def lambda_grid(samples: int) -> np.ndarray:
 
 
 def acb_constant(spec: OperatorSpec, cfg: ProbeConfig) -> ClassVerdict:
-    """Best constant in (1/N) sum_{j<=N} ||T^j x|| over unit probes, N <= n_max."""
+    """Best constant in (1/N) sum_{j<=N} ||T^j x|| over unit probes, N <= n_max.
+
+    Each probe's averages are judged on their finite prefix (see ``_cut``).
+    """
     best = 0.0
     best_witness = None
     violated_witness = None
+    params = cfg.echo(probe="absolutely_cesaro_bounded")
     for label, x in probe_vectors(spec, cfg):
-        norms = make_orbit(spec, x, cfg.n_max).norms(cfg.p, cfg.n_max)
-        # prefix sums in extended precision stand in for a compensated running sum
-        avgs = (np.cumsum(norms, dtype=np.longdouble) / np.arange(1, len(norms) + 1)).astype(float).tolist()
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms = make_orbit(spec, x, cfg.n_max).norms(cfg.p, cfg.n_max)
+            # prefix sums in extended precision stand in for a compensated running sum
+            avgs = (np.cumsum(norms, dtype=np.longdouble) / np.arange(1, len(norms) + 1)).astype(float)
+        avgs = avgs[: _cut(range(1, len(avgs) + 1), avgs, params)].tolist()
         if avgs and max(avgs) > best:
             best = max(avgs)
             best_witness = {"vector": label, "N": avgs.index(best) + 1, "value": best}
@@ -273,14 +279,31 @@ def acb_constant(spec: OperatorSpec, cfg: ProbeConfig) -> ClassVerdict:
         hit, wn, wv = dyadic_divergence(checkpoints)
         if hit and violated_witness is None:
             violated_witness = {"spec": describe(spec), "vector": label, "N": wn, "value": wv}
-    params = cfg.echo(probe="absolutely_cesaro_bounded")
     if violated_witness is not None:
         return ClassVerdict(
             "absolutely_cesaro_bounded", "violated", "probe", cfg.n_max, best, violated_witness, params
         )
     return ClassVerdict(
-        "absolutely_cesaro_bounded", "bounded_up_to", "probe", cfg.n_max, best, best_witness, params
+        "absolutely_cesaro_bounded", _unviolated(params), "probe", cfg.n_max, best, best_witness, params
     )
+
+
+def _cut(ns, values, params: dict) -> int:
+    """Length of a series (values at the indices ns) before its first non-finite value.
+
+    The least such index over the series judged is ``non_finite_at``.
+    """
+    bad = np.flatnonzero(~np.isfinite(np.asarray(values, dtype=float)))
+    if bad.size:
+        n = int(ns[bad[0]])
+        params["non_finite_at"] = min(n, params.get("non_finite_at", n))
+        return int(bad[0])
+    return len(values)
+
+
+def _unviolated(params: dict) -> str:
+    """Status of probe evidence that never diverged: a series cut by a non-finite value is never bounded."""
+    return "inconclusive" if "non_finite_at" in params else "bounded_up_to"
 
 
 def _exact_norm_values(spec, cfg) -> list[tuple[int, float]] | None:
@@ -300,29 +323,23 @@ def power_bounded_probe(spec: OperatorSpec, cfg: ProbeConfig) -> ClassVerdict:
     sup_vec = np.zeros(cfg.n_max, dtype=int)
     reached = 0
     for i, (label, x) in enumerate(probes):
-        norms = make_orbit(spec, x, cfg.n_max).norms(cfg.p, cfg.n_max)
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms = make_orbit(spec, x, cfg.n_max).norms(cfg.p, cfg.n_max)
+        norms[np.isnan(norms)] = np.inf  # a NaN norm is non-finite too, and must win the supremum
         better = np.flatnonzero(norms > sup[: len(norms)])
         sup[better] = norms[better]
         sup_vec[better] = i
         reached = max(reached, len(norms))
-    values = list(enumerate(sup[:reached].tolist(), start=1)) or [(1, 0.0)]
+    params = cfg.echo(probe="power_bounded")
+    values = list(enumerate(sup[: _cut(range(1, reached + 1), sup[:reached], params)].tolist(), start=1)) or [(1, 0.0)]
     best_n, best = max(values, key=lambda t: t[1])
     hit, wn, wv = dyadic_divergence(values)
-    params = cfg.echo(probe="power_bounded")
     if hit:
         witness = {"spec": describe(spec), "n": wn, "value": wv, "vector": probes[sup_vec[wn - 1]][0]}
         return ClassVerdict("power_bounded", "violated", "probe", cfg.n_max, best, witness, params)
     return ClassVerdict(
-        "power_bounded", "bounded_up_to", "probe", cfg.n_max, best, {"n": best_n, "value": best}, params
+        "power_bounded", _unviolated(params), "probe", cfg.n_max, best, {"n": best_n, "value": best}, params
     )
-
-
-def _finite_prefix(values: list[tuple[int, float]]) -> tuple[list[tuple[int, float]], int | None]:
-    """(the series before its first non-finite value, the n of that value or None)."""
-    for i, (n, v) in enumerate(values):
-        if not math.isfinite(v):
-            return values[:i], n
-    return values, None
 
 
 def _exact_verdict(class_name: str, spec, cfg: ProbeConfig, values, params: dict) -> ClassVerdict:
@@ -332,17 +349,14 @@ def _exact_verdict(class_name: str, spec, cfg: ProbeConfig, values, params: dict
     by a non-finite value is otherwise ``inconclusive``, never bounded.  A
     cut records its index as ``non_finite_at``.
     """
-    values, non_finite_at = _finite_prefix(values)
-    if non_finite_at is not None:
-        params["non_finite_at"] = non_finite_at
+    values = values[: _cut([n for n, _ in values], [v for _, v in values], params)]
     best_n, best = max(values, key=lambda t: t[1], default=(None, 0.0))
     hit, wn, wv = dyadic_divergence(values)
     if hit:
         witness = {"spec": describe(spec), "n": wn, "value": wv}
         return ClassVerdict(class_name, "violated", "exact", cfg.n_max, best, witness, params)
-    status = "bounded_up_to" if non_finite_at is None else "inconclusive"
     witness = {"n": best_n, "value": best} if values else None
-    return ClassVerdict(class_name, status, "exact", cfg.n_max, best, witness, params)
+    return ClassVerdict(class_name, _unviolated(params), "exact", cfg.n_max, best, witness, params)
 
 
 def _is_nat_universe(spec) -> bool:
@@ -362,9 +376,10 @@ def cesaro_bounded_probe(spec: OperatorSpec, cfg: ProbeConfig) -> ClassVerdict:
     best_witness = None
     violated_witness = None
     for label, x in probe_vectors(spec, cfg):
-        norms = lambda_mean_norms(spec, x, lams, checkpoints, cfg.p)[0]
-        series = list(zip(checkpoints, norms.tolist()))
-        n_best, v_best = max(series, key=lambda t: t[1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms = lambda_mean_norms(spec, x, lams, checkpoints, cfg.p)[0]
+        series = list(zip(checkpoints, norms.tolist()))[: _cut(checkpoints, norms, params)]
+        n_best, v_best = max(series, key=lambda t: t[1], default=(None, 0.0))
         if v_best > best:
             best = v_best
             best_witness = {"vector": label, "n": n_best, "value": v_best}
@@ -376,12 +391,14 @@ def cesaro_bounded_probe(spec: OperatorSpec, cfg: ProbeConfig) -> ClassVerdict:
         n = 8
         while n <= cfg.n_max:
             xn = adversarial_vector(n, cfg.p)
-            value = p_norm(cesaro_apply(spec, xn, n - 1), cfg.p)
-            series.append((n, value))
+            with np.errstate(over="ignore", invalid="ignore"):
+                series.append((n, p_norm(cesaro_apply(spec, xn, n - 1), cfg.p)))
+            n *= 2
+        series = series[: _cut([n for n, _ in series], [v for _, v in series], params)]
+        for n, value in series:
             if value > best:
                 best = value
                 best_witness = {"vector": f"adversarial[n={n}]", "n": n - 1, "value": value}
-            n *= 2
         hit, wn, wv = dyadic_divergence(series)
         if hit and violated_witness is None:
             violated_witness = {
@@ -393,7 +410,7 @@ def cesaro_bounded_probe(spec: OperatorSpec, cfg: ProbeConfig) -> ClassVerdict:
         params["adversarial_series"] = [[n, v] for n, v in series]
     if violated_witness is not None:
         return ClassVerdict("cesaro_bounded", "violated", "probe", cfg.n_max, best, violated_witness, params)
-    return ClassVerdict("cesaro_bounded", "bounded_up_to", "probe", cfg.n_max, best, best_witness, params)
+    return ClassVerdict("cesaro_bounded", _unviolated(params), "probe", cfg.n_max, best, best_witness, params)
 
 
 def uniform_kreiss_probe(spec: OperatorSpec, cfg: ProbeConfig) -> ClassVerdict:
@@ -404,11 +421,8 @@ def uniform_kreiss_probe(spec: OperatorSpec, cfg: ProbeConfig) -> ClassVerdict:
     if spec_dim(spec) is not None:
         table = lambda_operator_norms(spec, lams, checkpoints)
         # the whole grid is judged up to the first checkpoint where any lam is non-finite
-        finite, non_finite_at = _finite_prefix(list(zip(checkpoints, table.max(axis=0).tolist())))
-        table = table[:, : len(finite)]
-        if non_finite_at is not None:
-            params["non_finite_at"] = non_finite_at
-        if not finite:
+        table = table[:, : _cut(checkpoints, table.max(axis=0), params)]
+        if not table.size:
             return ClassVerdict("uniformly_kreiss", "inconclusive", "exact", cfg.n_max, 0.0, None, params)
         best = float(table.max())
         flat = int(np.argmax(table))
@@ -429,14 +443,18 @@ def uniform_kreiss_probe(spec: OperatorSpec, cfg: ProbeConfig) -> ClassVerdict:
                 "value": wv,
             }
             return ClassVerdict("uniformly_kreiss", "violated", "exact", cfg.n_max, best, witness, params)
-        status = "bounded_up_to" if non_finite_at is None else "inconclusive"
-        return ClassVerdict("uniformly_kreiss", status, "exact", cfg.n_max, best, best_witness, params)
+        return ClassVerdict("uniformly_kreiss", _unviolated(params), "exact", cfg.n_max, best, best_witness, params)
 
     best = 0.0
     best_witness = None
     violations = []
     for label, x in probe_vectors(spec, cfg):
-        table = lambda_mean_norms(spec, x, lams, checkpoints, cfg.p)
+        with np.errstate(over="ignore", invalid="ignore"):
+            table = lambda_mean_norms(spec, x, lams, checkpoints, cfg.p)
+        # the whole grid is judged up to the first checkpoint where any lam is non-finite
+        table = table[:, : _cut(checkpoints, table.max(axis=0), params)]
+        if not table.size:
+            continue
         local = float(table.max())
         if local > best:
             best = local
@@ -463,7 +481,7 @@ def uniform_kreiss_probe(spec: OperatorSpec, cfg: ProbeConfig) -> ClassVerdict:
             "value": wv,
         }
         return ClassVerdict("uniformly_kreiss", "violated", "probe", cfg.n_max, best, witness, params)
-    return ClassVerdict("uniformly_kreiss", "bounded_up_to", "probe", cfg.n_max, best, best_witness, params)
+    return ClassVerdict("uniformly_kreiss", _unviolated(params), "probe", cfg.n_max, best, best_witness, params)
 
 
 def kreiss_resolvent_constant(

@@ -266,10 +266,19 @@ def p_norm(x: Vector, p: float) -> float:
     if not x.entries:
         return 0.0
     if p == 2:
-        return math.sqrt(sum((v.real * v.real + v.imag * v.imag) for v in x.entries.values()))
-    if p == 1:
+        norm = math.sqrt(sum((v.real * v.real + v.imag * v.imag) for v in x.entries.values()))
+    elif p == 1:
         return sum(abs(v) for v in x.entries.values())
-    return sum(abs(v) ** p for v in x.entries.values()) ** (1.0 / p)
+    else:
+        try:
+            norm = sum(abs(v) ** p for v in x.entries.values()) ** (1.0 / p)
+        except OverflowError:
+            norm = math.inf
+    if 0 < norm < math.inf:
+        return norm
+    # the powers underflowed or overflowed: rescale by the largest magnitude
+    top = max(abs(v) for v in x.entries.values())
+    return top * p_norm(vec_scale(1.0 / top, x), p) if 0 < top < math.inf else norm
 
 
 def inner(x: Vector, y: Vector) -> complex:
@@ -479,7 +488,10 @@ def weight_product(rule: WeightRule, start: int, count: int) -> float:
     log_sum = 0.0
     for w in listed:
         log_sum += math.log(w)
-    return math.exp(log_sum + remaining * math.log(rule.tail))
+    try:
+        return math.exp(log_sum + remaining * math.log(rule.tail))
+    except OverflowError:  # saturates, as the short products above do
+        return math.inf
 
 
 def reindex_rule(rule: WeightRule, delta: int) -> WeightRule:

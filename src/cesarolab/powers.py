@@ -1,29 +1,16 @@
 """Iterated powers, exact power norms, Cesàro means, and the mean identity.
 
-Orbits run on one of two exact engines, chosen from the spec.  Finite-
-dimensional specs step a dense matrix.  Every infinite spec compiles to a
-banded stencil (offsets -1, 0, +1 with per-index weight tables) acting on a
-moving dense window: a shift or a diagonal is one term and keeps the window
-width, the duplicating shift and the block operator [[T, T-I],[0, T]] have
-several offsets and grow it.  Scalar multiples are folded into the weights.
-Both engines hold the state as a start coordinate plus a rows x width array,
-so a single Kahan-compensated accumulator serves every Cesàro sum: a grid of
-unimodular lam at once, with a single mean as the one-point grid [1].
-Compensation keeps desk-scale sweeps (N up to 1e6) inside the package
-tolerances.
-
-A state that never moves (a matrix, or a diagonal window) is a fixed frame:
-its engine advances a block of B steps per numpy call from a stack of the
-step operator's powers A^1 .. A^B, built once in extended precision, with B
-set by a 1 MiB cap on the stack.  The engines' batched reductions
-(``norms``, ``inners``) and the Cesàro sums read those blocks.  A block is
-summed in extended precision and folded in by a TwoSum update, so its sums
-stay correctly rounded.  A one-term weighted shift is a translating frame:
-its weight products telescope, so states, their reductions and the Cesàro
-sums are read off one cumulative product table, the sums by prefix sums.
-Every other moving window steps one state at a time.  The operator-norm
-sweep ``lambda_operator_norms`` is the matrix counterpart of the sums: one
-compensated pass over the powers (lam A)^k for a whole lam grid.
+Every orbit is a frame, whose states, norms, pairings and Cesàro sums are
+read off a closed form: a matrix or a diagonal (and BlockTZ over it) is a
+fixed frame stepped B powers per numpy call off a power stack A^1 .. A^B built
+once in extended precision (B set by a 1 MiB cap); a weighted shift is a
+translating frame read off one cumulative product table; the duplicating
+shift is the unweighted shift plus a plateau; BlockTZ composes its inner
+frame (``_WindowOrbit``).  The one stepping engine left is the fallback of a
+shift whose product table leaves double range.  Sums cover a grid of
+unimodular lam at once, a mean being the one-point grid [1], and stay
+correctly rounded (TwoSum, Kahan); ``lambda_operator_norms`` is the matrix
+counterpart, one compensated pass over (lam A)^k for a lam grid.
 """
 
 from __future__ import annotations
@@ -58,6 +45,7 @@ from .core import (
     spec_dim,
     spec_universe,
     to_matrix,
+    vec_sub,
     weight_product,
 )
 
@@ -239,14 +227,14 @@ def _as_vector(universe, lo: int, vals: np.ndarray):
 
 
 def _power_stack(op: np.ndarray, size: int) -> np.ndarray:
-    """op^1 .. op^size of a matrix (matrix powers) or a weight vector (elementwise powers).
+    """op^1 .. op^size of a matrix or a stack of 2 x 2 blocks (matrix powers) or a weight vector (elementwise powers).
 
     Built by doubling, stack[k : 2k] = stack[:k] op^k, in extended precision:
     log2(size) numpy calls fill it, and each power, rounded once to double, is
     as accurate as one step (in double, powers that share a factor op^k would
     share its rounding error).
     """
-    mul = np.matmul if op.ndim == 2 else np.multiply
+    mul = np.matmul if op.ndim >= 2 else np.multiply
     stack = np.empty((size, *op.shape), dtype=np.clongdouble)
     stack[0] = op
     k = 1
@@ -257,31 +245,40 @@ def _power_stack(op: np.ndarray, size: int) -> np.ndarray:
     return stack.astype(complex)
 
 
+def _apply_powers(stack: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """A fixed frame's states op^k x for a stack of powers (m, *op.shape), flattened (m, rows * width)."""
+    m = len(stack)
+    if stack.ndim == 3:  # matrix powers: one gemv for the whole block
+        return (stack.reshape(-1, vals.size) @ vals.ravel()).reshape(m, -1)
+    if stack.ndim == 4:  # per-coordinate 2 x 2 blocks acting on the rows (top; bottom)
+        return np.einsum("mjik,kj->mij", stack, vals).reshape(m, -1)
+    return stack * vals.ravel()
+
+
 class _Orbit:
     """Engine state: vals[r, j] is row r (0 plain or pair top, 1 pair bottom) at coordinate lo + j.
 
-    ``norms`` and ``inners`` reduce the next ``count`` states in one call.  On
-    a fixed frame (a state that never moves: a matrix, or a diagonal window)
-    they read whole blocks of states off a power stack of the step operator
-    ``_op``; on a translating frame (a one-term shift) off its product table
-    (see ``_WindowOrbit``); every other engine steps one state at a time.
+    ``norms`` and ``inners`` reduce the next ``count`` states in one call, off
+    a fixed frame's power stack of its step operator ``_op``, off a
+    translating frame's product table (``_WindowOrbit``), or by stepping.
     """
 
     dead = False
     can_die = False  # whether a zero state is detected and ends the orbit
     fixed = False  # the state never moves, so blocks of steps come from a power stack
-    translating = False  # a one-term shift whose states come from a product table
+    translating = False  # states come from a product table
     steps = 0
     floor = None  # lowest index of the universe, when the window must not pass it
-    low_off = high_off = 0  # stencil offsets; a matrix state never moves
+    d = 0  # coordinates the window moves per step: +-1 for a shift, 0 for a fixed frame
     horizon = 0  # steps the caller asked for; the power stack never exceeds what is left
+    table = None  # a window's weights over the sources it visits, while it steps
     _y = None
     _stack = None
 
     def span(self, n_max: int) -> tuple[int, int]:
         """Coordinates the state can occupy within n_max steps, inside the universe."""
-        lo = self.lo + n_max * min(self.low_off, 0)
-        hi = self.lo + self.vals.shape[1] - 1 + n_max * max(self.high_off, 0)
+        lo = self.lo + n_max * min(self.d, 0)
+        hi = self.lo + self.vals.shape[1] - 1 + n_max * max(self.d, 0)
         return (lo if self.floor is None else max(lo, self.floor)), hi
 
     def norm(self, p: float) -> float:
@@ -308,9 +305,16 @@ class _Orbit:
     def norms(self, p: float, count: int) -> np.ndarray:
         """||T^k x||_p for the next count steps; shorter when the orbit dies, ending at the zero state."""
         self.check_p(p)
-        if self.fixed or self.translating:
-            return _joined([_lp_norm(np.abs(s), p, axis=1) for s in self._blocks(count)], float)
-        return self._walk(count, lambda: self.norm(p), float)
+        if not (self.fixed or self.translating):
+            return self._walk(count, lambda: self.norm(p), float)
+        parts = []
+        for first, states, plateau in self._states(count):
+            mags = np.abs(states)
+            if plateau is not None:  # n - 1 equal entries per row
+                cells = np.arange(first - 1, first - 1 + len(states), dtype=float)[:, None]
+                mags = np.concatenate((mags, np.abs(plateau) * cells ** (1.0 / p)), axis=1)
+            parts.append(_lp_norm(mags, p, axis=1))
+        return _joined(parts, float)
 
     def inners(self, y, count: int) -> np.ndarray:
         """<T^k x, y> for the next count steps; shorter when the orbit dies, ending at the zero state.
@@ -326,48 +330,37 @@ class _Orbit:
         return values
 
     def _inners(self, y, count: int) -> np.ndarray:
+        if self.translating:
+            return self._frame_inners(y, count)
         if self.fixed:
             ylo, yv = _dense(y)
             frame = np.zeros_like(self.vals)
             mine, theirs = _overlap(self.lo, frame.shape[1], ylo, yv.shape[1])
             frame[:, mine] = yv[:, theirs]
             yc = frame.ravel().conj()
-            return _joined([s @ yc for s in self._blocks(count)], complex)
-        if self.translating:
-            # conj(y) at the travel coordinates of the product table, windowed like it
-            width, d, length = self.vals.shape[1], self.low_off, len(self._wt)
-            ylo, yv = _dense(y)
-            lo = self._trail if d > 0 else self._trail - (length - 1)
-            frame = np.zeros(length, dtype=complex)
-            mine, theirs = _overlap(lo, length, ylo, yv.shape[1])
-            frame[mine] = yv[0, theirs].conj()
-            windows = np.lib.stride_tricks.sliding_window_view(frame if d > 0 else frame[::-1], width)
-            parts = []
-            for s in self._blocks(count):
-                first = self.steps - len(s) + 1
-                parts.append(np.einsum("ij,ij->i", s, windows[first : first + len(s)]))
-            return _joined(parts, complex)
+            return _joined([s @ yc for _, s, _ in self._states(count)], complex)
         return self._walk(count, lambda: self.inner_with(y), complex)
 
     def advance(self, n: int) -> None:
-        """Move the orbit to step n (never backwards); a dead orbit stays at the step where it died.
-
-        A translating frame jumps there off its product table; every other
-        engine steps.
-        """
+        """Move the orbit to step n (never backwards), jumping on a translating frame; a dead orbit stays where it died."""
         if not self.translating:
             while self.steps < n and not self.dead:
                 self.step()
             return
-        if self._death is not None:
-            n = min(n, self._death)
-        if n == self.steps:
-            return
-        state = self._travel_states(n, 1)[0]
-        self.vals = (state if self.low_off > 0 else state[::-1]).reshape(1, -1)
-        self.lo += self.low_off * (n - self.steps)
-        self.steps = n
-        self.dead = n == self._death
+        n = n if self._death is None else min(n, self._death)
+        if n != self.steps:
+            self.steps, self.dead = n, n == self._death
+            self._hold(n)
+
+    def step(self) -> None:
+        if self.translating:
+            return self.advance(self.steps + 1)
+        if not self.fixed and self.table is not None:
+            return self._step_window()
+        self.steps += 1
+        if not self.dead:
+            self.vals = _apply_powers(self._op[None], self.vals)[0].reshape(self.rows, -1)
+            self.dead = self.can_die and not self.vals.any()
 
     def _walk(self, count: int, value, dtype) -> np.ndarray:
         """The stepping loop: value() after each of the next count steps, up to the zero state."""
@@ -377,46 +370,35 @@ class _Orbit:
             out.append(value())
         return np.array(out, dtype=dtype)
 
-    def _blocks(self, count: int):
-        """Yield the next count states of a fixed or translating frame, flattened and stacked (m, rows * width).
+    def _states(self, count: int):
+        """Yield (first step, states (m, rows * width), plateau values or None) for the next count steps.
 
-        A fixed frame's first multi-step advance builds the power stack
-        A^1 .. A^B once; B fills a 1 MiB cap and never exceeds the steps left
-        to the horizon.  A translating frame reads its states off its product
-        table, in travel order (a backward window's columns reversed), in
-        blocks under the same cap.  Each block is one numpy call.  The first
-        all-zero state of an orbit that can die ends the block and the orbit.
+        A translating frame reads them off its product table, in travel order; a
+        fixed frame off a power stack A^1 .. A^B built once, B filling a 1 MiB cap
+        but not past the horizon.  The first zero state of an orbit that can die ends it.
         """
         while count > 0 and not self.dead:
+            first = self.steps + 1
             if self.translating:
-                states = self._travel_states(self.steps + 1, count)
-            elif self._stack is None and count == 1:
-                self.step()
-                count -= 1
-                yield self.vals.reshape(1, -1)
-                continue
+                states, plateau = self._travel_states(first, count)
             else:
                 if self._stack is None:
-                    per_power = 16 * self._op.size
-                    size = min(max(_STACK_BYTES // per_power, 1), max(self.horizon - self.steps, count))
+                    size = min(max(_STACK_BYTES // (16 * self._op.size), 1), max(self.horizon - self.steps, count))
                     self._stack = _power_stack(self._op, size)
-                m = min(count, len(self._stack))
-                stack, flat = self._stack[:m], self.vals.ravel()
-                if stack.ndim == 3:  # matrix powers: one gemv for the whole block
-                    states = (stack.reshape(-1, flat.size) @ flat).reshape(m, -1)
-                else:
-                    states = stack * flat
+                states, plateau = _apply_powers(self._stack[: min(count, len(self._stack))], self.vals), None
+            states = states.reshape(len(states), -1)
             if self.can_die:
-                zero = np.flatnonzero(~states.any(axis=1))
-                if zero.size:
-                    states = states[: zero[0] + 1]
-                    self.dead = True
-            last = states[-1] if self.low_off >= 0 else states[-1, ::-1]
-            self.vals = last.reshape(self.rows, -1).copy()
-            self.lo += self.low_off * len(states)
+                zero = ~states.any(axis=1) & (True if plateau is None else ~plateau.any(axis=1))
+                if zero.any():
+                    m = np.argmax(zero) + 1
+                    states, plateau, self.dead = states[:m], None if plateau is None else plateau[:m], True
             self.steps += len(states)
             count -= len(states)
-            yield states
+            if self.translating:
+                self._hold(self.steps)
+            else:
+                self.vals = states[-1].reshape(self.rows, -1).copy()
+            yield first, states, plateau
 
 
 def _running_products(factors: np.ndarray) -> np.ndarray:
@@ -448,183 +430,199 @@ def _joined(parts: list, dtype) -> np.ndarray:
     return np.concatenate(parts) if parts else np.zeros(0, dtype=dtype)
 
 
-@dataclass(frozen=True)
-class _Term:
-    """new[dst, k + offset] += weights(k) * old[src, k] for every source index k."""
-
-    dst: int
-    src: int
-    offset: int
-    weights: object  # (lo, hi) -> weight array over source indices lo..hi
-
-
-def _rule_weights(rule, k_min: int | None):
-    def table(lo: int, hi: int) -> np.ndarray:
-        start = lo if k_min is None else max(lo, k_min)
-        out = np.zeros(max(hi - lo + 1, 0))
-        if start <= hi:
-            out[start - lo :] = _rule_table(rule, start, hi)
-        return out
-
-    return table
+def _frame_spec(spec: OperatorSpec) -> tuple[OperatorSpec, complex, complex | None, int]:
+    """(T, s, kappa, d): c T acts as A = s T, c1 BlockTZ(c2 T) as [[A, A - kappa I], [0, A]] with s = c1 c2 and
+    kappa = c1; T moves an entry d coordinates per step."""
+    scalar, kappa = 1.0 + 0j, None
+    while isinstance(spec, ScalarMultiple) or (isinstance(spec, BlockTZ) and kappa is None):
+        if isinstance(spec, BlockTZ):
+            kappa = scalar
+        else:
+            scalar *= spec.scalar
+        spec = spec.inner
+    if isinstance(spec, BlockTZ):
+        raise UnsupportedVariantError("BlockTZ over a pair operator is not supported")
+    if not isinstance(spec, (BackwardShift, ForwardShift, BilateralShift, Diagonal, DuplicatingShift)):
+        raise UnsupportedVariantError(f"no orbit engine for {type(spec).__name__}")
+    backward = isinstance(spec, BackwardShift) or (isinstance(spec, BilateralShift) and not spec.forward)
+    return spec, scalar, kappa, 0 if isinstance(spec, Diagonal) else -1 if backward else 1
 
 
-def _diagonal_weights(default: complex, overrides) -> object:
-    def table(lo: int, hi: int) -> np.ndarray:
-        out = np.full(max(hi - lo + 1, 0), default, dtype=complex)
-        for k, v in overrides:
+def _weight_table(base: OperatorSpec, lo: int, hi: int) -> np.ndarray:
+    """Weights of a shift or a diagonal at source indices lo..hi; zero where the image leaves the universe."""
+    if isinstance(base, Diagonal):
+        out = np.full(max(hi - lo + 1, 0), base.default, dtype=complex)
+        for k, v in base.overrides:
             if lo <= k <= hi:
                 out[k - lo] = v
         return out
-
-    return table
-
-
-def _scaled(weights, c: complex):
-    return lambda lo, hi: c * weights(lo, hi)
-
-
-def _compile(spec: OperatorSpec) -> tuple[int, tuple[_Term, ...], int | None]:
-    """(rows, stencil terms, lowest index or None) of an infinite banded spec."""
-    if isinstance(spec, ScalarMultiple):
-        rows, terms, floor = _compile(spec.inner)
-        if spec.scalar != 1:
-            terms = tuple(_Term(t.dst, t.src, t.offset, _scaled(t.weights, spec.scalar)) for t in terms)
-        return rows, terms, floor
-    if isinstance(spec, BackwardShift) and isinstance(spec.universe, NatFromOne):
-        return 1, (_Term(0, 0, -1, _rule_weights(spec.rule, 2)),), 1  # e_1 -> 0
-    if isinstance(spec, ForwardShift) and isinstance(spec.universe, NatFromOne):
-        return 1, (_Term(0, 0, +1, _rule_weights(spec.rule, 1)),), 1
-    if isinstance(spec, BilateralShift):
-        return 1, (_Term(0, 0, +1 if spec.forward else -1, _rule_weights(spec.rule, None)),), None
-    if isinstance(spec, Diagonal) and not isinstance(spec.universe, FiniteRange):
-        floor = 1 if isinstance(spec.universe, NatFromOne) else None
-        return 1, (_Term(0, 0, 0, _diagonal_weights(spec.default, spec.overrides)),), floor
-    if isinstance(spec, DuplicatingShift):
-        copy_first = _diagonal_weights(0j, ((1, 1.0 + 0j),))
-        return 1, (_Term(0, 0, +1, _rule_weights(Explicit((), 1.0), 1)), _Term(0, 0, 0, copy_first)), 1
-    if isinstance(spec, BlockTZ):
-        rows, inner, floor = _compile(spec.inner)
-        if rows != 1:
-            raise UnsupportedVariantError("BlockTZ over a pair operator is not supported")
-        minus_one = _diagonal_weights(-1.0 + 0j, ())
-        top = [_Term(0, src, t.offset, t.weights) for src in (0, 1) for t in inner]
-        bottom = [_Term(1, 1, t.offset, t.weights) for t in inner]
-        return 2, (*top, _Term(0, 1, 0, minus_one), *bottom), floor  # top += T bottom - bottom
-    raise UnsupportedVariantError(f"no orbit engine for {type(spec).__name__}")
+    start = max(lo, {BackwardShift: 2, ForwardShift: 1}.get(type(base), lo))  # a backward shift sends e_1 to 0
+    out = np.zeros(max(hi - lo + 1, 0))
+    if start <= hi:
+        out[start - lo :] = _rule_table(base.rule, start, hi)
+    return out
 
 
 class _WindowOrbit(_Orbit):
-    """Moving dense window for infinite specs, stepped by their compiled banded stencil.
+    """A dense window over an infinite spec's base operator T (see ``_frame_spec``), read as a frame.
 
-    A one-term stencil (a shift or a diagonal) translates the window by its
-    offset and keeps its width; a stencil with several offsets grows it.
-    Weights vanish at sources whose image leaves the universe, so a moving
-    window needs no per-step index checks; a growing one drops the columns
-    past the universe's lowest index.  A diagonal (one term at offset 0) is a
-    fixed frame whose step operator is its weight table over the window.
+    A diagonal is a fixed frame: its step operator is its weights over the
+    window, under BlockTZ the per-coordinate blocks [[a, a - kappa], [0, a]].
 
-    A one-term shift (offset d = +-1) is a translating frame.  Read its window
-    in the direction of motion: travel coordinate u is the coordinate
-    ``trail + d u``, where ``trail`` is the end of the initial window that the
-    motion leaves behind.  Every step moves u to u + 1, so with W(u) the
-    product of the weights at travel coordinates 0 .. u-1,
+    A shift (offset d = +-1) is a translating frame.  With travel coordinate u
+    at ``trail + d u`` (``trail``: the end of the window the motion leaves) and
+    W(u) the product of the weights at travel 0 .. u-1, (A^n x)(u) =
+    x(u - n) W(u) / W(u - n): state n is a = x / W times W[n : n + width].
+    W is built once in extended precision over the horizon; past the floor of
+    a backward shift on N it is zero, and the orbit dies there.  BlockTZ state
+    n is (A^n x + n (A^n y - kappa A^{n-1} y), A^n y) since its blocks commute:
+    on the window padded by one column behind the motion it is
+    W[n - 1 : n + width] (a + n b), a = [0, x / W; 0, y / W],
+    b = [0, y / W; 0] - kappa [y / W, 0; 0].
 
-        (T^n x)(u) = x(u - n) W(u) / W(u - n),
+    The duplicating shift D = S + e_1 e_1^* is read on the unweighted shift S
+    (W = 1): D^n v = S^n v + v(1) 1_[1, n].  Padded, the window of step n
+    starts at cell n, so a = [v(1), v], and cells 1 .. n-1 hold one plateau
+    value per row, affine in n under BlockTZ.  A scalar s makes state n
+    s^(n-1) times the state with s folded into a: the rows of its windows.
 
-    and T^n x is x / W times the window W[n : n + width]: a telescoping
-    product, read without stepping.  W is built once, in extended precision,
-    over the travel coordinates the horizon can visit.  A backward shift on N
-    has weight 0 at the floor, so W is zero past it: entries that cross the
-    floor vanish, and the orbit dies at the step where the last one crosses,
-    as it does when stepped.  The table is used only if the ratios of its
-    live part, times the entries of x, stay normal doubles (so no step of
-    the stepping loop overflows or underflows either); otherwise the window
-    steps.  A translating frame keeps no weight tables: even ``step`` moves
-    along W.
+    A shift's table serves only if its live ratios times the entries of x stay
+    normal doubles; otherwise the window of (x; y) steps, composing BlockTZ.
     """
 
     def __init__(self, spec: OperatorSpec, x, n_max: int):
-        self.rows, self.terms, self.floor = _compile(spec)
+        base, scalar, self.kappa, self.d = _frame_spec(spec)
         self.universe = x.universe
         self.lo, self.vals = _dense(x)
+        self.rows, width = self.vals.shape
         self.horizon = n_max
-        offsets = [t.offset for t in self.terms]
-        self.low_off, self.high_off = min(offsets), max(offsets)
-        width = self.vals.shape[1]
-        # Sources visited by n_max steps; tables cover them once.  Inside the universe
-        # only: a one-term window keeps its width, so until the orbit dies up to
-        # width - 1 of its columns hang past the floor, where the weights are zero.
-        self.t_lo = self.lo + max(n_max - 1, 0) * min(self.low_off, 0)
-        if self.floor is not None:
-            self.t_lo = max(self.t_lo, self.floor - max(width - 1, 0))
-        t_hi = self.lo + width - 1 + max(n_max - 1, 0) * max(self.high_off, 0)
-        self.tables = [t.weights(self.t_lo, t_hi) for t in self.terms]
-        self.single = len(self.terms) == 1
-        # Shifts die only by leaving the universe; other stencils can zero a state anywhere.
-        self.can_die = not self.single or offsets[0] == 0 or (self.floor is not None and offsets[0] < 0)
+        self.floor = 1 if isinstance(spec_universe(base), NatFromOne) else None
         self.dead = width == 0
-        self.fixed = self.single and offsets == [0]
-        if self.fixed:
-            self._op = self.tables[0][:width]
-        elif self.single and width:
+        if isinstance(base, DuplicatingShift):
+            return None if self.dead else self._duplicating_frame(scalar, n_max)
+        pad = int(self.kappa is not None)
+        # Sources visited by n_max steps, inside the universe: until the orbit dies up to
+        # width - 1 columns (one more under BlockTZ) hang past the floor, where the weights are zero.
+        self.t_lo = self.lo + max(n_max - 1, 0) * min(self.d, 0)
+        if self.floor is not None:
+            self.t_lo = max(self.t_lo, self.floor - max(width - 1, 0) - pad)
+        self.table = _weight_table(base, self.t_lo, self.lo + width - 1 + max(n_max - 1, 0) * max(self.d, 0))
+        if scalar != 1:
+            self.table = scalar * self.table
+        self.can_die = self.d == 0 or (self.floor is not None and self.d < 0)
+        self._inner = (self.lo, self.vals)  # the stepping fallback's window of (x; y)
+        if self.d == 0:
+            self.fixed = True
+            a = self.table[:width]
+            self._op = np.moveaxis(np.array([[a, a - self.kappa], [0 * a, a]]), -1, 0) if pad else a
+        elif width:
             self.translating = self._product_table(n_max)
 
     def _product_table(self, n_max: int) -> bool:
-        """Build the travel table W and x / W of a translating frame; False (keep stepping) if they leave double range."""
-        d, width, table = self.low_off, self.vals.shape[1], self.tables[0]
+        """Build the travel table W and the sources of a shift; False (keep stepping) if they leave double range."""
+        d, width, pad = self.d, self.vals.shape[1], int(self.kappa is not None)
         trail = self.lo if d > 0 else self.lo + width - 1
-        death = None if self.floor is None or d > 0 else trail - self.floor + 1  # the last column crosses
+        live = None if self.floor is None or d > 0 else trail - self.floor + 1  # W vanishes from here on
+        death = None if live is None else live + pad
         length = (n_max if death is None else min(n_max, death)) + width
         s = trail - self.t_lo
-        weights = table[s : s + length - 1] if d > 0 else table[s - (length - 2) : s + 1][::-1]
+        weights = self.table[s : s + length - 1] if d > 0 else self.table[s - (length - 2) : s + 1][::-1]
         with np.errstate(over="ignore", invalid="ignore"):
             wt = _running_products(weights[None])[0]  # inf past double range
-            mags = np.abs(wt[:death])
+            mags = np.abs(wt[:live])
             top, bottom = mags.max(), mags.min()
-            xs = np.abs(self.vals[0][self.vals[0] != 0])
-            if not (0 < bottom and top < np.inf and not wt[len(mags) :].any()):
+            xs = np.abs(self.vals[self.vals != 0])
+            reach = xs.max() * (1 + n_max * (1 + abs(self.kappa)) if pad else 1)  # bounds |x + n (y - kappa y')|
+            ok = 0 < bottom and top < np.inf and not wt[len(mags) :].any()
+            if not ok or reach * (top / bottom) > _DOUBLE.max or xs.min() * (bottom / top) < _DOUBLE.tiny:
                 return False
-            if xs.max() * (top / bottom) > _DOUBLE.max or xs.min() * (bottom / top) < _DOUBLE.tiny:
-                return False
-        self._src = (self.vals[0] if d > 0 else self.vals[0, ::-1]) / wt[:width]
-        self._wt, self._trail, self._death = wt, trail, death
-        self.tables = None  # W replaces them: even a single step reads W
-        self._windows = np.lib.stride_tricks.sliding_window_view(wt, width)  # row n: W[n : n + width]
+        src = self.vals[:, ::d] / wt[:width]
+        a = np.concatenate((np.zeros((self.rows, 1)), src), axis=1) if pad else src
+        self._frame(a, src[1] if pad else None, wt, trail, death, pad)
+        self.table = self._inner = None  # W replaces them: even a single step reads W
         return True
 
-    def _travel_states(self, first: int, count: int) -> np.ndarray:
-        """States first, first + 1, ... of a translating frame in travel order, (m, width) with 1 <= m <= count."""
-        m = min(count, max(_STACK_BYTES // (16 * len(self._src)), 1), len(self._windows) - first)
+    def _duplicating_frame(self, scalar: complex, n_max: int) -> None:
+        x = self.vals
+        first = x[:, 0] if self.lo == 1 else np.zeros(self.rows, dtype=complex)  # v(1) of each row
+        a = scalar * np.concatenate((first[:, None], x), axis=1)  # s D^n v on the window of step n
+        q = np.stack((scalar * first, 0 * first))  # plateau value q[0] + n q[1] of each row
+        if self.kappa is not None:
+            q[1, 0] = (scalar - self.kappa) * first[1]
+        self._frame(a, None if self.kappa is None else x[1], np.ones(n_max + x.shape[1]), self.lo, None, 1)
+        self._scalar, self._q = scalar, q if first.any() else None
+        powers = _running_products(np.full((1, n_max - 1), scalar))[0]  # s^(n-1) for state n: row n - 1 of every window
+        self._windows = np.broadcast_to(powers[:, None], (n_max, a.shape[1]))
+        self.translating = True
+
+    def _frame(self, a, prev_y, wt, trail, death, pad) -> None:
+        """Hold a frame's sources: a, and under BlockTZ b = [y_n, 0] - kappa [y_{n-1}] from a's rows and prev_y."""
+        self._a, self._b, self._wt, self._trail, self._death, self._pad = a, None, wt, trail, death, pad
+        if prev_y is not None:
+            self._b = np.zeros_like(a)
+            self._b[0] = a[1]
+            self._b[0, :-1] -= self.kappa * prev_y
+        self._scalar, self._q = 1, None
+        self._x0 = self.vals[:, :: self.d] if pad else None  # the initial state, in travel order, of a padded frame
+        self._windows = np.lib.stride_tricks.sliding_window_view(wt, a.shape[1])  # row r: W[r : r + width]
+
+    def _travel_states(self, first: int, count: int):
+        """States first, first + 1, .. in travel order (m, rows, width), 1 <= m <= count, and plateau values (m, rows) or None."""
+        m = min(count, max(_STACK_BYTES // (16 * self._a.size), 1), len(self._windows) + self._pad - first)
         if m < 1:
             raise ParameterError(f"the orbit was built for {self.horizon} steps")
-        return self._windows[first : first + m] * self._src
+        ns = np.arange(first, first + m)[:, None]
+        windows = self._windows[first - self._pad : first - self._pad + m, None]
+        states = windows * self._a if self._b is None else np.multiply(ns[:, :, None], self._b)
+        if self._b is not None:  # a + n b in place: a block holds one array
+            states += self._a
+            states *= windows
+        return states, None if self._q is None else (self._q[0] + ns * self._q[1]) * windows[:, :, 0]
 
-    def step(self) -> None:
-        if self.translating:
-            self.advance(self.steps + 1)
-            return
+    def _hold(self, n: int) -> None:
+        """Hold state n >= 1 in ``vals`` and ``lo``, its plateau included."""
+        states, plateau = self._travel_states(n, 1)
+        self.vals, width = states[0][:, :: self.d], states.shape[2]
+        self.lo = self._trail + n - self._pad if self.d > 0 else self._trail - (n - self._pad) - (width - 1)
+        if plateau is not None and n > 1:  # coordinates 1 .. n-1, behind a window that starts at n
+            self.lo, self.vals = 1, np.concatenate((np.repeat(plateau[0][:, None], n - 1, axis=1), self.vals), axis=1)
+
+    def _frame_inners(self, y, count: int) -> np.ndarray:
+        """<A^n x, y>: conj(y) at the travel coordinates of W, windowed like it; a plateau pairs with its prefix sums."""
+        length, width = len(self._wt), self._a.shape[1]
+        ylo, yv = _dense(y)
+        frame = np.zeros((self.rows, length), dtype=complex)
+        mine, theirs = _overlap(self._trail if self.d > 0 else self._trail - (length - 1), length, ylo, yv.shape[1])
+        frame[:, mine] = yv[:, theirs].conj()
+        windows = np.lib.stride_tricks.sliding_window_view(frame[:, :: self.d], width, axis=1)
+        if self._q is not None:  # ysums[:, n - 1]: the plateau cells of state n
+            ysums = np.pad(np.cumsum(frame[:, :: self.d], axis=1), ((0, 0), (1, 0)))
+        parts = []
+        for first, states, plateau in self._states(count):
+            yw = windows[:, first - self._pad : first - self._pad + len(states)]  # conj(y) under each state
+            values = np.einsum("irj,rij->i", states.reshape(len(states), self.rows, -1), yw)
+            if plateau is not None:
+                values += np.einsum("ij,ji->i", plateau, ysums[:, first - 1 : first - 1 + len(states)])
+            parts.append(values)
+        return _joined(parts, complex)
+
+    def _step_window(self) -> None:
+        """The stepping fallback: the window (x; y) moves by the weight table, and a BlockTZ state is composed from it."""
         self.steps += 1
         if self.dead:
             return
-        vals = self.vals
-        width = vals.shape[1]
-        s = self.lo - self.t_lo
-        if self.single:
-            self.vals = vals * self.tables[0][s : s + width]
-            self.lo += self.low_off
-        else:
-            new = np.zeros((self.rows, width + self.high_off - self.low_off), dtype=complex)
-            for term, table in zip(self.terms, self.tables):
-                c = term.offset - self.low_off
-                new[term.dst, c : c + width] += vals[term.src] * table[s : s + width]
-            self.lo += self.low_off
-            if self.floor is not None and self.lo < self.floor:
-                new = new[:, self.floor - self.lo :]  # entries past the boundary carry zero weight
-                self.lo = self.floor
-            self.vals = new
-        if self.can_die and not self.vals.any():
-            self.dead = True
+        lo, state = self._inner
+        s = lo - self.t_lo
+        self._inner = (lo + self.d, state * self.table[s : s + state.shape[1]])
+        self.lo, self.vals = self._inner
+        if self.kappa is not None:  # composed on the window padded behind the motion, where the previous y sits
+            c, width = int(self.d > 0), state.shape[1]
+            out = np.zeros((2, width + 1), dtype=complex)
+            out[:, c : c + width] = self.vals
+            out[0, c : c + width] += self.steps * self.vals[1]
+            out[0, c - self.d : c - self.d + width] -= (self.steps * self.kappa) * state[1]
+            self.lo, self.vals = self.lo - c, out
+        self.dead = self.can_die and not self.vals.any()
 
 
 class _MatrixOrbit(_Orbit):
@@ -634,19 +632,15 @@ class _MatrixOrbit(_Orbit):
     fixed = True
 
     def __init__(self, spec: OperatorSpec, x, n_max: int):
-        self.matrix = self._op = to_matrix(spec)
+        self._op = to_matrix(spec)
         self.universe = spec_universe(spec)
         self.horizon = n_max
         self.rows = 2 if isinstance(x, PairVec) else 1
-        self.vals = _dense(x, 1, self.matrix.shape[0] // self.rows)[1]
-
-    def step(self) -> None:
-        self.vals = (self.matrix @ self.vals.ravel()).reshape(self.rows, -1)
-        self.steps += 1
+        self.vals = _dense(x, 1, self._op.shape[0] // self.rows)[1]
 
 
 def make_orbit(spec: OperatorSpec, x, n_max: int):
-    """Exact engine for T^k x, k <= n_max: a matrix loop for finite specs, a banded window otherwise."""
+    """Exact engine for T^k x, k <= n_max: a matrix for finite specs, a window over the base operator otherwise."""
     if expects_pair(spec) != isinstance(x, PairVec):
         kind = "ordered pairs of vectors" if expects_pair(spec) else "plain sparse vectors"
         raise DomainError(f"this operator acts on {kind}")
@@ -661,9 +655,8 @@ def shift_direction(spec: OperatorSpec) -> int | None:
     """Offset (+1 or -1) of an infinite weighted shift, seen through scalars and BlockTZ; else None."""
     if spec_dim(spec) is not None:
         return None
-    rows, terms, _ = _compile(spec)
-    offsets = {t.offset for t in terms if t.dst == t.src == rows - 1}
-    return offsets.pop() if len(offsets) == 1 and 0 not in offsets else None
+    base, _, _, d = _frame_spec(spec)
+    return d if isinstance(base, (BackwardShift, ForwardShift, BilateralShift)) else None
 
 
 # ---------------------------------------------------------------------------
@@ -671,12 +664,12 @@ def shift_direction(spec: OperatorSpec) -> int | None:
 
 
 class CesaroSum:
-    """Kahan-compensated sums sum_{k<=n} lam^k T^k x over a grid of lam, in one orbit pass.
+    """Sums sum_{k<=n} lam^k T^k x over a grid of lam; a single Cesàro mean is the one-point grid ``[1]``.
 
-    A single Cesàro mean is the one-point grid ``[1]``.  Once the orbit state
-    is exactly zero the sums freeze: later means are the frozen sums over n+1.
-    On a translating frame and a unimodular grid the sums at n are written
-    straight off the frame's product table (see ``_write``), with no pass.
+    Once the orbit state is exactly zero the sums freeze.  On a translating
+    frame and a unimodular grid they are written off the product table
+    (``_write``); a fixed frame folds in blocks of states; the stepping
+    fallback, and a grid off the unit circle, add one compensated state at a time.
     """
 
     def __init__(self, spec: OperatorSpec, x, n_max: int, lams=None):
@@ -689,7 +682,8 @@ class CesaroSum:
         self.n = self.stepped = 0
         self._lam_run = None
         self._live = slice(None)  # columns that can be nonzero; a translating frame narrows it
-        self.closed = self.orbit.translating and bool(np.all(np.abs(np.abs(self.lams) - 1.0) <= 1e-12))
+        unimodular = np.all(np.abs(np.abs(self.lams) - 1.0) <= 1e-12)
+        self.closed = bool(self.orbit.translating and unimodular and self.orbit._scalar != 0)
         if self.closed:  # written, never accumulated: no compensation
             self._prefix_sums()
             state_cols, self._live = self._overlap()
@@ -699,62 +693,64 @@ class CesaroSum:
             self._add()
 
     def _prefix_sums(self) -> None:
-        """Prefix sums of lam^-j x(j) / W(j) over the window of x, and the gains lam^u W(u) (travel coordinates)."""
+        """Prefix sums of mu^-i a(i) (and mu^-i b(i), i mu^-i b(i)), times lam if padded, and gains mu^u W(u)."""
         o = self.orbit
-        terms = o._src[None]
+        width = o._a.shape[1]
+        terms = (o._a[None] if o._b is None else np.stack([o._a, o._b, np.arange(width) * o._b]))[None]
         self._gains = o._wt[None]
-        if not self.unit:
-            lams = self.lams[:, None].astype(np.clongdouble)
-            inverse = np.ones((len(lams), len(o._src)), dtype=np.clongdouble)
-            inverse[:, 1:] = 1 / lams
-            terms = terms * np.cumprod(inverse, axis=1)
-            # lam^u, relative to the window's trailing end
-            self._gains = _running_products(np.broadcast_to(lams, (len(lams), len(o._wt) - 1)))
+        if not (self.unit and o._scalar == 1):
+            mus = self.lams * o._scalar
+            inverse = np.ones((len(mus), width), dtype=np.clongdouble)
+            inverse[:, 1:] = 1 / mus[:, None].astype(np.clongdouble)
+            terms = terms * (np.cumprod(inverse, axis=1) * self.lams[:, None] ** o._pad)[:, None, None, :]
+            self._gains = _running_products(np.broadcast_to(mus[:, None], (len(mus), len(o._wt) - 1)))
             self._gains *= o._wt
-        self._prefix = np.zeros((len(terms), terms.shape[1] + 1), dtype=np.clongdouble)
-        np.cumsum(terms, axis=1, out=self._prefix[:, 1:])
+        self._prefix = np.zeros((*terms.shape[:-1], width + 1), dtype=np.clongdouble)
+        np.cumsum(terms, axis=-1, out=self._prefix[..., 1:])
         self._rounded = self._prefix.astype(complex)
 
     def _write(self, k: int) -> None:
         """Write the sums over steps 0..k of a translating frame.
 
-        In travel coordinates (see ``_WindowOrbit``) lam^m (T^m x)(u) is
-        lam^u W(u) lam^-j x(j) / W(j) with j = u - m, so
-
-            (sum_{m<=k} lam^m T^m x)(u) = lam^u W(u) sum_{j in [u-k, u]} lam^-j x(j) / W(j):
-
-        a difference of two prefix sums over the window of x, or all of it
-        where [u - k, u] covers the window.  Prefix sums, powers of lam and
-        the gains lam^u W(u) are taken in extended precision and rounded, so
-        the cancellation in a difference stays far below double rounding
-        (Higham, Accuracy and Stability of Numerical Algorithms, ch. 4).
+        In travel coordinates lam^m (T^m x)(u) is lam^pad mu^u W(u) mu^-i (a(i) + m b(i))
+        with m = u + pad - i and mu = lam s (see ``_WindowOrbit``), so the sum
+        over m in [pad, k] is lam^pad mu^u W(u) (S_a + (u + pad) S_b - S_ib): S are
+        sums of mu^-i a(i), mu^-i b(i), i mu^-i b(i) over i in [u + pad - k, u],
+        differences of prefix sums, or totals where the range covers the
+        window.  A padded frame adds its initial state; the plateau's cell u
+        gets lam sum_{j in (u, k)} mu^j (q_a + (j + 1) q_b).  Prefix sums and
+        gains are extended-precision, so a difference cancels far below double
+        rounding (Higham, Accuracy and Stability of Numerical Algorithms, ch. 4).
         """
         o = self.orbit
-        width, prefix, gains = len(o._src), self._prefix, self._gains
+        width, pad, gains = o._a.shape[1], o._pad, self._gains
         start = o._trail - self.lo  # accumulator column of travel coordinate 0
-        if o.low_off > 0:
-            top = width - 1 + k
-            self._live = slice(start, start + top + 1)
-            out = self.sum[:, 0, self._live]
-        else:
-            top = min(width - 1 + k, start)  # not past the floor
-            self._live = slice(start - top, start + 1)
-            out = self.sum[:, 0, self._live][:, ::-1]  # travel order
-        head = min(width - 1, top + 1)  # u < head: the window [u - k, u] ends inside x
-        tail = min(max(k + 1, width - 1), top + 1)  # u >= tail: it starts inside x
-        full = min(head, k + 1)  # u < full: it starts before x
-        # differences of prefix sums are taken in extended precision, products in double
-        np.multiply(self._rounded[:, 1 : full + 1], gains[:, :full], out=out[:, :full])
-        inside = prefix[:, full + 1 : head + 1] - prefix[:, full - k : head - k]
-        np.multiply(inside.astype(complex), gains[:, full:head], out=out[:, full:head])
-        np.multiply(self._rounded[:, -1:], gains[:, head:tail], out=out[:, head:tail])
-        closing = prefix[:, -1:] - prefix[:, tail - k : top - k + 1]
-        np.multiply(closing.astype(complex), gains[:, tail : top + 1], out=out[:, tail:])
+        top = k + width - 1 - pad if o.d > 0 else min(k + width - 1 - pad, start)  # not past the floor
+        self._live = slice(start, start + top + 1) if o.d > 0 else slice(start - top, start + 1)
+        out = self.sum[:, :, self._live][:, :, :: o.d]  # travel order
+        moments = (lambda s, u: s[:, 0]) if o._b is None else (lambda s, u: s[:, 0] + (u + pad) * s[:, 1] - s[:, 2])
+        prefix, k0 = self._prefix, k - pad
+        a, b = min(k0, width - 1) + 1, max(k0, width - 1) + 1
+        for lo_u, hi_u in ((0, a), (a, width), (width, b), (b, top + 1)):  # i in [max(u - k0, 0), min(u, width - 1)]
+            if lo_u < (hi_u := min(hi_u, top + 1)):
+                last = slice(lo_u + 1, hi_u + 1) if lo_u < width else slice(width, None)
+                # from i = 0 the sums are rounded prefix sums (the first is exactly 0); else extended differences
+                spans = self._rounded[..., last] if lo_u <= k0 else prefix[..., last] - prefix[..., lo_u - k0 : hi_u - k0]
+                u = None if o._b is None else np.arange(lo_u, hi_u)
+                np.multiply(moments(spans, u).astype(complex, copy=False), gains[:, None, lo_u:hi_u], out=out[:, :, lo_u:hi_u])
+        if pad:
+            out[:, :, : o._x0.shape[1]] += o._x0
+        if o._q is not None and k > 1:
+            g = gains[:, 1:k].astype(np.clongdouble)  # mu^j, j = 1 .. k-1
+            r0 = np.cumsum(g[:, ::-1], axis=1)[:, ::-1]
+            r1 = np.cumsum((np.arange(1, k) * g)[:, ::-1], axis=1)[:, ::-1]
+            qa, qb = o._q[0][None, :, None], o._q[1][None, :, None]
+            cells = (qa + qb) * r0[:, None] + qb * r1[:, None]
+            out[:, :, : k - 1] += (cells * self.lams[:, None, None]).astype(complex)
 
     def _overlap(self) -> tuple[slice, slice]:
         """(state columns, accumulator columns) where the orbit window meets the sums."""
-        o = self.orbit
-        return _overlap(o.lo, o.vals.shape[1], self.lo, self.sum.shape[2])
+        return _overlap(self.orbit.lo, self.orbit.vals.shape[1], self.lo, self.sum.shape[2])
 
     def _add(self) -> None:
         o = self.orbit
@@ -804,7 +800,7 @@ class CesaroSum:
             if k != self.stepped:
                 self._write(k)
         elif orbit.fixed:
-            for states in orbit._blocks(n - k):
+            for _, states, _ in orbit._states(n - k):
                 self._add_block(states)
                 k += len(states)
         else:
@@ -969,6 +965,12 @@ def _shift_power_norm(spec, n: int) -> float:
     return _scan_products(rule, starts if spec.forward else [s - n + 1 for s in starts], n)
 
 
+def _power(base: float, n: int) -> float:
+    """base ** n, saturating to inf past double range."""
+    with np.errstate(over="ignore"):
+        return float(np.float64(base) ** n)
+
+
 def power_norm_exact(spec: OperatorSpec, n: int, p: float) -> float:
     """Exact ||T^n|| for shifts (any p), diagonals, and finite matrices (p=2).
 
@@ -984,12 +986,12 @@ def power_norm_exact(spec: OperatorSpec, n: int, p: float) -> float:
     if p < 1:
         raise ParameterError(f"p must be >= 1, got {p}")
     if isinstance(spec, ScalarMultiple):
-        return abs(spec.scalar) ** n * power_norm_exact(spec.inner, n, p)
+        return _power(abs(spec.scalar), n) * power_norm_exact(spec.inner, n, p)
     if isinstance(spec, Diagonal):
         candidates = [abs(v) for _, v in spec.overrides]
         if not (isinstance(spec.universe, FiniteRange) and len(spec.overrides) >= spec.universe.dim):
             candidates.append(abs(spec.default))
-        return max(candidates) ** n
+        return _power(max(candidates), n)
     if isinstance(spec, (BackwardShift, ForwardShift, BilateralShift)):
         return _shift_power_norm(spec, n)
     dim = spec_dim(spec)
@@ -1106,19 +1108,16 @@ def media_residual_max(spec: OperatorSpec, x, n_max: int, p: float, from_n: int 
 
 
 def block_tz_power_check(inner: OperatorSpec, x: PairVec, n: int) -> float:
-    """Residual between iterated BlockTZ powers and the commuting closed form.
+    """Residual between the engine's BlockTZ power and n-fold ``core.apply``.
 
-    The blocks of [[T, T-I],[0, T]] commute, so the n-th power is
-    [[T^n, n T^{n-1}(T-I)],[0, T^n]]; both routes are evaluated on x.
+    The engine reads the n-th power off the commuting closed form
+    [[T^n, n T^{n-1}(T-I)],[0, T^n]]; the reference applies the block
+    operator n times.
     """
     if n < 1:
         raise ParameterError("n must be >= 1")
-    from .core import vec_add, vec_scale, vec_sub
-
-    iterated = power_apply(BlockTZ(inner), x, n)
-    top_n = power_apply(inner, x.top, n)
-    bot_prev = power_apply(inner, x.bottom, n - 1)
-    bot_n = apply(inner, bot_prev)
-    closed_top = vec_add(top_n, vec_scale(n, vec_sub(bot_n, bot_prev)))
-    closed = PairVec(closed_top, bot_n)
-    return p_norm(vec_sub(iterated, closed), 2)
+    spec = BlockTZ(inner)
+    stepped = x
+    for _ in range(n):
+        stepped = apply(spec, stepped)
+    return p_norm(vec_sub(power_apply(spec, x, n), stepped), 2)

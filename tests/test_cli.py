@@ -12,6 +12,7 @@ from cesarolab.core import (
     BackwardShift,
     BilateralShift,
     BlockTZ,
+    Explicit,
     FiniteMatrix,
     ForwardShift,
     PairVec,
@@ -194,6 +195,68 @@ def test_power_bounded_overflowing_power_ratio_is_violated():
     result = json.loads(out)["probes"][0]["result"]
     assert result["status"] == "violated"
     assert result["parameters"]["non_finite_at"] == 34
+
+
+
+@pytest.mark.parametrize("operator", ["fshift:alpha=200", "blocktz:fshift:alpha=200"])
+def test_overflowing_probe_vectors_are_never_bounded(operator):
+    # every probe's series is cut at its first non-finite value and judged on the prefix, which already diverges
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["classify", operator, "--probes", "acb,cb,uk", "--json"])
+    assert code == 0, err
+    results = [probe["result"] for probe in json.loads(out)["probes"]]
+    assert [r["class_name"] for r in results] == ["absolutely_cesaro_bounded", "cesaro_bounded", "uniformly_kreiss"]
+    for r in results:
+        assert r["status"] == "violated"
+        assert r["parameters"]["non_finite_at"] == 34  # ((n + 1) / 1)^200 leaves double range
+        assert math.isfinite(r["best_constant"]) and math.isfinite(r["witness"]["value"])
+
+
+def test_probe_series_cut_before_the_protocol_is_inconclusive():
+    # |d|^n leaves double range at n = 4, before the first dyadic checkpoint 8: no verdict either way
+    from cesarolab.classify import ProbeConfig, acb_constant, cesaro_bounded_probe, uniform_kreiss_probe
+    from cesarolab.core import NAT, Diagonal
+
+    spec = Diagonal(NAT, 1e100)
+    cfg = ProbeConfig(n_max=64, basis_probes=2, seeded_probes=1, lambda_samples=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for probe in (acb_constant, cesaro_bounded_probe, uniform_kreiss_probe):
+            verdict = probe(spec, cfg)
+            assert verdict.status == "inconclusive"
+            assert verdict.parameters["non_finite_at"] == 4
+
+
+def test_explicit_weight_product_saturates():
+    # past 1000 factors the product is taken in log space; it overflows to inf instead of raising
+    assert weight_product(Explicit((), 2.0), 1, 2000) == math.inf
+    assert weight_product(Explicit((), 0.5), 1, 2000) == 0.0
+    assert weight_product(Explicit((3.0,), 1.0), 1, 2000) == pytest.approx(3.0, rel=1e-12)
+
+
+def test_named_infinite_specs_never_step(monkeypatch):
+    # every infinite spec the grammar names is a frame: its probe orbits, reductions and sums never call step
+    from cesarolab import powers
+    from cesarolab.classify import ProbeConfig, checkpoint_set, lambda_grid, probe_vectors
+
+    def refuse(self):
+        raise AssertionError("an orbit stepped")
+
+    monkeypatch.setattr(powers._Orbit, "step", refuse)
+    monkeypatch.setattr(powers._WindowOrbit, "step", refuse)
+    cfg = ProbeConfig()
+    lams = lambda_grid(cfg.lambda_samples)
+    names = ["fshift:alpha=0.4", "bshift:alpha=0.25", "bilateral", "polyshift:p=1,1", "polyshift:p=1,0,1;side=bi",
+             "polyshift:p=1,2;dir=bwd", "dupshift"]
+    for name in names + [f"blocktz:{name}" for name in names]:
+        spec, _ = parse_operator(name)
+        for _, x in probe_vectors(spec, cfg):
+            orbit = powers.make_orbit(spec, x, cfg.n_max)
+            assert orbit.translating, name
+            orbit.norms(2, cfg.n_max)
+            powers.make_orbit(spec, x, cfg.n_max).inners(x, cfg.n_max)
+            powers.lambda_mean_norms(spec, x, lams, checkpoint_set(cfg.n_max), 2.0)
 
 
 def test_classify_malformed_grammar_exits_2():

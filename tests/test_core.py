@@ -86,6 +86,10 @@ def test_p_norm_simple_values():
     assert p_norm(basis_vector(NAT, 1), 1) == 1.0
     two = make_vector(NAT, [(1, 1.0), (2, 1.0)])
     assert p_norm(two, 2) == pytest.approx(math.sqrt(2), rel=1e-15)
+    # squares and powers past double range are rescaled by the largest magnitude
+    for c in (1e200, 1e-200):
+        assert p_norm(make_vector(NAT, [(1, c), (2, c * 1j)]), 2) == pytest.approx(math.sqrt(2) * c, rel=1e-15)
+        assert p_norm(make_vector(NAT, [(1, c), (2, c)]), 3) == pytest.approx(2 ** (1 / 3) * c, rel=1e-15)
 
 
 def test_p_norm_rejects_small_p():

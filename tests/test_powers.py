@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import cesarolab.powers as powers
 from cesarolab.core import (
     INTS,
     NAT,
@@ -28,6 +29,7 @@ from cesarolab.core import (
     apply,
     basis_vector,
     identity,
+    inner,
     make_vector,
     p_norm,
     scale,
@@ -470,17 +472,146 @@ def test_translating_frame_falls_back_outside_double_range():
 
 
 def test_window_tables_stay_inside_the_universe():
-    # a backward window dies within its width; no table covers the 2^20-step horizon
+    # a backward window dies within its width (BlockTZ one step later); no table covers the 2^20-step horizon
     x = make_vector(NAT, [(k, 1.0) for k in range(1, 33)])
     bshift = BackwardShift(NAT, PowerRatio(0.25, 0))
-    translating = make_orbit(bshift, x, 2**20)
-    stepping = [_stepping(lambda: make_orbit(bshift, x, 2**20)), make_orbit(BlockTZ(bshift), PairVec(x, x), 2**20)]
-    assert len(translating._wt) <= 64
-    assert all(len(t) <= 64 for orbit in stepping for t in orbit.tables)
-    for orbit in (translating, *stepping):
+    cases = [(bshift, x), (BlockTZ(bshift), PairVec(x, x))]
+    translating = [make_orbit(spec, v, 2**20) for spec, v in cases]
+    stepping = [_stepping(lambda: make_orbit(spec, v, 2**20)) for spec, v in cases]
+    assert [len(orbit._wt) for orbit in translating] == [64, 65]
+    assert all(len(orbit.table) <= 65 for orbit in stepping)
+    for orbit in (*translating, *stepping):
         norms = orbit.norms(2, 2**20)
         assert orbit.dead and len(norms) <= 33 and norms[-1] == 0
 
+
+def _composed_cases():
+    """(spec, A, kappa, x): BlockTZ over every inner engine, and the duplicating shift (kappa None), with complex scalars.
+
+    The n-th state of c1 BlockTZ(c2 T) is (A^n x + n (A^n y - kappa A^{n-1} y), A^n y), A = c1 c2 T, kappa = c1.
+    """
+    rng = np.random.default_rng(29)
+    c, s = 0.999 * cmath.exp(0.4j), cmath.exp(0.7j)
+    fwd = ForwardShift(NAT, PowerRatio(0.4, 1))
+    bwd = BackwardShift(NAT, PowerRatio(0.25, 0))
+    bil = BilateralShift(Explicit((2.0, 0.5, 1.5), 0.9999), forward=False)
+    diag = Diagonal(NAT, cmath.exp(1j), ((2, 0.5), (3, 0.0), (7, 1.001)))
+    dup = DuplicatingShift()
+
+    def pair(universe, lo, hi):
+        return PairVec(rand_vec(universe, rng, lo, hi - 2), rand_vec(universe, rng, lo + 2, hi))
+
+    return [
+        (BlockTZ(scale(c, fwd)), scale(c, fwd), 1.0, pair(NAT, 1, 8)),
+        (scale(s, BlockTZ(fwd)), scale(s, fwd), s, pair(NAT, 3, 10)),
+        # dies when the last column has crossed the floor, one step after its inner orbits
+        (BlockTZ(scale(c, bwd)), scale(c, bwd), 1.0, pair(NAT, 1, 8)),
+        (scale(s, BlockTZ(bil)), scale(s, bil), s, pair(INTS, -4, 3)),
+        (BlockTZ(scale(s, diag)), scale(s, diag), 1.0, pair(NAT, 1, 8)),
+        (BlockTZ(Diagonal(NAT, 0.0)), Diagonal(NAT, 0.0), 1.0, pair(NAT, 1, 8)),  # dies at step 2
+        (BlockTZ(dup), dup, 1.0, pair(NAT, 1, 8)),
+        # both rows reach coordinate 1, so the plateau's value is affine in n
+        (scale(s, BlockTZ(scale(c, dup))), scale(s * c, dup), s, PairVec(rand_vec(NAT, rng, 1, 6), rand_vec(NAT, rng, 1, 8))),
+        (BlockTZ(dup), dup, 1.0, pair(NAT, 3, 10)),  # no plateau: a plain unweighted shift
+        (scale(c, dup), scale(c, dup), None, rand_vec(NAT, rng, 1, 8)),
+        (dup, dup, None, rand_vec(NAT, rng, 2, 9)),
+    ]
+
+
+def _apply_oracle(spec, x, n):
+    """T^0 x .. T^n x by n-fold core.apply."""
+    states = [x]
+    for _ in range(n):
+        states.append(apply(spec, states[-1]))
+    return states
+
+
+def _dense_on(v, lo, width):
+    """A plain or pair vector as a (rows, width) array on the coordinates lo .. lo + width - 1."""
+    rows = (v.top, v.bottom) if isinstance(v, PairVec) else (v,)
+    out = np.zeros((len(rows), width), dtype=complex)
+    for r, row in enumerate(rows):
+        for k, value in row.entries.items():
+            out[r, k - lo] = value
+    return out
+
+
+def _composed_scales(states, a, kappa, x, n):
+    """Rounding scales: ||A^k x|| + k (||A^k y|| + |kappa| ||A^{k-1} y||) for state k; their sum for a Cesàro sum."""
+    if kappa is None:
+        return np.array([p_norm(v, 2) for v in states])
+    bn = np.array([p_norm(v, 2) for v in _apply_oracle(a, x.bottom, n)])
+    sizes = np.array([p_norm(v, 2) for v in _apply_oracle(a, x.top, n)]) + bn
+    sizes[1:] += np.arange(1, n + 1) * (bn[1:] + abs(kappa) * bn[:-1])
+    return sizes
+
+
+def test_composed_frames_match_apply(monkeypatch):
+    # BlockTZ and the duplicating shift read states, reductions and sums off their inner frame, never stepping;
+    # the reference is n-fold core.apply.  A small stack cap makes blocks of a few dozen states.
+    monkeypatch.setattr(powers, "_STACK_BYTES", 2**13)
+    monkeypatch.setattr(_WindowOrbit, "_step_window", None)
+    lams = np.array([1.0, -1.0, 1j, cmath.exp(0.3j)])
+    for spec, a, kappa, x in _composed_cases():
+        probe = make_orbit(spec, x, 1000)
+        assert probe.translating or probe.fixed
+        probe.norms(2, 2)
+        block = len(probe._stack) if probe.fixed else powers._STACK_BYTES // (16 * probe._a.size)
+        n_top = 3 * block + 7
+        ns = [0, 1, block - 1, block, block + 1, n_top]
+        states = _apply_oracle(spec, x, n_top)
+        zero = [k for k, v in enumerate(states) if v.is_zero()]
+        death = zero[0] if zero else None
+        sizes = _composed_scales(states, a, kappa, x, n_top)
+        y = x if kappa is None else PairVec(x.bottom, x.top)
+        sums = [CesaroSum(spec, x, n_top), CesaroSum(spec, x, n_top, lams)]
+        assert all(acc.closed or acc.orbit.fixed for acc in sums)
+        for n in ns:
+            dies = n if death is None else min(n, death)
+            orbit = make_orbit(spec, x, n_top)
+            norms = orbit.norms(2, n)
+            assert len(norms) == dies and orbit.dead == (death is not None and n >= death)
+            _close(norms, np.array([p_norm(v, 2) for v in states[1 : dies + 1]]), sizes[1 : dies + 1])
+            jump = make_orbit(spec, x, n_top)
+            jump.advance(n)
+            for state in (orbit, jump):
+                assert state.steps == dies
+                width = state.vals.shape[1]
+                parts = (states[dies].top, states[dies].bottom) if kappa is not None else (states[dies],)
+                assert all(state.lo <= k < state.lo + width for part in parts for k in part.entries)
+                _close(state.vals, _dense_on(states[dies], state.lo, width), sizes[dies])
+            inners = make_orbit(spec, x, n_top).inners(y, n)
+            _close(inners, np.array([inner(v, y) for v in states[1 : dies + 1]]), sizes[1 : dies + 1] * p_norm(y, 2))
+            for acc in sums:
+                acc.advance_to(n)
+                assert acc.stepped == dies
+                width = acc.sum.shape[2]
+                want = [sum(lam**k * _dense_on(v, acc.lo, width) for k, v in enumerate(states[: dies + 1]))
+                        for lam in acc.lams]
+                summed = sizes[: dies + 1].sum()
+                _close(acc.sum, np.array(want), summed)
+                _close(acc.norms(2), np.array([np.linalg.norm(w) for w in want]) / (n + 1), summed / (n + 1))
+
+
+
+def test_blocktz_stepping_fallback_matches_apply():
+    # with every product table refused, BlockTZ over a shift steps its inner window and composes its state
+    lams = np.array([1.0, 1j, cmath.exp(0.3j)])
+    n = 40
+    for spec, a, kappa, x in _composed_cases()[:4]:
+        states = _apply_oracle(spec, x, n)
+        sizes = _composed_scales(states, a, kappa, x, n)
+        orbit = _stepping(lambda: make_orbit(spec, x, n))
+        assert not (orbit.translating or orbit.fixed)
+        norms = orbit.norms(2, n)
+        _close(norms, np.array([p_norm(v, 2) for v in states[1 : len(norms) + 1]]), sizes[1 : len(norms) + 1])
+        assert states[len(norms)].is_zero() == orbit.dead
+        _close(orbit.vals, _dense_on(states[orbit.steps], orbit.lo, orbit.vals.shape[1]), sizes[orbit.steps])
+        acc = _stepping(lambda: CesaroSum(spec, x, n, lams))
+        acc.advance_to(n)
+        want = [sum(lam**k * _dense_on(v, acc.lo, acc.sum.shape[2]) for k, v in enumerate(states[: acc.stepped + 1]))
+                for lam in lams]
+        _close(acc.sum, np.array(want), sizes[: acc.stepped + 1].sum())
 
 def test_cesaro_sum_of_a_constant_orbit_is_correctly_rounded():
     # blocks of equal states, longer than one extended-precision chunk, still sum exactly

@@ -1,26 +1,40 @@
-"""Property tests: translating-frame orbits and Cesàro sums against the n-fold core.apply oracle.
+"""Property tests: frame orbits and Cesàro sums against the n-fold core.apply oracle, and verdicts on growing specs.
 
 Weighted shifts (forward and backward on N, bilateral both ways on Z) with
 power-ratio, polynomial-ratio and explicit weights, optionally times a
 complex scalar, act on random finitely supported vectors for up to a few
 hundred steps; power_norm_exact bounds every basis orbit.  Tolerances are the package's 1e-12, at the rounding scale of
 each quantity: ||T^n|| ||x|| for a state, ||T^k x|| for a norm, ||T^k x|| ||y||
-for an inner product and sum_k ||T^k x|| for a Cesàro sum.
+for an inner product and sum_k ||T^k x|| for a Cesàro sum.  The mean identity
+holds within 1e-11 on shifts, BlockTZ over shifts and diagonals and the
+duplicating shift; specs whose powers grow exponentially or like n^alpha,
+alpha >= 1, are never reported bounded, also once their orbits overflow.
 """
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cesarolab.classify import (
+    ProbeConfig,
+    acb_constant,
+    cesaro_bounded_probe,
+    power_bounded_probe,
+    uniform_kreiss_probe,
+)
 from cesarolab.core import (
     INTS,
     basis_vector,
     NAT,
     BackwardShift,
     BilateralShift,
+    BlockTZ,
+    Diagonal,
+    DuplicatingShift,
     Explicit,
     ForwardShift,
     PolyRatio,
@@ -30,9 +44,11 @@ from cesarolab.core import (
     inner,
     make_vector,
     p_norm,
+    PairVec,
     scale,
+    vec_scale,
 )
-from cesarolab.powers import CesaroSum, make_orbit, power_apply, power_norm_exact
+from cesarolab.powers import CesaroSum, make_orbit, media_residual_max, power_apply, power_norm_exact
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -138,3 +154,60 @@ def test_power_norm_bounds_basis_orbits(case):
     starts = [j for j in range(min(x.entries) - 30, max(x.entries) + 30) if universe.contains(j)]
     best = max(p_norm(power_apply(spec, basis_vector(universe, j), n), 2) for j in starts)
     assert power_norm_exact(spec, n, 2) >= best * (1 - 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the mean identity on every frame, and verdicts on growing specs
+
+
+@st.composite
+def frame_cases(draw):
+    """Random shifts, BlockTZ over shifts and diagonals, and the duplicating shift, with a random vector."""
+    spec, x, _, _ = draw(shift_cases())
+    kind = draw(st.sampled_from(["shift", "blocktz-shift", "blocktz-diagonal", "dupshift", "blocktz-dupshift"]))
+    universe = x.universe
+    if kind == "blocktz-diagonal":
+        overrides = draw(st.dictionaries(st.integers(-3, 12), st.builds(cmath.rect, st.floats(0.0, 1.2), unit), max_size=4))
+        if universe is NAT:
+            overrides = {k: v for k, v in overrides.items() if k >= 1}
+        spec = BlockTZ(Diagonal(universe, cmath.rect(draw(st.floats(0.5, 1.0)), draw(unit)), overrides))
+    elif kind.endswith("dupshift"):
+        universe = NAT
+        spec = scale(cmath.exp(1j * draw(unit)), DuplicatingShift()) if draw(st.booleans()) else DuplicatingShift()
+        x = make_vector(NAT, [(k + 1, v) for k, v in draw(st.dictionaries(st.integers(0, 10), st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False), min_size=1, max_size=6)).items() if v])
+    if kind.startswith("blocktz") and kind != "blocktz-diagonal":
+        spec = BlockTZ(spec)
+    if kind.startswith("blocktz"):
+        y = make_vector(universe, [(k + 1, 0.5 - 0.25j * k) for k in sorted(x.entries)[:3]])
+        x = PairVec(x, y)
+    return spec, x, draw(st.integers(1, 64))
+
+
+@SETTINGS
+@given(frame_cases())
+def test_mean_identity_holds_on_every_frame(case):
+    spec, x, n = case
+    if x.is_zero():
+        return
+    unit_x = vec_scale(1.0 / p_norm(x, 2), x)
+    assert media_residual_max(spec, unit_x, n, 2) <= 1e-11
+
+
+growing = st.one_of(
+    st.builds(lambda a: ForwardShift(NAT, PowerRatio(a, 1)), st.floats(1.0, 300.0)),
+    st.builds(lambda r, t: Diagonal(NAT, cmath.rect(r, t)), st.floats(1.5, 1e100), unit),
+    st.builds(lambda r, t: Diagonal(INTS, 1.0, ((0, cmath.rect(r, t)),)), st.floats(1.5, 1e100), unit),
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(growing, st.sampled_from([64, 256, 2048]))
+def test_growing_specs_are_never_bounded(spec, n_max):
+    # ||T^n|| grows exponentially or like n^alpha with alpha >= 1: overflow gives violated or inconclusive, never bounded
+    cfg = ProbeConfig(n_max=n_max, basis_probes=2, seeded_probes=1, lambda_samples=4, probe_support=8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for probe in (acb_constant, cesaro_bounded_probe, uniform_kreiss_probe, power_bounded_probe):
+            verdict = probe(spec, cfg)
+            assert verdict.status != "bounded_up_to", (probe.__name__, verdict)
+            assert all(math.isfinite(v) for v in (verdict.witness or {}).values() if isinstance(v, float))
