@@ -276,9 +276,12 @@ def p_norm(x: Vector, p: float) -> float:
             norm = math.inf
     if 0 < norm < math.inf:
         return norm
-    # the powers underflowed or overflowed: rescale by the largest magnitude
-    top = max(abs(v) for v in x.entries.values())
-    return top * p_norm(vec_scale(1.0 / top, x), p) if 0 < top < math.inf else norm
+    mags = [abs(v) for v in x.entries.values()]
+    if not all(math.isfinite(m) for m in mags):  # the norm is inf or nan
+        return norm
+    # the powers underflowed or overflowed: divide by the largest magnitude, which no ratio exceeds
+    top = max(mags)
+    return top * math.fsum((m / top) ** p for m in mags) ** (1.0 / p)
 
 
 def inner(x: Vector, y: Vector) -> complex:

@@ -485,6 +485,8 @@ class _WindowOrbit(_Orbit):
     starts at cell n, so a = [v(1), v], and cells 1 .. n-1 hold one plateau
     value per row, affine in n under BlockTZ.  A scalar s makes state n
     s^(n-1) times the state with s folded into a: the rows of its windows.
+    Its sums are written off (lam s)^u only while s^u stays in range over
+    the horizon, as a shift's W must; otherwise they add states.
 
     A shift's table serves only if its live ratios times the entries of x stay
     normal doubles; otherwise the window of (x; y) steps, composing BlockTZ.
@@ -529,18 +531,23 @@ class _WindowOrbit(_Orbit):
         weights = self.table[s : s + length - 1] if d > 0 else self.table[s - (length - 2) : s + 1][::-1]
         with np.errstate(over="ignore", invalid="ignore"):
             wt = _running_products(weights[None])[0]  # inf past double range
-            mags = np.abs(wt[:live])
-            top, bottom = mags.max(), mags.min()
-            xs = np.abs(self.vals[self.vals != 0])
-            reach = xs.max() * (1 + n_max * (1 + abs(self.kappa)) if pad else 1)  # bounds |x + n (y - kappa y')|
-            ok = 0 < bottom and top < np.inf and not wt[len(mags) :].any()
-            if not ok or reach * (top / bottom) > _DOUBLE.max or xs.min() * (bottom / top) < _DOUBLE.tiny:
-                return False
+        mags = np.abs(wt[:live])
+        if wt[len(mags) :].any() or not self._in_range(mags, n_max):
+            return False
         src = self.vals[:, ::d] / wt[:width]
         a = np.concatenate((np.zeros((self.rows, 1)), src), axis=1) if pad else src
         self._frame(a, src[1] if pad else None, wt, trail, death, pad)
         self.table = self._inner = None  # W replaces them: even a single step reads W
         return True
+
+    def _in_range(self, mags: np.ndarray, n_max: int) -> bool:
+        """Whether the entries of x times ratios of the table magnitudes ``mags`` stay normal doubles."""
+        xs = np.abs(self.vals[self.vals != 0])
+        reach = xs.max() * (1 + n_max * (1 + abs(self.kappa)) if self.kappa is not None else 1)  # |x + n (y - kappa y')|
+        top, bottom = mags.max(), mags.min()
+        with np.errstate(over="ignore"):
+            return bool(0 < bottom and top < np.inf and reach * (top / bottom) <= _DOUBLE.max
+                        and xs.min() * (bottom / top) >= _DOUBLE.tiny)
 
     def _duplicating_frame(self, scalar: complex, n_max: int) -> None:
         x = self.vals
@@ -549,20 +556,22 @@ class _WindowOrbit(_Orbit):
         q = np.stack((scalar * first, 0 * first))  # plateau value q[0] + n q[1] of each row
         if self.kappa is not None:
             q[1, 0] = (scalar - self.kappa) * first[1]
-        self._frame(a, None if self.kappa is None else x[1], np.ones(n_max + x.shape[1]), self.lo, None, 1)
+        rows = max(n_max, 1)  # state 0 too has a window
+        self._frame(a, None if self.kappa is None else x[1], np.ones(rows + x.shape[1]), self.lo, None, 1)
         self._scalar, self._q = scalar, q if first.any() else None
-        powers = _running_products(np.full((1, n_max - 1), scalar))[0]  # s^(n-1) for state n: row n - 1 of every window
-        self._windows = np.broadcast_to(powers[:, None], (n_max, a.shape[1]))
+        with np.errstate(over="ignore"):  # s^u for u < rows + width, inf past double range
+            powers = _running_products(np.full((1, rows + x.shape[1] - 1), scalar))[0]
+        # the sums read (lam s)^u against prefix sums of (lam s)^-i a(i): as a shift's W, s^u must stay in range
+        self.closable = self._in_range(np.abs(powers), n_max)
+        self._windows = np.broadcast_to(powers[:rows, None], (rows, a.shape[1]))  # s^(n-1) for state n: row n - 1
         self.translating = True
 
     def _frame(self, a, prev_y, wt, trail, death, pad) -> None:
         """Hold a frame's sources: a, and under BlockTZ b = [y_n, 0] - kappa [y_{n-1}] from a's rows and prev_y."""
         self._a, self._b, self._wt, self._trail, self._death, self._pad = a, None, wt, trail, death, pad
-        if prev_y is not None:
-            self._b = np.zeros_like(a)
-            self._b[0] = a[1]
-            self._b[0, :-1] -= self.kappa * prev_y
-        self._scalar, self._q = 1, None
+        if prev_y is not None:  # A^(n-1) y sits one column behind A^n y
+            self._b = np.stack((a[1] - self.kappa * np.append(prev_y, 0), np.zeros_like(a[1])))
+        self._scalar, self._q, self.closable = 1, None, True
         self._x0 = self.vals[:, :: self.d] if pad else None  # the initial state, in travel order, of a padded frame
         self._windows = np.lib.stride_tricks.sliding_window_view(wt, a.shape[1])  # row r: W[r : r + width]
 
@@ -669,7 +678,8 @@ class CesaroSum:
     Once the orbit state is exactly zero the sums freeze.  On a translating
     frame and a unimodular grid they are written off the product table
     (``_write``); a fixed frame folds in blocks of states; the stepping
-    fallback, and a grid off the unit circle, add one compensated state at a time.
+    fallback, a grid off the unit circle, and a duplicating frame whose s^u
+    leaves double range add one compensated state at a time.
     """
 
     def __init__(self, spec: OperatorSpec, x, n_max: int, lams=None):
@@ -682,8 +692,7 @@ class CesaroSum:
         self.n = self.stepped = 0
         self._lam_run = None
         self._live = slice(None)  # columns that can be nonzero; a translating frame narrows it
-        unimodular = np.all(np.abs(np.abs(self.lams) - 1.0) <= 1e-12)
-        self.closed = bool(self.orbit.translating and unimodular and self.orbit._scalar != 0)
+        self.closed = bool(self.orbit.translating and self.orbit.closable and np.all(np.abs(np.abs(self.lams) - 1) <= 1e-12))
         if self.closed:  # written, never accumulated: no compensation
             self._prefix_sums()
             state_cols, self._live = self._overlap()
@@ -796,8 +805,7 @@ class CesaroSum:
         orbit, k = self.orbit, self.stepped
         if self.closed:
             orbit.advance(n)
-            k = orbit.steps
-            if k != self.stepped:
+            if (k := orbit.steps) != self.stepped:
                 self._write(k)
         elif orbit.fixed:
             for _, states, _ in orbit._states(n - k):
@@ -887,12 +895,7 @@ def power_apply(spec: OperatorSpec, x, n: int):
 
 def _shift_sup_candidates(lowest: int, span: int) -> list[int]:
     """Start indices probed for the supremum: dense head plus dyadic tail."""
-    out = list(range(lowest, lowest + 8))
-    t = 8
-    while t <= span:
-        out.append(lowest + t)
-        t *= 2
-    return out
+    return list(range(lowest, lowest + 8)) + [lowest + 2**k for k in range(3, span.bit_length())]
 
 
 def _scan_products(rule, starts, n: int, monotone_shortcut: bool = False) -> float:
@@ -1040,8 +1043,7 @@ def cesaro_operator_norm(spec: OperatorSpec, n: int, lam: complex = 1.0 + 0j) ->
         raise ParameterError("lam must be unimodular")
     if spec_dim(spec) is None:
         raise UnsupportedVariantError("cesaro_operator_norm needs a finite-dimensional spec")
-    sweep = cesaro_operator_norm_sweep(spec, lam, [n])
-    return sweep[0][1]
+    return cesaro_operator_norm_sweep(spec, lam, [n])[0][1]
 
 
 def cesaro_operator_norm_sweep(spec: OperatorSpec, lam: complex, ns) -> list[tuple[int, float]]:
@@ -1061,12 +1063,10 @@ def lambda_operator_norms(spec: OperatorSpec, lams, checkpoints: list[int]) -> n
     """
     lams = np.asarray(lams, dtype=complex)
     a = to_matrix(spec)
-    d = a.shape[0]
-    nlam = len(lams)
-    power = np.broadcast_to(np.eye(d, dtype=complex), (nlam, d, d)).copy()
+    power = np.broadcast_to(np.eye(len(a), dtype=complex), (len(lams), *a.shape)).copy()
     total = power.copy()
     comp = np.zeros_like(total)
-    out = np.zeros((nlam, len(checkpoints)))
+    out = np.zeros((len(lams), len(checkpoints)))
     pos = 0
     lam_a = lams[:, None, None] * a[None, :, :]
     with np.errstate(over="ignore", invalid="ignore"):  # overflowing means read as inf

@@ -27,6 +27,7 @@ from cesarolab.core import (
     Polynomial,
     PowerRatio,
     ScalarMultiple,
+    SparseVec,
     UnsupportedVariantError,
     adjoint,
     apply,
@@ -90,6 +91,14 @@ def test_p_norm_simple_values():
     for c in (1e200, 1e-200):
         assert p_norm(make_vector(NAT, [(1, c), (2, c * 1j)]), 2) == pytest.approx(math.sqrt(2) * c, rel=1e-15)
         assert p_norm(make_vector(NAT, [(1, c), (2, c)]), 3) == pytest.approx(2 ** (1 / 3) * c, rel=1e-15)
+    # a subnormal largest magnitude, whose reciprocal overflows
+    assert p_norm(make_vector(NAT, [(1, 1e-310)]), 2) == pytest.approx(1e-310, rel=1e-15)
+    assert p_norm(make_vector(NAT, [(1, 1e-310), (2, 1e-310)]), 3) == pytest.approx(2 ** (1 / 3) * 1e-310, rel=1e-12)
+    # a non-finite entry after a finite one is the norm, not a rescaling
+    for bad, norm in ((math.nan, math.nan), (math.inf, math.inf)):
+        v = SparseVec(NAT, {1: 1.0 + 0j, 2: complex(bad, 0.0)})
+        for p in (2, 3):
+            assert p_norm(v, p) == pytest.approx(norm, nan_ok=True)
 
 
 def test_p_norm_rejects_small_p():

@@ -479,7 +479,7 @@ def test_window_tables_stay_inside_the_universe():
     translating = [make_orbit(spec, v, 2**20) for spec, v in cases]
     stepping = [_stepping(lambda: make_orbit(spec, v, 2**20)) for spec, v in cases]
     assert [len(orbit._wt) for orbit in translating] == [64, 65]
-    assert all(len(orbit.table) <= 65 for orbit in stepping)
+    assert [len(orbit.table) for orbit in stepping] == [63, 64]
     for orbit in (*translating, *stepping):
         norms = orbit.norms(2, 2**20)
         assert orbit.dead and len(norms) <= 33 and norms[-1] == 0
@@ -592,6 +592,33 @@ def test_composed_frames_match_apply(monkeypatch):
                 _close(acc.sum, np.array(want), summed)
                 _close(acc.norms(2), np.array([np.linalg.norm(w) for w in want]) / (n + 1), summed / (n + 1))
 
+
+
+def test_duplicating_frames_at_horizon_zero():
+    # M_0 x = x: a frame built for no steps still holds its initial state
+    x = make_vector(NAT, [(1, 1.0), (2, 2j), (4, -0.5)])
+    for spec, v in ((DuplicatingShift(), x), (BlockTZ(DuplicatingShift()), PairVec(x, vec_scale(1j, x)))):
+        assert cesaro_apply(spec, v, 0) == v
+        assert power_apply(spec, v, 0) == v
+
+
+def test_duplicating_sums_off_the_unit_circle_accumulate():
+    # with |s| != 1, (lam s)^-i over a wide window leaves double range: the sums add states instead
+    rng = np.random.default_rng(31)
+    w = rand_vec(NAT, rng, 1, 1200)
+    lams = np.array([1.0, 1j, cmath.exp(0.3j)])
+    n = 6
+    for spec, x, kappa in ((scale(0.5, DuplicatingShift()), w, None),
+                           (BlockTZ(scale(0.5, DuplicatingShift())), PairVec(w, vec_scale(1j, w)), 1.0)):
+        states = _apply_oracle(spec, x, n)
+        sizes = _composed_scales(states, spec.inner if kappa else spec, kappa, x, n)
+        acc = CesaroSum(spec, x, n, lams)
+        assert not acc.closed
+        acc.advance_to(n)
+        want = [sum(lam**k * _dense_on(v, acc.lo, acc.sum.shape[2]) for k, v in enumerate(states)) for lam in lams]
+        _close(acc.sum, np.array(want), sizes.sum())
+    # on a narrow window and a short horizon the same scalar stays in range, and the sums are written
+    assert CesaroSum(scale(0.5, DuplicatingShift()), rand_vec(NAT, rng, 1, 8), 40, lams).closed
 
 
 def test_blocktz_stepping_fallback_matches_apply():
