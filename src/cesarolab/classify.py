@@ -39,6 +39,7 @@ from .powers import (
     NormSeq,
     cesaro_apply,
     cesaro_operator_norm_sweep,
+    lambda_grid,
     lambda_mean_norms,
     lambda_operator_norms,
     largest_singular_value,
@@ -235,22 +236,6 @@ def dyadic_divergence(values: list[tuple[int, float]], factor: float = 2.0, sust
     if peak >= factor * first and last >= sustain * peak:
         return True, peak_n, peak
     return False, None, None
-
-
-# ---------------------------------------------------------------------------
-# lambda-averaged Cesàro norms (batched across a unimodular grid)
-
-
-def lambda_grid(samples: int) -> np.ndarray:
-    """samples-th roots of unity, with 1 and -1 always present."""
-    ks = np.arange(samples)
-    lams = np.exp(2j * np.pi * ks / samples)
-    have_minus_one = samples % 2 == 0
-    extra = [] if have_minus_one else [-1.0 + 0j]
-    lams[0] = 1.0 + 0j
-    if extra:
-        lams = np.concatenate([lams, np.array(extra)])
-    return lams
 
 
 # ---------------------------------------------------------------------------
@@ -494,36 +479,32 @@ def kreiss_resolvent_constant(
     if spec_dim(spec) is None:
         raise UnsupportedVariantError("kreiss_resolvent_constant needs a finite-dimensional spec")
     a = to_matrix(spec)
-    d = a.shape[0]
-    eye = np.eye(d, dtype=complex)
+    eye = np.eye(a.shape[0], dtype=complex)
     args = np.linspace(0.0, 2.0 * np.pi, arg_samples, endpoint=False)
     if not np.any(np.isclose(args, np.pi)):
         args = np.append(args, np.pi)
+    units = [complex(math.cos(theta), math.sin(theta)) for theta in args]
     per_delta = []
-    witness = None
     for delta in deltas:
-        radius = 1.0 + delta
-        worst = 0.0
-        worst_arg = 0.0
-        for theta in args:
-            lam = radius * complex(math.cos(theta), math.sin(theta))
-            try:
-                resolvent = np.linalg.solve(lam * eye - a, eye)
-            except np.linalg.LinAlgError:
-                return ClassVerdict(
-                    "kreiss",
-                    "violated",
-                    "exact",
-                    len(deltas),
-                    math.inf,
-                    {"spec": describe(spec), "lam": [lam.real, lam.imag], "singular": True},
-                    {"delta_grid": deltas, "arg_samples": int(len(args))},
-                )
-            value = delta * largest_singular_value(resolvent)
-            if value > worst:
-                worst = value
-                worst_arg = float(theta)
-        per_delta.append((delta, worst, worst_arg))
+        lams = [(1.0 + delta) * u for u in units]
+        shifted = np.array(lams)[:, None, None] * eye - a
+        try:
+            resolvents = np.linalg.solve(shifted, np.broadcast_to(eye, shifted.shape))
+        except np.linalg.LinAlgError:
+            # LU pivots as solve's: the first exactly singular lam is the witness
+            lam = lams[int(np.flatnonzero(np.linalg.slogdet(shifted)[0] == 0)[0])]
+            return ClassVerdict(
+                "kreiss",
+                "violated",
+                "exact",
+                len(deltas),
+                math.inf,
+                {"spec": describe(spec), "lam": [lam.real, lam.imag], "singular": True},
+                {"delta_grid": deltas, "arg_samples": int(len(args))},
+            )
+        values = delta * largest_singular_value(resolvents)
+        worst = int(np.argmax(values))
+        per_delta.append((delta, float(values[worst]), float(args[worst])))
     best = max(v for _, v, _ in per_delta)
     params = {
         "delta_grid": deltas,
@@ -549,17 +530,14 @@ def strong_kreiss_exp_probe(
         raise UnsupportedVariantError("strong_kreiss_exp_probe needs a finite-dimensional spec")
     a = to_matrix(spec)
     args = np.linspace(0.0, 2.0 * np.pi, arg_samples, endpoint=False)
+    units = [complex(math.cos(theta), math.sin(theta)) for theta in args]
     per_radius = []
     for r in radii:
-        worst = 0.0
-        worst_arg = 0.0
-        for theta in args:
-            z = r * complex(math.cos(theta), math.sin(theta))
-            value = largest_singular_value(matrix_exponential(z * a)) * math.exp(-abs(z))
-            if value > worst:
-                worst = value
-                worst_arg = float(theta)
-        per_radius.append((r, worst, worst_arg))
+        zs = [r * u for u in units]
+        damping = np.array([math.exp(-abs(z)) for z in zs])  # libm's hypot: numpy's vector |z| can differ by an ulp
+        values = largest_singular_value(matrix_exponential(np.array(zs)[:, None, None] * a)) * damping
+        worst = int(np.argmax(values))
+        per_radius.append((r, float(values[worst]), float(args[worst])))
     best = max(v for _, v, _ in per_radius)
     params = {
         "radii": radii,

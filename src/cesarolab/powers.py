@@ -9,8 +9,10 @@ shift is the unweighted shift plus a plateau; BlockTZ composes its inner
 frame (``_WindowOrbit``).  The one stepping engine left is the fallback of a
 shift whose product table leaves double range.  Sums cover a grid of
 unimodular lam at once, a mean being the one-point grid [1], and stay
-correctly rounded (TwoSum, Kahan); ``lambda_operator_norms`` is the matrix
-counterpart, one compensated pass over (lam A)^k for a lam grid.
+correctly rounded (TwoSum, Kahan).  ``lambda_operator_norms`` is the matrix
+counterpart: on the roots-of-unity grid its sums are one inverse DFT of
+residue-class sums of the extended-precision power stack, and any other lam
+is the one-point grid of lam A.
 """
 
 from __future__ import annotations
@@ -67,11 +69,13 @@ __all__ = [
     "CesaroSum",
     "compensated_add",
     "lambda_mean_norms",
+    "lambda_grid",
     "lambda_operator_norms",
 ]
 
 SHIFT_SUP_HORIZON = 10**6
 _STACK_BYTES = 2**20  # cap on a fixed frame's power stack; it fixes the block length B
+_GATHER_BYTES = 2**17  # cap on the residue sums gathered for one chunk of checkpoints
 # Equal doubles that an extended-precision sum adds exactly: 2^11 with an x87 long double.
 _EXACT_ROWS = 2 ** max(np.finfo(np.longdouble).nmant - np.finfo(float).nmant, 6)
 _DOUBLE = np.finfo(float)
@@ -129,28 +133,45 @@ def largest_singular_value(a):
     return float(out) if out.ndim == 0 else out
 
 
+def _norm1(stack: np.ndarray) -> np.ndarray:
+    """Induced 1-norm (largest column sum) of each matrix in a stack."""
+    return np.max(np.sum(np.abs(stack), axis=-2), axis=-1, initial=0.0)
+
+
 def matrix_exponential(a, tol: float = 1e-14) -> np.ndarray:
-    """exp(a) by scaling-and-squaring over a Taylor series with a tail bound."""
+    """exp(a) of a matrix or of each matrix in a stack (..., d, d): scaling and squaring over a Taylor series.
+
+    Each matrix takes its own squaring count s (||a||_1 / 2^s <= 1/2) and
+    stops its own series once a geometric bound on the tail is below tol
+    relative to the sum, so a converged matrix takes no further terms.  A
+    matrix with a non-finite entry gives NaN.
+    """
     a = np.asarray(a, dtype=complex)
-    d = a.shape[0]
-    norm1 = float(np.max(np.sum(np.abs(a), axis=0))) if a.size else 0.0
-    squarings = max(0, int(math.ceil(math.log2(norm1))) + 1) if norm1 > 0.5 else 0
-    b = a / (2.0**squarings)
-    nb = norm1 / (2.0**squarings)
-    total = np.eye(d, dtype=complex)
-    term = np.eye(d, dtype=complex)
+    stack = a.reshape(-1, *a.shape[-2:])
+    norm1 = _norm1(stack)
+    # libm's log2: numpy's vector log2 can round the other way next to a power of two
+    squarings = np.array([math.ceil(math.log2(x)) + 1 if 0.5 < x < math.inf else 0 for x in norm1], dtype=int)
+    scale = 2.0**squarings
+    b = stack / scale[:, None, None]
+    nb = norm1 / scale
+    total = np.broadcast_to(np.eye(a.shape[-1], dtype=complex), stack.shape).copy()
+    term = total.copy()
+    finite = np.isfinite(norm1)
+    total[~finite] = np.nan
+    live = np.flatnonzero(finite)  # the matrices whose series is still summing
     for k in range(1, 200):
-        term = term @ b / k
-        total = total + term
-        q = nb / (k + 1)
-        if q < 1.0:
-            term_norm = float(np.max(np.sum(np.abs(term), axis=0)))
-            total_norm = float(np.max(np.sum(np.abs(total), axis=0)))
-            if term_norm * q / (1.0 - q) <= tol * max(total_norm, 1.0):
-                break
-    for _ in range(squarings):
-        total = total @ total
-    return total
+        if not live.size:
+            break
+        term[live] = term[live] @ b[live] / k
+        total[live] = total[live] + term[live]
+        q = nb[live] / (k + 1)
+        with np.errstate(divide="ignore", invalid="ignore"):  # no geometric tail bound while q >= 1
+            tail = _norm1(term[live]) * q / (1.0 - q)
+        live = live[~((q < 1.0) & (tail <= tol * np.maximum(_norm1(total[live]), 1.0)))]
+    for s in range(1, int(squarings.max(initial=0)) + 1):
+        due = np.flatnonzero(squarings >= s)
+        total[due] = total[due] @ total[due]
+    return total.reshape(a.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -1054,32 +1075,86 @@ def cesaro_operator_norm_sweep(spec: OperatorSpec, lam: complex, ns) -> list[tup
     return list(zip(ns, lambda_operator_norms(spec, [lam], ns)[0].tolist()))
 
 
+def lambda_grid(samples: int) -> np.ndarray:
+    """samples-th roots of unity, with 1 and -1 always present (-1 appended when samples is odd)."""
+    lams = np.exp(2j * np.pi * np.arange(samples) / samples)
+    lams[0] = 1.0
+    return lams if samples % 2 == 0 else np.append(lams, -1.0 + 0j)
+
+
 def lambda_operator_norms(spec: OperatorSpec, lams, checkpoints: list[int]) -> np.ndarray:
     """Exact ||M_n(lam T)|| at sorted checkpoints n >= 0 for every lam; shape (len(lams), len(checkpoints)).
 
-    One Kahan-compensated sweep accumulates the powers (lam A)^k for the whole
-    grid; one batched largest singular value over the lam stack reads each
-    checkpoint (inf once a mean holds a non-finite entry).
+    When lams is exactly ``lambda_grid(L)``, element for element, the L roots
+    of unity are one residue-DFT sweep (``_residue_norms``) over the powers of
+    A, evaluated at the exact roots e^{2 pi i j/L}; any other lam (and the -1
+    of an odd grid) is the one-point sweep of lam A.  A mean that holds a
+    non-finite entry reads as inf.
     """
     lams = np.asarray(lams, dtype=complex)
     a = to_matrix(spec)
-    power = np.broadcast_to(np.eye(len(a), dtype=complex), (len(lams), *a.shape)).copy()
-    total = power.copy()
-    comp = np.zeros_like(total)
-    out = np.zeros((len(lams), len(checkpoints)))
-    pos = 0
-    lam_a = lams[:, None, None] * a[None, :, :]
+    size = next((s for s in (len(lams), len(lams) - 1) if s > 0 and np.array_equal(lams, lambda_grid(s))), 0)
+    rows = [_residue_norms(a, size, checkpoints)] if size else []
+    rows += [_residue_norms(lam * a, 1, checkpoints) for lam in lams[size:]]
+    return np.vstack(rows)
+
+
+def _residue_norms(a: np.ndarray, period: int, checkpoints: list[int]) -> np.ndarray:
+    """||(1/(k+1)) sum_{m<=k} w^{jm} a^m|| for w = e^{2 pi i/period} and j < period, at each checkpoint k.
+
+    With B_r(k) = sum_{m<=k, m = r mod period} a^m, the sum is
+    sum_r w^{jr} B_r(k): one length-period inverse DFT over r for the whole
+    grid, in extended precision, at the exact roots: its rounding grows like
+    log(period) eps sum_r ||B_r(k)|| with the extended eps (Higham, Accuracy
+    and Stability of Numerical Algorithms, ch. 24), far below the one
+    rounding to double.  The powers a^0, a^1, ... are built in blocks of
+    whole rows of period powers under the stack cap.  Each block sits below
+    the previous block's last row of residue sums, so one in-place cumulative
+    sum over the rows makes row q hold the B_r of the q-th row's exponents.
+    Checkpoints are gathered straight into residue order, divided by k+1 and
+    rounded to double once; each chunk of checkpoints takes one batched
+    largest singular value.  Shape (period, len(checkpoints)).
+    """
+    d = len(a)
+    ks = np.asarray(checkpoints, dtype=np.int64)
+    out = np.empty((period, len(ks)))
+    point = 32 * period * d * d  # bytes of one checkpoint's residue sums
+    rows = min(max(_STACK_BYTES // point, 2), int(ks[-1]) // period + 2)
+    chunk = max(_GATHER_BYTES // point, 1)
+    buf = np.empty((rows, period, d, d), dtype=np.clongdouble)
+    buf[0] = 0
+    flat = buf.reshape(-1, d, d)
+    op = a.astype(np.clongdouble)
+    squares = [op]  # op^(2^i), the doubling factors
+    first = np.eye(d, dtype=np.clongdouble)  # the power that opens the next block
+    residues = np.arange(period)
+    start, pos = 0, 0  # exponent of the block's first power; first checkpoint not yet read
     with np.errstate(over="ignore", invalid="ignore"):  # overflowing means read as inf
-        for k in range(checkpoints[-1] + 1):
-            if k:
-                power = lam_a @ power
-                y = power - comp
-                t = total + y
-                comp = (t - total) - y
-                total = t
-            if checkpoints[pos] == k:
-                out[:, pos] = largest_singular_value(total / (k + 1))
-                pos += 1
+        while pos < len(ks):
+            used = min(rows - 1, (int(ks[-1]) - start) // period + 1)
+            block = flat[period : period * (used + 1)]  # a^start, a^(start+1), ...
+            block[0] = first
+            done = 1
+            while done < len(block):  # block[done : 2 done] = block[:done] op^done
+                if len(squares) < done.bit_length():
+                    squares.append(squares[-1] @ squares[-1])
+                m = min(done, len(block) - done)
+                np.matmul(block[:m], squares[done.bit_length() - 1], out=block[done : done + m])
+                done += m
+            first = block[-1] @ op
+            np.cumsum(buf[: used + 1], axis=0, out=buf[: used + 1])
+            stop = int(np.searchsorted(ks, start + used * period))
+            for lo in range(pos, stop, chunk):
+                hi = min(lo + chunk, stop)
+                t = ks[lo:hi, None] - start
+                # residue r of checkpoint start + t: row t // period + 1 if r <= t % period, else the row above
+                sums = np.fft.ifft(flat[t + period - (t - residues) % period], axis=1, norm="forward")
+                sums /= (ks[lo:hi] + 1).astype(np.longdouble)[:, None, None, None]
+                sums = sums.astype(complex)
+                out[:, lo:hi] = largest_singular_value(sums.reshape(-1, d, d)).reshape(hi - lo, period).T
+            buf[0] = buf[used]
+            start += used * period
+            pos = stop
     return out
 
 

@@ -3,6 +3,7 @@ import json
 import math
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
 
@@ -155,6 +156,47 @@ def test_classify_overflowing_matrix_prints_no_warnings():
         code, out, err = run_cli(["classify", "matrix:[[2,0],[0,1]]", "--probes", "pb,cb,uk", "--json"])
     assert code == 0, err
     assert [probe["result"]["status"] for probe in json.loads(out)["probes"]] == ["violated"] * 3
+
+
+def _overflowing_mean_at(base: int, ns) -> int:
+    """First n whose mean (1/(n+1)) sum_{k<=n} base^k rounds past the largest double."""
+    for n in ns:
+        try:
+            float(Fraction(base ** (n + 1) - 1, (base - 1) * (n + 1)))
+        except OverflowError:
+            return n
+    raise AssertionError("no mean overflows")
+
+
+def test_exact_means_stay_finite_until_the_mean_itself_overflows():
+    # the means are summed and divided in extended precision, so 2^1024 as a power never reaches double
+    from cesarolab.classify import checkpoint_set
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["classify", "matrix:[[2,0],[0,1]]", "--probes", "cb,uk", "--json"])
+        assert code == 0, err
+        for probe in json.loads(out)["probes"]:
+            result = probe["result"]
+            assert result["status"] == "violated"
+            assert "non_finite_at" not in result["parameters"]
+            assert result["best_constant"] == pytest.approx(float(Fraction(2**1025 - 1, 1025)), rel=1e-12)
+        code, out, err = run_cli(["classify", "matrix:[[4,0],[0,1]]", "--probes", "cb,uk", "--json"])
+    assert code == 0, err
+    cb, uk = (probe["result"] for probe in json.loads(out)["probes"])
+    assert cb["status"] == uk["status"] == "violated"
+    assert cb["parameters"]["non_finite_at"] == _overflowing_mean_at(4, range(1, 1025)) == 517
+    assert uk["parameters"]["non_finite_at"] == _overflowing_mean_at(4, checkpoint_set(1024))
+
+
+def test_kreiss_singular_resolvent_names_its_lam():
+    # delta = 2^-3 puts lam = 1.125 at theta = 0 on the eigenvalue: the batched solve fails and the witness is that lam
+    code, out, err = run_cli(["classify", "matrix:[[1.125]]", "--probes", "kreiss", "--json"])
+    assert code == 0, err
+    result = json.loads(out)["probes"][0]["result"]
+    assert result["status"] == "violated"
+    assert result["witness"]["lam"] == [1.125, 0.0]
+    assert result["witness"]["singular"] is True
 
 
 def test_orbit_overflow_exits_1_naming_the_index():

@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 
 import cesarolab.powers as powers
+from cesarolab import zoo
 from cesarolab.core import (
     INTS,
     NAT,
@@ -46,6 +47,8 @@ from cesarolab.powers import (
     cesaro_operator_norm,
     cesaro_operator_norm_sweep,
     lambda_mean_norms,
+    lambda_grid,
+    lambda_operator_norms,
     largest_singular_value,
     make_orbit,
     matrix_exponential,
@@ -727,6 +730,118 @@ def test_cesaro_operator_norm_sweep_oracle_svd():
     sweep = dict(cesaro_operator_norm_sweep(spec, 1.0 + 0j, list(range(1, 33))))
     for n, value in expected.items():
         assert sweep[n] == pytest.approx(value, rel=1e-11)
+
+
+# The lam sweep against clongdouble references at the exact roots of unity.  The sum
+# sum_r w^{jr} B_r(k) cancels from sum_r ||B_r(k)|| down to (k+1) ||M_k||, so a few roundings
+# to double at either scale bound the error of the sweep (extended precision up to its one
+# rounding to double) and of the references: |got - want| <= 4 eps (sum_r ||B_r(k)|| / (k+1) + ||M_k||).
+# Summing double-rounded powers, or evaluating at the double-rounded lam, exceeds it.
+_EPS = np.finfo(float).eps
+_SWEEP_KS = [0, 1, 5, 6, 7, 20, 21, 22, 63, 64, 65, 127, 128, 300]
+
+
+def _exact_roots(period):
+    """The grid lambda_grid(period) at its exact points, in clongdouble (-1 appended for odd period)."""
+    turn = 8 * np.arctan(np.longdouble(1)) / period
+    roots = np.exp(1j * turn * np.arange(period).astype(np.longdouble))
+    return np.append(roots, np.clongdouble(-1)) if period % 2 else roots
+
+
+def _residue_scale(a, period, ks):
+    """sum_r ||B_r(k)||_2 / (k+1) at each k, stepped in clongdouble."""
+    power = np.eye(len(a), dtype=np.clongdouble)
+    sums = np.zeros((period, *a.shape), dtype=np.clongdouble)
+    out = []
+    for k in range(ks[-1] + 1):
+        sums[k % period] += power
+        power = power @ a
+        if k in ks:
+            out.append(sum(np.linalg.norm(b.astype(complex), 2) for b in sums) / (k + 1))
+    return np.array(out)
+
+
+def _stepped_sweep(a, lams, ks):
+    """||M_k(lam A)|| at each exact lam and checkpoint k, stepped in clongdouble."""
+    lam_a = lams[:, None, None] * a.astype(np.clongdouble)
+    power = np.broadcast_to(np.eye(len(a), dtype=np.clongdouble), lam_a.shape).copy()
+    total = np.zeros_like(power)
+    out = []
+    for k in range(ks[-1] + 1):
+        total += power
+        power = lam_a @ power
+        if k in ks:
+            out.append(largest_singular_value((total / (k + 1)).astype(complex)))
+    return np.array(out).T
+
+
+def _geometric_sweep(diag, lams, ks):
+    """||M_k(lam D)|| for a diagonal D: the largest |(1 - z^{k+1}) / ((1 - z)(k+1))|, z = lam d, in clongdouble."""
+    z = lams[:, None] * np.asarray(diag).astype(np.clongdouble)
+    out = []
+    for k in ks:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mean = np.where(z == 1, 1, (1 - z ** (k + 1)) / ((1 - z) * (k + 1)))
+        out.append(np.abs(mean.astype(complex)).max(axis=1))
+    return np.array(out).T
+
+
+def _assert_sweep(a, period, want, monkeypatch, stack_bytes):
+    if stack_bytes:
+        monkeypatch.setattr(powers, "_STACK_BYTES", stack_bytes)
+    got = lambda_operator_norms(FiniteMatrix(tuple(map(tuple, a.tolist()))), lambda_grid(period), _SWEEP_KS)
+    bound = 4 * _EPS * (_residue_scale(a, period, _SWEEP_KS) + want)
+    assert np.all(np.abs(got - want) <= bound), np.max(np.abs(got - want) / bound)
+
+
+@pytest.mark.parametrize("stack_bytes", [None, 2**12])
+@pytest.mark.parametrize("period", [1, 4, 7, 64])
+def test_lambda_sweep_matches_geometric_sums_on_diagonals(period, stack_bytes, monkeypatch):
+    # at 2^12 bytes a block holds 7 to 64 powers, so the checkpoints span many blocks
+    rng = np.random.default_rng(41)
+    rotation = np.diag(np.diag(powers.to_matrix(zoo.get_entry("rotation").spec)))
+    diagonals = [rotation, np.diag([2.0, 1.0]), np.diag(rng.uniform(0, 1, 3) * np.exp(2j * np.pi * rng.uniform(size=3)))]
+    for a in diagonals:
+        _assert_sweep(a, period, _geometric_sweep(np.diag(a), _exact_roots(period), _SWEEP_KS), monkeypatch, stack_bytes)
+
+
+@pytest.mark.parametrize("stack_bytes", [None, 2**12])
+@pytest.mark.parametrize("period", [1, 4, 7, 64])
+def test_lambda_sweep_matches_stepping_on_non_normal_matrices(period, stack_bytes, monkeypatch):
+    for name in ("assani", "hyper4"):
+        a = powers.to_matrix(zoo.get_entry(name).spec)
+        _assert_sweep(a, period, _stepped_sweep(a, _exact_roots(period), _SWEEP_KS), monkeypatch, stack_bytes)
+
+
+def test_lambda_sweep_off_the_grid_is_the_one_point_sweep():
+    # a grid that is not lambda_grid(L) element for element reads each lam as the one-point sweep of lam A
+    lams = lambda_grid(8)
+    lams[3] *= 1 + 2**-52
+    a = np.array([[-1.0, 2.0], [0.0, -1.0]])
+    table = lambda_operator_norms(ASSANI, lams, _SWEEP_KS)
+    for lam, row in zip(lams, table):
+        spec = FiniteMatrix(tuple(map(tuple, (lam * a).tolist())))
+        assert row.tolist() == lambda_operator_norms(spec, [1.0], _SWEEP_KS)[0].tolist()
+
+
+def test_matrix_exponential_stack_matches_single_calls():
+    # rotation: |z| rounds to either side of r, so each radius mixes squaring counts; then a zero and a NaN matrix
+    a = powers.to_matrix(zoo.get_entry("rotation").spec)
+    args = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
+    stack = []
+    for r in (1.0, 2.0, 4.0, 8.0):
+        zs = [r * complex(math.cos(t), math.sin(t)) for t in args]
+        counts = {math.ceil(math.log2(np.abs(z * a).sum(axis=0).max())) for z in zs}
+        assert len(counts) == 2, (r, counts)
+        stack += [z * a for z in zs]
+    stack += [np.zeros((4, 4)), np.where(np.eye(4) == 1, np.nan, a)]
+    stack = np.array(stack)
+    batched = matrix_exponential(stack)
+    for m, got in zip(stack, batched):
+        assert np.array_equal(got, matrix_exponential(m), equal_nan=True)
+    assert np.array_equal(batched[-2], np.eye(4))
+    assert np.isnan(batched[-1]).all()
+    assert matrix_exponential(stack.reshape(2, 33, 4, 4)).shape == (2, 33, 4, 4)
 
 
 # ---------------------------------------------------------------------------

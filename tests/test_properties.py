@@ -8,7 +8,9 @@ each quantity: ||T^n|| ||x|| for a state, ||T^k x|| for a norm, ||T^k x|| ||y||
 for an inner product and sum_k ||T^k x|| for a Cesàro sum.  The mean identity
 holds within 1e-11 on shifts, BlockTZ over shifts and diagonals and the
 duplicating shift; specs whose powers grow exponentially or like n^alpha,
-alpha >= 1, are never reported bounded, also once their orbits overflow.
+alpha >= 1, are never reported bounded, also once their orbits overflow;
+||M_n(lam T)|| of a contraction is invariant under unitary conjugation, within
+the perturbation bound of the rounded conjugation.
 """
 
 import cmath
@@ -36,6 +38,7 @@ from cesarolab.core import (
     Diagonal,
     DuplicatingShift,
     Explicit,
+    FiniteMatrix,
     ForwardShift,
     PolyRatio,
     Polynomial,
@@ -48,7 +51,15 @@ from cesarolab.core import (
     scale,
     vec_scale,
 )
-from cesarolab.powers import CesaroSum, make_orbit, media_residual_max, power_apply, power_norm_exact
+from cesarolab.powers import (
+    CesaroSum,
+    lambda_grid,
+    lambda_operator_norms,
+    make_orbit,
+    media_residual_max,
+    power_apply,
+    power_norm_exact,
+)
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -211,3 +222,36 @@ def test_growing_specs_are_never_bounded(spec, n_max):
             verdict = probe(spec, cfg)
             assert verdict.status != "bounded_up_to", (probe.__name__, verdict)
             assert all(math.isfinite(v) for v in (verdict.witness or {}).values() if isinstance(v, float))
+
+
+# ---------------------------------------------------------------------------
+# unitary invariance of the lam sweep
+
+
+@SETTINGS
+@given(st.integers(1, 6), st.floats(0.0, 0.9), st.integers(0, 256), st.integers(0, 2**32 - 1))
+def test_lambda_norms_invariant_under_unitary_conjugation(d, size, n, seed):
+    # ||M_n(lam U A U*)|| = ||M_n(lam A)||.  The computed conjugation is Q (A + E) Q^{-1} with
+    # ||E|| <= eta = 3 d^2 eps ||A|| (two products, each within d gamma_d in the 2-norm, and Q's distance
+    # from unitarity), which moves M_k by at most (1/(k+1)) sum_{m<=k} m s^{m-1} eta, s = ||A|| + eta;
+    # each table adds its own rounding, 4 eps (sum_{m<=k} s^m / (k+1) + ||M_k||) with ||M_k|| <= 1.
+    rng = np.random.default_rng(seed)
+    gauss = lambda: rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))  # noqa: E731
+    a = gauss()
+    a *= size / np.linalg.norm(a, 2)
+    u, _ = np.linalg.qr(gauss())
+    ks = sorted({0, n // 3, n})
+    tables = [
+        lambda_operator_norms(FiniteMatrix(tuple(map(tuple, m.tolist()))), lambda_grid(8), ks)
+        for m in (a, u @ a @ u.conj().T)
+    ]
+    eps = np.finfo(float).eps
+    eta = 3 * d * d * eps * size
+    s = size + eta
+    tol = np.array([
+        sum(m * s ** (m - 1) for m in range(1, k + 1)) * eta / (k + 1)
+        + 8 * eps * (sum(s**m for m in range(k + 1)) / (k + 1) + 1)
+        for k in ks
+    ])
+    assert np.all(tol <= 1e-12 * tables[0].max())
+    assert np.all(np.abs(tables[1] - tables[0]) <= tol), np.max(np.abs(tables[1] - tables[0]) / tol)
