@@ -67,6 +67,7 @@ __all__ = [
 
 # Eager positivity screening horizon for polynomial weight rules.
 POLY_POSITIVITY_HORIZON = 10**6
+_FLOAT = np.finfo(float)
 
 
 class DomainError(ValueError):
@@ -274,10 +275,10 @@ def p_norm(x: Vector, p: float) -> float:
             norm = sum(abs(v) ** p for v in x.entries.values()) ** (1.0 / p)
         except OverflowError:
             norm = math.inf
-    if 0 < norm < math.inf:
+    if (_FLOAT.tiny / _FLOAT.eps) ** (1.0 / p) <= norm < math.inf:  # below it the powers lose bits as subnormals
         return norm
     mags = [abs(v) for v in x.entries.values()]
-    if not all(math.isfinite(m) for m in mags):  # the norm is inf or nan
+    if not all(math.isfinite(m) for m in mags) or not any(mags):  # the norm is inf, nan or 0
         return norm
     # the powers underflowed or overflowed: divide by the largest magnitude, which no ratio exceeds
     top = max(mags)
@@ -476,25 +477,13 @@ def weight_product(rule: WeightRule, start: int, count: int) -> float:
             j = start if not a > 0 else start + count
             raise ConstructionError(f"weight polynomial {rule.p} is not positive at index {j}")
         return math.sqrt(b / a)
-    # Explicit: the listed factors inside the range, then the tail for the rest;
-    # log-space accumulation beyond 1000 factors to dodge overflow.
+    # Explicit: the listed factors inside the range, then the tail for the rest.  Their logs are summed in
+    # extended precision and exponentiated once, so a finite product never overflows on an intermediate factor;
+    # the product saturates to 0 or inf only at the end.
     listed = rule.values[max(start, 1) - 1 : max(start + count - 1, 0)]
-    remaining = count - len(listed)
-    if count <= 1000:
-        prod = 1.0
-        for w in listed:
-            prod *= w
-        try:
-            return prod * rule.tail**remaining
-        except OverflowError:  # saturates, as the factor-by-factor product does
-            return math.inf
-    log_sum = 0.0
-    for w in listed:
-        log_sum += math.log(w)
-    try:
-        return math.exp(log_sum + remaining * math.log(rule.tail))
-    except OverflowError:  # saturates, as the short products above do
-        return math.inf
+    log_sum = np.sum(np.log(np.array(listed, dtype=np.longdouble))) + (count - len(listed)) * np.log(np.longdouble(rule.tail))
+    with np.errstate(over="ignore"):
+        return float(np.exp(log_sum).astype(float))
 
 
 def reindex_rule(rule: WeightRule, delta: int) -> WeightRule:

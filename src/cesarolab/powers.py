@@ -6,10 +6,10 @@ fixed frame stepped B powers per numpy call off a power stack A^1 .. A^B built
 once in extended precision (B set by a 1 MiB cap); a weighted shift is a
 translating frame read off one cumulative product table; the duplicating
 shift is the unweighted shift plus a plateau; BlockTZ composes its inner
-frame (``_WindowOrbit``).  The one stepping engine left is the fallback of a
-shift whose product table leaves double range.  Sums cover a grid of
-unimodular lam at once, a mean being the one-point grid [1], and stay
-correctly rounded (TwoSum, Kahan).  ``lambda_operator_norms`` is the matrix
+frame (``_WindowOrbit``).  No orbit steps: a table that leaves double range
+stays in extended precision, and is read as far as it is exact.  Sums cover
+a grid of unimodular lam at once, a mean being the one-point grid [1], and
+stay correctly rounded (TwoSum).  ``lambda_operator_norms`` is the matrix
 counterpart: on the roots-of-unity grid its sums are one inverse DFT of
 residue-class sums of the extended-precision power stack, and any other lam
 is the one-point grid of lam A.
@@ -79,6 +79,7 @@ _GATHER_BYTES = 2**17  # cap on the residue sums gathered for one chunk of check
 # Equal doubles that an extended-precision sum adds exactly: 2^11 with an x87 long double.
 _EXACT_ROWS = 2 ** max(np.finfo(np.longdouble).nmant - np.finfo(float).nmant, 6)
 _DOUBLE = np.finfo(float)
+_EXTENDED = np.finfo(np.longdouble)
 
 
 @dataclass(frozen=True)
@@ -205,9 +206,10 @@ def _rule_table(rule, lo: int, hi: int) -> np.ndarray:
 def _lp_norm(mags, p: float, axis=None):
     """ell^p norm of nonnegative magnitudes: of the whole array, or of each row (axis=1).
 
-    For p > 1 the powers can underflow or overflow: a norm that comes out 0 or
-    inf while the largest magnitude is finite and nonzero is recomputed on the
-    magnitudes divided by that maximum.  Every other norm is the plain sum.
+    For p > 1 the powers can underflow or overflow: a norm below
+    (tiny / eps)^(1/p), where powers of the magnitudes lose bits as subnormals,
+    or inf while the largest magnitude is finite and nonzero, is recomputed on
+    the magnitudes divided by that maximum.  Every other norm is the plain sum.
     """
     if p == 1:
         return np.sum(mags, axis=axis)
@@ -215,11 +217,16 @@ def _lp_norm(mags, p: float, axis=None):
         norm = np.sqrt(np.sum(mags * mags, axis=axis))
     else:
         norm = np.sum(mags**p, axis=axis) ** (1.0 / p)
+    small = (_DOUBLE.tiny / _DOUBLE.eps) ** (1.0 / p)
     if axis is not None:
-        for i in np.flatnonzero((norm == 0) | np.isinf(norm)):
-            norm[i] = _lp_norm(mags[i], p)
+        redo = np.flatnonzero((norm < small) | np.isinf(norm))
+        if redo.size:
+            top = np.max(mags[redo], axis=1, initial=0.0)
+            fine = (0 < top) & (top < math.inf)  # rows that hold an inf or only zeros keep their norm
+            redo, top = redo[fine], top[fine]
+            norm[redo] = _lp_norm(mags[redo] / top[:, None], p, axis=1) * top  # each between 1 and the row's width
         return norm
-    if 0 < norm < math.inf:  # plain comparisons: a single norm is taken once per orbit step
+    if small <= norm < math.inf:  # plain comparisons: a single norm is taken once per orbit step
         return norm
     top = np.max(mags, initial=0.0)
     return _lp_norm(mags / top, p) * top if 0 < top < math.inf else norm
@@ -280,8 +287,8 @@ class _Orbit:
     """Engine state: vals[r, j] is row r (0 plain or pair top, 1 pair bottom) at coordinate lo + j.
 
     ``norms`` and ``inners`` reduce the next ``count`` states in one call, off
-    a fixed frame's power stack of its step operator ``_op``, off a
-    translating frame's product table (``_WindowOrbit``), or by stepping.
+    a fixed frame's power stack of its step operator ``_op`` or off a
+    translating frame's product table (``_WindowOrbit``).
     """
 
     dead = False
@@ -292,8 +299,6 @@ class _Orbit:
     floor = None  # lowest index of the universe, when the window must not pass it
     d = 0  # coordinates the window moves per step: +-1 for a shift, 0 for a fixed frame
     horizon = 0  # steps the caller asked for; the power stack never exceeds what is left
-    table = None  # a window's weights over the sources it visits, while it steps
-    _y = None
     _stack = None
 
     def span(self, n_max: int) -> tuple[int, int]:
@@ -316,18 +321,14 @@ class _Orbit:
         return _as_vector(self.universe, self.lo, self.vals)
 
     def inner_with(self, y) -> complex:
-        """<T^k x, y> for the current k; y is embedded once and reused while it stays the same."""
-        if y is not self._y:
-            self._y = y
-            self._ylo, self._yv = _dense(y)
-        mine, theirs = _overlap(self.lo, self.vals.shape[1], self._ylo, self._yv.shape[1])
-        return complex(np.vdot(self._yv[:, theirs], self.vals[:, mine]))  # vdot conjugates its first argument
+        """<T^k x, y> for the current k."""
+        ylo, yv = _dense(y)
+        mine, theirs = _overlap(self.lo, self.vals.shape[1], ylo, yv.shape[1])
+        return complex(np.vdot(yv[:, theirs], self.vals[:, mine]))  # vdot conjugates its first argument
 
     def norms(self, p: float, count: int) -> np.ndarray:
         """||T^k x||_p for the next count steps; shorter when the orbit dies, ending at the zero state."""
         self.check_p(p)
-        if not (self.fixed or self.translating):
-            return self._walk(count, lambda: self.norm(p), float)
         parts = []
         for first, states, plateau in self._states(count):
             mags = np.abs(states)
@@ -335,7 +336,7 @@ class _Orbit:
                 cells = np.arange(first - 1, first - 1 + len(states), dtype=float)[:, None]
                 mags = np.concatenate((mags, np.abs(plateau) * cells ** (1.0 / p)), axis=1)
             parts.append(_lp_norm(mags, p, axis=1))
-        return _joined(parts, float)
+        return _read(_joined(parts, float), float)
 
     def inners(self, y, count: int) -> np.ndarray:
         """<T^k x, y> for the next count steps; shorter when the orbit dies, ending at the zero state.
@@ -344,7 +345,7 @@ class _Orbit:
         """
         first = self.steps + 1
         with np.errstate(over="ignore", invalid="ignore"):
-            values = self._inners(y, count)
+            values = _read(self._inners(y, count))
         bad = np.flatnonzero(~np.isfinite(values))
         if bad.size:
             raise FloatingPointError(f"<T^n x, y> is not finite at n={first + bad[0]}: the orbit overflows")
@@ -353,20 +354,19 @@ class _Orbit:
     def _inners(self, y, count: int) -> np.ndarray:
         if self.translating:
             return self._frame_inners(y, count)
-        if self.fixed:
-            ylo, yv = _dense(y)
-            frame = np.zeros_like(self.vals)
-            mine, theirs = _overlap(self.lo, frame.shape[1], ylo, yv.shape[1])
-            frame[:, mine] = yv[:, theirs]
-            yc = frame.ravel().conj()
-            return _joined([s @ yc for _, s, _ in self._states(count)], complex)
-        return self._walk(count, lambda: self.inner_with(y), complex)
+        ylo, yv = _dense(y)
+        frame = np.zeros_like(self.vals)
+        mine, theirs = _overlap(self.lo, frame.shape[1], ylo, yv.shape[1])
+        frame[:, mine] = yv[:, theirs]
+        yc = frame.ravel().conj()
+        return _joined([s @ yc for _, s, _ in self._states(count)], complex)
 
     def advance(self, n: int) -> None:
-        """Move the orbit to step n (never backwards), jumping on a translating frame; a dead orbit stays where it died."""
+        """Move the orbit to step n (never backwards): a translating frame jumps, a fixed frame reads blocks of
+        its power stack; a dead orbit stays where it died."""
         if not self.translating:
-            while self.steps < n and not self.dead:
-                self.step()
+            for _ in self._states(n - self.steps):
+                pass
             return
         n = n if self._death is None else min(n, self._death)
         if n != self.steps:
@@ -374,29 +374,15 @@ class _Orbit:
             self._hold(n)
 
     def step(self) -> None:
-        if self.translating:
-            return self.advance(self.steps + 1)
-        if not self.fixed and self.table is not None:
-            return self._step_window()
-        self.steps += 1
-        if not self.dead:
-            self.vals = _apply_powers(self._op[None], self.vals)[0].reshape(self.rows, -1)
-            self.dead = self.can_die and not self.vals.any()
-
-    def _walk(self, count: int, value, dtype) -> np.ndarray:
-        """The stepping loop: value() after each of the next count steps, up to the zero state."""
-        out = []
-        while len(out) < count and not self.dead:
-            self.step()
-            out.append(value())
-        return np.array(out, dtype=dtype)
+        self.advance(self.steps + 1)
 
     def _states(self, count: int):
         """Yield (first step, states (m, rows * width), plateau values or None) for the next count steps.
 
-        A translating frame reads them off its product table, in travel order; a
-        fixed frame off a power stack A^1 .. A^B built once, B filling a 1 MiB cap
-        but not past the horizon.  The first zero state of an orbit that can die ends it.
+        A translating frame reads them off its product table, in travel order, up
+        to its death index; a fixed frame off a power stack A^1 .. A^B built once,
+        B filling a 1 MiB cap but not past the horizon.  The first zero state of
+        an orbit that can die ends it.
         """
         while count > 0 and not self.dead:
             first = self.steps + 1
@@ -416,21 +402,22 @@ class _Orbit:
             self.steps += len(states)
             count -= len(states)
             if self.translating:
+                self.dead |= self.steps == self._death
                 self._hold(self.steps)
             else:
                 self.vals = states[-1].reshape(self.rows, -1).copy()
             yield first, states, plateau
 
 
-def _running_products(factors: np.ndarray) -> np.ndarray:
+def _running_products(factors: np.ndarray, dtype=complex) -> np.ndarray:
     """Each row's running products 1, f0, f0 f1, ... of a (rows, count) array, shape (rows, count + 1).
 
-    They accumulate in extended precision and are rounded once to double, as
-    a power stack is.  The extended run is taken 128 KiB at a time, so the
-    only large array is the result.
+    They accumulate in extended precision and are rounded once to ``dtype``
+    (double by default), as a power stack is.  The extended run is taken
+    128 KiB at a time, so the only large array is the result.
     """
     rows, count = factors.shape
-    out = np.ones((rows, count + 1), dtype=complex)
+    out = np.ones((rows, count + 1), dtype=dtype)
     carry = np.ones((rows, 1), dtype=np.clongdouble)
     chunk = max(2**12 // rows, 1)
     for j in range(0, count, chunk):
@@ -449,6 +436,14 @@ def _overlap(lo: int, width: int, other_lo: int, other_width: int) -> tuple[slic
 
 def _joined(parts: list, dtype) -> np.ndarray:
     return np.concatenate(parts) if parts else np.zeros(0, dtype=dtype)
+
+
+def _read(values: np.ndarray, dtype=complex) -> np.ndarray:
+    """Values rounded once to double (themselves if they are): inf where an extended value overflows, 0 where it underflows."""
+    if values.dtype == dtype:
+        return values
+    with np.errstate(over="ignore"):
+        return values.astype(dtype)
 
 
 def _frame_spec(spec: OperatorSpec) -> tuple[OperatorSpec, complex, complex | None, int]:
@@ -487,15 +482,16 @@ def _weight_table(base: OperatorSpec, lo: int, hi: int) -> np.ndarray:
 class _WindowOrbit(_Orbit):
     """A dense window over an infinite spec's base operator T (see ``_frame_spec``), read as a frame.
 
-    A diagonal is a fixed frame: its step operator is its weights over the
-    window, under BlockTZ the per-coordinate blocks [[a, a - kappa], [0, a]].
+    A diagonal, or any base times a zero scalar, is a fixed frame: its step
+    operator is its weights over the window, under BlockTZ the per-coordinate
+    blocks [[a, a - kappa], [0, a]].
 
     A shift (offset d = +-1) is a translating frame.  With travel coordinate u
     at ``trail + d u`` (``trail``: the end of the window the motion leaves) and
     W(u) the product of the weights at travel 0 .. u-1, (A^n x)(u) =
     x(u - n) W(u) / W(u - n): state n is a = x / W times W[n : n + width].
-    W is built once in extended precision over the horizon; past the floor of
-    a backward shift on N it is zero, and the orbit dies there.  BlockTZ state
+    W is built once in extended precision over the steps asked for; past the
+    floor of a backward shift on N it is zero, and the orbit dies there.  BlockTZ state
     n is (A^n x + n (A^n y - kappa A^{n-1} y), A^n y) since its blocks commute:
     on the window padded by one column behind the motion it is
     W[n - 1 : n + width] (a + n b), a = [0, x / W; 0, y / W],
@@ -506,11 +502,30 @@ class _WindowOrbit(_Orbit):
     starts at cell n, so a = [v(1), v], and cells 1 .. n-1 hold one plateau
     value per row, affine in n under BlockTZ.  A scalar s makes state n
     s^(n-1) times the state with s folded into a: the rows of its windows.
-    Its sums are written off (lam s)^u only while s^u stays in range over
-    the horizon, as a shift's W must; otherwise they add states.
 
-    A shift's table serves only if its live ratios times the entries of x stay
-    normal doubles; otherwise the window of (x; y) steps, composing BlockTZ.
+    Range.  With width that of x, state n and Cesàro sum k read the table
+    (W, or the powers s^u and the sums' gains (lam s)^u) at u < n + width
+    and u < k + width only.  The table is rounded to double where
+    ``_in_range`` holds: x times ratios of table magnitudes stay normal
+    doubles.  Then so does every intermediate: as top >= W(0) = 1 >= bottom,
+    both |x(i)| / W(i) and each state entry |x(i)| W(u) / W(i) lie between
+    min|x| bottom / top and reach top / bottom (under BlockTZ |a + n b| is
+    below ``reach``).  Otherwise the table stays in extended precision, and
+    with it a, b and the gains; each state and sum is rounded to double
+    once, when it is read, so it reads inf only where its exact value
+    overflows double and 0 only where it underflows.  The same argument with
+    the extended limits holds up to the extended horizon h: the largest h for
+    which the range test passes over the entries u < h + width.  Past it:
+
+    - if state h reads exactly zero, the orbit dies at h: continuing from the
+      state read at h, as a stepping engine continues from its rounded state,
+      every later state is T^(n - h) 0 = 0 by linearity;
+    - otherwise the entries from u = h + width on are NaN (the exact zeros
+      past a floor stay).  State n > h reads u = n + width - 1, sum k > h
+      reads u = k + width - 1 (the duplicating shift's window s^(n-1) is
+      cut at h as well), so every later state, pairing and sum holds a NaN,
+      which ``orbit_norms`` and ``inners`` name at n = h + 1.  Entries past
+      the horizon may have saturated to 0 or inf; none is read as a value.
     """
 
     def __init__(self, spec: OperatorSpec, x, n_max: int):
@@ -521,89 +536,104 @@ class _WindowOrbit(_Orbit):
         self.horizon = n_max
         self.floor = 1 if isinstance(spec_universe(base), NatFromOne) else None
         self.dead = width == 0
-        if isinstance(base, DuplicatingShift):
-            return None if self.dead else self._duplicating_frame(scalar, n_max)
-        pad = int(self.kappa is not None)
-        # Sources visited by n_max steps, inside the universe: until the orbit dies up to
-        # width - 1 columns (one more under BlockTZ) hang past the floor, where the weights are zero.
-        self.t_lo = self.lo + max(n_max - 1, 0) * min(self.d, 0)
-        if self.floor is not None:
-            self.t_lo = max(self.t_lo, self.floor - max(width - 1, 0) - pad)
-        self.table = _weight_table(base, self.t_lo, self.lo + width - 1 + max(n_max - 1, 0) * max(self.d, 0))
-        if scalar != 1:
-            self.table = scalar * self.table
+        if self.dead:
+            return
+        if scalar == 0:  # A = 0 moves nothing: a fixed frame of zero weights
+            self.d = 0
+        elif isinstance(base, DuplicatingShift):
+            return self._duplicating_frame(scalar, n_max)
         self.can_die = self.d == 0 or (self.floor is not None and self.d < 0)
-        self._inner = (self.lo, self.vals)  # the stepping fallback's window of (x; y)
-        if self.d == 0:
-            self.fixed = True
-            a = self.table[:width]
-            self._op = np.moveaxis(np.array([[a, a - self.kappa], [0 * a, a]]), -1, 0) if pad else a
-        elif width:
-            self.translating = self._product_table(n_max)
+        if self.d:
+            return self._product_table(base, scalar, n_max)
+        self.fixed = True
+        a = np.zeros(width, dtype=complex) if scalar == 0 else scalar * _weight_table(base, self.lo, self.lo + width - 1)
+        self._op = np.moveaxis(np.array([[a, a - self.kappa], [0 * a, a]]), -1, 0) if self.kappa is not None else a
 
-    def _product_table(self, n_max: int) -> bool:
-        """Build the travel table W and the sources of a shift; False (keep stepping) if they leave double range."""
+    def _product_table(self, base: OperatorSpec, scalar: complex, n_max: int) -> None:
+        """Build the travel table W and the sources of a shift."""
         d, width, pad = self.d, self.vals.shape[1], int(self.kappa is not None)
         trail = self.lo if d > 0 else self.lo + width - 1
         live = None if self.floor is None or d > 0 else trail - self.floor + 1  # W vanishes from here on
         death = None if live is None else live + pad
         length = (n_max if death is None else min(n_max, death)) + width
-        s = trail - self.t_lo
-        weights = self.table[s : s + length - 1] if d > 0 else self.table[s - (length - 2) : s + 1][::-1]
-        with np.errstate(over="ignore", invalid="ignore"):
-            wt = _running_products(weights[None])[0]  # inf past double range
-        mags = np.abs(wt[:live])
-        if wt[len(mags) :].any() or not self._in_range(mags, n_max):
-            return False
+        # the weights at travel 0 .. length - 2, in travel order; zero past the floor
+        weights = _weight_table(base, trail, trail + length - 2) if d > 0 else _weight_table(base, trail - length + 2, trail)[::-1]
+        wt, horizon = self._table(weights if scalar == 1 else scalar * weights, live, n_max)
         src = self.vals[:, ::d] / wt[:width]
         a = np.concatenate((np.zeros((self.rows, 1)), src), axis=1) if pad else src
         self._frame(a, src[1] if pad else None, wt, trail, death, pad)
-        self.table = self._inner = None  # W replaces them: even a single step reads W
-        return True
+        self._end(horizon)
 
-    def _in_range(self, mags: np.ndarray, n_max: int) -> bool:
-        """Whether the entries of x times ratios of the table magnitudes ``mags`` stay normal doubles."""
+    def _table(self, factors: np.ndarray, live: int | None, n_max: int):
+        """(running products 1, f0, f0 f1, .. of factors, horizon or None): in double where ``_in_range`` holds over
+        the live entries, else in extended precision, NaN past the horizon (see the class docstring)."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            table = _running_products(factors[None])[0]  # inf past double range
+        mags = np.abs(table[:live])
+        if not table[len(mags) :].any() and self._in_range(mags.max(), mags.min(), n_max):
+            return table, None
+        with np.errstate(over="ignore", invalid="ignore"):
+            table = _running_products(factors[None], np.clongdouble)[0]
+        mags = np.abs(table[:live])
+        fits = self._in_range(np.maximum.accumulate(mags), np.minimum.accumulate(mags), n_max, _EXTENDED)
+        if fits[-1]:
+            return table, None
+        good = int(np.argmin(fits))  # the test holds over entries u < good
+        table[good : len(mags)] = np.nan
+        return table, good - self.vals.shape[1]
+
+    def _in_range(self, top, bottom, n_max: int, limits=_DOUBLE):
+        """Whether the entries of x times ratios of table magnitudes within [bottom, top] stay normal numbers of
+        ``limits``; elementwise over arrays of tops and bottoms."""
         xs = np.abs(self.vals[self.vals != 0])
         reach = xs.max() * (1 + n_max * (1 + abs(self.kappa)) if self.kappa is not None else 1)  # |x + n (y - kappa y')|
-        top, bottom = mags.max(), mags.min()
-        with np.errstate(over="ignore"):
-            return bool(0 < bottom and top < np.inf and reach * (top / bottom) <= _DOUBLE.max
-                        and xs.min() * (bottom / top) >= _DOUBLE.tiny)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            return ((0 < bottom) & (top < np.inf) & (reach * (top / bottom) <= limits.max)
+                    & (xs.min() * (bottom / top) >= limits.tiny))
+
+    def _end(self, horizon: int | None) -> None:
+        """Past the horizon the orbit dies at it if its state there reads zero (see the class docstring)."""
+        if horizon is not None and horizon > 0:
+            states, plateau = self._travel_states(horizon, 1)
+            if not (_read(states).any() or plateau is not None and _read(plateau).any()):
+                self._death, self._windows = horizon, self._windows[: horizon + 1 - self._pad]
 
     def _duplicating_frame(self, scalar: complex, n_max: int) -> None:
         x = self.vals
+        width = x.shape[1]
         first = x[:, 0] if self.lo == 1 else np.zeros(self.rows, dtype=complex)  # v(1) of each row
         a = scalar * np.concatenate((first[:, None], x), axis=1)  # s D^n v on the window of step n
         q = np.stack((scalar * first, 0 * first))  # plateau value q[0] + n q[1] of each row
         if self.kappa is not None:
             q[1, 0] = (scalar - self.kappa) * first[1]
         rows = max(n_max, 1)  # state 0 too has a window
-        self._frame(a, None if self.kappa is None else x[1], np.ones(rows + x.shape[1]), self.lo, None, 1)
+        powers, horizon = self._table(np.full(rows + width - 1, scalar), None, n_max)  # s^u, u < rows + width
+        wt = np.ones(rows + width, dtype=powers.dtype)  # the sums' gains are (lam s)^u wt(u)
+        if horizon is not None:  # state n reads s^(n-1), sum k reads u < k + width: both end at the horizon
+            wt[horizon + width :] = powers[max(horizon, 0) :] = np.nan
+        self._frame(a, None if self.kappa is None else x[1], wt, self.lo, None, 1)
         self._scalar, self._q = scalar, q if first.any() else None
-        with np.errstate(over="ignore"):  # s^u for u < rows + width, inf past double range
-            powers = _running_products(np.full((1, rows + x.shape[1] - 1), scalar))[0]
-        # the sums read (lam s)^u against prefix sums of (lam s)^-i a(i): as a shift's W, s^u must stay in range
-        self.closable = self._in_range(np.abs(powers), n_max)
         self._windows = np.broadcast_to(powers[:rows, None], (rows, a.shape[1]))  # s^(n-1) for state n: row n - 1
-        self.translating = True
+        self._end(horizon)
 
     def _frame(self, a, prev_y, wt, trail, death, pad) -> None:
         """Hold a frame's sources: a, and under BlockTZ b = [y_n, 0] - kappa [y_{n-1}] from a's rows and prev_y."""
         self._a, self._b, self._wt, self._trail, self._death, self._pad = a, None, wt, trail, death, pad
         if prev_y is not None:  # A^(n-1) y sits one column behind A^n y
             self._b = np.stack((a[1] - self.kappa * np.append(prev_y, 0), np.zeros_like(a[1])))
-        self._scalar, self._q, self.closable = 1, None, True
+        self._scalar, self._q = 1, None
         self._x0 = self.vals[:, :: self.d] if pad else None  # the initial state, in travel order, of a padded frame
         self._windows = np.lib.stride_tricks.sliding_window_view(wt, a.shape[1])  # row r: W[r : r + width]
+        self.translating = True
 
     def _travel_states(self, first: int, count: int):
         """States first, first + 1, .. in travel order (m, rows, width), 1 <= m <= count, and plateau values (m, rows) or None."""
-        m = min(count, max(_STACK_BYTES // (16 * self._a.size), 1), len(self._windows) + self._pad - first)
+        m = min(count, max(_STACK_BYTES // (self._wt.itemsize * self._a.size), 1), len(self._windows) + self._pad - first)
         if m < 1:
             raise ParameterError(f"the orbit was built for {self.horizon} steps")
         ns = np.arange(first, first + m)[:, None]
         windows = self._windows[first - self._pad : first - self._pad + m, None]
-        states = windows * self._a if self._b is None else np.multiply(ns[:, :, None], self._b)
+        states = windows * self._a if self._b is None else np.multiply(ns[:, :, None], self._b, dtype=windows.dtype)
         if self._b is not None:  # a + n b in place: a block holds one array
             states += self._a
             states *= windows
@@ -612,10 +642,11 @@ class _WindowOrbit(_Orbit):
     def _hold(self, n: int) -> None:
         """Hold state n >= 1 in ``vals`` and ``lo``, its plateau included."""
         states, plateau = self._travel_states(n, 1)
-        self.vals, width = states[0][:, :: self.d], states.shape[2]
+        vals, width = states[0][:, :: self.d], states.shape[2]
         self.lo = self._trail + n - self._pad if self.d > 0 else self._trail - (n - self._pad) - (width - 1)
         if plateau is not None and n > 1:  # coordinates 1 .. n-1, behind a window that starts at n
-            self.lo, self.vals = 1, np.concatenate((np.repeat(plateau[0][:, None], n - 1, axis=1), self.vals), axis=1)
+            self.lo, vals = 1, np.concatenate((np.repeat(plateau[0][:, None], n - 1, axis=1), vals), axis=1)
+        self.vals = _read(vals)
 
     def _frame_inners(self, y, count: int) -> np.ndarray:
         """<A^n x, y>: conj(y) at the travel coordinates of W, windowed like it; a plateau pairs with its prefix sums."""
@@ -635,24 +666,6 @@ class _WindowOrbit(_Orbit):
                 values += np.einsum("ij,ji->i", plateau, ysums[:, first - 1 : first - 1 + len(states)])
             parts.append(values)
         return _joined(parts, complex)
-
-    def _step_window(self) -> None:
-        """The stepping fallback: the window (x; y) moves by the weight table, and a BlockTZ state is composed from it."""
-        self.steps += 1
-        if self.dead:
-            return
-        lo, state = self._inner
-        s = lo - self.t_lo
-        self._inner = (lo + self.d, state * self.table[s : s + state.shape[1]])
-        self.lo, self.vals = self._inner
-        if self.kappa is not None:  # composed on the window padded behind the motion, where the previous y sits
-            c, width = int(self.d > 0), state.shape[1]
-            out = np.zeros((2, width + 1), dtype=complex)
-            out[:, c : c + width] = self.vals
-            out[0, c : c + width] += self.steps * self.vals[1]
-            out[0, c - self.d : c - self.d + width] -= (self.steps * self.kappa) * state[1]
-            self.lo, self.vals = self.lo - c, out
-        self.dead = self.can_die and not self.vals.any()
 
 
 class _MatrixOrbit(_Orbit):
@@ -694,33 +707,31 @@ def shift_direction(spec: OperatorSpec) -> int | None:
 
 
 class CesaroSum:
-    """Sums sum_{k<=n} lam^k T^k x over a grid of lam; a single Cesàro mean is the one-point grid ``[1]``.
+    """Sums sum_{k<=n} lam^k T^k x over a grid of unimodular lam; a single Cesàro mean is the one-point grid ``[1]``.
 
     Once the orbit state is exactly zero the sums freeze.  On a translating
-    frame and a unimodular grid they are written off the product table
-    (``_write``); a fixed frame folds in blocks of states; the stepping
-    fallback, a grid off the unit circle, and a duplicating frame whose s^u
-    leaves double range add one compensated state at a time.
+    frame they are written off the product table (``_write``), in extended
+    precision where the table is (see ``_WindowOrbit``); a fixed frame folds
+    in blocks of states.
     """
 
     def __init__(self, spec: OperatorSpec, x, n_max: int, lams=None):
         self.orbit = make_orbit(spec, x, n_max)
         self.unit = lams is None
         self.lams = np.ones(1, dtype=complex) if lams is None else np.asarray(lams, dtype=complex)
-        self.lam_pow = np.ones(len(self.lams), dtype=complex)
+        if np.any(np.abs(np.abs(self.lams) - 1.0) > 1e-12):
+            raise ParameterError("lam must be unimodular")
         self.lo, hi = self.orbit.span(n_max)
         self.sum = np.zeros((len(self.lams), self.orbit.rows, max(hi - self.lo + 1, 0)), dtype=complex)
-        self.n = self.stepped = 0
+        self.n = self.stepped = self._final = 0
         self._lam_run = None
-        self._live = slice(None)  # columns that can be nonzero; a translating frame narrows it
-        self.closed = bool(self.orbit.translating and self.orbit.closable and np.all(np.abs(np.abs(self.lams) - 1) <= 1e-12))
-        if self.closed:  # written, never accumulated: no compensation
-            self._prefix_sums()
-            state_cols, self._live = self._overlap()
-            self.sum[:, :, self._live] = self.orbit.vals[:, state_cols]
+        if self.orbit.translating:  # written, never accumulated: no compensation
+            with np.errstate(over="ignore", invalid="ignore"):  # extended gains saturate past the horizon, where they are NaN
+                self._prefix_sums()
         else:
             self.comp = np.zeros_like(self.sum)
-            self._add()
+        state_cols, self._live = self._overlap()  # columns that can be nonzero; a translating frame narrows them
+        self.sum[:, :, self._live] = self.orbit.vals[:, state_cols]
 
     def _prefix_sums(self) -> None:
         """Prefix sums of mu^-i a(i) (and mu^-i b(i), i mu^-i b(i)), times lam if padded, and gains mu^u W(u)."""
@@ -733,11 +744,11 @@ class CesaroSum:
             inverse = np.ones((len(mus), width), dtype=np.clongdouble)
             inverse[:, 1:] = 1 / mus[:, None].astype(np.clongdouble)
             terms = terms * (np.cumprod(inverse, axis=1) * self.lams[:, None] ** o._pad)[:, None, None, :]
-            self._gains = _running_products(np.broadcast_to(mus[:, None], (len(mus), len(o._wt) - 1)))
+            self._gains = _running_products(np.broadcast_to(mus[:, None], (len(mus), len(o._wt) - 1)), o._wt.dtype)
             self._gains *= o._wt
         self._prefix = np.zeros((*terms.shape[:-1], width + 1), dtype=np.clongdouble)
         np.cumsum(terms, axis=-1, out=self._prefix[..., 1:])
-        self._rounded = self._prefix.astype(complex)
+        self._rounded = self._prefix.astype(self._gains.dtype)  # extended with an extended table
 
     def _write(self, k: int) -> None:
         """Write the sums over steps 0..k of a translating frame.
@@ -747,10 +758,13 @@ class CesaroSum:
         over m in [pad, k] is lam^pad mu^u W(u) (S_a + (u + pad) S_b - S_ib): S are
         sums of mu^-i a(i), mu^-i b(i), i mu^-i b(i) over i in [u + pad - k, u],
         differences of prefix sums, or totals where the range covers the
-        window.  A padded frame adds its initial state; the plateau's cell u
+        window.  A cell u in [width, k - pad] sums the whole window, so it is
+        final once written: later writes start past it, unless a plateau adds
+        to it.  A padded frame adds its initial state; the plateau's cell u
         gets lam sum_{j in (u, k)} mu^j (q_a + (j + 1) q_b).  Prefix sums and
         gains are extended-precision, so a difference cancels far below double
-        rounding (Higham, Accuracy and Stability of Numerical Algorithms, ch. 4).
+        rounding (Higham, Accuracy and Stability of Numerical Algorithms, ch. 4);
+        with an extended table the products are too, rounded once into the sums.
         """
         o = self.orbit
         width, pad, gains = o._a.shape[1], o._pad, self._gains
@@ -761,13 +775,15 @@ class CesaroSum:
         moments = (lambda s, u: s[:, 0]) if o._b is None else (lambda s, u: s[:, 0] + (u + pad) * s[:, 1] - s[:, 2])
         prefix, k0 = self._prefix, k - pad
         a, b = min(k0, width - 1) + 1, max(k0, width - 1) + 1
-        for lo_u, hi_u in ((0, a), (a, width), (width, b), (b, top + 1)):  # i in [max(u - k0, 0), min(u, width - 1)]
+        final = width if o._q is not None else max(width, self._final)
+        for lo_u, hi_u in ((0, a), (a, width), (final, b), (b, top + 1)):  # i in [max(u - k0, 0), min(u, width - 1)]
             if lo_u < (hi_u := min(hi_u, top + 1)):
                 last = slice(lo_u + 1, hi_u + 1) if lo_u < width else slice(width, None)
                 # from i = 0 the sums are rounded prefix sums (the first is exactly 0); else extended differences
                 spans = self._rounded[..., last] if lo_u <= k0 else prefix[..., last] - prefix[..., lo_u - k0 : hi_u - k0]
                 u = None if o._b is None else np.arange(lo_u, hi_u)
-                np.multiply(moments(spans, u).astype(complex, copy=False), gains[:, None, lo_u:hi_u], out=out[:, :, lo_u:hi_u])
+                np.multiply(moments(spans, u).astype(gains.dtype, copy=False), gains[:, None, lo_u:hi_u], out=out[:, :, lo_u:hi_u])
+        self._final = b
         if pad:
             out[:, :, : o._x0.shape[1]] += o._x0
         if o._q is not None and k > 1:
@@ -782,23 +798,6 @@ class CesaroSum:
         """(state columns, accumulator columns) where the orbit window meets the sums."""
         return _overlap(self.orbit.lo, self.orbit.vals.shape[1], self.lo, self.sum.shape[2])
 
-    def _add(self) -> None:
-        o = self.orbit
-        if o.dead:
-            return
-        if self.unit:
-            vals = o.vals[None]  # same shape as the sums: numpy skips broadcasting
-        else:
-            vals = self.lam_pow[:, None, None] * o.vals
-            self.lam_pow = self.lam_pow * self.lams
-        state_cols, cols = self._overlap()
-        s = self.sum[:, :, cols]
-        c = self.comp[:, :, cols]
-        y = vals[..., state_cols] - c
-        t = s + y
-        c[...] = (t - s) - y
-        s[...] = t
-
     def _add_block(self, states: np.ndarray) -> None:
         """Fold a fixed frame's block of states (m, rows * width) into the sums.
 
@@ -809,34 +808,31 @@ class CesaroSum:
             s, c = compensated_add(self.sum.ravel(), self.comp.ravel(), states)
             self.sum, self.comp = s.reshape(self.sum.shape), c.reshape(self.sum.shape)
             return
-        if self._lam_run is None:
+        if self._lam_run is None:  # the first block starts at state 1
             chunk = max(_STACK_BYTES // (16 * len(self.lams)), 1)
             run = np.ones((len(self.lams), chunk + 1), dtype=complex)
             run[:, 1:] = self.lams[:, None]
             self._lam_run = np.cumprod(run, axis=1)  # lam^0 .. lam^chunk
+            self._lam_pow = self.lams  # lam^k of the block's first state k
         chunk = self._lam_run.shape[1] - 1
         for j in range(0, len(states), chunk):
             part = states[j : j + chunk]
-            block = (self.lam_pow[:, None] * self._lam_run[:, : len(part)]) @ part
+            block = (self._lam_pow[:, None] * self._lam_run[:, : len(part)]) @ part
             self.sum, self.comp = _two_sum(self.sum, self.comp, block.reshape(self.sum.shape), 0.0)
-            self.lam_pow = self.lam_pow * self._lam_run[:, len(part)]
+            self._lam_pow = self._lam_pow * self._lam_run[:, len(part)]
 
     def advance_to(self, n: int) -> None:
         """Move the sums to index n (never backwards)."""
         orbit, k = self.orbit, self.stepped
-        if self.closed:
+        if orbit.translating:
             orbit.advance(n)
             if (k := orbit.steps) != self.stepped:
-                self._write(k)
-        elif orbit.fixed:
+                with np.errstate(over="ignore"):  # an extended sum whose exact value overflows reads inf
+                    self._write(k)
+        else:
             for _, states, _ in orbit._states(n - k):
                 self._add_block(states)
                 k += len(states)
-        else:
-            while k < n and not orbit.dead:
-                orbit.step()
-                self._add()
-                k += 1
         self.stepped, self.n = k, n
 
     def norms(self, p: float) -> np.ndarray:

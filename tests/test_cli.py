@@ -5,6 +5,7 @@ import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cesarolab import zoo
@@ -16,10 +17,13 @@ from cesarolab.core import (
     Explicit,
     FiniteMatrix,
     ForwardShift,
+    NAT,
     PairVec,
     PowerRatio,
+    basis_vector,
     weight_product,
 )
+from cesarolab.powers import power_apply, power_norm_exact
 
 
 def run_cli(argv):
@@ -277,10 +281,23 @@ def test_explicit_weight_product_saturates():
     assert weight_product(Explicit((3.0,), 1.0), 1, 2000) == pytest.approx(3.0, rel=1e-12)
 
 
+def test_explicit_weight_product_survives_an_overflowing_factor():
+    # 1e200 * 1e200 overflows on the way, but the product of the four doubles is 1 - 9.6e-17, which rounds to 1 - 2^-53
+    rule = Explicit((1e200, 1e200, 1e-200, 1e-200))
+    exact = float(Fraction(1e200) ** 2 * Fraction(1e-200) ** 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert weight_product(rule, 1, 4) == exact == pytest.approx(1.0, rel=1e-15)
+        assert power_norm_exact(ForwardShift(NAT, rule), 4, 2.0) == 1.0
+        assert power_apply(ForwardShift(NAT, rule), basis_vector(NAT, 1), 4).entries == {5: exact}
+
+
 def test_named_infinite_specs_never_step(monkeypatch):
-    # every infinite spec the grammar names is a frame: its probe orbits, reductions and sums never call step
+    # every infinite spec the grammar names is a frame, also where its product table leaves double range:
+    # its probe orbits, reductions and sums never call step
     from cesarolab import powers
     from cesarolab.classify import ProbeConfig, checkpoint_set, lambda_grid, probe_vectors
+    from cesarolab.core import DuplicatingShift, make_vector, scale
 
     def refuse(self):
         raise AssertionError("an orbit stepped")
@@ -290,14 +307,22 @@ def test_named_infinite_specs_never_step(monkeypatch):
     cfg = ProbeConfig()
     lams = lambda_grid(cfg.lambda_samples)
     names = ["fshift:alpha=0.4", "bshift:alpha=0.25", "bilateral", "polyshift:p=1,1", "polyshift:p=1,0,1;side=bi",
-             "polyshift:p=1,2;dir=bwd", "dupshift"]
+             "polyshift:p=1,2;dir=bwd", "dupshift", "fshift:alpha=200"]
+    cases = []
     for name in names + [f"blocktz:{name}" for name in names]:
         spec, _ = parse_operator(name)
-        for _, x in probe_vectors(spec, cfg):
-            orbit = powers.make_orbit(spec, x, cfg.n_max)
-            assert orbit.translating, name
+        cases += [(name, spec, x) for _, x in probe_vectors(spec, cfg)]
+    wide = make_vector(NAT, [(k, 1.0 / k) for k in range(1, 1201)])  # 0.5^u over the window leaves double range
+    cases.append(("0.5 dupshift", scale(0.5, DuplicatingShift()), wide))
+    for name, spec, x in cases:
+        orbit = powers.make_orbit(spec, x, cfg.n_max)
+        assert orbit.translating, name
+        with np.errstate(over="ignore", invalid="ignore"):  # as the probes read overflowing orbits
             orbit.norms(2, cfg.n_max)
-            powers.make_orbit(spec, x, cfg.n_max).inners(x, cfg.n_max)
+            try:
+                powers.make_orbit(spec, x, cfg.n_max).inners(x, cfg.n_max)
+            except FloatingPointError:  # an overflowing pairing is named, not stepped past
+                assert "alpha=200" in name
             powers.lambda_mean_norms(spec, x, lams, checkpoint_set(cfg.n_max), 2.0)
 
 

@@ -158,7 +158,7 @@ def test_weight_product_telescopes():
 
 
 def test_weight_product_explicit_matches_factor_loop():
-    # listed factors times tail**remaining against the product taken factor by factor
+    # listed factors times tail**remaining against the exact product of the factors
     rng = np.random.default_rng(5)
     for _ in range(12):
         values = tuple(rng.uniform(0.8, 1.25, int(rng.integers(0, 30))).tolist())
@@ -170,15 +170,7 @@ def test_weight_product_explicit_matches_factor_loop():
                 exact = Fraction(1)
                 for k in range(start, start + count):
                     exact *= Fraction(weight_at(rule, k))
-                assert got == pytest.approx(float(exact), rel=1e-14, abs=0)
-                if tail == 1.0:  # the per-factor loops, bit for bit
-                    if count <= 1000:
-                        loop = 1.0
-                        for k in range(start, start + count):
-                            loop *= weight_at(rule, k)
-                    else:
-                        loop = math.exp(sum(math.log(weight_at(rule, k)) for k in range(start, start + count)))
-                    assert got == loop
+                assert got == float(exact)  # the one rounding of an extended-precision log sum is the correct one here
 
 
 def test_explicit_rule_tail_and_validation():

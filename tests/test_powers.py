@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -40,7 +41,6 @@ from cesarolab.core import (
 )
 from cesarolab.powers import (
     CesaroSum,
-    _WindowOrbit,
     NormSeq,
     block_tz_power_check,
     cesaro_apply,
@@ -342,56 +342,61 @@ def _close(a, b, scale):
     assert np.all(np.abs(a - b) <= 1e-12 * scale + np.finfo(float).tiny)
 
 
-def test_block_path_matches_stepping():
-    # fixed frames read blocks off a power stack; the reference is the base-class stepping loop
+def _oracle_sums(states, lams, lo, width, ns):
+    """{n: (sum_{k<=n} lam^k T^k x for each lam) as (lams, rows, width) arrays on lo .. lo + width - 1} from oracle states."""
+    rows = 2 if isinstance(states[0], PairVec) else 1
+    total = np.zeros((len(lams), rows, width), dtype=complex)
+    out = {}
+    for k, v in enumerate(states):
+        gains = lams**k
+        for r, part in enumerate((v.top, v.bottom) if rows == 2 else (v,)):
+            for j, value in part.entries.items():
+                total[:, r, j - lo] += gains * value
+        if k in ns:
+            out[k] = total.copy()
+    return out
+
+
+def test_block_path_matches_stepping(monkeypatch):
+    # fixed frames read blocks off a power stack; the reference steps n-fold core.apply.  A small stack cap makes
+    # blocks of a few to a few hundred states, and the horizon keeps the underflow death at step 1075 inside it.
+    monkeypatch.setattr(powers, "_STACK_BYTES", 2**13)
     lams = np.array([1.0, -1.0, 1j, cmath.exp(0.3j)])
     for spec, x, y in _fixed_frame_cases():
         probe = make_orbit(spec, x, 10**9)
         probe.norms(2, 2)
         block = len(probe._stack)
-        n_top = 3 * block + 7
+        n_top = max(3 * block + 7, 1100)
         ns = [0, 1, block - 1, block, block + 1, n_top]
-
-        ref = make_orbit(spec, x, n_top)
-        ref.fixed = False
-        ref_norms = ref.norms(2, n_top)
-        death = len(ref_norms) if ref.dead else None
-        walker = make_orbit(spec, x, n_top)
-        walker.fixed = False
-        ref_states = [walker.vals]
-        for _ in range(len(ref_norms)):
-            walker.step()
-            ref_states.append(walker.vals)
-        inner_ref = make_orbit(spec, x, n_top)
-        inner_ref.fixed = False
-        ref_inners = inner_ref.inners(y, n_top)
-        ynorm = p_norm(y, 2)
+        states = _apply_oracle(spec, x, n_top)
+        zero = [k for k, v in enumerate(states) if v.is_zero()]
+        death = zero[0] if zero and probe.can_die else None  # a matrix orbit runs on through zero states
 
         # rounding scales (Higham ch. 3-4): ||T^n|| ||x|| for a state, sum_k ||T^k x|| for a sum
-        sizes = np.array([np.hypot.reduce(np.abs(v).ravel()) for v in ref_states])  # ||T^k x||, no underflow
-        magnitudes = np.cumsum(sizes)
+        sizes = np.array([p_norm(v, 2) for v in states])
         sums = [CesaroSum(spec, x, n_top), CesaroSum(spec, x, n_top, lams)]
-        ref_sums = [CesaroSum(spec, x, n_top), CesaroSum(spec, x, n_top, lams)]
-        for acc in ref_sums:
-            acc.orbit.fixed = False
+        want_sums = _oracle_sums(states, lams, sums[0].lo, sums[0].sum.shape[2], {min(n, death or n) for n in ns})
         for n in ns:
-            dies = min(n, len(ref_norms))  # steps taken: the death index ends the orbit
+            dies = n if death is None else min(n, death)  # steps taken: the death index ends the orbit
             orbit = make_orbit(spec, x, n_top)
             norms = orbit.norms(2, n)
-            _close(norms, ref_norms[:dies], sizes[1 : dies + 1])
+            _close(norms, sizes[1 : dies + 1], sizes[1 : dies + 1])
             power = power_norm_exact(spec, dies, 2) if dies else 1.0
-            _close(orbit.vals, ref_states[dies], power * p_norm(x, 2))
-            assert orbit.dead == (death is not None and n >= death)
+            jump = make_orbit(spec, x, n_top)
+            jump.advance(n)
+            for state in (orbit, jump):
+                assert state.steps == dies and state.dead == (death is not None and n >= death)
+                _close(state.vals, _dense_on(states[dies], state.lo, state.vals.shape[1]), power * p_norm(x, 2))
             inners = make_orbit(spec, x, n_top).inners(y, n)
-            _close(inners, ref_inners[:dies], sizes[1 : dies + 1] * ynorm)
-            for acc, want in zip(sums, ref_sums):
+            _close(inners, np.array([inner(v, y) for v in states[1 : dies + 1]]), sizes[1 : dies + 1] * p_norm(y, 2))
+            for acc in sums:
                 acc.advance_to(n)
-                want.advance_to(n)
-                assert acc.stepped == want.stepped
-                summed = magnitudes[acc.stepped]
-                _close(acc.norms(2), want.norms(2), summed / (n + 1))
-                _close(acc.sum, want.sum, summed)
-                _close(acc.state(), want.state(), power * p_norm(x, 2))
+                assert acc.stepped == dies
+                want = want_sums[dies][: len(acc.lams)]
+                summed = sizes[: dies + 1].sum()
+                _close(acc.sum, want, summed)
+                _close(acc.norms(2), np.linalg.norm(want.reshape(len(want), -1), axis=1) / (n + 1), summed / (n + 1))
+                _close(acc.state(), _dense_on(states[dies], acc.lo, acc.sum.shape[2]), power * p_norm(x, 2))
 
 
 def _translating_cases():
@@ -400,7 +405,7 @@ def _translating_cases():
     fwd = ForwardShift(NAT, PowerRatio(0.4, 1))
     return [
         (fwd, rand_vec(NAT, rng, 3, 10), rand_vec(NAT, rng, 1, 40)),
-        # dies at step 5000, inside the first block of 8192 states
+        # dies at step 5000
         (BackwardShift(NAT, PowerRatio(0.25, 0)), make_vector(NAT, [(4993, 1.0), (4996, -0.5j), (5000, 2.0)]),
          rand_vec(NAT, rng, 1, 30)),
         (BilateralShift(Explicit((2.0, 0.5, 1.5), 0.9999)), rand_vec(INTS, rng, -4, 3), rand_vec(INTS, rng, -2, 20)),
@@ -411,79 +416,123 @@ def _translating_cases():
     ]
 
 
-def _stepping(make):
-    """make() with every product table refused, so its orbits and sums take the stepping loop."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(_WindowOrbit, "_product_table", lambda self, n_max: False)
-        return make()
-
-
-def test_translating_frames_match_stepping():
-    # one-term shifts read states and sums off a product table; the reference is the stepping loop
+def test_translating_frames_match_stepping(monkeypatch):
+    # one-term shifts read states and sums off a product table; the reference steps n-fold core.apply.  A small
+    # stack cap makes blocks of 64 states, and the horizon keeps the backward orbit's death at step 5000 inside it.
+    monkeypatch.setattr(powers, "_STACK_BYTES", 2**13)
     lams = np.array([1.0, -1.0, 1j, cmath.exp(0.3j)])
-    block = 2**20 // (16 * 8)  # states per block at width 8
-    n_top = 3 * block + 7
+    block = 2**13 // (16 * 8)  # states per block at width 8
+    n_top = 5003
     ns = [0, 1, block - 1, block, block + 1, n_top]
     for spec, x, y in _translating_cases():
         assert make_orbit(spec, x, n_top).translating
-        ref_norms = _stepping(lambda: make_orbit(spec, x, n_top)).norms(2, n_top)
-        death = len(ref_norms) if len(ref_norms) < n_top else None
-        walker = _stepping(lambda: make_orbit(spec, x, n_top))
-        ref_states = [(walker.lo, walker.vals)]
-        for _ in range(len(ref_norms)):
-            walker.step()
-            ref_states.append((walker.lo, walker.vals))
-        ref_inners = _stepping(lambda: make_orbit(spec, x, n_top)).inners(y, n_top)
-        sizes = np.array([np.hypot.reduce(np.abs(v).ravel()) for _, v in ref_states])  # ||T^k x||
-        magnitudes = np.cumsum(sizes)
+        states = _apply_oracle(spec, x, n_top)
+        zero = [k for k, v in enumerate(states) if v.is_zero()]
+        death = zero[0] if zero else None
+        sizes = np.array([p_norm(v, 2) for v in states])  # ||T^k x||
         sums = [CesaroSum(spec, x, n_top), CesaroSum(spec, x, n_top, lams)]
-        ref_sums = _stepping(lambda: [CesaroSum(spec, x, n_top), CesaroSum(spec, x, n_top, lams)])
-        assert all(acc.closed for acc in sums) and not any(acc.closed for acc in ref_sums)
+        want_sums = _oracle_sums(states, lams, sums[0].lo, sums[0].sum.shape[2], {min(n, death or n) for n in ns})
         for n in ns:
-            dies = min(n, len(ref_norms))
+            dies = n if death is None else min(n, death)
             orbit = make_orbit(spec, x, n_top)
-            _close(orbit.norms(2, n), ref_norms[:dies], sizes[1 : dies + 1])
-            assert orbit.dead == (death is not None and n >= death)
+            norms = orbit.norms(2, n)
+            assert len(norms) == dies and orbit.dead == (death is not None and n >= death)
+            _close(norms, sizes[1 : dies + 1], sizes[1 : dies + 1])
             power = power_norm_exact(spec, dies, 2) if dies else 1.0
             jump = make_orbit(spec, x, n_top)
             jump.advance(n)
             for state in (orbit, jump):
-                assert state.lo == ref_states[dies][0] and state.dead == orbit.dead
-                _close(state.vals, ref_states[dies][1], power * p_norm(x, 2))
+                width = state.vals.shape[1]
+                assert state.steps == dies and state.dead == orbit.dead
+                assert all(state.lo <= k < state.lo + width for k in states[dies].entries)
+                _close(state.vals, _dense_on(states[dies], state.lo, width), power * p_norm(x, 2))
             inners = make_orbit(spec, x, n_top).inners(y, n)
-            _close(inners, ref_inners[:dies], sizes[1 : dies + 1] * p_norm(y, 2))
-            for acc, want in zip(sums, ref_sums):
+            _close(inners, np.array([inner(v, y) for v in states[1 : dies + 1]]), sizes[1 : dies + 1] * p_norm(y, 2))
+            for acc in sums:
                 acc.advance_to(n)
-                want.advance_to(n)
-                assert acc.stepped == want.stepped
-                summed = magnitudes[acc.stepped]
-                _close(acc.norms(2), want.norms(2), summed / (n + 1))
-                _close(acc.sum, want.sum, summed)
-                _close(acc.state(), want.state(), power * p_norm(x, 2))
+                assert acc.stepped == dies
+                want = want_sums[dies][: len(acc.lams)]
+                summed = sizes[: dies + 1].sum()
+                _close(acc.sum, want, summed)
+                _close(acc.norms(2), np.linalg.norm(want.reshape(len(want), -1), axis=1) / (n + 1), summed / (n + 1))
+                _close(acc.state(), _dense_on(states[dies], acc.lo, acc.sum.shape[2]), power * p_norm(x, 2))
 
 
 def test_translating_frame_falls_back_outside_double_range():
-    # W(u) = ((u + 1) / 1)^200 leaves double range at u = 35: the window steps, and the overflow is named
+    # W(u) = ((u + 1) / 1)^200 leaves double range at u = 35: the table stays in extended precision, and the
+    # overflow of the orbit itself is named
     spec = ForwardShift(NAT, PowerRatio(200.0, 1))
     x = basis_vector(NAT, 1)
-    assert not make_orbit(spec, x, 400).translating
-    assert not CesaroSum(spec, x, 400).closed
-    assert make_orbit(spec, x, 30).translating
+    orbit = make_orbit(spec, x, 400)
+    assert orbit.translating and orbit._wt.dtype == np.clongdouble
+    assert CesaroSum(spec, x, 400).orbit.translating
+    assert make_orbit(spec, x, 30)._wt.dtype == complex
     with pytest.raises(FloatingPointError, match="n=34"):
         orbit_norms(spec, x, 2, 400)
     assert power_apply(spec, x, 20).entries == pytest.approx({21: 21.0**200}, rel=1e-13)
+
+
+def test_orbit_dies_past_the_extended_horizon_where_its_state_reads_zero():
+    # 0.5^u over 2^16 steps leaves even the extended range near u = 16380; the state there reads 0 in double,
+    # so the orbit dies at the horizon, as n-fold stepping (the reference), which reaches 0 near step 1100, implies
+    rng = np.random.default_rng(43)
+    spec = scale(0.5, ForwardShift(NAT, PowerRatio(0.4, 1)))
+    x = rand_vec(NAT, rng, 1, 32)
+    n = 2**16
+    lams = np.array([1.0, 1j, cmath.exp(0.3j)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        orbit = make_orbit(spec, x, n)
+        horizon = orbit._death
+        assert orbit._wt.dtype == np.clongdouble and 16000 < horizon < n
+        states = _apply_oracle(spec, x, 1200)
+        assert states[-1].is_zero()
+        sizes = np.array([p_norm(v, 2) for v in states])
+        norms = orbit_norms(spec, x, 2, n).values()
+        _close(np.array(norms[:1201]), sizes, sizes)
+        assert not any(norms[1201:])
+        inners = make_orbit(spec, x, n).inners(x, n)
+        assert len(inners) == horizon and not inners[1200:].any()
+        assert power_apply(spec, x, n).is_zero()
+        acc = CesaroSum(spec, x, n, lams)
+        acc.advance_to(n)
+        assert acc.stepped == horizon and acc.orbit.dead
+        want = _oracle_sums(states, lams, acc.lo, acc.sum.shape[2], {1200})[1200]
+        _close(acc.sum, want, sizes.sum())
+
+
+def test_orbit_reads_nan_past_the_extended_horizon():
+    # 2^u leaves even the extended range near u = 16380; the state there reads inf, so every later state, pairing and
+    # sum reads NaN rather than a value, and the overflow itself (near step 1020) is named
+    rng = np.random.default_rng(47)
+    spec = scale(2.0, ForwardShift(NAT, PowerRatio(0.4, 1)))
+    x = rand_vec(NAT, rng, 1, 32)
+    n = 2**15
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        orbit = make_orbit(spec, x, n)
+        assert orbit.translating and orbit._wt.dtype == np.clongdouble and orbit._death is None
+        with np.errstate(over="ignore", invalid="ignore"):  # as the probes read overflowing orbits
+            norms = orbit.norms(2, n)
+            sums = lambda_mean_norms(spec, x, [1.0, 1j], [1000, 16000, n], 2.0)
+        finite, nan = np.isfinite(norms), np.isnan(norms)
+        first_inf, first_nan = np.argmin(finite), np.argmax(nan)
+        assert 1000 < first_inf < 1100 and 16000 < first_nan and nan[first_nan:].all() and np.isinf(norms[first_inf:first_nan]).all()
+        with pytest.raises(FloatingPointError, match=f"n={first_inf + 1}:"):
+            orbit_norms(spec, x, 2, n)
+        with pytest.raises(FloatingPointError):
+            make_orbit(spec, x, n).inners(x, n)
+        assert np.isfinite(sums[:, 0]).all() and np.isinf(sums[:, 1]).all() and np.isnan(sums[:, 2]).all()
+        assert all(cmath.isnan(v) for v in power_apply(spec, x, n).entries.values())
 
 
 def test_window_tables_stay_inside_the_universe():
     # a backward window dies within its width (BlockTZ one step later); no table covers the 2^20-step horizon
     x = make_vector(NAT, [(k, 1.0) for k in range(1, 33)])
     bshift = BackwardShift(NAT, PowerRatio(0.25, 0))
-    cases = [(bshift, x), (BlockTZ(bshift), PairVec(x, x))]
-    translating = [make_orbit(spec, v, 2**20) for spec, v in cases]
-    stepping = [_stepping(lambda: make_orbit(spec, v, 2**20)) for spec, v in cases]
-    assert [len(orbit._wt) for orbit in translating] == [64, 65]
-    assert [len(orbit.table) for orbit in stepping] == [63, 64]
-    for orbit in (*translating, *stepping):
+    orbits = [make_orbit(spec, v, 2**20) for spec, v in ((bshift, x), (BlockTZ(bshift), PairVec(x, x)))]
+    assert [len(orbit._wt) for orbit in orbits] == [64, 65]
+    for orbit in orbits:
         norms = orbit.norms(2, 2**20)
         assert orbit.dead and len(norms) <= 33 and norms[-1] == 0
 
@@ -518,6 +567,9 @@ def _composed_cases():
         (BlockTZ(dup), dup, 1.0, pair(NAT, 3, 10)),  # no plateau: a plain unweighted shift
         (scale(c, dup), scale(c, dup), None, rand_vec(NAT, rng, 1, 8)),
         (dup, dup, None, rand_vec(NAT, rng, 2, 9)),
+        # a zero scalar leaves no weight to telescope: (x, y) goes to (-y, 0), then to 0
+        (BlockTZ(scale(0.0, fwd)), scale(0.0, fwd), 1.0, pair(NAT, 1, 8)),
+        (scale(0.0, dup), scale(0.0, dup), None, rand_vec(NAT, rng, 1, 8)),
     ]
 
 
@@ -553,7 +605,6 @@ def test_composed_frames_match_apply(monkeypatch):
     # BlockTZ and the duplicating shift read states, reductions and sums off their inner frame, never stepping;
     # the reference is n-fold core.apply.  A small stack cap makes blocks of a few dozen states.
     monkeypatch.setattr(powers, "_STACK_BYTES", 2**13)
-    monkeypatch.setattr(_WindowOrbit, "_step_window", None)
     lams = np.array([1.0, -1.0, 1j, cmath.exp(0.3j)])
     for spec, a, kappa, x in _composed_cases():
         probe = make_orbit(spec, x, 1000)
@@ -568,7 +619,7 @@ def test_composed_frames_match_apply(monkeypatch):
         sizes = _composed_scales(states, a, kappa, x, n_top)
         y = x if kappa is None else PairVec(x.bottom, x.top)
         sums = [CesaroSum(spec, x, n_top), CesaroSum(spec, x, n_top, lams)]
-        assert all(acc.closed or acc.orbit.fixed for acc in sums)
+        assert all(acc.orbit.translating or acc.orbit.fixed for acc in sums)
         for n in ns:
             dies = n if death is None else min(n, death)
             orbit = make_orbit(spec, x, n_top)
@@ -605,8 +656,8 @@ def test_duplicating_frames_at_horizon_zero():
         assert power_apply(spec, v, 0) == v
 
 
-def test_duplicating_sums_off_the_unit_circle_accumulate():
-    # with |s| != 1, (lam s)^-i over a wide window leaves double range: the sums add states instead
+def test_duplicating_sums_off_the_unit_circle_are_written():
+    # with |s| != 1, s^u over a wide window leaves double range: the powers stay in extended precision
     rng = np.random.default_rng(31)
     w = rand_vec(NAT, rng, 1, 1200)
     lams = np.array([1.0, 1j, cmath.exp(0.3j)])
@@ -616,32 +667,59 @@ def test_duplicating_sums_off_the_unit_circle_accumulate():
         states = _apply_oracle(spec, x, n)
         sizes = _composed_scales(states, spec.inner if kappa else spec, kappa, x, n)
         acc = CesaroSum(spec, x, n, lams)
-        assert not acc.closed
+        assert acc.orbit.translating and acc.orbit._wt.dtype == np.clongdouble
         acc.advance_to(n)
         want = [sum(lam**k * _dense_on(v, acc.lo, acc.sum.shape[2]) for k, v in enumerate(states)) for lam in lams]
         _close(acc.sum, np.array(want), sizes.sum())
-    # on a narrow window and a short horizon the same scalar stays in range, and the sums are written
-    assert CesaroSum(scale(0.5, DuplicatingShift()), rand_vec(NAT, rng, 1, 8), 40, lams).closed
+    # on a narrow window and a short horizon the same scalar stays in double range
+    assert CesaroSum(scale(0.5, DuplicatingShift()), rand_vec(NAT, rng, 1, 8), 40, lams).orbit._wt.dtype == complex
 
 
-def test_blocktz_stepping_fallback_matches_apply():
-    # with every product table refused, BlockTZ over a shift steps its inner window and composes its state
+def _extended_composed_cases():
+    """(spec, A, kappa, x): BlockTZ over shifts whose product table leaves double range while their states stay in it.
+
+    The weights climb to 1e200, fall to 1e-200 and climb back, so the table's range, 1e400, exceeds double's.
+    """
+    rng = np.random.default_rng(37)
+    c, s = 0.999 * cmath.exp(0.4j), cmath.exp(0.7j)
+    profile = (1e20,) * 10 + (1e-20,) * 20 + (1e20,) * 10
+    fwd = ForwardShift(NAT, Explicit(profile))
+    bwd = BackwardShift(NAT, Explicit((1.0,) * 20 + profile[::-1]))  # met from source 60 down; dies at the floor
+    bil = BilateralShift(Explicit((1.0,) * 20 + profile[::-1]), forward=False)
+
+    def pair(universe, lo, hi):
+        return PairVec(rand_vec(universe, rng, lo, hi - 1), rand_vec(universe, rng, lo + 1, hi))
+
+    return [
+        (BlockTZ(fwd), fwd, 1.0, pair(NAT, 1, 4)),
+        (BlockTZ(scale(c, fwd)), scale(c, fwd), 1.0, pair(NAT, 1, 4)),
+        (scale(s, BlockTZ(bwd)), scale(s, bwd), s, pair(NAT, 57, 60)),
+        (BlockTZ(scale(c, bil)), scale(c, bil), 1.0, pair(INTS, 57, 60)),
+    ]
+
+
+def test_blocktz_extended_frames_match_apply():
+    # BlockTZ over a shift whose table leaves double range composes its extended-precision inner frame
     lams = np.array([1.0, 1j, cmath.exp(0.3j)])
-    n = 40
-    for spec, a, kappa, x in _composed_cases()[:4]:
+    n = 70
+    for spec, a, kappa, x in _extended_composed_cases():
         states = _apply_oracle(spec, x, n)
         sizes = _composed_scales(states, a, kappa, x, n)
-        orbit = _stepping(lambda: make_orbit(spec, x, n))
-        assert not (orbit.translating or orbit.fixed)
+        orbit = make_orbit(spec, x, n)
+        assert orbit.translating and orbit._wt.dtype == np.clongdouble
         norms = orbit.norms(2, n)
         _close(norms, np.array([p_norm(v, 2) for v in states[1 : len(norms) + 1]]), sizes[1 : len(norms) + 1])
         assert states[len(norms)].is_zero() == orbit.dead
         _close(orbit.vals, _dense_on(states[orbit.steps], orbit.lo, orbit.vals.shape[1]), sizes[orbit.steps])
-        acc = _stepping(lambda: CesaroSum(spec, x, n, lams))
+        y = PairVec(x.bottom, x.top)
+        inners = make_orbit(spec, x, n).inners(y, n)
+        _close(inners, np.array([inner(v, y) for v in states[1 : len(inners) + 1]]), sizes[1 : len(inners) + 1] * p_norm(y, 2))
+        acc = CesaroSum(spec, x, n, lams)
         acc.advance_to(n)
         want = [sum(lam**k * _dense_on(v, acc.lo, acc.sum.shape[2]) for k, v in enumerate(states[: acc.stepped + 1]))
                 for lam in lams]
         _close(acc.sum, np.array(want), sizes[: acc.stepped + 1].sum())
+
 
 def test_cesaro_sum_of_a_constant_orbit_is_correctly_rounded():
     # blocks of equal states, longer than one extended-precision chunk, still sum exactly
@@ -884,6 +962,26 @@ def test_block_tz_power_check_examples():
 
 # ---------------------------------------------------------------------------
 # numerical kernels
+
+
+def test_row_norms_rescale_where_powers_leave_the_normal_range():
+    # rows whose powers underflow into subnormals (or overflow) are rescaled by their largest entry, as a single norm
+    # is.  For p = 2 every row matches math.hypot, which never loses range; for other p the rescaled fsum core.p_norm
+    # takes, within the 1e-14 that the rounded exponent 1/p costs a plain norm of a tiny or huge row.
+    rng = np.random.default_rng(53)
+    mags = np.abs(rng.standard_normal((7, 9))) * np.array([1.0, 1e-160, 1e-310, 1e160, 1e300, 0.0, 1.0])[:, None]
+    mags[6, 4] = np.inf
+    for p, rel in ((2.0, 4e-16), (3.0, 1e-13), (1.5, 1e-13)):
+        with np.errstate(over="ignore"):  # the plain powers of the large rows overflow before they are rescaled
+            rows = powers._lp_norm(mags, p, axis=1)
+            singles = np.array([powers._lp_norm(row, p) for row in mags])
+        if p == 2:
+            want = np.array([math.hypot(*row) for row in mags[:-1]])
+        else:
+            want = np.array([max(r) * math.fsum((m / max(r)) ** p for m in r) ** (1 / p) if max(r) else 0.0 for r in mags[:-1]])
+        assert rows[-1] == singles[-1] == math.inf
+        for got in (rows[:-1], singles[:-1]):
+            assert np.all(np.abs(got - want) <= rel * want + 2**-1074)
 
 
 def test_largest_singular_value_against_svd():

@@ -10,7 +10,10 @@ holds within 1e-11 on shifts, BlockTZ over shifts and diagonals and the
 duplicating shift; specs whose powers grow exponentially or like n^alpha,
 alpha >= 1, are never reported bounded, also once their orbits overflow;
 ||M_n(lam T)|| of a contraction is invariant under unitary conjugation, within
-the perturbation bound of the rounded conjugation.
+the perturbation bound of the rounded conjugation.  A power-ratio shift with
+alpha up to 400, whose product table leaves double range and stays in
+extended precision, maps e_k to the exact product of its double factors,
+within 1e-12, or overflows exactly where that product leaves double range.
 """
 
 import cmath
@@ -50,6 +53,7 @@ from cesarolab.core import (
     PairVec,
     scale,
     vec_scale,
+    weight_product,
 )
 from cesarolab.powers import (
     CesaroSum,
@@ -145,7 +149,7 @@ def test_translating_cesaro_sums_match_apply(case, angles):
     spec, x, _, n = case
     lams = np.exp(1j * np.array([0.0, *angles]))
     acc = CesaroSum(spec, x, n, lams)
-    assert acc.closed
+    assert acc.orbit.translating
     acc.advance_to(n)
     states = _oracle(spec, x, n)
     width = acc.sum.shape[2]
@@ -165,6 +169,56 @@ def test_power_norm_bounds_basis_orbits(case):
     starts = [j for j in range(min(x.entries) - 30, max(x.entries) + 30) if universe.contains(j)]
     best = max(p_norm(power_apply(spec, basis_vector(universe, j), n), 2) for j in starts)
     assert power_norm_exact(spec, n, 2) >= best * (1 - 1e-12)
+
+
+_DOUBLE = np.finfo(float)
+
+
+def _exact_product(factors) -> complex | None:
+    """The exact product of complex doubles, each part correctly rounded; None where a part leaves double range.
+
+    The product is a Gaussian integer over a power of two, multiplied out by a balanced tree.
+    """
+    terms = []
+    for f in factors:
+        (a, da), (b, db) = f.real.as_integer_ratio(), f.imag.as_integer_ratio()
+        den = max(da, db)  # both are powers of two
+        terms.append((a * (den // da), b * (den // db), den))
+    while len(terms) > 1:
+        pairs = [(p * r - q * t, p * t + q * r, d * e) for (p, q, d), (r, t, e) in zip(terms[::2], terms[1::2])]
+        terms = pairs + terms[len(pairs) * 2 :]
+    re, im, den = terms[0]
+    try:
+        return complex(re / den, im / den)  # integer division rounds correctly
+    except OverflowError:
+        return None
+
+
+@SETTINGS
+@given(st.floats(50.0, 400.0), st.integers(1, 3000), st.integers(1, 4000), st.floats(0.25, 4.0), unit)
+def test_power_ratio_basis_orbits_match_the_exact_product(alpha, k, n, size, angle):
+    # T e_j = s w_j e_{j+1}, so T^n e_k = (prod of the n factors s w_j from j = k) e_{k+n}.  Its product table leaves
+    # double range for most draws and is then kept in extended precision.  The reference is the exact product of
+    # the same double factors, so a non-finite value appears exactly where it leaves double range.  In magnitude
+    # the closed form |s|^n weight_product(rule, k, n) differs from it only by the rounding of the n factors,
+    # at most (alpha + 3) eps / 2 each.
+    rule = PowerRatio(alpha, 1)
+    s = size * cmath.exp(1j * angle)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = power_apply(scale(s, ForwardShift(NAT, rule)), basis_vector(NAT, k), n)
+    assert set(got.entries) <= {k + n}
+    entry = got.entries.get(k + n, 0j)
+    num = np.arange(k, k + n, dtype=float) + rule.offset
+    want = _exact_product((s * (num / (num - 1.0)) ** alpha).tolist())
+    if want is None or not cmath.isfinite(entry):  # both leave double range, up to the 1e-12 rounding
+        assert want is None or max(abs(want.real), abs(want.imag)) >= _DOUBLE.max * (1 - 1e-12)
+        assert not cmath.isfinite(entry)
+        return
+    assert abs(entry - want) <= 1e-12 * abs(want) + _DOUBLE.tiny
+    closed = abs(s) ** n * weight_product(rule, k, n)  # NaN where |s|^n underflows and the product overflows
+    if math.isfinite(closed):
+        assert abs(abs(want) - closed) <= n * (alpha + 3) * _DOUBLE.eps * abs(want) + _DOUBLE.tiny
 
 
 # ---------------------------------------------------------------------------
