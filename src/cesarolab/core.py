@@ -560,6 +560,8 @@ class BilateralShift(OperatorSpec):
     forward: bool = True
 
     def __post_init__(self) -> None:
+        if isinstance(self.rule, PowerRatio):  # weight(1 - offset) divides by zero: no such operator on Z
+            raise ConstructionError(f"{self.rule} is undefined at index {1 - self.rule.offset}")
         if isinstance(self.rule, PolyRatio):
             # Negative tail would make some weight nonpositive on Z.
             _screen_positive(self.rule.p, -(10**4), 10**4, require_even_degree=True)

@@ -27,7 +27,6 @@ from .core import (
     SparseVec,
     expects_pair,
     p_norm,
-    weight_at,
     weight_product,
 )
 from .powers import CesaroSum, compensated_add, make_orbit, shift_direction
@@ -141,32 +140,18 @@ def _dyadic_upto(n_max: int) -> list[int]:
 def mixing_criterion_backward_shift(rule, n_max: int | None = None) -> MixingVerdict:
     """Inverse partial weight products at dyadic n; evidence when they sink below 1e-2.
 
-    PowerRatio and PolyRatio rules telescope, so the dyadic ladder extends to
-    2^40 at closed-form cost; explicit weight lists are accumulated numerically
-    up to 2^20.
+    Every rule reads its products in closed form (``weight_product``): PowerRatio
+    and PolyRatio rules telescope, so the dyadic ladder extends to 2^40;
+    explicit weight lists sum their logs, and stop at 2^20.
     """
     closed = isinstance(rule, (PowerRatio, PolyRatio))
     if n_max is None:
         n_max = MIXING_N_CLOSED if closed else MIXING_N_NUMERIC
     start = max(1, 2 - rule.offset) if isinstance(rule, PowerRatio) else 1
     samples = []
-    if closed:
-        for n in _dyadic_upto(n_max):
-            if n < start:
-                samples.append((n, 1.0))
-                continue
-            samples.append((n, 1.0 / weight_product(rule, start, n - start + 1)))
-    else:
-        log_acc = 0.0
-        prev = start - 1
-        for n in _dyadic_upto(n_max):
-            if n < start:
-                samples.append((n, 1.0))
-                continue
-            for k in range(prev + 1, n + 1):
-                log_acc += math.log(weight_at(rule, k))
-            prev = n
-            samples.append((n, math.exp(-log_acc)))
+    for n in _dyadic_upto(n_max):
+        product = weight_product(rule, start, n - start + 1) if n >= start else 1.0
+        samples.append((n, 1.0 / product if product else math.inf))  # a product that underflows has no finite inverse
     tail = [v for _, v in samples[-3:]]
     decreasing = all(a > b for a, b in zip(tail, tail[1:]))
     if samples[-1][1] < MIXING_TOL and decreasing:

@@ -73,7 +73,6 @@ __all__ = [
     "lambda_operator_norms",
 ]
 
-SHIFT_SUP_HORIZON = 10**6
 _STACK_BYTES = 2**20  # cap on a fixed frame's power stack; it fixes the block length B
 _GATHER_BYTES = 2**17  # cap on the residue sums gathered for one chunk of checkpoints
 # Equal doubles that an extended-precision sum adds exactly: 2^11 with an x87 long double.
@@ -715,10 +714,9 @@ class CesaroSum:
     in blocks of states.
     """
 
-    def __init__(self, spec: OperatorSpec, x, n_max: int, lams=None):
+    def __init__(self, spec: OperatorSpec, x, n_max: int, lams=(1.0,)):
         self.orbit = make_orbit(spec, x, n_max)
-        self.unit = lams is None
-        self.lams = np.ones(1, dtype=complex) if lams is None else np.asarray(lams, dtype=complex)
+        self.lams = np.asarray(lams, dtype=complex)
         if np.any(np.abs(np.abs(self.lams) - 1.0) > 1e-12):
             raise ParameterError("lam must be unimodular")
         self.lo, hi = self.orbit.span(n_max)
@@ -739,7 +737,7 @@ class CesaroSum:
         width = o._a.shape[1]
         terms = (o._a[None] if o._b is None else np.stack([o._a, o._b, np.arange(width) * o._b]))[None]
         self._gains = o._wt[None]
-        if not (self.unit and o._scalar == 1):
+        if not (np.all(self.lams == 1) and o._scalar == 1):  # else every gain is 1
             mus = self.lams * o._scalar
             inverse = np.ones((len(mus), width), dtype=np.clongdouble)
             inverse[:, 1:] = 1 / mus[:, None].astype(np.clongdouble)
@@ -801,11 +799,13 @@ class CesaroSum:
     def _add_block(self, states: np.ndarray) -> None:
         """Fold a fixed frame's block of states (m, rows * width) into the sums.
 
-        A fixed frame fills the sums exactly.  On a grid the block is weighted
-        by a (lams x m) power matrix, in chunks that keep it under the stack cap.
+        A fixed frame fills the sums exactly.  Where every lam is 1 the states
+        add as they are; otherwise the block is weighted by a (lams x m) power
+        matrix, in chunks that keep it under the stack cap.
         """
-        if self.unit:
-            s, c = compensated_add(self.sum.ravel(), self.comp.ravel(), states)
+        if np.all(self.lams == 1):
+            flat = (len(self.lams), -1)
+            s, c = compensated_add(self.sum.reshape(flat), self.comp.reshape(flat), states)
             self.sum, self.comp = s.reshape(self.sum.shape), c.reshape(self.sum.shape)
             return
         if self._lam_run is None:  # the first block starts at state 1
@@ -910,37 +910,6 @@ def power_apply(spec: OperatorSpec, x, n: int):
     return orbit.to_sparse()
 
 
-def _shift_sup_candidates(lowest: int, span: int) -> list[int]:
-    """Start indices probed for the supremum: dense head plus dyadic tail."""
-    return list(range(lowest, lowest + 8)) + [lowest + 2**k for k in range(3, span.bit_length())]
-
-
-def _scan_products(rule, starts, n: int, monotone_shortcut: bool = False) -> float:
-    """Max of the n-term weight products over [s, s + n) for the candidate starts s.
-
-    With the shortcut enabled, a strictly decreasing head lets the scan jump
-    to the final two (horizon) candidates only: power-ratio products are
-    monotone in the start, so the supremum sits at the boundary.
-    """
-    best = 0.0
-    values = []
-    for s in starts:
-        try:
-            prod = weight_product(rule, s, n)
-        except ParameterError:
-            continue
-        values.append(prod)
-        best = max(best, prod)
-        if monotone_shortcut and len(values) == 6 and all(a > b for a, b in zip(values, values[1:])):
-            for tail in starts[-2:]:
-                try:
-                    best = max(best, weight_product(rule, tail, n))
-                except ParameterError:
-                    continue
-            break
-    return best
-
-
 def _poly_sup(rule: PolyRatio, n: int, lowest: int | None) -> float:
     """sup over the integer starts s >= lowest (every s if None) of sqrt(p(s + n) / p(s)).
 
@@ -970,19 +939,15 @@ def _shift_power_norm(spec, n: int) -> float:
     bilateral = isinstance(spec, BilateralShift)
     lowest = 0 if bilateral else 2 if isinstance(spec, BackwardShift) else 1  # e_1 is killed by a backward shift
     if not bilateral and isinstance(spec.universe, FiniteRange):
-        return _scan_products(rule, range(lowest, spec.universe.dim - n + lowest), n)
-    if isinstance(rule, Explicit):
+        starts = range(lowest, spec.universe.dim - n + lowest)
+    elif isinstance(rule, Explicit):
         tail = len(rule.values) + 1  # windows from here on, or ending before 1, hold tail weights only
-        if bilateral:
-            return _scan_products(rule, sorted({*range(1 - n, tail - n + 1), *range(1, tail + 1)}), n)
-        return _scan_products(rule, range(lowest, max(lowest, tail) + 1), n)
-    if isinstance(rule, PolyRatio):
+        starts = {*range(1 - n, tail - n + 1), *range(1, tail + 1)} if bilateral else range(lowest, max(lowest, tail) + 1)
+    elif isinstance(rule, PolyRatio):
         return _poly_sup(rule, n, None if bilateral else lowest)
-    heads = _shift_sup_candidates(lowest, SHIFT_SUP_HORIZON)
-    if not bilateral:
-        return _scan_products(rule, heads, n, monotone_shortcut=True)
-    starts = sorted(set(heads + [-s for s in heads]))
-    return _scan_products(rule, starts if spec.forward else [s - n + 1 for s in starts], n)
+    else:  # a power ratio on N: a bilateral shift cannot carry one
+        return max(weight_product(rule, lowest, n), 1.0)
+    return max((weight_product(rule, s, n) for s in starts), default=0.0)
 
 
 def _power(base: float, n: int) -> float:
@@ -995,18 +960,22 @@ def power_norm_exact(spec: OperatorSpec, n: int, p: float) -> float:
     """Exact ||T^n|| for shifts (any p), diagonals, and finite matrices (p=2).
 
     A shift's norm is the supremum of its n-term weight products over basis
-    starts, each a telescoping closed form.  Explicit rules scan every start
-    whose window meets the listed weights, plus one window of tail weights;
-    polynomial ratios scan every start up to where the products turn
-    monotone (see ``_poly_sup``); power ratios, whose products are monotone in
-    the start, take a dense head of starts plus dyadic tail probes.
+    starts s, each a telescoping closed form.  A power ratio on N has products
+    ((s + n - 1 + c) / (s - 1 + c))^alpha, and 1 + n / (s - 1 + c) decreases
+    in s toward 1: for alpha >= 0 the products decrease from the lowest start,
+    for alpha < 0 they increase toward their limit 1, so the supremum is the
+    larger of the first product and 1.  Explicit rules take every start whose
+    window meets the listed weights, plus one window of tail weights;
+    polynomial ratios the starts next to the breakpoints of their monotone
+    pieces (``_poly_sup``); a finite range every start.  A zero scalar
+    multiple has norm 0.
     """
     if n < 1:
         raise ParameterError("power must be >= 1")
     if p < 1:
         raise ParameterError(f"p must be >= 1, got {p}")
     if isinstance(spec, ScalarMultiple):
-        return _power(abs(spec.scalar), n) * power_norm_exact(spec.inner, n, p)
+        return _power(abs(spec.scalar), n) * power_norm_exact(spec.inner, n, p) if spec.scalar else 0.0
     if isinstance(spec, Diagonal):
         candidates = [abs(v) for _, v in spec.overrides]
         if not (isinstance(spec.universe, FiniteRange) and len(spec.overrides) >= spec.universe.dim):

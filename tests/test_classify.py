@@ -37,6 +37,7 @@ from cesarolab.core import (
     basis_vector,
     identity,
     p_norm,
+    scale,
 )
 from cesarolab.powers import NormSeq, cesaro_apply, power_norm_exact
 from cesarolab.core import INTS as INTS_
@@ -140,6 +141,12 @@ def test_power_bounded_probe_fallback():
     assert verdict.status == "violated"
     assert verdict.certainty == "probe"
     assert verdict.witness is not None and "vector" in verdict.witness
+
+
+def test_power_bounded_zero_operator_is_exactly_bounded():
+    verdict = power_bounded_probe(scale(0.0, ForwardShift(NAT, PowerRatio(200, 1))), ProbeConfig(n_max=256))
+    assert verdict.status == "bounded_up_to" and verdict.certainty == "exact"
+    assert verdict.best_constant == 0.0 and "non_finite_at" not in verdict.parameters
 
 
 # ---------------------------------------------------------------------------

@@ -391,6 +391,19 @@ def test_probe_mixing():
     assert json.loads(out)["probes"][0]["result"]["status"] == "mixing_evidence"
 
 
+def test_probe_mixing_with_overflowing_inverse_products():
+    code, out, _ = run_cli(["probe", "mixing", "bshift:alpha=-30", "--json"])
+    assert code == 0
+    assert json.loads(out)["probes"][0]["result"]["status"] == "fails"
+
+
+def test_classify_power_bounded_with_negative_alpha_reads_one():
+    code, out, _ = run_cli(["classify", "bshift:alpha=-0.25", "--probes", "pb", "--json"])
+    assert code == 0
+    result = json.loads(out)["probes"][0]["result"]
+    assert result["status"] == "bounded_up_to" and result["certainty"] == "exact" and result["best_constant"] == 1.0
+
+
 def test_probe_chaos_requires_polyshift():
     code, _, err = run_cli(["probe", "chaos", "assani"])
     assert code == 2

@@ -237,6 +237,13 @@ def test_bilateral_shift_action():
     assert apply(back, basis_vector(INTS, 0)).entries == {-1: 1.0 + 0j}
 
 
+def test_bilateral_shift_rejects_power_ratios():
+    # weight(1 - offset) = (1 / 0)^alpha: no such operator on the integers
+    for rule in (PowerRatio(0.3, 6), PowerRatio(0.3, 100), PowerRatio(-1.0, 0)):
+        with pytest.raises(ConstructionError):
+            BilateralShift(rule)
+
+
 def test_finite_matrix_action():
     spec = FiniteMatrix(((-1.0, 2.0), (0.0, -1.0)))
     img = apply(spec, basis_vector(FiniteRange(2), 2))

@@ -67,6 +67,17 @@ def test_mixing_poly_ratio():
         assert value == pytest.approx(1.0 / math.sqrt(n + 1.0), rel=1e-12)
 
 
+def test_mixing_reads_inf_where_the_products_underflow():
+    # n^-30 and 2^5 0.9^(n - 5) underflow to 0 long before 2^40 and 2^20: their inverses read inf
+    for rule in (PowerRatio(-30.0, 0), Explicit((2.0,) * 5, 0.9)):
+        verdict = mixing_criterion_backward_shift(rule)
+        assert verdict.status == "fails"
+        assert verdict.samples[-1][1] == math.inf
+    explicit = mixing_criterion_backward_shift(Explicit((2.0,) * 5, 0.9))
+    for n, value in explicit.samples[:8]:
+        assert value == pytest.approx(2.0 ** -min(n, 5) * 0.9 ** -max(n - 5, 0), rel=1e-12)
+
+
 def test_mixing_agrees_with_chaos_overlap():
     # degree >= 1 families must show mixing evidence for the adjoint weights
     for coeffs in [(0.0, 1.0), (0.0, 0.0, 1.0), (0.0, 0.0, 0.0, 1.0)]:

@@ -194,6 +194,32 @@ def test_power_norm_scalar_multiple():
     assert power_norm_exact(spec, 2, 2) == pytest.approx(4.0 * power_norm_exact(ASSANI, 2, 2), rel=1e-12)
 
 
+def test_power_norm_of_a_zero_multiple_is_zero():
+    # the inner norm overflows to inf; the zero operator's norm is 0, not 0 * inf
+    spec = scale(0.0, ForwardShift(NAT, PowerRatio(200, 1)))
+    assert power_norm_exact(ForwardShift(NAT, PowerRatio(200, 1)), 40, 2) == math.inf
+    assert power_norm_exact(spec, 40, 2) == 0.0
+
+
+def test_power_ratio_norms_with_negative_alpha_are_the_limit_one():
+    # the products ((s + n - 1 + c) / (s - 1 + c))^alpha increase in the start s toward 1 when alpha < 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for spec in (BackwardShift(NAT, PowerRatio(-0.25, 0)), ForwardShift(NAT, PowerRatio(-0.4, 1))):
+            for n in (1, 8, 1024):
+                assert power_norm_exact(spec, n, 2) == 1.0
+                assert max(p_norm(power_apply(spec, basis_vector(NAT, s), n), 2) for s in range(1, 201)) <= 1.0
+
+
+def test_power_norm_on_a_finite_range_is_the_largest_basis_orbit():
+    spec = ForwardShift(FiniteRange(12), PowerRatio(-1.0, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in range(1, 14):
+            best = max(p_norm(power_apply(spec, basis_vector(FiniteRange(12), j), n), 2) for j in range(1, 13))
+            assert power_norm_exact(spec, n, 2) == pytest.approx(best, rel=1e-12, abs=0.0)
+
+
 # ---------------------------------------------------------------------------
 # orbit_norms
 
@@ -729,6 +755,28 @@ def test_cesaro_sum_of_a_constant_orbit_is_correctly_rounded():
         acc.advance_to(n)
         want = [complex(float(Fraction(v.real) * (n + 1)), float(Fraction(v.imag) * (n + 1))) for v in acc.state()[0]]
         assert acc.sum[0, 0].tolist() == want
+
+
+def test_single_lambda_sum_is_the_one_point_grid():
+    # a Cesàro sum and the sum over the grid [1] are one computation, bit for bit
+    rng = np.random.default_rng(17)
+    shift = ForwardShift(NAT, PowerRatio(0.4, 1))
+    cases = [
+        (Diagonal(NAT, 0.5, ((2, -1.0), (3, 1j))), rand_vec(NAT, rng, 1, 6)),
+        (ASSANI, rand_vec(U2, rng, 1, 2)),
+        (shift, rand_vec(NAT, rng, 1, 6)),
+        (BackwardShift(NAT, PowerRatio(0.25, 0)), rand_vec(NAT, rng, 1, 40)),
+        (DuplicatingShift(), rand_vec(NAT, rng, 1, 6)),
+        (BlockTZ(BilateralShift(Explicit((), 1.0))), PairVec(rand_vec(INTS, rng, -3, 3), rand_vec(INTS, rng, -2, 4))),
+        (scale(0.9j, shift), rand_vec(NAT, rng, 1, 6)),
+    ]
+    for spec, x in cases:
+        for n in (1, 7, 64, 1000, 3000):
+            sums = [CesaroSum(spec, x, n), CesaroSum(spec, x, n, [1])]
+            for acc in sums:
+                acc.advance_to(n)
+            assert np.array_equal(sums[0].sum, sums[1].sum)
+            assert np.array_equal(sums[0].norms(2), sums[1].norms(2))
 
 
 def test_orbit_norms_submultiplicative_consistency():
