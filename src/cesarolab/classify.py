@@ -38,7 +38,6 @@ from .core import (
 from .powers import (
     NormSeq,
     cesaro_apply,
-    cesaro_operator_norm_sweep,
     lambda_grid,
     lambda_mean_norms,
     lambda_operator_norms,
@@ -352,7 +351,8 @@ def cesaro_bounded_probe(spec: OperatorSpec, cfg: ProbeConfig) -> ClassVerdict:
     """sup_n ||M_n(T)||: exact for finite matrices, probe families otherwise."""
     params = cfg.echo(probe="cesaro_bounded")
     if spec_dim(spec) is not None:
-        values = cesaro_operator_norm_sweep(spec, 1.0 + 0j, list(range(1, cfg.n_max + 1)))
+        ns = list(range(1, cfg.n_max + 1))
+        values = list(zip(ns, lambda_operator_norms(spec, [1.0], ns)[0].tolist()))
         return _exact_verdict("cesaro_bounded", spec, cfg, values, params)
 
     checkpoints = checkpoint_set(cfg.n_max)

@@ -43,6 +43,7 @@ __all__ = [
     "Explicit",
     "weight_at",
     "weight_product",
+    "log_weight_product",
     "reindex_rule",
     "OperatorSpec",
     "BackwardShift",
@@ -456,6 +457,21 @@ def weight_at(rule: WeightRule, k: int) -> float:
     raise UnsupportedVariantError(f"unknown weight rule {rule!r}")
 
 
+def _telescoped(rule: PowerRatio | PolyRatio, start: int, count: int, real=float):
+    """Ends (a, b) of the telescoped product of weight(k) over [start, start+count): (b / a)^alpha for a power
+    ratio, whose ends are integers, sqrt(b / a) for a polynomial ratio, whose ends are p evaluated in ``real``."""
+    if isinstance(rule, PowerRatio):
+        lo = start - 1 + rule.offset
+        if lo < 1:
+            raise ParameterError(f"power-ratio product undefined from index {start} (offset {rule.offset})")
+        return lo, start + count - 1 + rule.offset
+    a, b = rule.p(real(start)), rule.p(real(start + count))
+    if not (a > 0 and b > 0):
+        j = start if not a > 0 else start + count
+        raise ConstructionError(f"weight polynomial {rule.p} is not positive at index {j}")
+    return a, b
+
+
 def weight_product(rule: WeightRule, start: int, count: int) -> float:
     """Product of weight(k) for k in [start, start+count); telescoping closed forms."""
     if count < 0:
@@ -463,27 +479,38 @@ def weight_product(rule: WeightRule, start: int, count: int) -> float:
     if count == 0:
         return 1.0
     if isinstance(rule, PowerRatio):
-        hi = start + count - 1 + rule.offset
-        lo = start - 1 + rule.offset
-        if lo < 1:
-            raise ParameterError(f"power-ratio product undefined from index {start} (offset {rule.offset})")
+        lo, hi = _telescoped(rule, start, count)
         try:
             return (hi / lo) ** rule.alpha
         except OverflowError:  # saturates, as in the Explicit branch below
             return math.inf
     if isinstance(rule, PolyRatio):
-        a, b = rule.p(float(start)), rule.p(float(start + count))
-        if not (a > 0 and b > 0):
-            j = start if not a > 0 else start + count
-            raise ConstructionError(f"weight polynomial {rule.p} is not positive at index {j}")
+        a, b = _telescoped(rule, start, count)
         return math.sqrt(b / a)
-    # Explicit: the listed factors inside the range, then the tail for the rest.  Their logs are summed in
-    # extended precision and exponentiated once, so a finite product never overflows on an intermediate factor;
+    # Explicit: the exponential of the log sum, so a finite product never overflows on an intermediate factor;
     # the product saturates to 0 or inf only at the end.
-    listed = rule.values[max(start, 1) - 1 : max(start + count - 1, 0)]
-    log_sum = np.sum(np.log(np.array(listed, dtype=np.longdouble))) + (count - len(listed)) * np.log(np.longdouble(rule.tail))
     with np.errstate(over="ignore"):
-        return float(np.exp(log_sum).astype(float))
+        return float(np.exp(log_weight_product(rule, start, count)).astype(float))
+
+
+def log_weight_product(rule: WeightRule, start: int, count: int) -> np.longdouble:
+    """log of ``weight_product(rule, start, count)`` in extended precision, which never saturates.
+
+    A power ratio telescopes to alpha (log(s + n - 1 + c) - log(s - 1 + c)), a
+    polynomial ratio to (log p(s + n) - log p(s)) / 2 (s = start, n = count,
+    c = offset); an explicit rule sums the logs of its listed factors inside
+    the range and of the tail for the rest.
+    """
+    if count < 0:
+        raise ParameterError("count must be >= 0")
+    if count == 0:
+        return np.longdouble(0)
+    if isinstance(rule, (PowerRatio, PolyRatio)):
+        a, b = _telescoped(rule, start, count, np.longdouble)
+        logs = np.log(np.longdouble(b)) - np.log(np.longdouble(a))
+        return logs * rule.alpha if isinstance(rule, PowerRatio) else logs / 2
+    listed = rule.values[max(start, 1) - 1 : max(start + count - 1, 0)]
+    return np.sum(np.log(np.array(listed, dtype=np.longdouble))) + (count - len(listed)) * np.log(np.longdouble(rule.tail))
 
 
 def reindex_rule(rule: WeightRule, delta: int) -> WeightRule:

@@ -26,6 +26,7 @@ from .core import (
     PowerRatio,
     SparseVec,
     expects_pair,
+    log_weight_product,
     p_norm,
     weight_product,
 )
@@ -142,22 +143,25 @@ def mixing_criterion_backward_shift(rule, n_max: int | None = None) -> MixingVer
 
     Every rule reads its products in closed form (``weight_product``): PowerRatio
     and PolyRatio rules telescope, so the dyadic ladder extends to 2^40;
-    explicit weight lists sum their logs, and stop at 2^20.
+    explicit weight lists sum their logs, and stop at 2^20.  The verdict reads
+    the extended-precision logs (``log_weight_product``), which never
+    saturate: the last inverse must sink below the tolerance, and the last
+    three must strictly decrease, even where the samples saturate to 0 or inf.
     """
     closed = isinstance(rule, (PowerRatio, PolyRatio))
     if n_max is None:
         n_max = MIXING_N_CLOSED if closed else MIXING_N_NUMERIC
     start = max(1, 2 - rule.offset) if isinstance(rule, PowerRatio) else 1
     samples = []
+    log_inverses = []
     for n in _dyadic_upto(n_max):
-        product = weight_product(rule, start, n - start + 1) if n >= start else 1.0
+        count = max(n - start + 1, 0)
+        product = weight_product(rule, start, count)
         samples.append((n, 1.0 / product if product else math.inf))  # a product that underflows has no finite inverse
-    tail = [v for _, v in samples[-3:]]
+        log_inverses.append(-log_weight_product(rule, start, count))
+    tail = log_inverses[-3:]
     decreasing = all(a > b for a, b in zip(tail, tail[1:]))
-    if samples[-1][1] < MIXING_TOL and decreasing:
-        status = "mixing_evidence"
-    else:
-        status = "fails"
+    status = "mixing_evidence" if log_inverses[-1] < math.log(MIXING_TOL) and decreasing else "fails"
     return MixingVerdict(status, tuple(samples), closed)
 
 

@@ -129,22 +129,34 @@ def isometry_table(spec: OperatorSpec, m_max: int, cfg: ProbeConfig | None = Non
 
 
 def _report(m: int, squares: list[tuple[str, list[float]]], tolerance: float) -> IsometryReport:
-    """The order-m report from (label, orbit squares up to at least m) of each probe vector."""
+    """The order-m report from (label, orbit squares up to at least m) of each probe vector.
+
+    A failing row reports the vector with the worst relative defect.  In a
+    passing row every defect is rounding noise about 0, so it reports the
+    family's largest |defect|, and the scale and label of the vector with the
+    largest scale (the first on ties), which a last-bit change cannot move.
+    """
     worst = 0.0
     worst_rel = 0.0
     worst_label = None
     worst_scale = 1.0
+    largest, top_label, top_scale = 0.0, None, 1.0
     for label, sq in squares:
         sq = sq[: m + 1]
         d = sum(((-1.0) ** (m - k)) * math.comb(m, k) * s for k, s in enumerate(sq))
         scale = max(sq)
         rel = abs(d) / max(scale, 1e-300)
+        largest = max(largest, abs(d))
+        if top_label is None or scale > top_scale:
+            top_label, top_scale = label, scale
         if rel > worst_rel:
             worst_rel = rel
             worst = abs(d)
             worst_label = label
             worst_scale = scale
-    return IsometryReport(m, worst_rel < tolerance, worst, worst_scale, worst_label)
+    if worst_rel < tolerance:
+        return IsometryReport(m, True, largest, top_scale, top_label)
+    return IsometryReport(m, False, worst, worst_scale, worst_label)
 
 
 def is_m_isometry(spec: OperatorSpec, m: int, cfg: ProbeConfig | None = None) -> IsometryReport:

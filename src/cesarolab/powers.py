@@ -8,11 +8,11 @@ translating frame read off one cumulative product table; the duplicating
 shift is the unweighted shift plus a plateau; BlockTZ composes its inner
 frame (``_WindowOrbit``).  No orbit steps: a table that leaves double range
 stays in extended precision, and is read as far as it is exact.  Sums cover
-a grid of unimodular lam at once, a mean being the one-point grid [1], and
-stay correctly rounded (TwoSum).  ``lambda_operator_norms`` is the matrix
-counterpart: on the roots-of-unity grid its sums are one inverse DFT of
-residue-class sums of the extended-precision power stack, and any other lam
-is the one-point grid of lam A.
+a grid of unimodular lam at once, a mean being the one-point grid [1].  On
+the roots-of-unity grid a fixed frame's sums are one inverse DFT of
+compensated (TwoSum) residue-class sums, as ``lambda_operator_norms`` reads a
+matrix's extended-precision power stack; any other lam is the one-point
+grid of lam T.
 """
 
 from __future__ import annotations
@@ -43,7 +43,9 @@ from .core import (
     UnsupportedVariantError,
     apply,
     expects_pair,
+    log_weight_product,
     p_norm,
+    scale,
     spec_dim,
     spec_universe,
     to_matrix,
@@ -58,7 +60,6 @@ __all__ = [
     "orbit_norms",
     "cesaro_apply",
     "cesaro_operator_norm",
-    "cesaro_operator_norm_sweep",
     "media_residual",
     "media_residual_max",
     "block_tz_power_check",
@@ -710,8 +711,12 @@ class CesaroSum:
 
     Once the orbit state is exactly zero the sums freeze.  On a translating
     frame they are written off the product table (``_write``), in extended
-    precision where the table is (see ``_WindowOrbit``); a fixed frame folds
-    in blocks of states.
+    precision where the table is (see ``_WindowOrbit``).  A fixed frame folds
+    its states into compensated sums (``compensated_add``): on
+    ``lambda_grid(L)`` (``_grid_period``) state k into residue class k mod L,
+    whose sums one inverse DFT reads at the exact roots e^{2 pi i j/L}, in
+    extended precision and rounded once; any other lam is the one-point sum of
+    lam T, T's own orbit for lam = 1, which stays correctly rounded.
     """
 
     def __init__(self, spec: OperatorSpec, x, n_max: int, lams=(1.0,)):
@@ -722,14 +727,19 @@ class CesaroSum:
         self.lo, hi = self.orbit.span(n_max)
         self.sum = np.zeros((len(self.lams), self.orbit.rows, max(hi - self.lo + 1, 0)), dtype=complex)
         self.n = self.stepped = self._final = 0
-        self._lam_run = None
         if self.orbit.translating:  # written, never accumulated: no compensation
             with np.errstate(over="ignore", invalid="ignore"):  # extended gains saturate past the horizon, where they are NaN
                 self._prefix_sums()
-        else:
-            self.comp = np.zeros_like(self.sum)
         state_cols, self._live = self._overlap()  # columns that can be nonzero; a translating frame narrows them
         self.sum[:, :, self._live] = self.orbit.vals[:, state_cols]
+        if not self.orbit.translating:  # state 0 opens class 0 and T's own sum; a compensated sum is total - comp
+            period = self._period = _grid_period(self.lams)
+            x0 = self.sum[0].ravel()
+            self._classes = np.zeros((2, period, x0.size), dtype=complex)
+            self._classes[0, :1] = x0
+            self._one = (x0.copy(), np.zeros_like(x0))
+            self._unit = period + np.flatnonzero(self.lams[period:] == 1)
+            self._scaled = [(j, CesaroSum(scale(lam, spec), x, n_max)) for j, lam in enumerate(self.lams) if j >= period and lam != 1]
 
     def _prefix_sums(self) -> None:
         """Prefix sums of mu^-i a(i) (and mu^-i b(i), i mu^-i b(i)), times lam if padded, and gains mu^u W(u)."""
@@ -796,31 +806,6 @@ class CesaroSum:
         """(state columns, accumulator columns) where the orbit window meets the sums."""
         return _overlap(self.orbit.lo, self.orbit.vals.shape[1], self.lo, self.sum.shape[2])
 
-    def _add_block(self, states: np.ndarray) -> None:
-        """Fold a fixed frame's block of states (m, rows * width) into the sums.
-
-        A fixed frame fills the sums exactly.  Where every lam is 1 the states
-        add as they are; otherwise the block is weighted by a (lams x m) power
-        matrix, in chunks that keep it under the stack cap.
-        """
-        if np.all(self.lams == 1):
-            flat = (len(self.lams), -1)
-            s, c = compensated_add(self.sum.reshape(flat), self.comp.reshape(flat), states)
-            self.sum, self.comp = s.reshape(self.sum.shape), c.reshape(self.sum.shape)
-            return
-        if self._lam_run is None:  # the first block starts at state 1
-            chunk = max(_STACK_BYTES // (16 * len(self.lams)), 1)
-            run = np.ones((len(self.lams), chunk + 1), dtype=complex)
-            run[:, 1:] = self.lams[:, None]
-            self._lam_run = np.cumprod(run, axis=1)  # lam^0 .. lam^chunk
-            self._lam_pow = self.lams  # lam^k of the block's first state k
-        chunk = self._lam_run.shape[1] - 1
-        for j in range(0, len(states), chunk):
-            part = states[j : j + chunk]
-            block = (self._lam_pow[:, None] * self._lam_run[:, : len(part)]) @ part
-            self.sum, self.comp = _two_sum(self.sum, self.comp, block.reshape(self.sum.shape), 0.0)
-            self._lam_pow = self._lam_pow * self._lam_run[:, len(part)]
-
     def advance_to(self, n: int) -> None:
         """Move the sums to index n (never backwards)."""
         orbit, k = self.orbit, self.stepped
@@ -830,9 +815,21 @@ class CesaroSum:
                 with np.errstate(over="ignore"):  # an extended sum whose exact value overflows reads inf
                     self._write(k)
         else:
-            for _, states, _ in orbit._states(n - k):
-                self._add_block(states)
+            for first, states, _ in orbit._states(n - k):
                 k += len(states)
+                if self._unit.size:
+                    self._one = compensated_add(*self._one, states)
+                if period := self._period:  # state first + i into class (first + i) mod L: pad to whole rows of classes
+                    head = first % period
+                    block = np.pad(states, ((head, -(head + len(states)) % period), (0, 0)))
+                    self._classes = compensated_add(*self._classes, block.reshape(-1, period, states.shape[1]))
+            flat = self.sum.reshape(len(self.lams), -1)
+            flat[self._unit] = self._one[0]
+            if self._period:  # rounded once into the sums
+                flat[: self._period] = np.fft.ifft(self._classes[0].astype(np.clongdouble) - self._classes[1], axis=0, norm="forward")
+            for j, acc in self._scaled:
+                acc.advance_to(n)
+                flat[j] = acc.sum[0].ravel()
         self.stepped, self.n = k, n
 
     def norms(self, p: float) -> np.ndarray:
@@ -872,17 +869,12 @@ def compensated_add(total, comp, values: np.ndarray):
     for j in range(0, len(values), _EXACT_ROWS):
         exact = np.sum(values[j : j + _EXACT_ROWS], axis=0, dtype=np.clongdouble)
         hi = exact.astype(complex)
-        total, comp = _two_sum(total, comp, hi, (exact - hi).astype(complex))
+        t = total + hi
+        bb = t - total
+        low = ((exact - hi).astype(complex) + ((total - (t - bb)) + (hi - bb))) - comp  # total + hi == t + rounding error, exactly
+        total = t + low
+        comp = (total - t) - low
     return total, comp
-
-
-def _two_sum(total, comp, hi, lo):
-    """Add hi + lo (lo well below hi) to the sum total - comp, exactly up to the final rounding."""
-    t = total + hi
-    bb = t - total
-    low = (lo + ((total - (t - bb)) + (hi - bb))) - comp  # total + hi == t + rounding error, exactly
-    total = t + low
-    return total, (total - t) - low
 
 
 def lambda_mean_norms(spec: OperatorSpec, x, lams, checkpoints: list[int], p: float) -> np.ndarray:
@@ -933,9 +925,11 @@ def _poly_sup(rule: PolyRatio, n: int, lowest: int | None) -> float:
     return float(np.sqrt(rule.p(s + n) / rule.p(s)).max())
 
 
-def _shift_power_norm(spec, n: int) -> float:
-    """sup of the n-term weight products over the windows [s, s + n) that T^n maps from basis vectors."""
+def _shift_power_norm(spec, n: int, log: bool = False):
+    """sup of the n-term weight products over the windows [s, s + n) that T^n maps from basis vectors (its
+    extended-precision log with ``log``)."""
     rule = spec.rule
+    product = log_weight_product if log else weight_product
     bilateral = isinstance(spec, BilateralShift)
     lowest = 0 if bilateral else 2 if isinstance(spec, BackwardShift) else 1  # e_1 is killed by a backward shift
     if not bilateral and isinstance(spec.universe, FiniteRange):
@@ -944,10 +938,24 @@ def _shift_power_norm(spec, n: int) -> float:
         tail = len(rule.values) + 1  # windows from here on, or ending before 1, hold tail weights only
         starts = {*range(1 - n, tail - n + 1), *range(1, tail + 1)} if bilateral else range(lowest, max(lowest, tail) + 1)
     elif isinstance(rule, PolyRatio):
-        return _poly_sup(rule, n, None if bilateral else lowest)
+        sup = _poly_sup(rule, n, None if bilateral else lowest)
+        return np.log(np.longdouble(sup)) if log else sup
     else:  # a power ratio on N: a bilateral shift cannot carry one
-        return max(weight_product(rule, lowest, n), 1.0)
-    return max((weight_product(rule, s, n) for s in starts), default=0.0)
+        return max(product(rule, lowest, n), 0.0 if log else 1.0)
+    return max((product(rule, s, n) for s in starts), default=-np.inf if log else 0.0)
+
+
+def _log_power_norm(spec: OperatorSpec, n: int, p: float):
+    """log ||T^n|| in extended precision: n log|c| plus the inner log for a scalar multiple, n log max|d| for a
+    diagonal and the log weight products for a shift, none of which saturates; else the log of the norm."""
+    with np.errstate(divide="ignore"):  # a zero operator has log norm -inf
+        if isinstance(spec, ScalarMultiple):
+            return n * np.log(np.longdouble(abs(spec.scalar))) + _log_power_norm(spec.inner, n, p) if spec.scalar else -np.inf
+        if isinstance(spec, Diagonal):  # ||D^n|| = ||D||^n
+            return n * np.log(np.longdouble(power_norm_exact(spec, 1, p)))
+        if isinstance(spec, (BackwardShift, ForwardShift, BilateralShift)):
+            return _shift_power_norm(spec, n, log=True)
+        return np.log(np.longdouble(power_norm_exact(spec, n, p)))
 
 
 def _power(base: float, n: int) -> float:
@@ -968,14 +976,22 @@ def power_norm_exact(spec: OperatorSpec, n: int, p: float) -> float:
     window meets the listed weights, plus one window of tail weights;
     polynomial ratios the starts next to the breakpoints of their monotone
     pieces (``_poly_sup``); a finite range every start.  A zero scalar
-    multiple has norm 0.
+    multiple has norm 0.  A scalar multiple c T has norm |c|^n ||T^n||; where
+    either factor saturates in double, it is exp(n log|c| + log ||T^n||) with
+    the closed-form log norm (``_log_power_norm``).
     """
     if n < 1:
         raise ParameterError("power must be >= 1")
     if p < 1:
         raise ParameterError(f"p must be >= 1, got {p}")
     if isinstance(spec, ScalarMultiple):
-        return _power(abs(spec.scalar), n) * power_norm_exact(spec.inner, n, p) if spec.scalar else 0.0
+        if not spec.scalar:
+            return 0.0
+        outer, inner = _power(abs(spec.scalar), n), power_norm_exact(spec.inner, n, p)
+        if 0 < outer < math.inf and 0 < inner < math.inf:
+            return outer * inner
+        with np.errstate(over="ignore"):  # a factor saturates: one exp of the log norm, 0 or inf only where it is
+            return float(np.exp(_log_power_norm(spec, n, p)))
     if isinstance(spec, Diagonal):
         candidates = [abs(v) for _, v in spec.overrides]
         if not (isinstance(spec.universe, FiniteRange) and len(spec.overrides) >= spec.universe.dim):
@@ -1029,15 +1045,9 @@ def cesaro_operator_norm(spec: OperatorSpec, n: int, lam: complex = 1.0 + 0j) ->
         raise ParameterError("lam must be unimodular")
     if spec_dim(spec) is None:
         raise UnsupportedVariantError("cesaro_operator_norm needs a finite-dimensional spec")
-    return cesaro_operator_norm_sweep(spec, lam, [n])[0][1]
-
-
-def cesaro_operator_norm_sweep(spec: OperatorSpec, lam: complex, ns) -> list[tuple[int, float]]:
-    """Exact ||M_n(lam T)|| at each requested n: the one-point grid of ``lambda_operator_norms``."""
-    ns = sorted(set(int(n) for n in ns))
-    if not ns or ns[0] < 0:
-        raise ParameterError("requested indices must be >= 0")
-    return list(zip(ns, lambda_operator_norms(spec, [lam], ns)[0].tolist()))
+    if n < 0:
+        raise ParameterError("n must be >= 0")
+    return float(lambda_operator_norms(spec, [lam], [n])[0, 0])
 
 
 def lambda_grid(samples: int) -> np.ndarray:
@@ -1047,10 +1057,15 @@ def lambda_grid(samples: int) -> np.ndarray:
     return lams if samples % 2 == 0 else np.append(lams, -1.0 + 0j)
 
 
+def _grid_period(lams: np.ndarray) -> int:
+    """L when lams is exactly ``lambda_grid(L)``, element for element (lams[L:] is then the -1 of an odd grid), else 0."""
+    return next((s for s in (len(lams), len(lams) - 1) if s > 0 and np.array_equal(lams, lambda_grid(s))), 0)
+
+
 def lambda_operator_norms(spec: OperatorSpec, lams, checkpoints: list[int]) -> np.ndarray:
     """Exact ||M_n(lam T)|| at sorted checkpoints n >= 0 for every lam; shape (len(lams), len(checkpoints)).
 
-    When lams is exactly ``lambda_grid(L)``, element for element, the L roots
+    When lams is exactly ``lambda_grid(L)`` (``_grid_period``), the L roots
     of unity are one residue-DFT sweep (``_residue_norms``) over the powers of
     A, evaluated at the exact roots e^{2 pi i j/L}; any other lam (and the -1
     of an odd grid) is the one-point sweep of lam A.  A mean that holds a
@@ -1058,7 +1073,7 @@ def lambda_operator_norms(spec: OperatorSpec, lams, checkpoints: list[int]) -> n
     """
     lams = np.asarray(lams, dtype=complex)
     a = to_matrix(spec)
-    size = next((s for s in (len(lams), len(lams) - 1) if s > 0 and np.array_equal(lams, lambda_grid(s))), 0)
+    size = _grid_period(lams)
     rows = [_residue_norms(a, size, checkpoints)] if size else []
     rows += [_residue_norms(lam * a, 1, checkpoints) for lam in lams[size:]]
     return np.vstack(rows)

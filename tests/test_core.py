@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -34,6 +35,7 @@ from cesarolab.core import (
     basis_vector,
     identity,
     inner,
+    log_weight_product,
     make_vector,
     p_norm,
     reindex_rule,
@@ -171,6 +173,25 @@ def test_weight_product_explicit_matches_factor_loop():
                 for k in range(start, start + count):
                     exact *= Fraction(weight_at(rule, k))
                 assert got == float(exact)  # the one rounding of an extended-precision log sum is the correct one here
+
+
+def test_log_weight_product_is_the_log_of_the_telescoped_product():
+    # in range, exp(log P) is the float closed form; past double range the log still reads the exact growth
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rules = (PowerRatio(0.25, 0), PowerRatio(-3.0, 2), PolyRatio(Polynomial((1.0, 0.0, 2.0))), Explicit((2.0, 0.5, 3.0), 0.9))
+        for rule in rules:
+            for start, count in ((2, 0), (2, 1), (3, 9), (5, 200)):
+                log = log_weight_product(rule, start, count)
+                assert isinstance(log, np.longdouble)
+                assert float(np.exp(log)) == pytest.approx(weight_product(rule, start, count), rel=1e-13)
+        assert log_weight_product(PowerRatio(200.0, 1), 1, 40) == pytest.approx(200 * math.log(41), rel=1e-15)
+        assert log_weight_product(PolyRatio(Polynomial((0.0, 1.0))), 1, 2**40) == pytest.approx(math.log(2**40 + 1) / 2, rel=1e-15)
+        assert log_weight_product(Explicit((), 0.5), 1, 5000) == pytest.approx(5000 * math.log(0.5), rel=1e-15)
+    with pytest.raises(ParameterError):
+        log_weight_product(PowerRatio(1.0, 0), 1, 3)
+    with pytest.raises(ParameterError):
+        log_weight_product(PowerRatio(1.0, 0), 2, -1)
 
 
 def test_explicit_rule_tail_and_validation():

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -76,6 +77,17 @@ def test_mixing_reads_inf_where_the_products_underflow():
     explicit = mixing_criterion_backward_shift(Explicit((2.0,) * 5, 0.9))
     for n, value in explicit.samples[:8]:
         assert value == pytest.approx(2.0 ** -min(n, 5) * 0.9 ** -max(n - 5, 0), rel=1e-12)
+
+
+def test_mixing_reads_products_that_overflow_through_their_logs():
+    # P_n = n^30 overflows from n = 2^35 on, so its inverse reads 0.0 there; the verdict reads log P_n = 30 log n
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        verdict = mixing_criterion_backward_shift(PowerRatio(30.0, 0))
+    assert verdict.status == "mixing_evidence"
+    assert [v for _, v in verdict.samples[-6:]] == [0.0] * 6
+    for n, value in verdict.samples[:30]:
+        assert value == pytest.approx(float(n) ** -30.0, rel=1e-12)
 
 
 def test_mixing_agrees_with_chaos_overlap():

@@ -97,6 +97,25 @@ def test_isometry_table_rows_match_single_orders():
             assert row.max_defect == pytest.approx(single.max_defect, rel=1e-12, abs=1e-12 * single.scale)
 
 
+def test_passing_rows_keep_their_witness_under_last_bit_changes(monkeypatch):
+    # in a passing row every defect is rounding noise about 0; its scale and label come from the vector with the
+    # largest orbit square, so moving every orbit square by one ulp leaves them where they were
+    import cesarolab.isometry as isometry
+
+    spec = BlockTZ(BilateralShift(Explicit((), 1.0)))
+    table = isometry_table(spec, 6)
+    exact = isometry._orbit_squares
+    for direction in (math.inf, -math.inf):
+        monkeypatch.setattr(isometry, "_orbit_squares", lambda *args: np.nextafter(exact(*args), direction).tolist())
+        nudged = isometry_table(spec, 6)
+        assert [row.passed for row in nudged] == [row.passed for row in table] == [False, False, True, True, True, True]
+        for row, moved in zip(table, nudged):
+            if row.passed:
+                assert moved.witness == row.witness
+                assert abs(moved.scale - row.scale) <= np.spacing(row.scale)
+                assert moved.max_defect < 1e-9 * moved.scale
+
+
 def test_strict_orders():
     assert strict_order(ASSANI, 6) == 3
     assert strict_order(shift_from_polynomial(Polynomial((0.0, 1.0))), 6) == 2

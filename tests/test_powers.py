@@ -45,7 +45,6 @@ from cesarolab.powers import (
     block_tz_power_check,
     cesaro_apply,
     cesaro_operator_norm,
-    cesaro_operator_norm_sweep,
     lambda_mean_norms,
     lambda_grid,
     lambda_operator_norms,
@@ -199,6 +198,19 @@ def test_power_norm_of_a_zero_multiple_is_zero():
     spec = scale(0.0, ForwardShift(NAT, PowerRatio(200, 1)))
     assert power_norm_exact(ForwardShift(NAT, PowerRatio(200, 1)), 40, 2) == math.inf
     assert power_norm_exact(spec, 40, 2) == 0.0
+
+
+def test_power_norm_of_a_scalar_multiple_never_reads_zero_times_inf():
+    # |c|^40 underflows and 41^200 overflows: a saturated factor reads exp(40 log|c| + 200 log 41), one exp of the log norm
+    shift = ForwardShift(NAT, PowerRatio(200, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert power_norm_exact(scale(1e-10, shift), 40, 2) == pytest.approx(3.6038884832714e-78, rel=1e-12)
+        assert power_norm_exact(scale(1e-200, shift), 40, 2) == 0.0  # about 3.6e-7678
+        assert power_norm_exact(scale(1e-10, Diagonal(NAT, 1e12)), 40, 2) == pytest.approx(1e80, rel=1e-12)
+        assert power_norm_exact(scale(0.5, shift), 40, 2) == math.inf
+        # two factors in double range keep their product
+        assert power_norm_exact(scale(0.5, shift), 4, 2) == 0.5**4 * power_norm_exact(shift, 4, 2)
 
 
 def test_power_ratio_norms_with_negative_alpha_are_the_limit_one():
@@ -833,10 +845,13 @@ def test_cesaro_operator_norm_values():
     zero = FiniteMatrix(((0.0, 0.0), (0.0, 0.0)))
     for n in (1, 4, 9):
         assert cesaro_operator_norm(zero, n) == pytest.approx(1.0 / (n + 1), rel=1e-12)
+    with pytest.raises(ParameterError):
+        cesaro_operator_norm(ASSANI, -1)
 
 
 def test_cesaro_operator_norm_sweep_matches_single():
-    sweep = dict(cesaro_operator_norm_sweep(ASSANI, 1.0 + 0j, [1, 2, 5, 9]))
+    ns = [1, 2, 5, 9]
+    sweep = dict(zip(ns, lambda_operator_norms(ASSANI, [1.0 + 0j], ns)[0].tolist()))
     for n, value in sweep.items():
         assert value == pytest.approx(cesaro_operator_norm(ASSANI, n), rel=1e-11)
 
@@ -853,7 +868,7 @@ def test_cesaro_operator_norm_sweep_oracle_svd():
         acc = acc + power
         expected[k] = np.linalg.svd(acc / (k + 1), compute_uv=False)[0]
     spec = FiniteMatrix(((lam, lam - 1), (0.0, lam)))
-    sweep = dict(cesaro_operator_norm_sweep(spec, 1.0 + 0j, list(range(1, 33))))
+    sweep = dict(zip(range(1, 33), lambda_operator_norms(spec, [1.0 + 0j], list(range(1, 33)))[0].tolist()))
     for n, value in expected.items():
         assert sweep[n] == pytest.approx(value, rel=1e-11)
 
@@ -948,6 +963,86 @@ def test_lambda_sweep_off_the_grid_is_the_one_point_sweep():
     for lam, row in zip(lams, table):
         spec = FiniteMatrix(tuple(map(tuple, (lam * a).tolist())))
         assert row.tolist() == lambda_operator_norms(spec, [1.0], _SWEEP_KS)[0].tolist()
+
+
+_FOLD_KS = [0, 1, 5, 63, 64, 65, 1000, 4097, 2**16]
+_FOLD_ENTRIES = (1.0, -1.0, 1j, 0.5 * cmath.exp(0.7j))  # exact powers, and a decaying one
+
+
+def _exact_fixed_frame_cases():
+    """(spec, x, exact states T^k x for k <= max(_FOLD_KS) in clongdouble, shape (k, rows, width)) on fixed frames."""
+    ks = np.arange(_FOLD_KS[-1] + 1)
+    d = np.array(_FOLD_ENTRIES, dtype=np.clongdouble)
+    powers_ = np.ones((len(ks), len(d)), dtype=np.clongdouble)
+    powers_[1:] = np.cumprod(np.broadcast_to(d, (len(ks) - 1, len(d))), axis=0)
+    diagonal = Diagonal(NAT, _FOLD_ENTRIES[-1], tuple(enumerate(_FOLD_ENTRIES[:-1], start=1)))
+    top, bottom = np.array([0.5, -0.25, 1.0, 0.75]), np.array([1.0, 0.5j, -0.5, 0.25])
+    pair = PairVec(*(make_vector(NAT, list(enumerate(v, start=1))) for v in (top, bottom)))
+    prev = np.vstack([np.zeros((1, len(d))), powers_[:-1]])  # a^(k-1), 0 at k = 0
+    blocktz = np.stack([powers_ * top + ks[:, None] * prev * (d - 1) * bottom, powers_ * bottom], axis=1)
+    signs = (-1.0) ** ks  # ASSANI^k = (-1)^k [[1, -2k], [0, 1]]
+    assani = np.stack([signs * (0.5 + 0.5 * ks), signs * -0.25], axis=1)[:, None]
+    return [
+        (identity(NAT), basis_vector(NAT, 1), np.ones((len(ks), 1, 1), dtype=np.clongdouble)),
+        (diagonal, make_vector(NAT, list(enumerate(top, start=1))), (powers_ * top)[:, None]),
+        (ASSANI, make_vector(U2, [(1, 0.5), (2, -0.25)]), assani.astype(np.clongdouble)),
+        (BlockTZ(diagonal), pair, blocktz),
+    ]
+
+
+@pytest.mark.parametrize("period", [4, 7, 64])
+def test_fixed_frame_grid_sums_are_residue_sums_at_the_exact_roots(period):
+    # with B_r(n) the sum of the states k <= n with k = r mod L, the grid row j is sum_r w^{jr} B_r(n), w = e^{2 pi i/L},
+    # within the _assert_sweep bound 4 eps (sum_r ||B_r(n)|| + ||sum||); the -1 of an odd grid is sum_k (-1)^k T^k x
+    roots = _exact_roots(period)[:period]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for spec, x, states in _exact_fixed_frame_cases():
+            acc = CesaroSum(spec, x, _FOLD_KS[-1], lambda_grid(period))
+            for n in _FOLD_KS:
+                acc.advance_to(n)
+                padded = np.zeros((-(-(n + 1) // period) * period, *states.shape[1:]), dtype=np.clongdouble)
+                padded[: n + 1] = states[: n + 1]
+                classes = padded.reshape(-1, period, *states.shape[1:]).sum(axis=0)
+                want = np.einsum("jr,r...->j...", roots[(np.arange(period)[:, None] * np.arange(period)) % period], classes)
+                if period % 2:
+                    want = np.concatenate([want, np.sum(states[: n + 1] * ((-1.0) ** np.arange(n + 1))[:, None, None], axis=0)[None]])
+                scale_ = sum(np.linalg.norm(b.astype(complex)) for b in classes)
+                for got, row in zip(acc.sum, want, strict=True):
+                    error = np.linalg.norm((got - row).astype(complex))
+                    assert error <= 4 * _EPS * (scale_ + np.linalg.norm(row.astype(complex))), (spec, n, error)
+
+
+def test_fixed_frame_sums_off_the_grid_are_one_point_sums():
+    # a grid that is not lambda_grid(L) element for element reads each lam as the one-point sum of lam T, as does the
+    # -1 of an odd grid; lam = 1 is T's own orbit
+    off = lambda_grid(8)
+    off[3] *= 1 + 2**-52
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for spec, x, _ in _exact_fixed_frame_cases():
+            for lams, rows in ((off, range(8)), (lambda_grid(7), [7])):
+                for n in (1, 7, 64, 1000):
+                    acc = CesaroSum(spec, x, n, lams)
+                    acc.advance_to(n)
+                    for j in rows:
+                        single = CesaroSum(scale(lams[j], spec), x, n)
+                        single.advance_to(n)
+                        assert np.array_equal(acc.sum[j], single.sum[0]), (spec, n, j)
+
+
+def test_cesaro_sweep_and_kreiss_row_one_agree_within_two_dft_roundings():
+    # cb reads lam = 1 as the one-point sweep (L = 1), uk as row 0 of the L = 64 sweep: each lies within
+    # 4 eps (sum_r ||B_r(k)|| / (k+1) + ||M_k||) of ||M_k||, so they differ by at most the sum of the two bounds
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name in ("assani", "hyper4", "lambda-block", "rotation", "blocktz-nilpotent"):
+            spec = zoo.get_entry(name).spec
+            a = powers.to_matrix(spec)
+            cb = lambda_operator_norms(spec, [1.0], _SWEEP_KS)[0]
+            uk = lambda_operator_norms(spec, lambda_grid(64), _SWEEP_KS)[0]
+            bound = 4 * _EPS * (_residue_scale(a, 1, _SWEEP_KS) + _residue_scale(a, 64, _SWEEP_KS) + 2 * cb)
+            assert np.all(np.abs(cb - uk) <= bound), name
 
 
 def test_matrix_exponential_stack_matches_single_calls():
