@@ -223,6 +223,19 @@ def _protocol_points(values: list[tuple[int, float]], start: int = 8) -> list[tu
     return [(n, v) for n, v in values if n >= start and ((n & (n - 1)) == 0 or n == n_last)]
 
 
+def _row_divergences(checkpoints: list[int], table: np.ndarray):
+    """(row, witness n, witness value) of each row of a (rows, checkpoints) table that ``dyadic_divergence`` finds
+    diverging.  Each row is handed only the columns ``_protocol_points`` keeps, selected once for the table; the
+    protocol is idempotent, so the verdicts are the same."""
+    ns = np.asarray(checkpoints[: table.shape[1]], dtype=np.int64)
+    cols = np.flatnonzero((ns >= 8) & (((ns & (ns - 1)) == 0) | (ns == ns[-1:])))  # ns[-1:]: empty for an empty table
+    ns = ns[cols].tolist()
+    for i, row in enumerate(table[:, cols].tolist()):
+        hit, wn, wv = dyadic_divergence(list(zip(ns, row)))
+        if hit:
+            yield i, wn, wv
+
+
 def dyadic_divergence(values: list[tuple[int, float]], factor: float = 2.0, sustain: float = 0.8):
     """(violated, witness_n, witness_value) under the dyadic growth protocol."""
     pts = _protocol_points(values)
@@ -356,21 +369,20 @@ def cesaro_bounded_probe(spec: OperatorSpec, cfg: ProbeConfig) -> ClassVerdict:
         return _exact_verdict("cesaro_bounded", spec, cfg, values, params)
 
     checkpoints = checkpoint_set(cfg.n_max)
-    lams = np.array([1.0 + 0j])
     best = 0.0
     best_witness = None
     violated_witness = None
-    for label, x in probe_vectors(spec, cfg):
-        with np.errstate(over="ignore", invalid="ignore"):
-            norms = lambda_mean_norms(spec, x, lams, checkpoints, cfg.p)[0]
-        series = list(zip(checkpoints, norms.tolist()))[: _cut(checkpoints, norms, params)]
-        n_best, v_best = max(series, key=lambda t: t[1], default=(None, 0.0))
-        if v_best > best:
+    probes = probe_vectors(spec, cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        tables = lambda_mean_norms(spec, [x for _, x in probes], [1.0], checkpoints, cfg.p)
+    for (label, _), norms in zip(probes, tables[:, 0]):
+        norms = norms[: _cut(checkpoints, norms, params)]
+        if norms.size and (v_best := float(norms.max())) > best:
             best = v_best
-            best_witness = {"vector": label, "n": n_best, "value": v_best}
-        hit, wn, wv = dyadic_divergence(series)
+            best_witness = {"vector": label, "n": checkpoints[int(np.argmax(norms))], "value": v_best}
+        hit = next(_row_divergences(checkpoints, norms[None]), None)
         if hit and violated_witness is None:
-            violated_witness = {"spec": describe(spec), "vector": label, "n": wn, "value": wv}
+            violated_witness = {"spec": describe(spec), "vector": label, "n": hit[1], "value": hit[2]}
     if cfg.include_adversarial and _is_nat_universe(spec) and not expects_pair(spec):
         series = []
         n = 8
@@ -413,12 +425,7 @@ def uniform_kreiss_probe(spec: OperatorSpec, cfg: ProbeConfig) -> ClassVerdict:
         flat = int(np.argmax(table))
         li, ci = divmod(flat, table.shape[1])
         best_witness = {"lam": [float(lams[li].real), float(lams[li].imag)], "n": checkpoints[ci], "value": best}
-        violations = []
-        for i in range(len(lams)):
-            series = list(zip(checkpoints, table[i].tolist()))
-            hit, wn, wv = dyadic_divergence(series)
-            if hit:
-                violations.append((wv, i, wn))
+        violations = [(wv, i, wn) for i, wn, wv in _row_divergences(checkpoints, table)]
         if violations:
             wv, i, wn = max(violations)
             witness = {
@@ -433,9 +440,10 @@ def uniform_kreiss_probe(spec: OperatorSpec, cfg: ProbeConfig) -> ClassVerdict:
     best = 0.0
     best_witness = None
     violations = []
-    for label, x in probe_vectors(spec, cfg):
-        with np.errstate(over="ignore", invalid="ignore"):
-            table = lambda_mean_norms(spec, x, lams, checkpoints, cfg.p)
+    probes = probe_vectors(spec, cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        tables = lambda_mean_norms(spec, [x for _, x in probes], lams, checkpoints, cfg.p)
+    for (label, _), table in zip(probes, tables):
         # the whole grid is judged up to the first checkpoint where any lam is non-finite
         table = table[:, : _cut(checkpoints, table.max(axis=0), params)]
         if not table.size:
@@ -451,11 +459,7 @@ def uniform_kreiss_probe(spec: OperatorSpec, cfg: ProbeConfig) -> ClassVerdict:
                 "n": checkpoints[ci],
                 "value": local,
             }
-        for i in range(len(lams)):
-            series = list(zip(checkpoints, table[i].tolist()))
-            hit, wn, wv = dyadic_divergence(series)
-            if hit:
-                violations.append((wv, i, wn, label))
+        violations += [(wv, i, wn, label) for i, wn, wv in _row_divergences(checkpoints, table)]
     if violations:
         wv, i, wn, label = max(violations)
         witness = {

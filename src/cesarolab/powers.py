@@ -711,13 +711,17 @@ class CesaroSum:
 
     Once the orbit state is exactly zero the sums freeze.  On a translating
     frame they are written off the product table (``_write``), in extended
-    precision where the table is (see ``_WindowOrbit``).  A fixed frame folds
+    precision where the table is (see ``_WindowOrbit``), with gains
+    mu^u W(u), mu = lam s, read off running products mu^u; the sums of one
+    ``lambda_mean_norms`` call share those (``_sharing``).  A fixed frame folds
     its states into compensated sums (``compensated_add``): on
     ``lambda_grid(L)`` (``_grid_period``) state k into residue class k mod L,
     whose sums one inverse DFT reads at the exact roots e^{2 pi i j/L}, in
     extended precision and rounded once; any other lam is the one-point sum of
     lam T, T's own orbit for lam = 1, which stays correctly rounded.
     """
+
+    _powers: dict | None = None  # mu^u by table precision, shared by the sums of one spec and grid
 
     def __init__(self, spec: OperatorSpec, x, n_max: int, lams=(1.0,)):
         self.orbit = make_orbit(spec, x, n_max)
@@ -726,6 +730,7 @@ class CesaroSum:
             raise ParameterError("lam must be unimodular")
         self.lo, hi = self.orbit.span(n_max)
         self.sum = np.zeros((len(self.lams), self.orbit.rows, max(hi - self.lo + 1, 0)), dtype=complex)
+        self._mags = None  # |sum| of a translating frame once norms are read: each write refreshes its own cells
         self.n = self.stepped = self._final = 0
         if self.orbit.translating:  # written, never accumulated: no compensation
             with np.errstate(over="ignore", invalid="ignore"):  # extended gains saturate past the horizon, where they are NaN
@@ -741,22 +746,45 @@ class CesaroSum:
             self._unit = period + np.flatnonzero(self.lams[period:] == 1)
             self._scaled = [(j, CesaroSum(scale(lam, spec), x, n_max)) for j, lam in enumerate(self.lams) if j >= period and lam != 1]
 
+    @classmethod
+    def _sharing(cls, powers: dict, spec: OperatorSpec, x, n_max: int, lams) -> "CesaroSum":
+        """A sum that reads mu^u off ``powers``, and stores a longer table there when its window needs one: the
+        sums of one spec on one grid take prefixes of the same running products."""
+        acc = cls.__new__(cls)
+        acc._powers = powers
+        acc.__init__(spec, x, n_max, lams)
+        return acc
+
     def _prefix_sums(self) -> None:
-        """Prefix sums of mu^-i a(i) (and mu^-i b(i), i mu^-i b(i)), times lam if padded, and gains mu^u W(u)."""
+        """Prefix sums of mu^-i a(i) (and mu^-i b(i), i mu^-i b(i)), times lam if padded, their closing
+        differences total - prefix[j], j in [1, width), and mu^u (None: every mu is 1)."""
         o = self.orbit
-        width = o._a.shape[1]
+        width, dtype = o._a.shape[1], o._wt.dtype
         terms = (o._a[None] if o._b is None else np.stack([o._a, o._b, np.arange(width) * o._b]))[None]
-        self._gains = o._wt[None]
-        if not (np.all(self.lams == 1) and o._scalar == 1):  # else every gain is 1
+        self._mu = None
+        if not (np.all(self.lams == 1) and o._scalar == 1):
             mus = self.lams * o._scalar
             inverse = np.ones((len(mus), width), dtype=np.clongdouble)
             inverse[:, 1:] = 1 / mus[:, None].astype(np.clongdouble)
             terms = terms * (np.cumprod(inverse, axis=1) * self.lams[:, None] ** o._pad)[:, None, None, :]
-            self._gains = _running_products(np.broadcast_to(mus[:, None], (len(mus), len(o._wt) - 1)), o._wt.dtype)
-            self._gains *= o._wt
+            powers = {} if self._powers is None else self._powers
+            self._mu = powers.get(dtype)
+            if self._mu is None or self._mu.shape[1] < len(o._wt):  # a longer table's prefix is the shorter one
+                self._mu = powers[dtype] = _running_products(np.broadcast_to(mus[:, None], (len(mus), len(o._wt) - 1)), dtype)
         self._prefix = np.zeros((*terms.shape[:-1], width + 1), dtype=np.clongdouble)
         np.cumsum(terms, axis=-1, out=self._prefix[..., 1:])
-        self._rounded = self._prefix.astype(self._gains.dtype)  # extended with an extended table
+        self._rounded = self._prefix.astype(dtype)  # extended with an extended table
+        closing = self._prefix[..., width:] - self._prefix[..., 1:width]  # the same at every checkpoint
+        self._closing = closing if o._b is not None else closing[:, 0].astype(dtype)
+
+    def _gains(self, lo: int, hi: int) -> np.ndarray:
+        """The gains mu^u W(u), u in [lo, hi), one row per lam, rounded as whole rows are: numpy rounds a lone
+        complex product in a 2-D array differently, so that one is taken 1-D."""
+        wt = self.orbit._wt[lo:hi]
+        if self._mu is None:
+            return wt[None]
+        mu = self._mu[:, lo:hi]
+        return mu * wt if mu.size != 1 else (mu.ravel() * wt)[None]
 
     def _write(self, k: int) -> None:
         """Write the sums over steps 0..k of a translating frame.
@@ -768,14 +796,15 @@ class CesaroSum:
         differences of prefix sums, or totals where the range covers the
         window.  A cell u in [width, k - pad] sums the whole window, so it is
         final once written: later writes start past it, unless a plateau adds
-        to it.  A padded frame adds its initial state; the plateau's cell u
-        gets lam sum_{j in (u, k)} mu^j (q_a + (j + 1) q_b).  Prefix sums and
+        to it; the closing cells past it are total - prefix[u + pad - k].
+        A padded frame adds its initial state; the plateau's cell u gets
+        lam sum_{j in (u, k)} mu^j (q_a + (j + 1) q_b).  Prefix sums and
         gains are extended-precision, so a difference cancels far below double
         rounding (Higham, Accuracy and Stability of Numerical Algorithms, ch. 4);
         with an extended table the products are too, rounded once into the sums.
         """
         o = self.orbit
-        width, pad, gains = o._a.shape[1], o._pad, self._gains
+        width, pad = o._a.shape[1], o._pad
         start = o._trail - self.lo  # accumulator column of travel coordinate 0
         top = k + width - 1 - pad if o.d > 0 else min(k + width - 1 - pad, start)  # not past the floor
         self._live = slice(start, start + top + 1) if o.d > 0 else slice(start - top, start + 1)
@@ -786,21 +815,29 @@ class CesaroSum:
         final = width if o._q is not None else max(width, self._final)
         for lo_u, hi_u in ((0, a), (a, width), (final, b), (b, top + 1)):  # i in [max(u - k0, 0), min(u, width - 1)]
             if lo_u < (hi_u := min(hi_u, top + 1)):
-                last = slice(lo_u + 1, hi_u + 1) if lo_u < width else slice(width, None)
-                # from i = 0 the sums are rounded prefix sums (the first is exactly 0); else extended differences
-                spans = self._rounded[..., last] if lo_u <= k0 else prefix[..., last] - prefix[..., lo_u - k0 : hi_u - k0]
                 u = None if o._b is None else np.arange(lo_u, hi_u)
-                np.multiply(moments(spans, u).astype(gains.dtype, copy=False), gains[:, None, lo_u:hi_u], out=out[:, :, lo_u:hi_u])
+                if lo_u <= k0:  # from i = 0 the sums are rounded prefix sums (the first is exactly 0) or the total
+                    spans = moments(self._rounded[..., lo_u + 1 : hi_u + 1] if lo_u < width else self._rounded[..., width:], u)
+                elif lo_u < width:  # else extended differences
+                    spans = moments(prefix[..., lo_u + 1 : hi_u + 1] - prefix[..., lo_u - k0 : hi_u - k0], u)
+                else:  # the closing cells
+                    spans = self._closing[..., lo_u - k0 - 1 : hi_u - k0 - 1]
+                    spans = spans if o._b is None else moments(spans, u)
+                np.multiply(spans.astype(o._wt.dtype, copy=False), self._gains(lo_u, hi_u)[:, None], out=out[:, :, lo_u:hi_u])
         self._final = b
         if pad:
             out[:, :, : o._x0.shape[1]] += o._x0
         if o._q is not None and k > 1:
-            g = gains[:, 1:k].astype(np.clongdouble)  # mu^j, j = 1 .. k-1
+            g = self._gains(1, k).astype(np.clongdouble)  # mu^j, j = 1 .. k-1
             r0 = np.cumsum(g[:, ::-1], axis=1)[:, ::-1]
             r1 = np.cumsum((np.arange(1, k) * g)[:, ::-1], axis=1)[:, ::-1]
             qa, qb = o._q[0][None, :, None], o._q[1][None, :, None]
             cells = (qa + qb) * r0[:, None] + qb * r1[:, None]
             out[:, :, : k - 1] += (cells * self.lams[:, None, None]).astype(complex)
+        if self._mags is not None:  # of the cells written, in accumulator order: numpy rounds |z| by layout too
+            for lo_u, hi_u in ((0, width), (final, top + 1)):
+                cols = slice(start + lo_u, start + hi_u) if o.d > 0 else slice(start + 1 - hi_u, start + 1 - lo_u)
+                np.abs(self.sum[..., cols], out=self._mags[..., cols])
 
     def _overlap(self) -> tuple[slice, slice]:
         """(state columns, accumulator columns) where the orbit window meets the sums."""
@@ -835,7 +872,14 @@ class CesaroSum:
     def norms(self, p: float) -> np.ndarray:
         """||M_n(lam T) x||_p for every lam of the grid."""
         self.orbit.check_p(p)
-        mags = np.abs(self.sum[..., self._live]).reshape(len(self.lams), -1)
+        if not self.orbit.translating:
+            mags = np.abs(self.sum[..., self._live])
+        else:  # a final cell's magnitude is taken once
+            if self._mags is None:
+                self._mags = np.zeros(self.sum.shape)
+                self._mags[..., self._live] = np.abs(self.sum[..., self._live])
+            mags = self._mags[..., self._live]
+        mags = mags.reshape(len(self.lams), -1)
         if self.stepped < self.n:  # frozen
             return _lp_norm(mags, p, axis=1) / (self.n + 1)
         return _lp_norm(mags / (self.n + 1), p, axis=1)
@@ -877,13 +921,22 @@ def compensated_add(total, comp, values: np.ndarray):
     return total, comp
 
 
-def lambda_mean_norms(spec: OperatorSpec, x, lams, checkpoints: list[int], p: float) -> np.ndarray:
-    """||M_n(lam T) x||_p at each checkpoint for every lam; shape (len(lams), len(checkpoints))."""
-    acc = CesaroSum(spec, x, checkpoints[-1], lams)
-    out = np.zeros((len(acc.lams), len(checkpoints)))
-    for j, n in enumerate(checkpoints):
-        acc.advance_to(n)
-        out[:, j] = acc.norms(p)
+def lambda_mean_norms(spec: OperatorSpec, xs, lams, checkpoints: list[int], p: float) -> np.ndarray:
+    """||M_n(lam T) x||_p at each checkpoint for every lam and every vector x of xs; shape (len(xs), len(lams),
+    len(checkpoints)).
+
+    The vectors are summed one at a time, each as its own ``CesaroSum``; they
+    share the running products mu^u, which only a wider window than any before
+    it rebuilds (``CesaroSum._sharing``).
+    """
+    powers: dict = {}
+    out = np.zeros((len(xs), len(lams), len(checkpoints)))
+    for v, x in enumerate(xs):
+        acc = CesaroSum._sharing(powers, spec, x, checkpoints[-1], lams)
+        for j, n in enumerate(checkpoints):
+            acc.advance_to(n)
+            out[v, :, j] = acc.norms(p)
+        del acc  # before the next sum is built
     return out
 
 

@@ -356,7 +356,7 @@ def test_lambda_mean_norms_against_direct_cesaro():
             universe,
             [(k, complex(rng.standard_normal(), rng.standard_normal())) for k in range(1, 7)],
         )
-        table = lambda_mean_norms(spec, x, lams, checkpoints, 2.0)
+        table = lambda_mean_norms(spec, [x], lams, checkpoints, 2.0)[0]
         for i, lam in enumerate(lams):
             for j, n in enumerate(checkpoints):
                 direct = p_norm(cesaro_apply(scale(lam, spec), x, n), 2)
@@ -375,7 +375,7 @@ def test_lambda_mean_norms_pair_path():
     )
     lams = np.array([1.0 + 0j, 1j])
     checkpoints = [1, 3, 6]
-    table = lambda_mean_norms(tz, x, lams, checkpoints, 2.0)
+    table = lambda_mean_norms(tz, [x], lams, checkpoints, 2.0)[0]
     for i, lam in enumerate(lams):
         for j, n in enumerate(checkpoints):
             direct = p_norm(cesaro_apply(scale(lam, tz), x, n), 2)

@@ -311,19 +311,20 @@ def test_named_infinite_specs_never_step(monkeypatch):
     cases = []
     for name in names + [f"blocktz:{name}" for name in names]:
         spec, _ = parse_operator(name)
-        cases += [(name, spec, x) for _, x in probe_vectors(spec, cfg)]
+        cases.append((name, spec, [x for _, x in probe_vectors(spec, cfg)]))
     wide = make_vector(NAT, [(k, 1.0 / k) for k in range(1, 1201)])  # 0.5^u over the window leaves double range
-    cases.append(("0.5 dupshift", scale(0.5, DuplicatingShift()), wide))
-    for name, spec, x in cases:
-        orbit = powers.make_orbit(spec, x, cfg.n_max)
-        assert orbit.translating, name
+    cases.append(("0.5 dupshift", scale(0.5, DuplicatingShift()), [wide]))
+    for name, spec, xs in cases:
         with np.errstate(over="ignore", invalid="ignore"):  # as the probes read overflowing orbits
-            orbit.norms(2, cfg.n_max)
-            try:
-                powers.make_orbit(spec, x, cfg.n_max).inners(x, cfg.n_max)
-            except FloatingPointError:  # an overflowing pairing is named, not stepped past
-                assert "alpha=200" in name
-            powers.lambda_mean_norms(spec, x, lams, checkpoint_set(cfg.n_max), 2.0)
+            for x in xs:
+                orbit = powers.make_orbit(spec, x, cfg.n_max)
+                assert orbit.translating, name
+                orbit.norms(2, cfg.n_max)
+                try:
+                    powers.make_orbit(spec, x, cfg.n_max).inners(x, cfg.n_max)
+                except FloatingPointError:  # an overflowing pairing is named, not stepped past
+                    assert "alpha=200" in name
+            powers.lambda_mean_norms(spec, xs, lams, checkpoint_set(cfg.n_max), 2.0)  # the probe family at once
 
 
 def test_classify_malformed_grammar_exits_2():
@@ -448,7 +449,7 @@ def test_classify_cesaro_probe_on_block_operators_over_n():
 
 
 def test_reports_are_byte_identical_for_fixed_seed():
-    argv = ["classify", "bshift:alpha=0.25,p=2", "--probes", "acb,pb", "--json", "--seed", "0xCE5A70"]
+    argv = ["classify", "bshift:alpha=0.25,p=2", "--probes", "acb,pb,uk,cb", "--json", "--seed", "0xCE5A70"]
     _, first, _ = run_cli(argv)
     _, second, _ = run_cli(argv)
     assert first == second

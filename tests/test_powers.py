@@ -330,7 +330,7 @@ def test_orbit_norms_engine_matches_sparse():
         for state in states[1:]:
             orbit.step()
             _entries_close(orbit.to_sparse(), state)
-        table = lambda_mean_norms(spec, x, lams, checkpoints, 2.0)
+        table = lambda_mean_norms(spec, [x], lams, checkpoints, 2.0)[0]
         for n in checkpoints:
             total = states[0]
             for s in states[1 : n + 1]:
@@ -552,7 +552,7 @@ def test_orbit_reads_nan_past_the_extended_horizon():
         assert orbit.translating and orbit._wt.dtype == np.clongdouble and orbit._death is None
         with np.errstate(over="ignore", invalid="ignore"):  # as the probes read overflowing orbits
             norms = orbit.norms(2, n)
-            sums = lambda_mean_norms(spec, x, [1.0, 1j], [1000, 16000, n], 2.0)
+            sums = lambda_mean_norms(spec, [x], [1.0, 1j], [1000, 16000, n], 2.0)[0]
         finite, nan = np.isfinite(norms), np.isnan(norms)
         first_inf, first_nan = np.argmin(finite), np.argmax(nan)
         assert 1000 < first_inf < 1100 and 16000 < first_nan and nan[first_nan:].all() and np.isinf(norms[first_inf:first_nan]).all()
@@ -767,6 +767,24 @@ def test_cesaro_sum_of_a_constant_orbit_is_correctly_rounded():
         acc.advance_to(n)
         want = [complex(float(Fraction(v.real) * (n + 1)), float(Fraction(v.imag) * (n + 1))) for v in acc.state()[0]]
         assert acc.sum[0, 0].tolist() == want
+
+
+def test_gains_are_rounded_as_whole_rows():
+    # a write takes the gains mu^u W(u) of a few cells at a time; each must be the product a whole row of the table
+    # gets, one lam or many, one cell or many (numpy rounds a lone complex product in a 2-D array differently)
+    rng = np.random.default_rng(29)
+    x = rand_vec(NAT, rng, 1, 6)
+    specs = [scale(cmath.exp(0.4j), ForwardShift(NAT, PowerRatio(0.4, 1))),  # complex W: its products round
+             scale(0.9 * cmath.exp(2j), BackwardShift(NAT, PowerRatio(0.25, 0)))]
+    for spec in specs:
+        for lams in ([cmath.exp(0.7j)], [cmath.exp(0.7j), cmath.exp(2.1j)], lambda_grid(64)):
+            acc = CesaroSum(spec, x, 50, lams)
+            wt = acc.orbit._wt
+            rows = acc._mu[:, : len(wt)].copy()
+            rows *= wt
+            for lo in range(len(wt)):
+                for hi in range(lo + 1, min(lo + 3, len(wt)) + 1):
+                    assert acc._gains(lo, hi).tobytes() == rows[:, lo:hi].tobytes(), (spec, len(lams), lo, hi)
 
 
 def test_single_lambda_sum_is_the_one_point_grid():

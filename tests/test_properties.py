@@ -21,12 +21,14 @@ import math
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cesarolab.classify import (
     ProbeConfig,
     acb_constant,
+    checkpoint_set,
     cesaro_bounded_probe,
     power_bounded_probe,
     uniform_kreiss_probe,
@@ -58,6 +60,7 @@ from cesarolab.core import (
 from cesarolab.powers import (
     CesaroSum,
     lambda_grid,
+    lambda_mean_norms,
     lambda_operator_norms,
     make_orbit,
     media_residual_max,
@@ -256,6 +259,55 @@ def test_mean_identity_holds_on_every_frame(case):
         return
     unit_x = vec_scale(1.0 / p_norm(x, 2), x)
     assert media_residual_max(spec, unit_x, n, 2) <= 1e-11
+
+
+# ---------------------------------------------------------------------------
+# lambda sweeps over a probe family: every vector gets its one-vector table, bit for bit
+
+
+def _same_support(draw, x):
+    """A vector with x's support, hence x's window, and fresh entries of magnitude 0.1 .. 2."""
+    entry = st.builds(cmath.rect, st.floats(0.1, 2.0), unit)
+    if isinstance(x, PairVec):
+        return PairVec(_same_support(draw, x.top), _same_support(draw, x.bottom))
+    return make_vector(x.universe, [(k, draw(entry)) for k in sorted(x.entries)])
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(st.data(), frame_cases(), st.integers(1, 3), st.lists(unit, max_size=2))
+def test_family_lambda_sweeps_match_one_vector_sweeps(data, case, extra, angles):
+    # a basis vector first builds the running products mu^u on its narrow window, x's wider window grows them, and
+    # the basis vector again reads a prefix of the grown table
+    spec, x, n = case
+    if x.is_zero():
+        return
+    k = min(x.top.entries if isinstance(x, PairVec) else x.entries)
+    e_k = basis_vector(x.universe, k)
+    e_k = PairVec(e_k, make_vector(x.universe, [])) if isinstance(x, PairVec) else e_k
+    xs = [e_k, x] + [_same_support(data.draw, x) for _ in range(extra)] + [e_k]
+    lams = np.exp(1j * np.array([0.0, *angles]))
+    checkpoints = checkpoint_set(n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        family = lambda_mean_norms(spec, xs, lams, checkpoints, 2.0)
+        for v, y in enumerate(xs):
+            assert np.array_equal(family[v], lambda_mean_norms(spec, [y], lams, checkpoints, 2.0)[0]), v
+
+
+@pytest.mark.parametrize("spec", [
+    ForwardShift(NAT, PowerRatio(0.4, 1)),
+    BackwardShift(NAT, PowerRatio(0.25, 0)),
+    BlockTZ(BilateralShift(Explicit((), 1.0))),
+    DuplicatingShift(),
+], ids=["fshift", "bshift", "blocktz:bilateral", "dupshift"])
+def test_probe_reports_do_not_depend_on_a_shared_gain_table(spec, monkeypatch):
+    cfg = ProbeConfig(n_max=96, basis_probes=4, seeded_probes=6, lambda_samples=8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        shared = [probe(spec, cfg).to_dict() for probe in (uniform_kreiss_probe, cesaro_bounded_probe)]
+        monkeypatch.setattr(CesaroSum, "_sharing", classmethod(lambda cls, _, *args: cls(*args)))  # each its own mu^u
+        alone = [probe(spec, cfg).to_dict() for probe in (uniform_kreiss_probe, cesaro_bounded_probe)]
+    assert shared == alone
 
 
 growing = st.one_of(
