@@ -6,8 +6,9 @@ fixed frame stepped B powers per numpy call off a power stack A^1 .. A^B built
 once in extended precision (B set by a 1 MiB cap); a weighted shift is a
 translating frame read off one cumulative product table; the duplicating
 shift is the unweighted shift plus a plateau; BlockTZ composes its inner
-frame (``_WindowOrbit``).  No orbit steps: a table that leaves double range
-stays in extended precision, and is read as far as it is exact.  Sums cover
+frame (``_WindowOrbit``).  No orbit steps, and no table saturates: a product
+table is held as double mantissas times exact powers of two, so a state or a
+sum reads inf or 0 only where its exact value leaves double range.  Sums cover
 a grid of unimodular lam at once, a mean being the one-point grid [1].  On
 the roots-of-unity grid a fixed frame's sums are one inverse DFT of
 compensated (TwoSum) residue-class sums, as ``lambda_operator_norms`` reads a
@@ -79,7 +80,6 @@ _GATHER_BYTES = 2**17  # cap on the residue sums gathered for one chunk of check
 # Equal doubles that an extended-precision sum adds exactly: 2^11 with an x87 long double.
 _EXACT_ROWS = 2 ** max(np.finfo(np.longdouble).nmant - np.finfo(float).nmant, 6)
 _DOUBLE = np.finfo(float)
-_EXTENDED = np.finfo(np.longdouble)
 
 
 @dataclass(frozen=True)
@@ -330,13 +330,15 @@ class _Orbit:
         """||T^k x||_p for the next count steps; shorter when the orbit dies, ending at the zero state."""
         self.check_p(p)
         parts = []
-        for first, states, plateau in self._states(count):
-            mags = np.abs(states)
-            if plateau is not None:  # n - 1 equal entries per row
-                cells = np.arange(first - 1, first - 1 + len(states), dtype=float)[:, None]
-                mags = np.concatenate((mags, np.abs(plateau) * cells ** (1.0 / p)), axis=1)
-            parts.append(_lp_norm(mags, p, axis=1))
-        return _read(_joined(parts, float), float)
+        with np.errstate(over="ignore"):  # powers of entries past the root of double range: rescaled by _lp_norm
+            for first, *block in self._states(count):
+                states, plateau = _exact(*block)
+                mags = np.abs(states)
+                if plateau is not None:  # n - 1 equal entries per row
+                    cells = np.arange(first - 1, first - 1 + len(states), dtype=float)[:, None]
+                    mags = np.concatenate((mags, np.abs(plateau) * cells ** (1.0 / p)), axis=1)
+                parts.append(_lp_norm(mags, p, axis=1))
+        return _joined(parts, float)
 
     def inners(self, y, count: int) -> np.ndarray:
         """<T^k x, y> for the next count steps; shorter when the orbit dies, ending at the zero state.
@@ -345,21 +347,18 @@ class _Orbit:
         """
         first = self.steps + 1
         with np.errstate(over="ignore", invalid="ignore"):
-            values = _read(self._inners(y, count))
+            if self.translating:
+                values = self._frame_inners(y, count)
+            else:
+                ylo, yv = _dense(y)
+                frame = np.zeros_like(self.vals)
+                mine, theirs = _overlap(self.lo, frame.shape[1], ylo, yv.shape[1])
+                frame[:, mine] = yv[:, theirs]
+                values = _joined([s @ frame.ravel().conj() for _, s, _, _ in self._states(count)], complex)
         bad = np.flatnonzero(~np.isfinite(values))
         if bad.size:
             raise FloatingPointError(f"<T^n x, y> is not finite at n={first + bad[0]}: the orbit overflows")
         return values
-
-    def _inners(self, y, count: int) -> np.ndarray:
-        if self.translating:
-            return self._frame_inners(y, count)
-        ylo, yv = _dense(y)
-        frame = np.zeros_like(self.vals)
-        mine, theirs = _overlap(self.lo, frame.shape[1], ylo, yv.shape[1])
-        frame[:, mine] = yv[:, theirs]
-        yc = frame.ravel().conj()
-        return _joined([s @ yc for _, s, _ in self._states(count)], complex)
 
     def advance(self, n: int) -> None:
         """Move the orbit to step n (never backwards): a translating frame jumps, a fixed frame reads blocks of
@@ -371,60 +370,115 @@ class _Orbit:
         n = n if self._death is None else min(n, self._death)
         if n != self.steps:
             self.steps, self.dead = n, n == self._death
-            self._hold(n)
+            self._unhold()
 
     def step(self) -> None:
         self.advance(self.steps + 1)
 
     def _states(self, count: int):
-        """Yield (first step, states (m, rows * width), plateau values or None) for the next count steps.
+        """Yield (first step, states (m, rows * width), plateau values or None, exponents or None) for the next count steps.
 
         A translating frame reads them off its product table, in travel order, up
-        to its death index; a fixed frame off a power stack A^1 .. A^B built once,
-        B filling a 1 MiB cap but not past the horizon.  The first zero state of
-        an orbit that can die ends it.
+        to its death index, as mantissas and the exponents that scale them
+        (``_exact``); a fixed frame off a power stack A^1 .. A^B built once,
+        B filling a 1 MiB cap but not past the horizon.  The first exactly zero
+        state of an orbit that can die ends it.
         """
         while count > 0 and not self.dead:
-            first = self.steps + 1
+            first, exps = self.steps + 1, None
             if self.translating:
-                states, plateau = self._travel_states(first, count)
+                states, plateau, exps = self._travel_states(first, count)
             else:
                 if self._stack is None:
                     size = min(max(_STACK_BYTES // (16 * self._op.size), 1), max(self.horizon - self.steps, count))
                     self._stack = _power_stack(self._op, size)
                 states, plateau = _apply_powers(self._stack[: min(count, len(self._stack))], self.vals), None
-            states = states.reshape(len(states), -1)
             if self.can_die:
-                zero = ~states.any(axis=1) & (True if plateau is None else ~plateau.any(axis=1))
+                zero = ~states.reshape(len(states), -1).any(axis=1) & (True if plateau is None else ~plateau.any(axis=1))
                 if zero.any():
                     m = np.argmax(zero) + 1
                     states, plateau, self.dead = states[:m], None if plateau is None else plateau[:m], True
+                    exps = None if exps is None else exps[:m]
             self.steps += len(states)
             count -= len(states)
             if self.translating:
                 self.dead |= self.steps == self._death
-                self._hold(self.steps)
+                self._unhold()
             else:
                 self.vals = states[-1].reshape(self.rows, -1).copy()
-            yield first, states, plateau
+            yield first, states.reshape(len(states), -1), plateau, exps
 
 
-def _running_products(factors: np.ndarray, dtype=complex) -> np.ndarray:
-    """Each row's running products 1, f0, f0 f1, ... of a (rows, count) array, shape (rows, count + 1).
+def _scaled(z: np.ndarray, exps, inplace: bool = False) -> np.ndarray:
+    """z times 2^exps (complex z, any precision), z itself where every exponent is 0: exact for normal numbers, else
+    each part rounded once, to 0 or inf."""
+    if not np.count_nonzero(exps):
+        return z
+    out = z if inplace else np.empty(np.broadcast_shapes(z.shape, np.shape(exps)), dtype=z.dtype)
+    with np.errstate(over="ignore"):
+        np.ldexp(z.real, exps, out=out.real)
+        np.ldexp(z.imag, exps, out=out.imag)
+    return out
 
-    They accumulate in extended precision and are rounded once to ``dtype``
-    (double by default), as a power stack is.  The extended run is taken
-    128 KiB at a time, so the only large array is the result.
+
+def _exact(states: np.ndarray, plateau, exps):
+    """(states, plateau values) from the mantissas and exponents of ``_Orbit._states``: the exponents (m or 1, 1, width)
+    of states (m, rows * width), the plateau at column 0's; as they are when exps is None."""
+    if exps is None:
+        return states, plateau
+    scaled = _scaled(states.reshape(len(states), -1, exps.shape[-1]), exps).reshape(states.shape)
+    return scaled, None if plateau is None else _scaled(plateau, exps[:, 0, :1])
+
+
+def _coarse(exps):
+    """The multiples of 2^8 nearest (binary) exponents, so that 2^(e - _coarse(e)) lies within 2^+-128."""
+    return (exps + 2**7) // 2**8 * 2**8
+
+
+def _reference(z: np.ndarray, axes) -> np.ndarray:
+    """``_coarse`` of the binary exponent of the largest |z| over axes (0 where those are all 0)."""
+    return _coarse(np.frexp(np.abs(z).max(axis=axes))[1])
+
+
+def _windows(table: np.ndarray, width: int) -> np.ndarray:
+    """The read-only view whose row r is table[r : r + width]."""
+    return np.lib.stride_tricks.as_strided(table, (len(table) - width + 1, width), table.strides * 2, writeable=False)
+
+
+def _running_products(factors: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's running products 1, f0, f0 f1, ... of a (rows, count) array of factors, or of a (rows, 1) column
+    repeated count times, as m 2^e: double mantissas m and int32 exponents e, shape (rows, count + 1) each.
+
+    e is the multiple of 2^8 nearest the running sum of log2|f| (stopping at
+    +-2^29), and each factor gives up the exact power of two between
+    consecutive exponents, so the running product of the rest, accumulated in
+    extended precision 128 KiB at a time and rounded once to double as a power
+    stack is, stays within about 2^+-128 and never saturates.  Powers of two
+    scale every rounding exactly: m 2^e is the double the plain running product
+    rounds to wherever that is normal, and a table within 2^+-128 of 1 has e = 0,
+    held as a read-only view.
     """
-    rows, count = factors.shape
-    out = np.ones((rows, count + 1), dtype=dtype)
+    rows = len(factors)
+    logs = np.abs(factors)
+    np.log2(logs, out=logs, where=logs > 0)  # a zero factor adds no exponent: its products are 0
+    if logs.shape[1] == count:
+        sums = np.cumsum(logs, axis=1, out=logs)
+    else:  # one column, repeated: the running sums are u log2|f|, taken only when they can leave (-2^7, 2^7)
+        factors = np.broadcast_to(factors, (rows, count))
+        sums = logs * np.arange(1, count + 1) if np.abs(logs).max() * count >= 2**7 else logs[:, :0]
+    e = np.broadcast_to(np.int32(0), (rows, count + 1))
+    if sums.max(initial=0) >= 2**7 or sums.min(initial=0) < -(2**7):
+        e = np.pad(_coarse(np.clip(sums, -(2**29), 2**29)).astype(np.int32), ((0, 0), (1, 0)))
+        factors = _scaled(factors.astype(complex), -np.diff(e, axis=1))
+    del logs, sums
+    m = np.ones((rows, count + 1), dtype=complex)
     carry = np.ones((rows, 1), dtype=np.clongdouble)
     chunk = max(2**12 // rows, 1)
     for j in range(0, count, chunk):
         run = np.cumprod(np.concatenate((carry, factors[:, j : j + chunk]), axis=1), axis=1)
-        out[:, j + 1 : j + run.shape[1]] = run[:, 1:]
+        m[:, j + 1 : j + run.shape[1]] = run[:, 1:]
         carry = run[:, -1:]
-    return out
+    return m, e
 
 
 def _overlap(lo: int, width: int, other_lo: int, other_width: int) -> tuple[slice, slice]:
@@ -436,14 +490,6 @@ def _overlap(lo: int, width: int, other_lo: int, other_width: int) -> tuple[slic
 
 def _joined(parts: list, dtype) -> np.ndarray:
     return np.concatenate(parts) if parts else np.zeros(0, dtype=dtype)
-
-
-def _read(values: np.ndarray, dtype=complex) -> np.ndarray:
-    """Values rounded once to double (themselves if they are): inf where an extended value overflows, 0 where it underflows."""
-    if values.dtype == dtype:
-        return values
-    with np.errstate(over="ignore"):
-        return values.astype(dtype)
 
 
 def _frame_spec(spec: OperatorSpec) -> tuple[OperatorSpec, complex, complex | None, int]:
@@ -503,29 +549,18 @@ class _WindowOrbit(_Orbit):
     value per row, affine in n under BlockTZ.  A scalar s makes state n
     s^(n-1) times the state with s folded into a: the rows of its windows.
 
-    Range.  With width that of x, state n and Cesàro sum k read the table
-    (W, or the powers s^u and the sums' gains (lam s)^u) at u < n + width
-    and u < k + width only.  The table is rounded to double where
-    ``_in_range`` holds: x times ratios of table magnitudes stay normal
-    doubles.  Then so does every intermediate: as top >= W(0) = 1 >= bottom,
-    both |x(i)| / W(i) and each state entry |x(i)| W(u) / W(i) lie between
-    min|x| bottom / top and reach top / bottom (under BlockTZ |a + n b| is
-    below ``reach``).  Otherwise the table stays in extended precision, and
-    with it a, b and the gains; each state and sum is rounded to double
-    once, when it is read, so it reads inf only where its exact value
-    overflows double and 0 only where it underflows.  The same argument with
-    the extended limits holds up to the extended horizon h: the largest h for
-    which the range test passes over the entries u < h + width.  Past it:
-
-    - if state h reads exactly zero, the orbit dies at h: continuing from the
-      state read at h, as a stepping engine continues from its rounded state,
-      every later state is T^(n - h) 0 = 0 by linearity;
-    - otherwise the entries from u = h + width on are NaN (the exact zeros
-      past a floor stay).  State n > h reads u = n + width - 1, sum k > h
-      reads u = k + width - 1 (the duplicating shift's window s^(n-1) is
-      cut at h as well), so every later state, pairing and sum holds a NaN,
-      which ``orbit_norms`` and ``inners`` name at n = h + 1.  Entries past
-      the horizon may have saturated to 0 or inf; none is read as a value.
+    Range.  Every table (W, the powers s^u, the sums' gains mu^u) is held as
+    W(u) = m(u) 2^e(u) (``_running_products``), and the sources a(j) = a'(j)
+    2^-E(j), a'(j) = x(j) / m(j) and E(j) = e(j) (e(j - 1) padded), each
+    column moved by a multiple of 2^8 to within 2^+-128 (b with a).  State n
+    reads ldexp(m(n + j) a'(j), e(n + j) - E(j)), a product far inside double
+    range, so (as a power of two scales exactly) it is the double that the
+    plain double table gives wherever that is normal, and it reads inf or 0
+    only where its exact value leaves double range: no table saturates, at any
+    horizon.  With all exponents 0 nothing is scaled.  The one limit is a
+    single window whose own weights span more than the extended exponent range
+    (see ``CesaroSum``).  A state is read off the table only when ``vals`` or
+    ``lo`` is (``_unhold``).
     """
 
     def __init__(self, spec: OperatorSpec, x, n_max: int):
@@ -558,45 +593,13 @@ class _WindowOrbit(_Orbit):
         length = (n_max if death is None else min(n_max, death)) + width
         # the weights at travel 0 .. length - 2, in travel order; zero past the floor
         weights = _weight_table(base, trail, trail + length - 2) if d > 0 else _weight_table(base, trail - length + 2, trail)[::-1]
-        wt, horizon = self._table(weights if scalar == 1 else scalar * weights, live, n_max)
-        src = self.vals[:, ::d] / wt[:width]
-        a = np.concatenate((np.zeros((self.rows, 1)), src), axis=1) if pad else src
-        self._frame(a, src[1] if pad else None, wt, trail, death, pad)
-        self._end(horizon)
-
-    def _table(self, factors: np.ndarray, live: int | None, n_max: int):
-        """(running products 1, f0, f0 f1, .. of factors, horizon or None): in double where ``_in_range`` holds over
-        the live entries, else in extended precision, NaN past the horizon (see the class docstring)."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            table = _running_products(factors[None])[0]  # inf past double range
-        mags = np.abs(table[:live])
-        if not table[len(mags) :].any() and self._in_range(mags.max(), mags.min(), n_max):
-            return table, None
-        with np.errstate(over="ignore", invalid="ignore"):
-            table = _running_products(factors[None], np.clongdouble)[0]
-        mags = np.abs(table[:live])
-        fits = self._in_range(np.maximum.accumulate(mags), np.minimum.accumulate(mags), n_max, _EXTENDED)
-        if fits[-1]:
-            return table, None
-        good = int(np.argmin(fits))  # the test holds over entries u < good
-        table[good : len(mags)] = np.nan
-        return table, good - self.vals.shape[1]
-
-    def _in_range(self, top, bottom, n_max: int, limits=_DOUBLE):
-        """Whether the entries of x times ratios of table magnitudes within [bottom, top] stay normal numbers of
-        ``limits``; elementwise over arrays of tops and bottoms."""
-        xs = np.abs(self.vals[self.vals != 0])
-        reach = xs.max() * (1 + n_max * (1 + abs(self.kappa)) if self.kappa is not None else 1)  # |x + n (y - kappa y')|
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            return ((0 < bottom) & (top < np.inf) & (reach * (top / bottom) <= limits.max)
-                    & (xs.min() * (bottom / top) >= limits.tiny))
-
-    def _end(self, horizon: int | None) -> None:
-        """Past the horizon the orbit dies at it if its state there reads zero (see the class docstring)."""
-        if horizon is not None and horizon > 0:
-            states, plateau = self._travel_states(horizon, 1)
-            if not (_read(states).any() or plateau is not None and _read(plateau).any()):
-                self._death, self._windows = horizon, self._windows[: horizon + 1 - self._pad]
+        wt, we = (t[0] for t in _running_products((weights if scalar == 1 else scalar * weights)[None], length - 1))
+        src = self.vals[:, ::d] / wt[:width]  # x / W, column j scaled by 2^e(j)
+        if not pad:
+            return self._frame(src, None, wt, we, we[:width], trail, death, 0)
+        exps = np.append(we[0], we[:width])  # column j holds x(j - 1) / W(j - 1)
+        prev_y = _scaled(src[1], exps[:width] - we[:width])  # y / W, column j at column j's exponent
+        self._frame(np.concatenate((np.zeros((self.rows, 1)), src), axis=1), prev_y, wt, we, exps, trail, death, 1)
 
     def _duplicating_frame(self, scalar: complex, n_max: int) -> None:
         x = self.vals
@@ -607,46 +610,66 @@ class _WindowOrbit(_Orbit):
         if self.kappa is not None:
             q[1, 0] = (scalar - self.kappa) * first[1]
         rows = max(n_max, 1)  # state 0 too has a window
-        powers, horizon = self._table(np.full(rows + width - 1, scalar), None, n_max)  # s^u, u < rows + width
-        wt = np.ones(rows + width, dtype=powers.dtype)  # the sums' gains are (lam s)^u wt(u)
-        if horizon is not None:  # state n reads s^(n-1), sum k reads u < k + width: both end at the horizon
-            wt[horizon + width :] = powers[max(horizon, 0) :] = np.nan
-        self._frame(a, None if self.kappa is None else x[1], wt, self.lo, None, 1)
-        self._scalar, self._q = scalar, q if first.any() else None
-        self._windows = np.broadcast_to(powers[:rows, None], (rows, a.shape[1]))  # s^(n-1) for state n: row n - 1
-        self._end(horizon)
+        powers, exps = (t[0] for t in _running_products(np.full((1, 1), scalar), rows + width - 1))  # s^u, u < rows + width
+        ones, zeros = np.ones(rows + width, dtype=complex), np.zeros(rows + width, dtype=np.int32)  # W = 1
+        self._frame(a, None if self.kappa is None else x[1], ones, zeros, zeros[: a.shape[1]], self.lo, None, 1)
+        self._scalar, self._q = scalar, q if first.any() else None  # the sums' gains are (lam s)^u
+        shape = (rows, a.shape[1])  # s^(n-1) for state n: row n - 1
+        self._windows = np.broadcast_to(powers[:rows, None], shape)
+        self._window_exps = np.broadcast_to(exps[:rows, None], shape) if exps.any() else None
 
-    def _frame(self, a, prev_y, wt, trail, death, pad) -> None:
-        """Hold a frame's sources: a, and under BlockTZ b = [y_n, 0] - kappa [y_{n-1}] from a's rows and prev_y."""
-        self._a, self._b, self._wt, self._trail, self._death, self._pad = a, None, wt, trail, death, pad
-        if prev_y is not None:  # A^(n-1) y sits one column behind A^n y
-            self._b = np.stack((a[1] - self.kappa * np.append(prev_y, 0), np.zeros_like(a[1])))
+    def _frame(self, a, prev_y, wt, we, exps, trail, death, pad) -> None:
+        """Hold a frame's sources a and, under BlockTZ, b = [y_n, 0] - kappa [y_{n-1}] from a's rows and prev_y, at
+        the column exponents exps, each column moved to within 2^+-128 (see the class docstring)."""
+        b = None if prev_y is None else np.stack((a[1] - self.kappa * np.append(prev_y, 0), np.zeros_like(a[1])))
+        shift = _reference(a if b is None else np.concatenate((a, b)), 0)
+        a, b, exps = _scaled(a, -shift), None if b is None else _scaled(b, -shift), exps - shift
+        self._a, self._b, self._exps, self._wt, self._we = a, b, exps, wt, we
+        self._trail, self._death, self._pad = trail, death, pad
         self._scalar, self._q = 1, None
         self._x0 = self.vals[:, :: self.d] if pad else None  # the initial state, in travel order, of a padded frame
-        self._windows = np.lib.stride_tricks.sliding_window_view(wt, a.shape[1])  # row r: W[r : r + width]
+        self._windows = _windows(wt, a.shape[1])  # row r: W[r : r + width]
+        self._window_exps = _windows(we, a.shape[1]) if we.any() else None  # None: no state takes a block of exponents
         self.translating = True
 
     def _travel_states(self, first: int, count: int):
-        """States first, first + 1, .. in travel order (m, rows, width), 1 <= m <= count, and plateau values (m, rows) or None."""
-        m = min(count, max(_STACK_BYTES // (self._wt.itemsize * self._a.size), 1), len(self._windows) + self._pad - first)
+        """Mantissas of states first, first + 1, .. in travel order (m, rows, width), 1 <= m <= count, of their plateau
+        values (m, rows) or None at column 0's exponent, and the exponents (m or 1, 1, width) that scale them."""
+        m = min(count, max(_STACK_BYTES // (16 * self._a.size), 1), len(self._windows) + self._pad - first)
         if m < 1:
             raise ParameterError(f"the orbit was built for {self.horizon} steps")
         ns = np.arange(first, first + m)[:, None]
-        windows = self._windows[first - self._pad : first - self._pad + m, None]
-        states = windows * self._a if self._b is None else np.multiply(ns[:, :, None], self._b, dtype=windows.dtype)
+        rows = slice(first - self._pad, first - self._pad + m)
+        windows = self._windows[rows, None]
+        states = windows * self._a if self._b is None else np.multiply(ns[:, :, None], self._b)
         if self._b is not None:  # a + n b in place: a block holds one array
             states += self._a
             states *= windows
-        return states, None if self._q is None else (self._q[0] + ns * self._q[1]) * windows[:, :, 0]
+        if self._q is not None:  # q s^(n-1), its mantissa moved like column 0
+            q = _scaled(self._q, self._exps[0])
+            plateau = (q[0] + ns * q[1]) * windows[:, :, 0]
+        exps = -self._exps if self._window_exps is None else self._window_exps[rows] - self._exps
+        return states, None if self._q is None else plateau, exps.reshape(-1, 1, exps.shape[-1])
 
     def _hold(self, n: int) -> None:
         """Hold state n >= 1 in ``vals`` and ``lo``, its plateau included."""
-        states, plateau = self._travel_states(n, 1)
+        states, plateau = _exact(*self._travel_states(n, 1))
         vals, width = states[0][:, :: self.d], states.shape[2]
         self.lo = self._trail + n - self._pad if self.d > 0 else self._trail - (n - self._pad) - (width - 1)
         if plateau is not None and n > 1:  # coordinates 1 .. n-1, behind a window that starts at n
             self.lo, vals = 1, np.concatenate((np.repeat(plateau[0][:, None], n - 1, axis=1), vals), axis=1)
-        self.vals = _read(vals)
+        self.vals = vals
+
+    def _unhold(self) -> None:
+        """Drop the held state of a frame that moved; ``__getattr__`` holds the new one when it is read."""
+        self.__dict__.pop("vals", None)
+        self.__dict__.pop("lo", None)
+
+    def __getattr__(self, name: str):
+        if name not in ("vals", "lo") or not self.translating:
+            raise AttributeError(name)
+        self._hold(self.steps)
+        return self.__dict__[name]
 
     def _frame_inners(self, y, count: int) -> np.ndarray:
         """<A^n x, y>: conj(y) at the travel coordinates of W, windowed like it; a plateau pairs with its prefix sums."""
@@ -659,11 +682,16 @@ class _WindowOrbit(_Orbit):
         if self._q is not None:  # ysums[:, n - 1]: the plateau cells of state n
             ysums = np.pad(np.cumsum(frame[:, :: self.d], axis=1), ((0, 0), (1, 0)))
         parts = []
-        for first, states, plateau in self._states(count):
+        for first, states, plateau, exps in self._states(count):
             yw = windows[:, first - self._pad : first - self._pad + len(states)]  # conj(y) under each state
-            values = np.einsum("irj,rij->i", states.reshape(len(states), self.rows, -1), yw)
+            ys = None if plateau is None else ysums[:, first - 1 : first - 1 + len(states)]
+            full, level = _exact(states, plateau, exps)
+            values = np.einsum("irj,rij->i", full.reshape(len(states), self.rows, -1), yw)
             if plateau is not None:
-                values += np.einsum("ij,ji->i", plateau, ysums[:, first - 1 : first - 1 + len(states)])
+                values += np.einsum("ij,ji->i", level, ys)
+            if not np.isfinite(values).all():  # an entry past double range meets zeros of y: scale each product
+                terms = _exact(states * yw.transpose(1, 0, 2).reshape(states.shape), None if plateau is None else plateau * ys.T, exps)
+                values = terms[0].sum(axis=1) + (0 if plateau is None else terms[1].sum(axis=1))
             parts.append(values)
         return _joined(parts, complex)
 
@@ -710,18 +738,21 @@ class CesaroSum:
     """Sums sum_{k<=n} lam^k T^k x over a grid of unimodular lam; a single Cesàro mean is the one-point grid ``[1]``.
 
     Once the orbit state is exactly zero the sums freeze.  On a translating
-    frame they are written off the product table (``_write``), in extended
-    precision where the table is (see ``_WindowOrbit``), with gains
-    mu^u W(u), mu = lam s, read off running products mu^u; the sums of one
-    ``lambda_mean_norms`` call share those (``_sharing``).  A fixed frame folds
-    its states into compensated sums (``compensated_add``): on
-    ``lambda_grid(L)`` (``_grid_period``) state k into residue class k mod L,
-    whose sums one inverse DFT reads at the exact roots e^{2 pi i j/L}, in
-    extended precision and rounded once; any other lam is the one-point sum of
-    lam T, T's own orbit for lam = 1, which stays correctly rounded.
+    frame they are written off the product table (``_write``) with gains
+    mu^u W(u), mu = lam s, read off running products mu^u, mantissas and
+    exponents like the table; the sums of one ``lambda_mean_norms`` call share
+    those (``_sharing``).  The prefix sums of the terms mu^-i a(i) are taken
+    in extended precision (a window whose weights span more than the extended
+    range loses the terms below it) and read at their own powers of two, so a
+    cell is the double product of a plain table wherever that is normal.  A
+    fixed frame folds its states into compensated sums (``compensated_add``):
+    on ``lambda_grid(L)`` (``_grid_period``) state k into residue class k mod
+    L, whose sums one inverse DFT reads at the exact roots e^{2 pi i j/L}, in
+    extended precision and rounded once; any other lam is the one-point sum
+    of lam T, T's own orbit for lam = 1, which stays correctly rounded.
     """
 
-    _powers: dict | None = None  # mu^u by table precision, shared by the sums of one spec and grid
+    _shared: dict | None = None  # the running products mu^u, shared by the sums of one spec and grid
 
     def __init__(self, spec: OperatorSpec, x, n_max: int, lams=(1.0,)):
         self.orbit = make_orbit(spec, x, n_max)
@@ -733,8 +764,7 @@ class CesaroSum:
         self._mags = None  # |sum| of a translating frame once norms are read: each write refreshes its own cells
         self.n = self.stepped = self._final = 0
         if self.orbit.translating:  # written, never accumulated: no compensation
-            with np.errstate(over="ignore", invalid="ignore"):  # extended gains saturate past the horizon, where they are NaN
-                self._prefix_sums()
+            self._prefix_sums()
         state_cols, self._live = self._overlap()  # columns that can be nonzero; a translating frame narrows them
         self.sum[:, :, self._live] = self.orbit.vals[:, state_cols]
         if not self.orbit.translating:  # state 0 opens class 0 and T's own sum; a compensated sum is total - comp
@@ -747,39 +777,55 @@ class CesaroSum:
             self._scaled = [(j, CesaroSum(scale(lam, spec), x, n_max)) for j, lam in enumerate(self.lams) if j >= period and lam != 1]
 
     @classmethod
-    def _sharing(cls, powers: dict, spec: OperatorSpec, x, n_max: int, lams) -> "CesaroSum":
-        """A sum that reads mu^u off ``powers``, and stores a longer table there when its window needs one: the
+    def _sharing(cls, shared: dict, spec: OperatorSpec, x, n_max: int, lams) -> "CesaroSum":
+        """A sum that reads mu^u off ``shared``, and stores a longer table there when its window needs one: the
         sums of one spec on one grid take prefixes of the same running products."""
         acc = cls.__new__(cls)
-        acc._powers = powers
+        acc._shared = shared
         acc.__init__(spec, x, n_max, lams)
         return acc
 
     def _prefix_sums(self) -> None:
-        """Prefix sums of mu^-i a(i) (and mu^-i b(i), i mu^-i b(i)), times lam if padded, their closing
-        differences total - prefix[j], j in [1, width), and mu^u (None: every mu is 1)."""
+        """Prefix sums of mu^-i a(i) (and mu^-i b(i), i mu^-i b(i)), times lam if padded; their references R per lam
+        and index (``_reference``), and the sums rounded to double at 2^-R; their closing differences total -
+        prefix[j], j in [1, width), at their own references; and mu^u (None: every mu is 1)."""
         o = self.orbit
-        width, dtype = o._a.shape[1], o._wt.dtype
+        width = o._a.shape[1]
         terms = (o._a[None] if o._b is None else np.stack([o._a, o._b, np.arange(width) * o._b]))[None]
-        self._mu = None
+        factor = np.ldexp(np.ones(width, dtype=np.longdouble), -o._exps)  # a(i) = a'(i) 2^-E(i)
+        self._mu, mu_exps = None, False
         if not (np.all(self.lams == 1) and o._scalar == 1):
             mus = self.lams * o._scalar
             inverse = np.ones((len(mus), width), dtype=np.clongdouble)
             inverse[:, 1:] = 1 / mus[:, None].astype(np.clongdouble)
-            terms = terms * (np.cumprod(inverse, axis=1) * self.lams[:, None] ** o._pad)[:, None, None, :]
-            powers = {} if self._powers is None else self._powers
-            self._mu = powers.get(dtype)
-            if self._mu is None or self._mu.shape[1] < len(o._wt):  # a longer table's prefix is the shorter one
-                self._mu = powers[dtype] = _running_products(np.broadcast_to(mus[:, None], (len(mus), len(o._wt) - 1)), dtype)
+            factor = factor * np.cumprod(inverse, axis=1) * self.lams[:, None] ** o._pad
+            shared = {} if self._shared is None else self._shared
+            if "mu" not in shared or shared["mu"][0].shape[1] < len(o._wt):  # a longer table's prefix is the shorter one
+                m, e = _running_products(mus[:, None], len(o._wt) - 1)
+                shared["mu"] = m, e, bool(e.any())
+            self._mu, self._mu_exps, mu_exps = shared["mu"]
+        terms = terms * (factor if factor.ndim == 1 else factor[:, None, None, :])
         self._prefix = np.zeros((*terms.shape[:-1], width + 1), dtype=np.clongdouble)
         np.cumsum(terms, axis=-1, out=self._prefix[..., 1:])
-        self._rounded = self._prefix.astype(dtype)  # extended with an extended table
+        # a column exponent or |s| != 1 spreads the terms past 2^+-128; else every span stays in double range at R = 0
+        spread = o._exps.any() or abs(o._scalar) != 1
+        self._ref = _reference(self._prefix, (1, 2)) if spread else np.zeros((len(terms), width + 1), dtype=int)
+        self._rounded = _scaled(self._prefix, -self._ref[:, None, None]).astype(complex)
         closing = self._prefix[..., width:] - self._prefix[..., 1:width]  # the same at every checkpoint
-        self._closing = closing if o._b is not None else closing[:, 0].astype(dtype)
+        self._closing_ref = _reference(closing, (1, 2)) if spread else self._ref[:, 1:width]
+        closing = _scaled(closing, -self._closing_ref[:, None, None])
+        self._closing = closing if o._b is not None else closing[:, 0].astype(complex)
+        # whether any cell's 2^(e + R) differs from 1; when none does, the writes skip the exponent bookkeeping
+        self._scales = bool(mu_exps or o._we.any() or self._ref.any() or self._closing_ref.any())
+
+    def _gain_exps(self, lo: int, hi: int) -> np.ndarray:
+        """The exponents of the gains mu^u W(u), u in [lo, hi), one row per lam (one row for all if every mu is 1)."""
+        we = self.orbit._we[lo:hi]
+        return we[None] if self._mu is None else self._mu_exps[:, lo:hi] + we
 
     def _gains(self, lo: int, hi: int) -> np.ndarray:
-        """The gains mu^u W(u), u in [lo, hi), one row per lam, rounded as whole rows are: numpy rounds a lone
-        complex product in a 2-D array differently, so that one is taken 1-D."""
+        """The mantissas of the gains mu^u W(u), u in [lo, hi), one row per lam, rounded as whole rows are: numpy
+        rounds a lone complex product in a 2-D array differently, so that one is taken 1-D."""
         wt = self.orbit._wt[lo:hi]
         if self._mu is None:
             return wt[None]
@@ -798,10 +844,16 @@ class CesaroSum:
         final once written: later writes start past it, unless a plateau adds
         to it; the closing cells past it are total - prefix[u + pad - k].
         A padded frame adds its initial state; the plateau's cell u gets
-        lam sum_{j in (u, k)} mu^j (q_a + (j + 1) q_b).  Prefix sums and
-        gains are extended-precision, so a difference cancels far below double
-        rounding (Higham, Accuracy and Stability of Numerical Algorithms, ch. 4);
-        with an extended table the products are too, rounded once into the sums.
+        lam sum_{j in (u, k)} mu^j (q_a + (j + 1) q_b), summed in extended
+        precision relative to its largest term.  Prefix sums are
+        extended-precision, so a difference cancels far below double rounding
+        (Higham, Accuracy and Stability of Numerical Algorithms, ch. 4).  A span
+        is rounded to double at its reference 2^R (a difference at the larger
+        of its ends'), multiplied by the gain's mantissa, and the cell takes
+        2^(e + R) once, so with all exponents 0 a cell is the plain double
+        product.  Under a plateau past 1 a cell's parts are taken relative to
+        the plateau's peak and scaled back once, so they never meet as opposite
+        infinities.
         """
         o = self.orbit
         width, pad = o._a.shape[1], o._pad
@@ -810,34 +862,49 @@ class CesaroSum:
         self._live = slice(start, start + top + 1) if o.d > 0 else slice(start - top, start + 1)
         out = self.sum[:, :, self._live][:, :, :: o.d]  # travel order
         moments = (lambda s, u: s[:, 0]) if o._b is None else (lambda s, u: s[:, 0] + (u + pad) * s[:, 1] - s[:, 2])
-        prefix, k0 = self._prefix, k - pad
+        prefix, ref, k0 = self._prefix, self._ref, k - pad
         a, b = min(k0, width - 1) + 1, max(k0, width - 1) + 1
         final = width if o._q is not None else max(width, self._final)
+        plateau = o._q is not None and k > 1
+        peak = cell = 0  # the plateau's largest gain exponent, and the cells' exponent until it is added, per lam
+        if rescale := plateau and self._scales:
+            peak = self._gain_exps(1, k).max(axis=1)[:, None, None]
+            cell = np.maximum(peak, 0)
         for lo_u, hi_u in ((0, a), (a, width), (final, b), (b, top + 1)):  # i in [max(u - k0, 0), min(u, width - 1)]
             if lo_u < (hi_u := min(hi_u, top + 1)):
                 u = None if o._b is None else np.arange(lo_u, hi_u)
                 if lo_u <= k0:  # from i = 0 the sums are rounded prefix sums (the first is exactly 0) or the total
-                    spans = moments(self._rounded[..., lo_u + 1 : hi_u + 1] if lo_u < width else self._rounded[..., width:], u)
-                elif lo_u < width:  # else extended differences
-                    spans = moments(prefix[..., lo_u + 1 : hi_u + 1] - prefix[..., lo_u - k0 : hi_u - k0], u)
+                    cols = slice(lo_u + 1, hi_u + 1) if lo_u < width else slice(width, None)
+                    spans, r = moments(self._rounded[..., cols], u), ref[:, cols]
+                elif lo_u < width:  # else extended differences, at the larger reference of their ends
+                    r = np.maximum(ref[:, lo_u + 1 : hi_u + 1], ref[:, lo_u - k0 : hi_u - k0])
+                    spans = moments(_scaled(prefix[..., lo_u + 1 : hi_u + 1] - prefix[..., lo_u - k0 : hi_u - k0], -r[:, None, None]), u)
                 else:  # the closing cells
-                    spans = self._closing[..., lo_u - k0 - 1 : hi_u - k0 - 1]
+                    cols = slice(lo_u - k0 - 1, hi_u - k0 - 1)
+                    spans, r = self._closing[..., cols], self._closing_ref[:, cols]
                     spans = spans if o._b is None else moments(spans, u)
-                np.multiply(spans.astype(o._wt.dtype, copy=False), self._gains(lo_u, hi_u)[:, None], out=out[:, :, lo_u:hi_u])
+                cells = out[:, :, lo_u:hi_u]
+                np.multiply(spans.astype(complex, copy=False), self._gains(lo_u, hi_u)[:, None], out=cells)
+                if self._scales:
+                    _scaled(cells, (self._gain_exps(lo_u, hi_u) + r)[:, None] - cell, inplace=True)
         self._final = b
         if pad:
-            out[:, :, : o._x0.shape[1]] += o._x0
-        if o._q is not None and k > 1:
-            g = self._gains(1, k).astype(np.clongdouble)  # mu^j, j = 1 .. k-1
-            r0 = np.cumsum(g[:, ::-1], axis=1)[:, ::-1]
-            r1 = np.cumsum((np.arange(1, k) * g)[:, ::-1], axis=1)[:, ::-1]
+            out[:, :, : o._x0.shape[1]] += _scaled(o._x0, -cell)
+        if plateau:  # mu^j / 2^peak, j = 1 .. k-1
+            g = self._gains(1, k)[:, None]
+            g = _scaled(g, self._gain_exps(1, k)[:, None] - peak if self._scales else 0).astype(np.clongdouble)
+            r0 = np.cumsum(g[..., ::-1], axis=-1)[..., ::-1]
+            r1 = np.cumsum((np.arange(1, k) * g)[..., ::-1], axis=-1)[..., ::-1]
             qa, qb = o._q[0][None, :, None], o._q[1][None, :, None]
-            cells = (qa + qb) * r0[:, None] + qb * r1[:, None]
-            out[:, :, : k - 1] += (cells * self.lams[:, None, None]).astype(complex)
-        if self._mags is not None:  # of the cells written, in accumulator order: numpy rounds |z| by layout too
-            for lo_u, hi_u in ((0, width), (final, top + 1)):
-                cols = slice(start + lo_u, start + hi_u) if o.d > 0 else slice(start + 1 - hi_u, start + 1 - lo_u)
-                np.abs(self.sum[..., cols], out=self._mags[..., cols])
+            cells = (((qa + qb) * r0 + qb * r1) * self.lams[:, None, None]).astype(complex)
+            out[:, :, : k - 1] += _scaled(cells, peak - cell)
+        for lo_u, hi_u in ((0, width), (final, top + 1)):  # the cells written
+            if lo_u < (hi_u := min(hi_u, top + 1)):
+                if rescale:
+                    _scaled(out[:, :, lo_u:hi_u], cell, inplace=True)
+                if self._mags is not None:  # in accumulator order: numpy rounds |z| by layout too
+                    cols = slice(start + lo_u, start + hi_u) if o.d > 0 else slice(start + 1 - hi_u, start + 1 - lo_u)
+                    np.abs(self.sum[..., cols], out=self._mags[..., cols])
 
     def _overlap(self) -> tuple[slice, slice]:
         """(state columns, accumulator columns) where the orbit window meets the sums."""
@@ -849,10 +916,10 @@ class CesaroSum:
         if orbit.translating:
             orbit.advance(n)
             if (k := orbit.steps) != self.stepped:
-                with np.errstate(over="ignore"):  # an extended sum whose exact value overflows reads inf
+                with np.errstate(over="ignore"):  # a plateau whose exact value overflows reads inf
                     self._write(k)
         else:
-            for first, states, _ in orbit._states(n - k):
+            for first, states, _, _ in orbit._states(n - k):
                 k += len(states)
                 if self._unit.size:
                     self._one = compensated_add(*self._one, states)
@@ -929,10 +996,10 @@ def lambda_mean_norms(spec: OperatorSpec, xs, lams, checkpoints: list[int], p: f
     share the running products mu^u, which only a wider window than any before
     it rebuilds (``CesaroSum._sharing``).
     """
-    powers: dict = {}
+    shared: dict = {}
     out = np.zeros((len(xs), len(lams), len(checkpoints)))
     for v, x in enumerate(xs):
-        acc = CesaroSum._sharing(powers, spec, x, checkpoints[-1], lams)
+        acc = CesaroSum._sharing(shared, spec, x, checkpoints[-1], lams)
         for j, n in enumerate(checkpoints):
             acc.advance_to(n)
             out[v, :, j] = acc.norms(p)

@@ -1,6 +1,7 @@
 import cmath
 import math
 import warnings
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -497,22 +498,22 @@ def test_translating_frames_match_stepping(monkeypatch):
 
 
 def test_translating_frame_falls_back_outside_double_range():
-    # W(u) = ((u + 1) / 1)^200 leaves double range at u = 35: the table stays in extended precision, and the
-    # overflow of the orbit itself is named
+    # W(u) = ((u + 1) / 1)^200 leaves double range at u = 35: the table carries exponents from there on, the state at
+    # n = 400 reads inf as its exact value 401^200 does, and the overflow of the orbit itself is named
     spec = ForwardShift(NAT, PowerRatio(200.0, 1))
     x = basis_vector(NAT, 1)
     orbit = make_orbit(spec, x, 400)
-    assert orbit.translating and orbit._wt.dtype == np.clongdouble
-    assert CesaroSum(spec, x, 400).orbit.translating
-    assert make_orbit(spec, x, 30)._wt.dtype == complex
+    assert orbit.translating and CesaroSum(spec, x, 400).orbit.translating
+    assert power_apply(spec, x, 400).entries == {401: complex(math.inf, 0.0)}
+    assert power_apply(spec, x, 30).entries == pytest.approx({31: 31.0**200}, rel=1e-13)
     with pytest.raises(FloatingPointError, match="n=34"):
         orbit_norms(spec, x, 2, 400)
     assert power_apply(spec, x, 20).entries == pytest.approx({21: 21.0**200}, rel=1e-13)
 
 
-def test_orbit_dies_past_the_extended_horizon_where_its_state_reads_zero():
-    # 0.5^u over 2^16 steps leaves even the extended range near u = 16380; the state there reads 0 in double,
-    # so the orbit dies at the horizon, as n-fold stepping (the reference), which reaches 0 near step 1100, implies
+def test_orbit_reads_zero_where_its_exact_state_underflows():
+    # 0.5^u over 2^16 steps leaves even the extended range near u = 16380; every state from about step 1100 on reads
+    # 0, as its exact value and n-fold stepping (the reference) do, and the forward orbit never dies
     rng = np.random.default_rng(43)
     spec = scale(0.5, ForwardShift(NAT, PowerRatio(0.4, 1)))
     x = rand_vec(NAT, rng, 1, 32)
@@ -521,27 +522,25 @@ def test_orbit_dies_past_the_extended_horizon_where_its_state_reads_zero():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         orbit = make_orbit(spec, x, n)
-        horizon = orbit._death
-        assert orbit._wt.dtype == np.clongdouble and 16000 < horizon < n
         states = _apply_oracle(spec, x, 1200)
         assert states[-1].is_zero()
         sizes = np.array([p_norm(v, 2) for v in states])
         norms = orbit_norms(spec, x, 2, n).values()
         _close(np.array(norms[:1201]), sizes, sizes)
         assert not any(norms[1201:])
-        inners = make_orbit(spec, x, n).inners(x, n)
-        assert len(inners) == horizon and not inners[1200:].any()
+        inners = orbit.inners(x, n)
+        assert len(inners) == n and not orbit.dead and not inners[1200:].any()
         assert power_apply(spec, x, n).is_zero()
         acc = CesaroSum(spec, x, n, lams)
         acc.advance_to(n)
-        assert acc.stepped == horizon and acc.orbit.dead
+        assert acc.stepped == n and not acc.orbit.dead
         want = _oracle_sums(states, lams, acc.lo, acc.sum.shape[2], {1200})[1200]
         _close(acc.sum, want, sizes.sum())
 
 
-def test_orbit_reads_nan_past_the_extended_horizon():
-    # 2^u leaves even the extended range near u = 16380; the state there reads inf, so every later state, pairing and
-    # sum reads NaN rather than a value, and the overflow itself (near step 1020) is named
+def test_orbit_reads_inf_where_its_exact_state_overflows():
+    # 2^u leaves even the extended range near u = 16380; from the overflow (near step 1020, and named there) on every
+    # state reads inf, as its exact value does, never NaN, and so does every sum; the pairings with x are exactly 0
     rng = np.random.default_rng(47)
     spec = scale(2.0, ForwardShift(NAT, PowerRatio(0.4, 1)))
     x = rand_vec(NAT, rng, 1, 32)
@@ -549,19 +548,148 @@ def test_orbit_reads_nan_past_the_extended_horizon():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         orbit = make_orbit(spec, x, n)
-        assert orbit.translating and orbit._wt.dtype == np.clongdouble and orbit._death is None
+        assert orbit.translating and orbit._death is None
         with np.errstate(over="ignore", invalid="ignore"):  # as the probes read overflowing orbits
             norms = orbit.norms(2, n)
             sums = lambda_mean_norms(spec, [x], [1.0, 1j], [1000, 16000, n], 2.0)[0]
-        finite, nan = np.isfinite(norms), np.isnan(norms)
-        first_inf, first_nan = np.argmin(finite), np.argmax(nan)
-        assert 1000 < first_inf < 1100 and 16000 < first_nan and nan[first_nan:].all() and np.isinf(norms[first_inf:first_nan]).all()
+        first_inf = np.argmin(np.isfinite(norms))
+        assert 1000 < first_inf < 1100 and np.isinf(norms[first_inf:]).all()
         with pytest.raises(FloatingPointError, match=f"n={first_inf + 1}:"):
             orbit_norms(spec, x, 2, n)
-        with pytest.raises(FloatingPointError):
-            make_orbit(spec, x, n).inners(x, n)
-        assert np.isfinite(sums[:, 0]).all() and np.isinf(sums[:, 1]).all() and np.isnan(sums[:, 2]).all()
-        assert all(cmath.isnan(v) for v in power_apply(spec, x, n).entries.values())
+        inners = make_orbit(spec, x, n).inners(x, n)
+        assert len(inners) == n and np.isfinite(inners[:31]).all() and not inners[31:].any()
+        assert np.isfinite(sums[:, 0]).all() and np.isinf(sums[:, 1:]).all()
+        assert all(cmath.isinf(v) and not cmath.isnan(v) for v in power_apply(spec, x, n).entries.values())
+
+
+# Magnitudes past double and extended range, against exact decimal references: a table m 2^e reads each state, norm,
+# pairing and sum within a few roundings of its exact value, which a double rounds to 0 or inf only where it leaves
+# double range; nothing reads NaN and no orbit dies by rule.
+
+
+def _exact_products(weights) -> list[Decimal]:
+    """The running products 1, w1, w1 w2, ... of double weights, exactly at 60 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        out = [Decimal(1)]
+        for w in weights:
+            out.append(out[-1] * Decimal(w))
+    return out
+
+
+def _near(got, want, rel=1e-13):
+    """|got - want| <= rel |want|, elementwise, up to one ulp of the subnormal range; got is inf where want is."""
+    got, want = np.asarray(got), np.asarray(want)
+    finite = np.isfinite(want)
+    assert got.shape == want.shape and not np.isnan(got).any() and np.all(got[~finite] == want[~finite])
+    assert np.all(np.abs(got[finite] - want[finite]) <= rel * np.abs(want[finite]) + 2.0**-1074)
+
+
+def test_a_table_below_extended_range_reads_its_exact_orbit():
+    # the weights fall to 1e-20 for 250 steps and rise back: the table dips to 1e-5000, below even extended range, and
+    # T^500 e_1 is the product of the 500 double weights, about e_501.  With x = e_1 + 1e60 e_5, (T^n x)(k + n) =
+    # x(k) P(k + n - 1) / P(k - 1), P the running products: e_5 enters at 1e140 times its share of the table
+    weights = [1e-20] * 250 + [1e20] * 250
+    spec = ForwardShift(NAT, Explicit(tuple(weights)))
+    exact = _exact_products(weights + [1.0] * 4)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        states = [{k + n: c * exact[k + n - 1] / exact[k - 1] for k, c in ((1, 1), (5, Decimal(1e60)))} for n in range(501)]
+        norms = [float(sum(v * v for v in state.values()).sqrt()) for state in states]
+    x = make_vector(NAT, [(1, 1.0), (5, 1e60)])
+    assert abs(float(exact[500]) - 1) < 1e-13 and float(exact[250]) == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        state = power_apply(spec, x, 500)
+        assert sorted(state.entries) == [501, 505]
+        _near([state.entries[501], state.entries[505]], [float(states[500][501]), float(states[500][505])])
+        _near(orbit_norms(spec, x, 2, 500).values(), norms)
+        y = make_vector(NAT, [(2, 1.0), (300, 1.0), (501, 1.0)])
+        _near(make_orbit(spec, x, 500).inners(y, 500), [float(sum(states[n].get(k, 0) for k in (2, 300, 501))) for n in range(1, 501)])
+        acc = CesaroSum(spec, x, 500, [1.0, -1.0])
+        acc.advance_to(500)
+        assert acc.lo == 1
+        for j, lam in enumerate((1, -1)):
+            want = [float(sum(lam**n * states[n].get(c, 0) for n in range(501))) for c in range(1, 506)]
+            _near(acc.sum[j, 0], want)
+
+
+@pytest.mark.parametrize("c", [0.5, 2.0])
+def test_scaled_shift_orbits_read_exact_zeros_or_infs(c):
+    # c^u (u + 1)^0.4 leaves extended range near u = 16400: at n = 2^16 every state reads 0 (c = 0.5) or inf (c = 2),
+    # as its exact value does, and below the boundary each matches it; no death index, no NaN
+    n = 2**16
+    spec = scale(c, ForwardShift(NAT, PowerRatio(0.4, 1)))
+    x = basis_vector(NAT, 1)
+    weights = c * powers._rule_table(PowerRatio(0.4, 1), 1, n)
+    exact = _exact_products(weights)
+    want = np.array([float(exact[k]) for k in range(n + 1)])
+    assert want[-1] == (0.0 if c < 1 else math.inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert power_apply(spec, x, n).entries == ({} if c < 1 else {n + 1: complex(math.inf, 0.0)})
+        orbit = make_orbit(spec, x, n)
+        with np.errstate(over="ignore"):
+            norms = orbit.norms(2, n)
+        assert len(norms) == n and not orbit.dead and orbit._death is None
+        _near(norms, want[1:])
+        acc = CesaroSum(spec, x, n, [1.0, -1.0])  # one term per cell: lam^m want[m] at e_(m+1)
+        acc.advance_to(n)
+        assert acc.stepped == n
+        _near(acc.sum[:, 0], np.array([want, want * (-1.0) ** np.arange(n + 1)]))
+
+
+def test_blocktz_over_a_table_below_extended_range_reads_its_exact_orbit():
+    # BlockTZ over weights that fall to 1e-20 for 1000 steps and rise back (the table dips to 1e-20000): with
+    # x = y = e_1, state n is ((n + 1) P(n) e_(n+1) - n P(n-1) e_n, P(n) e_(n+1)), P the products of the weights
+    weights = [1e-20] * 1000 + [1e20] * 1000
+    spec = BlockTZ(ForwardShift(NAT, Explicit(tuple(weights))))
+    e1 = basis_vector(NAT, 1)
+    x = PairVec(e1, e1)
+    exact = _exact_products(weights)
+    n = 2000
+    with localcontext() as ctx:
+        ctx.prec = 60
+        norms = [float(((k + 1) ** 2 * exact[k] ** 2 + k**2 * exact[k - 1] ** 2 + exact[k] ** 2).sqrt()) for k in range(1, n + 1)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        state = power_apply(spec, x, n)
+        assert sorted(state.top.entries) == [n, n + 1] and list(state.bottom.entries) == [n + 1]
+        _near([state.top.entries[n + 1], state.top.entries[n], state.bottom.entries[n + 1]],
+              [float((n + 1) * exact[n]), float(-n * exact[n - 1]), float(exact[n])])
+        _near(make_orbit(spec, x, n).norms(2, n), norms)
+        acc = CesaroSum(spec, x, n, [1.0, -1.0])
+        acc.advance_to(n)
+        assert not np.isnan(acc.sum).any()
+        for j, lam in enumerate((1, -1)):  # top(m) = m P(m-1) (lam^(m-1) - lam^m), m <= n; bottom(m) = lam^(m-1) P(m-1)
+            m = np.arange(1, n + 2)
+            top = [float(k * exact[k - 1] * (lam ** (k - 1) - lam**k)) if k <= n else float(k * exact[k - 1] * lam ** (k - 1)) for k in m]
+            sizes = [float(k * exact[k - 1] * 2) for k in m]  # the terms the sum cancels
+            assert np.all(np.abs(acc.sum[j, 0, : n + 1] - top) <= 1e-13 * np.array(sizes) + 2.0**-1074)
+            _near(acc.sum[j, 1, : n + 1], [float(lam ** (k - 1) * exact[k - 1]) for k in m])
+
+
+def test_duplicating_sums_below_extended_range_read_their_exact_values():
+    # 0.5^u leaves extended range near u = 16400, and the orbit runs on to n = 2^15 without dying; the sum of
+    # (lam D / 2)^k v, v = e_1 + e_2 / 2, holds r^(j-1) + r^(j-2) / 2 + sum_{k=j..n} r^k at e_j, r = lam / 2: within
+    # 1e-13 of it, and 0 where it underflows
+    n = 2**15
+    spec = scale(0.5, DuplicatingShift())
+    v = make_vector(NAT, [(1, 1.0), (2, 0.5)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert power_apply(spec, v, n).is_zero()
+        acc = CesaroSum(spec, v, n, [1.0, -1.0])
+        acc.advance_to(n)
+    assert acc.lo == 1 and acc.stepped == n and not acc.orbit.dead and not np.isnan(acc.sum).any()
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for j, lam in enumerate((1, -1)):
+            r = Decimal(lam) / 2
+            want = [float(r ** (m - 1) + (r ** (m - 2) / 2 if m >= 2 else 0) + r**m * (1 - r ** (n - m + 1)) / (1 - r))
+                    for m in range(1, 1201)]
+            _near(acc.sum[j, 0, :1200], want)
+            assert not acc.sum[j, 0, 1200:].any()
 
 
 def test_window_tables_stay_inside_the_universe():
@@ -695,22 +823,45 @@ def test_duplicating_frames_at_horizon_zero():
 
 
 def test_duplicating_sums_off_the_unit_circle_are_written():
-    # with |s| != 1, s^u over a wide window leaves double range: the powers stay in extended precision
+    # with |s| != 1, s^u over a wide window leaves double range: the sums' terms and gains carry exponents; and on a
+    # narrow window and a short horizon, where s^u stays within it
     rng = np.random.default_rng(31)
     w = rand_vec(NAT, rng, 1, 1200)
     lams = np.array([1.0, 1j, cmath.exp(0.3j)])
     n = 6
-    for spec, x, kappa in ((scale(0.5, DuplicatingShift()), w, None),
-                           (BlockTZ(scale(0.5, DuplicatingShift())), PairVec(w, vec_scale(1j, w)), 1.0)):
+    for spec, x, kappa, n in ((scale(0.5, DuplicatingShift()), w, None, n),
+                              (BlockTZ(scale(0.5, DuplicatingShift())), PairVec(w, vec_scale(1j, w)), 1.0, n),
+                              (scale(0.5, DuplicatingShift()), rand_vec(NAT, rng, 1, 8), None, 40)):
         states = _apply_oracle(spec, x, n)
         sizes = _composed_scales(states, spec.inner if kappa else spec, kappa, x, n)
         acc = CesaroSum(spec, x, n, lams)
-        assert acc.orbit.translating and acc.orbit._wt.dtype == np.clongdouble
+        assert acc.orbit.translating
         acc.advance_to(n)
         want = [sum(lam**k * _dense_on(v, acc.lo, acc.sum.shape[2]) for k, v in enumerate(states)) for lam in lams]
         _close(acc.sum, np.array(want), sizes.sum())
-    # on a narrow window and a short horizon the same scalar stays in double range
-    assert CesaroSum(scale(0.5, DuplicatingShift()), rand_vec(NAT, rng, 1, 8), 40, lams).orbit._wt.dtype == complex
+
+
+def test_duplicating_plateaus_keep_the_scale_of_their_first_entry():
+    # a first entry far from 1 moves the window's column 0 by a power of two; the plateau it feeds keeps its value
+    lams = np.array([1.0, 1j, cmath.exp(0.3j)])
+    n = 5
+    for first in (1e50, 1e-50, 1e300):
+        x = make_vector(NAT, [(1, first), (2, 1.0), (3, -2j)])
+        for spec, v, kappa in ((DuplicatingShift(), x, None), (scale(0.5j, DuplicatingShift()), x, None),
+                               (BlockTZ(DuplicatingShift()), PairVec(x, vec_scale(1j, x)), 1.0)):
+            states = _apply_oracle(spec, v, n)
+            sizes = _composed_scales(states, spec.inner if kappa else spec, kappa, v, n)
+            orbit = make_orbit(spec, v, n)
+            _close(orbit.norms(2, n), np.array([p_norm(s, 2) for s in states[1:]]), sizes[1:])
+            _close(orbit.vals, _dense_on(states[n], orbit.lo, orbit.vals.shape[1]), sizes[n])
+            y = make_vector(NAT, [(1, 1.0), (2, -1.0), (4, 1j)])
+            y = PairVec(y, y) if kappa else y
+            inners = make_orbit(spec, v, n).inners(y, n)
+            _close(inners, np.array([inner(s, y) for s in states[1:]]), sizes[1:] * p_norm(y, 2))
+            acc = CesaroSum(spec, v, n, lams)
+            acc.advance_to(n)
+            want = [sum(lam**k * _dense_on(s, acc.lo, acc.sum.shape[2]) for k, s in enumerate(states)) for lam in lams]
+            _close(acc.sum, np.array(want), sizes.sum())
 
 
 def _extended_composed_cases():
@@ -737,14 +888,14 @@ def _extended_composed_cases():
 
 
 def test_blocktz_extended_frames_match_apply():
-    # BlockTZ over a shift whose table leaves double range composes its extended-precision inner frame
+    # BlockTZ over a shift whose table leaves double range composes its inner frame, exponents and all
     lams = np.array([1.0, 1j, cmath.exp(0.3j)])
     n = 70
     for spec, a, kappa, x in _extended_composed_cases():
         states = _apply_oracle(spec, x, n)
         sizes = _composed_scales(states, a, kappa, x, n)
         orbit = make_orbit(spec, x, n)
-        assert orbit.translating and orbit._wt.dtype == np.clongdouble
+        assert orbit.translating and orbit._we.any()
         norms = orbit.norms(2, n)
         _close(norms, np.array([p_norm(v, 2) for v in states[1 : len(norms) + 1]]), sizes[1 : len(norms) + 1])
         assert states[len(norms)].is_zero() == orbit.dead

@@ -11,9 +11,13 @@ duplicating shift; specs whose powers grow exponentially or like n^alpha,
 alpha >= 1, are never reported bounded, also once their orbits overflow;
 ||M_n(lam T)|| of a contraction is invariant under unitary conjugation, within
 the perturbation bound of the rounded conjugation.  A power-ratio shift with
-alpha up to 400, whose product table leaves double range and stays in
-extended precision, maps e_k to the exact product of its double factors,
+alpha up to 400, whose product table leaves double range and carries
+exponents, maps e_k to the exact product of its double factors,
 within 1e-12, or overflows exactly where that product leaves double range.
+A Cesàro mean's norm is at most the mean and the maximum of its orbit norms,
+within their derived rounding, also on shifts whose tables leave double and
+extended range, and no zoo entry expects a power bounded operator to violate
+absolute Cesàro or uniform Kreiss boundedness.
 """
 
 import cmath
@@ -25,6 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cesarolab import zoo
 from cesarolab.classify import (
     ProbeConfig,
     acb_constant,
@@ -328,6 +333,64 @@ def test_growing_specs_are_never_bounded(spec, n_max):
             verdict = probe(spec, cfg)
             assert verdict.status != "bounded_up_to", (probe.__name__, verdict)
             assert all(math.isfinite(v) for v in (verdict.witness or {}).values() if isinstance(v, float))
+
+
+# ---------------------------------------------------------------------------
+# the paper's implication chain at finite n: power bounded => absolutely Cesàro bounded => uniformly Kreiss bounded
+
+
+@st.composite
+def excursion_cases(draw):
+    """A shift whose product table leaves double range, and extended range once a m > 4951, then comes back: weights
+    10^a for m steps and 10^-a for m more (either first), plain or under BlockTZ, with n past the excursion."""
+    a, m = draw(st.floats(10.0, 40.0)), draw(st.integers(1, 300))
+    up, down = (10.0**a,) * m, (10.0**-a,) * m
+    spec = ForwardShift(NAT, Explicit(up + down if draw(st.booleans()) else down + up))
+    entry = st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)).filter(lambda z: abs(z) > 1e-3)
+    x = make_vector(NAT, [(k + 1, v) for k, v in draw(st.dictionaries(st.integers(0, 5), entry, min_size=1, max_size=4)).items()])
+    if draw(st.booleans()):
+        spec, x = BlockTZ(spec), PairVec(x, make_vector(NAT, [(k + 1, 0.5 - 0.25j * k) for k in sorted(x.entries)[:2]]))
+    return spec, x, draw(st.integers(2 * m, 2 * m + 40))
+
+
+@SETTINGS
+@given(st.one_of(frame_cases(), excursion_cases()), st.lists(unit, min_size=1, max_size=3))
+def test_means_are_bounded_by_their_orbit_norms(case, angles):
+    # ||M_n(lam T) x|| <= (1/(n+1)) sum_{k<=n} ||T^k x|| <= max_{k<=n} ||T^k x||: a mean is an average of unimodular
+    # multiples of the orbit, so power bounded implies absolutely Cesàro bounded implies uniformly Kreiss bounded.
+    # The left side is CesaroSum's, the right side the orbit's norms; both read the same table, for which the
+    # inequalities are exact.  Rounding, u = eps / 2: a state entry takes at most 8 roundings (x / W, a + n b under
+    # BlockTZ, times W), its norm width + 2 more and the mean of the norms n + 1 more; a sum cell takes at most 8
+    # (term, gain, their product, the rounded span) relative to the sum of its terms' magnitudes, whose l2 norm over
+    # the cells is at most sum_k ||T^k x||, and its norm cells + 2 more.  So the computed left side exceeds the
+    # computed bounds by at most (20 + width + cells + n) u of the bound.  Overflowing orbits read inf on both sides.
+    spec, x, n = case
+    if x.is_zero():
+        return
+    lams = np.exp(1j * np.array(angles))
+    with warnings.catch_warnings(), np.errstate(over="ignore"):  # as the probes read overflowing orbits
+        warnings.simplefilter("error")
+        acc = CesaroSum(spec, x, n, lams)
+        acc.advance_to(n)
+        means = acc.norms(2.0)
+        orbit = make_orbit(spec, x, n)
+        norms = np.zeros(n + 1)
+        norms[0] = orbit.norm(2.0)
+        steps = orbit.norms(2.0, n)
+        norms[1 : len(steps) + 1] = steps  # a dead orbit stays zero
+    tol = (20 + 2 * acc.sum.shape[2] + n) * np.finfo(float).eps / 2  # the state's width is at most the cells
+    for bound in (norms.sum() / (n + 1), norms.max()):
+        assert np.all(means <= bound * (1 + tol)), (means, bound)
+
+
+def test_zoo_tables_follow_the_implication_chain():
+    # power bounded implies absolutely Cesàro bounded and uniformly Kreiss bounded: no entry expects a power bounded
+    # operator to violate either
+    for entry in zoo.all_entries():
+        expected = {row.probe: row.expected for row in entry.expected}
+        if expected.get("power_bounded") == "bounded":
+            assert expected.get("absolutely_cesaro") != "violated", entry.entry_id
+            assert expected.get("uniformly_kreiss") != "violated", entry.entry_id
 
 
 # ---------------------------------------------------------------------------
