@@ -258,14 +258,16 @@ def acb_constant(spec: OperatorSpec, cfg: ProbeConfig) -> ClassVerdict:
     """Best constant in (1/N) sum_{j<=N} ||T^j x|| over unit probes, N <= n_max.
 
     Each probe's averages are judged on their finite prefix (see ``_cut``).
+    The probes of a fixed frame read one power stack (``make_orbit``).
     """
     best = 0.0
     best_witness = None
     violated_witness = None
     params = cfg.echo(probe="absolutely_cesaro_bounded")
+    shared: dict = {}
     for label, x in probe_vectors(spec, cfg):
         with np.errstate(over="ignore", invalid="ignore"):
-            norms = make_orbit(spec, x, cfg.n_max).norms(cfg.p, cfg.n_max)
+            norms = make_orbit(spec, x, cfg.n_max, shared).norms(cfg.p, cfg.n_max)
             # prefix sums in extended precision stand in for a compensated running sum
             avgs = (np.cumsum(norms, dtype=np.longdouble) / np.arange(1, len(norms) + 1)).astype(float)
         avgs = avgs[: _cut(range(1, len(avgs) + 1), avgs, params)].tolist()
@@ -319,9 +321,10 @@ def power_bounded_probe(spec: OperatorSpec, cfg: ProbeConfig) -> ClassVerdict:
     sup = np.full(cfg.n_max, -1.0)  # sup[n - 1] over the probes whose orbit reached n
     sup_vec = np.zeros(cfg.n_max, dtype=int)
     reached = 0
+    shared: dict = {}  # the probes of a fixed frame read one power stack
     for i, (label, x) in enumerate(probes):
         with np.errstate(over="ignore", invalid="ignore"):
-            norms = make_orbit(spec, x, cfg.n_max).norms(cfg.p, cfg.n_max)
+            norms = make_orbit(spec, x, cfg.n_max, shared).norms(cfg.p, cfg.n_max)
         norms[np.isnan(norms)] = np.inf  # a NaN norm is non-finite too, and must win the supremum
         better = np.flatnonzero(norms > sup[: len(norms)])
         sup[better] = norms[better]

@@ -3,13 +3,14 @@
 Every orbit is a frame, whose states, norms, pairings and Cesàro sums are
 read off a closed form: a matrix or a diagonal (and BlockTZ over it) is a
 fixed frame stepped B powers per numpy call off a power stack A^1 .. A^B built
-once in extended precision (B set by a 1 MiB cap); a weighted shift is a
-translating frame read off one cumulative product table; the duplicating
-shift is the unweighted shift plus a plateau; BlockTZ composes its inner
-frame (``_WindowOrbit``).  No orbit steps, and no table saturates: a product
-table is held as double mantissas times exact powers of two, so a state or a
-sum reads inf or 0 only where its exact value leaves double range.  Sums cover
-a grid of unimodular lam at once, a mean being the one-point grid [1].  On
+in extended precision once per probe family (B set by a 1 MiB cap); a
+weighted shift is a translating frame read off one cumulative product table;
+the duplicating shift is the unweighted shift plus a plateau; BlockTZ
+composes its inner frame (``_WindowOrbit``).  No orbit steps, and no table
+saturates: a product table is held as double mantissas times exact powers of
+two, so a state or a sum reads inf or 0 only where its exact value leaves
+double range.  Sums cover a grid of unimodular lam at once, a mean being the
+one-point grid [1].  On
 the roots-of-unity grid a fixed frame's sums are one inverse DFT of
 compensated (TwoSum) residue-class sums, as ``lambda_operator_norms`` reads a
 matrix's extended-precision power stack; any other lam is the one-point
@@ -273,6 +274,24 @@ def _power_stack(op: np.ndarray, size: int) -> np.ndarray:
     return stack.astype(complex)
 
 
+def _fixed_stack(op: np.ndarray, size: int, shared: dict | None) -> np.ndarray:
+    """op^1 .. op^size (``_power_stack``), read off the stack that ``shared`` holds when that is op's to at least
+    size powers, else built and held there in its place.
+
+    A prefix of a longer stack is the shorter stack to the bit: the doubling
+    forms each power from the same two factors whatever the length.  The
+    orbit's own block length stays size, which sets the bits of every later
+    block.  Orbits whose operators agree byte for byte (the probes of one
+    matrix, windows of one diagonal that see the same weights) read one stack.
+    """
+    if shared is None:
+        return _power_stack(op, size)
+    key = op.shape, op.tobytes()
+    if shared.get("stack_key") != key or len(shared["stack"]) < size:
+        shared["stack_key"], shared["stack"] = key, _power_stack(op, size)
+    return shared["stack"][:size]
+
+
 def _apply_powers(stack: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """A fixed frame's states op^k x for a stack of powers (m, *op.shape), flattened (m, rows * width)."""
     m = len(stack)
@@ -300,6 +319,7 @@ class _Orbit:
     d = 0  # coordinates the window moves per step: +-1 for a shift, 0 for a fixed frame
     horizon = 0  # steps the caller asked for; the power stack never exceeds what is left
     _stack = None
+    _shared = None  # the dict of a probe family whose orbits read one power stack (``_fixed_stack``)
 
     def span(self, n_max: int) -> tuple[int, int]:
         """Coordinates the state can occupy within n_max steps, inside the universe."""
@@ -380,9 +400,9 @@ class _Orbit:
 
         A translating frame reads them off its product table, in travel order, up
         to its death index, as mantissas and the exponents that scale them
-        (``_exact``); a fixed frame off a power stack A^1 .. A^B built once,
-        B filling a 1 MiB cap but not past the horizon.  The first exactly zero
-        state of an orbit that can die ends it.
+        (``_exact``); a fixed frame off a power stack A^1 .. A^B built once per
+        probe family (``_fixed_stack``), B filling a 1 MiB cap but not past the
+        horizon.  The first exactly zero state of an orbit that can die ends it.
         """
         while count > 0 and not self.dead:
             first, exps = self.steps + 1, None
@@ -391,7 +411,7 @@ class _Orbit:
             else:
                 if self._stack is None:
                     size = min(max(_STACK_BYTES // (16 * self._op.size), 1), max(self.horizon - self.steps, count))
-                    self._stack = _power_stack(self._op, size)
+                    self._stack = _fixed_stack(self._op, size, self._shared)
                 states, plateau = _apply_powers(self._stack[: min(count, len(self._stack))], self.vals), None
             if self.can_die:
                 zero = ~states.reshape(len(states), -1).any(axis=1) & (True if plateau is None else ~plateau.any(axis=1))
@@ -563,9 +583,9 @@ class _WindowOrbit(_Orbit):
     ``lo`` is (``_unhold``).
     """
 
-    def __init__(self, spec: OperatorSpec, x, n_max: int):
+    def __init__(self, spec: OperatorSpec, x, n_max: int, shared: dict | None = None):
         base, scalar, self.kappa, self.d = _frame_spec(spec)
-        self.universe = x.universe
+        self.universe, self._shared = x.universe, shared
         self.lo, self.vals = _dense(x)
         self.rows, width = self.vals.shape
         self.horizon = n_max
@@ -702,24 +722,29 @@ class _MatrixOrbit(_Orbit):
     lo = 1
     fixed = True
 
-    def __init__(self, spec: OperatorSpec, x, n_max: int):
-        self._op = to_matrix(spec)
+    def __init__(self, spec: OperatorSpec, x, n_max: int, shared: dict | None = None):
+        self._op, self._shared = to_matrix(spec), shared
         self.universe = spec_universe(spec)
         self.horizon = n_max
         self.rows = 2 if isinstance(x, PairVec) else 1
         self.vals = _dense(x, 1, self._op.shape[0] // self.rows)[1]
 
 
-def make_orbit(spec: OperatorSpec, x, n_max: int):
-    """Exact engine for T^k x, k <= n_max: a matrix for finite specs, a window over the base operator otherwise."""
+def make_orbit(spec: OperatorSpec, x, n_max: int, shared: dict | None = None):
+    """Exact engine for T^k x, k <= n_max: a matrix for finite specs, a window over the base operator otherwise.
+
+    The orbits of one probe family pass one dict as ``shared``: a fixed frame's
+    power stack is then built once for all of them (``_fixed_stack``), and is
+    dropped with the dict.
+    """
     if expects_pair(spec) != isinstance(x, PairVec):
         kind = "ordered pairs of vectors" if expects_pair(spec) else "plain sparse vectors"
         raise DomainError(f"this operator acts on {kind}")
     if x.universe != spec_universe(spec):
         raise DomainError(f"vector universe {x.universe} does not match operator universe {spec_universe(spec)}")
     if spec_dim(spec) is not None:
-        return _MatrixOrbit(spec, x, n_max)
-    return _WindowOrbit(spec, x, n_max)
+        return _MatrixOrbit(spec, x, n_max, shared)
+    return _WindowOrbit(spec, x, n_max, shared)
 
 
 def shift_direction(spec: OperatorSpec) -> int | None:
@@ -740,11 +765,12 @@ class CesaroSum:
     Once the orbit state is exactly zero the sums freeze.  On a translating
     frame they are written off the product table (``_write``) with gains
     mu^u W(u), mu = lam s, read off running products mu^u, mantissas and
-    exponents like the table; the sums of one ``lambda_mean_norms`` call share
-    those (``_sharing``).  The prefix sums of the terms mu^-i a(i) are taken
-    in extended precision (a window whose weights span more than the extended
-    range loses the terms below it) and read at their own powers of two, so a
-    cell is the double product of a plain table wherever that is normal.  A
+    exponents like the table.  The sums of one probe family share those, or
+    a fixed frame's power stack (``_sharing``).  The prefix sums of the terms
+    mu^-i a(i) are taken in extended precision (a window whose weights span
+    more than the extended range loses the terms below it) and read at their
+    own powers of two, so a cell is the double product of a plain table
+    wherever that is normal.  A
     fixed frame folds its states into compensated sums (``compensated_add``):
     on ``lambda_grid(L)`` (``_grid_period``) state k into residue class k mod
     L, whose sums one inverse DFT reads at the exact roots e^{2 pi i j/L}, in
@@ -752,10 +778,10 @@ class CesaroSum:
     of lam T, T's own orbit for lam = 1, which stays correctly rounded.
     """
 
-    _shared: dict | None = None  # the running products mu^u, shared by the sums of one spec and grid
+    _shared: dict | None = None  # the running products mu^u or the power stack, shared by the sums of one family
 
     def __init__(self, spec: OperatorSpec, x, n_max: int, lams=(1.0,)):
-        self.orbit = make_orbit(spec, x, n_max)
+        self.orbit = make_orbit(spec, x, n_max, self._shared)
         self.lams = np.asarray(lams, dtype=complex)
         if np.any(np.abs(np.abs(self.lams) - 1.0) > 1e-12):
             raise ParameterError("lam must be unimodular")
@@ -777,9 +803,10 @@ class CesaroSum:
             self._scaled = [(j, CesaroSum(scale(lam, spec), x, n_max)) for j, lam in enumerate(self.lams) if j >= period and lam != 1]
 
     @classmethod
-    def _sharing(cls, shared: dict, spec: OperatorSpec, x, n_max: int, lams) -> "CesaroSum":
-        """A sum that reads mu^u off ``shared``, and stores a longer table there when its window needs one: the
-        sums of one spec on one grid take prefixes of the same running products."""
+    def _sharing(cls, shared: dict, spec: OperatorSpec, x, n_max: int, lams=(1.0,)) -> "CesaroSum":
+        """A sum that reads mu^u or its orbit's power stack off ``shared``, and stores a longer one there when it
+        needs one: the sums of one spec on one grid take prefixes of the same running products, and of the same
+        power stack (``_fixed_stack``)."""
         acc = cls.__new__(cls)
         acc._shared = shared
         acc.__init__(spec, x, n_max, lams)
@@ -952,8 +979,12 @@ class CesaroSum:
         return _lp_norm(mags / (self.n + 1), p, axis=1)
 
     def mean(self) -> np.ndarray:
-        """M_n(T) x on the accumulator's coordinates (first grid point)."""
-        return self.sum[0] * (1.0 / (self.n + 1))
+        """M_n(T) x on the accumulator's coordinates (first grid point).
+
+        The real and imaginary parts are scaled apart: a complex product by a
+        real would add inf * 0 = NaN to the other part of an infinite cell.
+        """
+        return (self.sum[0].view(float) * (1.0 / (self.n + 1))).view(complex)
 
     def state(self) -> np.ndarray:
         """The current orbit state on the accumulator's coordinates."""
@@ -994,7 +1025,8 @@ def lambda_mean_norms(spec: OperatorSpec, xs, lams, checkpoints: list[int], p: f
 
     The vectors are summed one at a time, each as its own ``CesaroSum``; they
     share the running products mu^u, which only a wider window than any before
-    it rebuilds (``CesaroSum._sharing``).
+    it rebuilds, and a fixed frame's power stack, built for the first vector
+    (``CesaroSum._sharing``).  Both are dropped on return.
     """
     shared: dict = {}
     out = np.zeros((len(xs), len(lams), len(checkpoints)))
@@ -1171,10 +1203,13 @@ def cesaro_operator_norm(spec: OperatorSpec, n: int, lam: complex = 1.0 + 0j) ->
 
 
 def lambda_grid(samples: int) -> np.ndarray:
-    """samples-th roots of unity, with 1 and -1 always present (-1 appended when samples is odd)."""
+    """samples-th roots of unity, with 1 and -1 always present, exactly (-1 appended when samples is odd)."""
     lams = np.exp(2j * np.pi * np.arange(samples) / samples)
     lams[0] = 1.0
-    return lams if samples % 2 == 0 else np.append(lams, -1.0 + 0j)
+    if samples % 2:
+        return np.append(lams, -1.0 + 0j)
+    lams[samples // 2] = -1.0
+    return lams
 
 
 def _grid_period(lams: np.ndarray) -> int:

@@ -1005,6 +1005,21 @@ def test_cesaro_apply_deterministic_replay():
     assert first == second  # identical operation order -> bit-for-bit equality
 
 
+def test_cesaro_means_of_infinite_cells_stay_real():
+    # 1e300 * 1e300 overflows in states 1 and 2 of e_7 + e_8: the sums read inf + 0j there, and the mean scales each
+    # part apart, so no inf * 0 = NaN reaches an imaginary part.  The reference sums the real states in Python floats.
+    spec = BackwardShift(NAT, Explicit((1.0, 2.0, 1e-300, 3.0, 1e300, 1e300)))
+    x = make_vector(NAT, [(7, 1.0), (8, 1.0)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mean = cesaro_apply(spec, x, 10)
+        states = [x] + [power_apply(spec, x, n) for n in range(1, 11)]
+    for k in range(1, 9):
+        want = sum(s.entries.get(k, 0j).real for s in states) / 11
+        got = mean.entries[k]
+        assert got.imag == 0.0 and (got.real == want if math.isinf(want) else got.real == pytest.approx(want, rel=1e-15)), k
+
+
 def test_cesaro_operator_norm_values():
     # M_1(assani) = (I + T)/2 = [[0, 1], [0, 0]]
     assert cesaro_operator_norm(ASSANI, 1) == pytest.approx(1.0, rel=1e-12)
@@ -1121,6 +1136,13 @@ def test_lambda_sweep_matches_stepping_on_non_normal_matrices(period, stack_byte
     for name in ("assani", "hyper4"):
         a = powers.to_matrix(zoo.get_entry(name).spec)
         _assert_sweep(a, period, _stepped_sweep(a, _exact_roots(period), _SWEEP_KS), monkeypatch, stack_bytes)
+
+
+@pytest.mark.parametrize("samples", [4, 7, 8, 64, 65])
+def test_lambda_grid_holds_one_and_minus_one_exactly(samples):
+    lams = lambda_grid(samples)
+    assert len(lams) == samples + samples % 2 and lams[0] == 1
+    assert np.count_nonzero(lams == -1) == 1  # both parts: -1 + 0j, not e^{i pi} rounded
 
 
 def test_lambda_sweep_off_the_grid_is_the_one_point_sweep():

@@ -29,13 +29,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cesarolab.powers as powers
 from cesarolab import zoo
 from cesarolab.classify import (
     ProbeConfig,
     acb_constant,
     checkpoint_set,
     cesaro_bounded_probe,
+    kreiss_resolvent_constant,
     power_bounded_probe,
+    probe_vectors,
+    strong_kreiss_exp_probe,
     uniform_kreiss_probe,
 )
 from cesarolab.core import (
@@ -62,11 +66,13 @@ from cesarolab.core import (
     vec_scale,
     weight_product,
 )
+from cesarolab.dynamics import ergodic_family, hypercyclicity_probe
 from cesarolab.powers import (
     CesaroSum,
     lambda_grid,
     lambda_mean_norms,
     lambda_operator_norms,
+    largest_singular_value,
     make_orbit,
     media_residual_max,
     power_apply,
@@ -315,6 +321,63 @@ def test_probe_reports_do_not_depend_on_a_shared_gain_table(spec, monkeypatch):
     assert shared == alone
 
 
+def _contraction(seed: int, d: int, size: float) -> FiniteMatrix:
+    """A seeded complex d x d matrix scaled to spectral norm size."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    a *= size / np.linalg.norm(a, 2)
+    return FiniteMatrix(tuple(map(tuple, a.tolist())))
+
+
+@pytest.mark.parametrize("spec, windows", [
+    (zoo.get_entry("assani").spec, 1),
+    (zoo.get_entry("hyper4").spec, 1),
+    (_contraction(5, 12, 0.9), 1),
+    (Diagonal(NAT, 0.999 * cmath.exp(0.3j), ((100, 0.5),)), 2),  # the override lies past every probe window
+    (BlockTZ(Diagonal(NAT, cmath.exp(1j))), 2),
+    (Diagonal(NAT, 0.999 * cmath.exp(0.3j), ((2, 0.5), (30, 0.0))), 4),
+], ids=["assani", "hyper4", "contraction12", "diag", "blocktz:diag", "diag:overrides"])
+def test_probe_families_read_one_power_stack(spec, windows, monkeypatch):
+    # Each family of fixed-frame orbits builds one power stack per run of probes whose operators agree byte for byte
+    # (``windows``), and its reports are those of orbits that build their own.  A matrix's probes all read one stack.
+    # A diagonal's width-1 basis windows read one and its wider seeded windows another, unless a basis window sees
+    # another weight (e_2 under the override at 2 sits between e_1 and e_3).  The coverage calls run the longer orbit
+    # first, so the shorter one reads a prefix, while run shortest first the longer one builds its own.  A diagonal's
+    # pb norms are exact.
+    pair = isinstance(spec, BlockTZ)
+    cfg = ProbeConfig(n_max=96, basis_probes=4, seeded_probes=4, probe_support=8, lambda_samples=8, p=2.0 if pair else 1.0)
+    xs = [x for _, x in probe_vectors(spec, cfg)]
+
+    def coverage(ns) -> list:
+        shared: dict = {}
+        return [hypercyclicity_probe(spec, xs[-1], xs[-1], n, shared=shared).to_dict(verbose=True) for n in ns]
+
+    families = {
+        "mean": lambda: [(label, v.to_dict()) for label, v in ergodic_family(spec, "mean", 2**12, seed=3)[1]],
+        "weak": lambda: [(label, v.to_dict()) for label, v in ergodic_family(spec, "weak", 2**12, seed=3)[1]],
+        "lambda": lambda: lambda_mean_norms(spec, xs, lambda_grid(8), checkpoint_set(cfg.n_max), cfg.p).tolist(),
+        "acb": lambda: acb_constant(spec, cfg).to_dict(),
+        "pb": lambda: power_bounded_probe(spec, cfg).to_dict(),
+        "coverage": lambda: coverage((200, 50)),
+        "coverage, shortest first": lambda: coverage((50, 200)),
+    }
+    stacks = {"pb": 0 if isinstance(spec, Diagonal) else windows, "coverage": 1, "coverage, shortest first": 2}
+    builds = []
+    build = powers._power_stack
+    monkeypatch.setattr(powers, "_power_stack", lambda op, size: builds.append(size) or build(op, size))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        shared = {}
+        for name, family in families.items():
+            builds.clear()
+            shared[name] = family()
+            assert len(builds) == stacks.get(name, windows), (name, builds)
+        monkeypatch.setattr(CesaroSum, "_sharing", classmethod(lambda cls, _, *args: cls(*args)))
+        monkeypatch.setattr(powers, "_fixed_stack", lambda op, size, _: powers._power_stack(op, size))  # one each
+        alone = {name: family() for name, family in families.items()}
+    assert shared == alone
+
+
 growing = st.one_of(
     st.builds(lambda a: ForwardShift(NAT, PowerRatio(a, 1)), st.floats(1.0, 300.0)),
     st.builds(lambda r, t: Diagonal(NAT, cmath.rect(r, t)), st.floats(1.5, 1e100), unit),
@@ -424,3 +487,85 @@ def test_lambda_norms_invariant_under_unitary_conjugation(d, size, n, seed):
     ])
     assert np.all(tol <= 1e-12 * tables[0].max())
     assert np.all(np.abs(tables[1] - tables[0]) <= tol), np.max(np.abs(tables[1] - tables[0]) / tol)
+
+
+# ---------------------------------------------------------------------------
+# contractions: ||A||_2 <= 1 bounds the Kreiss, strong Kreiss and uniform Kreiss constants
+
+
+@st.composite
+def contractions(draw):
+    """(d, A) with ||A||_2 <= 1 up to the rounding of its scaling: a seeded complex matrix, or a unitary diagonal of
+    angles on the probes' 16-point argument grid, where the bounds below are attained (A = I attains all three)."""
+    d = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        a *= draw(st.floats(0.0, 1.0)) / np.linalg.norm(a, 2)
+    else:
+        a = np.diag(np.exp(2j * np.pi * np.array(draw(st.lists(st.integers(0, 15), min_size=d, max_size=d))) / 16))
+    return d, a
+
+
+_U = np.finfo(float).eps / 2  # unit roundoff of double
+_U_EXT = np.finfo(np.longdouble).eps / 2  # and of the extended precision the lam sweeps sum in
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(contractions())
+def test_contractions_have_kreiss_constants_at_most_one(case):
+    # Rounding model, as in the lam-sweep tests: a largest singular value of a matrix rounded once to double lies
+    # within 4 eps of its exact value (one rounding, sqrt(d) u <= 1.3 eps for d <= 6, and LAPACK's backward-stable
+    # SVD).  ||A|| <= 1 + eta_A, eta_A the computed norm's excess over 1 plus that 4 eps.
+    # kreiss: |lam| = (1 + delta)|complex(cos t, sin t)| >= (1 + delta)(1 - 3u), so delta ||(lam - A)^-1|| <= delta /
+    # delta' with delta' = delta - 3u (1 + delta) - eta_A.  The LU solve is backward stable with error
+    # f <= gamma_3d 2^(d-1) d ||lam - A|| (growth factor of partial pivoting, Higham ch. 9) plus the rounding u sqrt(d)
+    # (2 + delta) of lam - A, so the computed value is at most delta / (delta' - f) (1 + 4 eps).
+    # sk: ||e^(zA)|| e^-|z| <= e^(|z| eta_A).  matrix_exponential's series for b = zA / 2^s (||b||_1 <= 1/2) is within
+    # e_s = sqrt(d) 3e-14 + 100 d u of e^b relative to e^(|z| ||A|| / 2^s) (its 1e-14 tail test in the 1-norm, ~30
+    # rounded terms), and each of the s squarings at most doubles that relative error and adds gamma_d, so the value
+    # is at most e^(|z| (eta_A + (sqrt(d) + 2) u)) (1 + 2^s (e_s + d u) + 4 eps), the u terms from z A and e^-|z|.
+    d, a = case
+    spec = FiniteMatrix(tuple(map(tuple, a.tolist())))
+    eps = 2 * _U
+    eta_a = max(float(np.linalg.norm(a, 2)) - 1.0, 0.0) + 4 * eps
+    gamma = lambda n: n * _U / (1 - n * _U)  # noqa: E731
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kreiss = kreiss_resolvent_constant(spec, zoo.KREISS_DELTAS)
+        strong = strong_kreiss_exp_probe(spec)
+    for delta, value, _ in kreiss.parameters["per_delta"]:
+        low = delta - 3 * _U * (1 + delta) - eta_a - gamma(3 * d) * 2 ** (d - 1) * d * (2 + delta) - _U * math.sqrt(d) * (2 + delta)
+        assert value <= delta / low * (1 + 4 * eps), (delta, value)
+    norm1 = float(np.abs(a).sum(axis=0).max())
+    for r, value, _ in strong.parameters["per_radius"]:
+        s = max(math.ceil(math.log2(r * norm1)) + 2, 0) if norm1 else 0  # at least matrix_exponential's squarings
+        e_s = math.sqrt(d) * 3e-14 + 100 * d * _U
+        bound = math.exp(r * (eta_a + (math.sqrt(d) + 2) * _U)) * (1 + 2**s * (e_s + d * _U) + 4 * eps)
+        assert value <= bound, (r, value, bound)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(contractions(), st.sampled_from([8, 64]))
+def test_contraction_lambda_sweeps_are_bounded_by_the_averaged_power_norms(case, samples):
+    # ||M_k(lam A)|| <= S_k = (1/(k+1)) sum_{m<=k} ||A^m|| by the triangle inequality.  Each computed table entry lies
+    # within 4 eps (sum_r ||B_r(k)|| / (k+1) + ||M_k||) <= 8 eps S_k of its exact value (the rounding of the residue
+    # DFT, as in the lam-sweep tests; sum_r ||B_r(k)|| <= sum_m ||A^m||), plus the extended-precision sums and
+    # doubling products, (k + 2 d log2(k + 2) + log2 L + 2) u_ext S_k.  S_k is summed from norms of the powers in
+    # ``_power_stack`` (built in extended precision and rounded once), each within 4 eps.  cb's lam = 1 sweep
+    # (L = 1) and uk's lam = 1 row (L = samples) thus differ by at most twice that error.
+    d, a = case
+    spec = FiniteMatrix(tuple(map(tuple, a.tolist())))
+    eps = 2 * _U
+    n_max = 64
+    ks = checkpoint_set(n_max)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        uk = lambda_operator_norms(spec, lambda_grid(samples), ks)
+        cb = lambda_operator_norms(spec, [1.0], list(range(1, n_max + 1)))[0]
+        norms = np.concatenate(([1.0], largest_singular_value(powers._power_stack(a, n_max))))
+    s = np.array([math.fsum(norms[: k + 1]) / (k + 1) for k in ks])
+    ext = np.array([(k + 2 * d * math.log2(k + 2) + math.log2(samples) + 2) * _U_EXT for k in ks])
+    err = (8 * eps + ext) * s
+    assert np.all(uk <= s * (1 + 4 * eps) + err), np.max(uk - s)
+    assert np.all(np.abs(cb[np.array(ks) - 1] - uk[0]) <= 2 * err), np.max(np.abs(cb[np.array(ks) - 1] - uk[0]) / err)
