@@ -628,10 +628,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
         return _replay(args) if getattr(args, "replay", None) else args.func(args)
+    except SystemExit as exc:  # argparse: usage errors and --help
+        return int(exc.code or 0)
     except OperatorParseError as exc:
         print(exc.pretty(), file=sys.stderr)
         return 2
@@ -641,6 +640,8 @@ def main(argv=None) -> int:
     except Exception as exc:  # runtime failure
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 1
+    finally:  # the power stack and gain table held for the command's probe families
+        powers.drop_tables()
 
 
 if __name__ == "__main__":

@@ -257,22 +257,20 @@ def circle_cell_count(r: float, cell: float, radius: float = 1.0) -> int:
     return count
 
 
-def hypercyclicity_probe(
-    spec: OperatorSpec, x, y, n_max: int, r: float = 40.0, cell: float = 1.0, *, shared: dict | None = None
-) -> CoverageReport:
+def hypercyclicity_probe(spec: OperatorSpec, x, y, n_max: int, r: float = 40.0, cell: float = 1.0) -> CoverageReport:
     """Grid coverage of the pairing values <T^n x, y> for n = 0..n_max.
 
     Values are binned into the [-r, r]^2 grid; coverage is the hit fraction.
     Evidence only: a fixed window sees a prefix of an unbounded orbit, and the
     report records the max orbit magnitude so callers can rescale r.  Calls
-    that pass one ``shared`` dict read one power stack (``make_orbit``).
+    on one fixed frame read one power stack (``make_orbit``).
     """
     if n_max < 1:
         raise ParameterError("n_max must be >= 1")
     if r <= 0 or cell <= 0:
         raise ParameterError("region half-width and cell size must be positive")
     per_side = int(math.ceil(2.0 * r / cell))
-    orbit = make_orbit(spec, x, n_max, shared)
+    orbit = make_orbit(spec, x, n_max)
     hits: set[tuple[int, int]] = set()
     mag_max = 0.0
     values = np.array([orbit.inner_with(y)])
@@ -336,21 +334,19 @@ def _cauchy_verdict(
     return ErgodicVerdict(mode, status, limit_estimate, final, tuple(gaps), tuple(parity_gaps))
 
 
-def mean_ergodic_probe(
-    spec: OperatorSpec, x, n_max: int = 2**14, p: float = 2.0, *, shared: dict | None = None
-) -> ErgodicVerdict:
+def mean_ergodic_probe(spec: OperatorSpec, x, n_max: int = 2**14, p: float = 2.0) -> ErgodicVerdict:
     """Cauchy test on ||M_{2n} x - M_n x||_p across dyadic n <= n_max.
 
     Once the orbit state is exactly zero the running sum is frozen and the
     remaining dyadic means are scalar multiples of it, so the ladder finishes
-    analytically.  Probes that pass one ``shared`` dict read one power stack
-    (``CesaroSum._sharing``).
+    analytically.  Probes of one fixed frame read one power stack
+    (``make_orbit``).
     """
     if n_max < 8:
         raise ParameterError("n_max must be >= 8")
     dyadic = _dyadic_upto(n_max)
     checkpoints = sorted(set(dyadic) | {n + 1 for n in dyadic if n + 1 <= n_max})
-    acc = CesaroSum._sharing(shared, spec, x, n_max)
+    acc = CesaroSum(spec, x, n_max)
     means = {}  # dyadic means still waiting for M_{n+1} or M_{2n}
     gaps = []
     parity_gaps = []
@@ -393,15 +389,13 @@ def _inner_stream_stop(spec: OperatorSpec, x, y) -> int | None:
     return max(stop + margin, 0)
 
 
-def weak_ergodic_probe(
-    spec: OperatorSpec, x, y, n_max: int = 2**14, *, shared: dict | None = None
-) -> ErgodicVerdict:
+def weak_ergodic_probe(spec: OperatorSpec, x, y, n_max: int = 2**14) -> ErgodicVerdict:
     """Cauchy test on <M_n(T) x, y> across dyadic n <= n_max.
 
     For one-directional shifts (and their BlockTZ extensions) the pairing
     stream vanishes once the orbit support passes y, so the partial sums
     freeze and the remaining checkpoints are evaluated analytically.  Probes
-    that pass one ``shared`` dict read one power stack (``make_orbit``).
+    of one fixed frame read one power stack (``make_orbit``).
     """
     if n_max < 8:
         raise ParameterError("n_max must be >= 8")
@@ -409,7 +403,7 @@ def weak_ergodic_probe(
     checkpoints = sorted(set(dyadic) | {n + 1 for n in dyadic if n + 1 <= n_max})
     stop = _inner_stream_stop(spec, x, y)
     hard_stop = n_max if stop is None else min(stop, n_max)
-    orbit = make_orbit(spec, x, hard_stop, shared)
+    orbit = make_orbit(spec, x, hard_stop)
     total = orbit.inner_with(y)
     comp = 0j
     mus: dict[int, complex] = {}
@@ -430,15 +424,12 @@ def ergodic_family(spec: OperatorSpec, mode: str, n_max: int, seed: int = DEFAUL
 
     Returns (status, [(label, verdict), ...]); any diverged probe makes the
     family diverged, and it converges only when every probe converges.  The
-    probes of a fixed frame read one power stack, built for the first probe
-    and dropped on return.
+    probes of a fixed frame read one power stack, built for the first probe.
     """
     if mode not in ("mean", "weak"):
         raise ParameterError(f"mode must be mean or weak, got {mode!r}")
-    shared: dict = {}
     results = [
-        (label, mean_ergodic_probe(spec, x, n_max, shared=shared) if mode == "mean"
-         else weak_ergodic_probe(spec, x, x, n_max, shared=shared))
+        (label, mean_ergodic_probe(spec, x, n_max) if mode == "mean" else weak_ergodic_probe(spec, x, x, n_max))
         for label, x in probe_vectors(spec, ProbeConfig(basis_probes=4, seeded_probes=4, seed=seed))
     ]
     statuses = [v.status for _, v in results]

@@ -3,7 +3,7 @@
 Every orbit is a frame, whose states, norms, pairings and Cesàro sums are
 read off a closed form: a matrix or a diagonal (and BlockTZ over it) is a
 fixed frame stepped B powers per numpy call off a power stack A^1 .. A^B built
-in extended precision once per probe family (B set by a 1 MiB cap); a
+in extended precision (B set by a 1 MiB cap); a
 weighted shift is a translating frame read off one cumulative product table;
 the duplicating shift is the unweighted shift plus a plateau; BlockTZ
 composes its inner frame (``_WindowOrbit``).  No orbit steps, and no table
@@ -14,7 +14,10 @@ one-point grid [1].  On
 the roots-of-unity grid a fixed frame's sums are one inverse DFT of
 compensated (TwoSum) residue-class sums, as ``lambda_operator_norms`` reads a
 matrix's extended-precision power stack; any other lam is the one-point
-grid of lam T.
+grid of lam T (``_lambda_parts``).  The last power stack and the last gain
+table mu^u are held by the bytes they are built from (``_held``), so a probe
+family builds each once; a prefix of a longer table is the shorter one bit for
+bit, so holding never changes a result.
 """
 
 from __future__ import annotations
@@ -68,6 +71,7 @@ __all__ = [
     "largest_singular_value",
     "matrix_exponential",
     "make_orbit",
+    "drop_tables",
     "shift_direction",
     "CesaroSum",
     "compensated_add",
@@ -105,17 +109,6 @@ class NormSeq:
 
     def values(self) -> list[float]:
         return [v for _, v in self.entries]
-
-    def dyadic(self, start: int = 1) -> "NormSeq":
-        """Subsequence at n = start, 2*start, 4*start, ... (keeps present entries only)."""
-        wanted = set()
-        n = start
-        top = self.entries[-1][0] if self.entries else 0
-        while n <= top:
-            wanted.add(n)
-            n *= 2
-        kept = tuple((n, v) for n, v in self.entries if n in wanted)
-        return NormSeq(kept, self.kind, self.p)
 
 
 # ---------------------------------------------------------------------------
@@ -274,22 +267,39 @@ def _power_stack(op: np.ndarray, size: int) -> np.ndarray:
     return stack.astype(complex)
 
 
-def _fixed_stack(op: np.ndarray, size: int, shared: dict | None) -> np.ndarray:
-    """op^1 .. op^size (``_power_stack``), read off the stack that ``shared`` holds when that is op's to at least
-    size powers, else built and held there in its place.
+_held: dict = {}  # "stack" and "mu": (key, table), the last power stack and gain table (``_hold``)
 
-    A prefix of a longer stack is the shorter stack to the bit: the doubling
-    forms each power from the same two factors whatever the length.  The
-    orbit's own block length stays size, which sets the bits of every later
-    block.  Orbits whose operators agree byte for byte (the probes of one
-    matrix, windows of one diagonal that see the same weights) read one stack.
+
+def drop_tables() -> None:
+    """Drop the held power stack and gain table (``_fixed_stack``, ``CesaroSum._prefix_sums``) as a command ends."""
+    _held.clear()
+
+
+def _hold(name: str, key, fits, build):
+    """The table held under name when it was built for key and fits(table), else build(), held in its place.
+
+    Another key's table is dropped before the new one is built; a longer one for the same key is built first, since
+    freeing the shorter first moves glibc's dynamic mmap threshold, and the sums of fshift:alpha=0.4's uk family then
+    ran 15-20 % slower (2-vCPU x86-64 host).  The caller reads the table returned, never the holder, which another
+    thread may change.
     """
-    if shared is None:
-        return _power_stack(op, size)
-    key = op.shape, op.tobytes()
-    if shared.get("stack_key") != key or len(shared["stack"]) < size:
-        shared["stack_key"], shared["stack"] = key, _power_stack(op, size)
-    return shared["stack"][:size]
+    held = _held.get(name)
+    if held is not None and held[0] != key:
+        _held.pop(name, None)
+        held = None
+    if held is None or not fits(held[1]):
+        held = _held[name] = key, build()
+    return held[1]
+
+
+def _fixed_stack(op: np.ndarray, size: int) -> np.ndarray:
+    """op^1 .. op^size (``_power_stack``), held by op's bytes (``_hold``): orbits whose operators agree byte for byte
+    (the probes of one matrix, windows of one diagonal that see the same weights) read one stack.
+
+    A prefix of a longer stack is the shorter stack to the bit: the doubling forms each power from the same two
+    factors whatever the length.  The orbit's own block length stays size, which sets the bits of every later block.
+    """
+    return _hold("stack", (op.shape, op.tobytes()), lambda stack: len(stack) >= size, lambda: _power_stack(op, size))[:size]
 
 
 def _apply_powers(stack: np.ndarray, vals: np.ndarray) -> np.ndarray:
@@ -318,8 +328,8 @@ class _Orbit:
     floor = None  # lowest index of the universe, when the window must not pass it
     d = 0  # coordinates the window moves per step: +-1 for a shift, 0 for a fixed frame
     horizon = 0  # steps the caller asked for; the power stack never exceeds what is left
+    held = True  # whether a fixed frame reads its power stack through the held one (``_fixed_stack``)
     _stack = None
-    _shared = None  # the dict of a probe family whose orbits read one power stack (``_fixed_stack``)
 
     def span(self, n_max: int) -> tuple[int, int]:
         """Coordinates the state can occupy within n_max steps, inside the universe."""
@@ -400,9 +410,9 @@ class _Orbit:
 
         A translating frame reads them off its product table, in travel order, up
         to its death index, as mantissas and the exponents that scale them
-        (``_exact``); a fixed frame off a power stack A^1 .. A^B built once per
-        probe family (``_fixed_stack``), B filling a 1 MiB cap but not past the
-        horizon.  The first exactly zero state of an orbit that can die ends it.
+        (``_exact``); a fixed frame off a power stack A^1 .. A^B, which the
+        orbits of A share (``_fixed_stack``), B filling a 1 MiB cap but not past
+        the horizon.  The first exactly zero state of an orbit that can die ends it.
         """
         while count > 0 and not self.dead:
             first, exps = self.steps + 1, None
@@ -411,7 +421,7 @@ class _Orbit:
             else:
                 if self._stack is None:
                     size = min(max(_STACK_BYTES // (16 * self._op.size), 1), max(self.horizon - self.steps, count))
-                    self._stack = _fixed_stack(self._op, size, self._shared)
+                    self._stack = (_fixed_stack if self.held else _power_stack)(self._op, size)
                 states, plateau = _apply_powers(self._stack[: min(count, len(self._stack))], self.vals), None
             if self.can_die:
                 zero = ~states.reshape(len(states), -1).any(axis=1) & (True if plateau is None else ~plateau.any(axis=1))
@@ -583,9 +593,9 @@ class _WindowOrbit(_Orbit):
     ``lo`` is (``_unhold``).
     """
 
-    def __init__(self, spec: OperatorSpec, x, n_max: int, shared: dict | None = None):
+    def __init__(self, spec: OperatorSpec, x, n_max: int):
         base, scalar, self.kappa, self.d = _frame_spec(spec)
-        self.universe, self._shared = x.universe, shared
+        self.universe = x.universe
         self.lo, self.vals = _dense(x)
         self.rows, width = self.vals.shape
         self.horizon = n_max
@@ -722,20 +732,19 @@ class _MatrixOrbit(_Orbit):
     lo = 1
     fixed = True
 
-    def __init__(self, spec: OperatorSpec, x, n_max: int, shared: dict | None = None):
-        self._op, self._shared = to_matrix(spec), shared
+    def __init__(self, spec: OperatorSpec, x, n_max: int):
+        self._op = to_matrix(spec)
         self.universe = spec_universe(spec)
         self.horizon = n_max
         self.rows = 2 if isinstance(x, PairVec) else 1
         self.vals = _dense(x, 1, self._op.shape[0] // self.rows)[1]
 
 
-def make_orbit(spec: OperatorSpec, x, n_max: int, shared: dict | None = None):
+def make_orbit(spec: OperatorSpec, x, n_max: int):
     """Exact engine for T^k x, k <= n_max: a matrix for finite specs, a window over the base operator otherwise.
 
-    The orbits of one probe family pass one dict as ``shared``: a fixed frame's
-    power stack is then built once for all of them (``_fixed_stack``), and is
-    dropped with the dict.
+    A fixed frame reads the held power stack when that is its operator's
+    (``_fixed_stack``), so the orbits of one probe family build it once.
     """
     if expects_pair(spec) != isinstance(x, PairVec):
         kind = "ordered pairs of vectors" if expects_pair(spec) else "plain sparse vectors"
@@ -743,8 +752,8 @@ def make_orbit(spec: OperatorSpec, x, n_max: int, shared: dict | None = None):
     if x.universe != spec_universe(spec):
         raise DomainError(f"vector universe {x.universe} does not match operator universe {spec_universe(spec)}")
     if spec_dim(spec) is not None:
-        return _MatrixOrbit(spec, x, n_max, shared)
-    return _WindowOrbit(spec, x, n_max, shared)
+        return _MatrixOrbit(spec, x, n_max)
+    return _WindowOrbit(spec, x, n_max)
 
 
 def shift_direction(spec: OperatorSpec) -> int | None:
@@ -765,23 +774,22 @@ class CesaroSum:
     Once the orbit state is exactly zero the sums freeze.  On a translating
     frame they are written off the product table (``_write``) with gains
     mu^u W(u), mu = lam s, read off running products mu^u, mantissas and
-    exponents like the table.  The sums of one probe family share those, or
-    a fixed frame's power stack (``_sharing``).  The prefix sums of the terms
+    exponents like the table, which the sums of one mu read off the held table
+    (``_prefix_sums``).  The prefix sums of the terms
     mu^-i a(i) are taken in extended precision (a window whose weights span
     more than the extended range loses the terms below it) and read at their
     own powers of two, so a cell is the double product of a plain table
     wherever that is normal.  A
-    fixed frame folds its states into compensated sums (``compensated_add``):
-    on ``lambda_grid(L)`` (``_grid_period``) state k into residue class k mod
-    L, whose sums one inverse DFT reads at the exact roots e^{2 pi i j/L}, in
-    extended precision and rounded once; any other lam is the one-point sum
-    of lam T, T's own orbit for lam = 1, which stays correctly rounded.
+    fixed frame folds its states into compensated sums (``compensated_add``),
+    one fold per part of the grid (``_lambda_parts``): on a head
+    ``lambda_grid(L)`` state k into residue class k mod L, whose sums one
+    inverse DFT reads at the exact roots e^{2 pi i j/L}, in extended precision
+    and rounded once; any other lam into the one-point sum of lam T (T's own
+    orbit for lam = 1), which reads its compensated total, correctly rounded.
     """
 
-    _shared: dict | None = None  # the running products mu^u or the power stack, shared by the sums of one family
-
     def __init__(self, spec: OperatorSpec, x, n_max: int, lams=(1.0,)):
-        self.orbit = make_orbit(spec, x, n_max, self._shared)
+        self.orbit = make_orbit(spec, x, n_max)
         self.lams = np.asarray(lams, dtype=complex)
         if np.any(np.abs(np.abs(self.lams) - 1.0) > 1e-12):
             raise ParameterError("lam must be unimodular")
@@ -793,24 +801,16 @@ class CesaroSum:
             self._prefix_sums()
         state_cols, self._live = self._overlap()  # columns that can be nonzero; a translating frame narrows them
         self.sum[:, :, self._live] = self.orbit.vals[:, state_cols]
-        if not self.orbit.translating:  # state 0 opens class 0 and T's own sum; a compensated sum is total - comp
-            period = self._period = _grid_period(self.lams)
+        if not self.orbit.translating:  # (orbit, [(rows, classes)]), T's own first: it advances even when no part reads it
+            self._folds = [(self.orbit, [])]
             x0 = self.sum[0].ravel()
-            self._classes = np.zeros((2, period, x0.size), dtype=complex)
-            self._classes[0, :1] = x0
-            self._one = (x0.copy(), np.zeros_like(x0))
-            self._unit = period + np.flatnonzero(self.lams[period:] == 1)
-            self._scaled = [(j, CesaroSum(scale(lam, spec), x, n_max)) for j, lam in enumerate(self.lams) if j >= period and lam != 1]
-
-    @classmethod
-    def _sharing(cls, shared: dict, spec: OperatorSpec, x, n_max: int, lams=(1.0,)) -> "CesaroSum":
-        """A sum that reads mu^u or its orbit's power stack off ``shared``, and stores a longer one there when it
-        needs one: the sums of one spec on one grid take prefixes of the same running products, and of the same
-        power stack (``_fixed_stack``)."""
-        acc = cls.__new__(cls)
-        acc._shared = shared
-        acc.__init__(spec, x, n_max, lams)
-        return acc
+            for lam, period, rows in _lambda_parts(self.lams):
+                classes = np.zeros((2, period, x0.size), dtype=complex)  # a compensated sum is total - comp
+                classes[0, 0] = x0  # state 0 opens class 0
+                if lam != 1:  # lam T's own orbit and stack, which leaves T's held for the family's next sum
+                    self._folds.append((make_orbit(scale(lam, spec), x, n_max), []))
+                    self._folds[-1][0].held = False
+                self._folds[0 if lam == 1 else -1][1].append((rows, classes))
 
     def _prefix_sums(self) -> None:
         """Prefix sums of mu^-i a(i) (and mu^-i b(i), i mu^-i b(i)), times lam if padded; their references R per lam
@@ -826,11 +826,13 @@ class CesaroSum:
             inverse = np.ones((len(mus), width), dtype=np.clongdouble)
             inverse[:, 1:] = 1 / mus[:, None].astype(np.clongdouble)
             factor = factor * np.cumprod(inverse, axis=1) * self.lams[:, None] ** o._pad
-            shared = {} if self._shared is None else self._shared
-            if "mu" not in shared or shared["mu"][0].shape[1] < len(o._wt):  # a longer table's prefix is the shorter one
+
+            def gains():  # mu^u for u < len(W), and whether an exponent is nonzero
                 m, e = _running_products(mus[:, None], len(o._wt) - 1)
-                shared["mu"] = m, e, bool(e.any())
-            self._mu, self._mu_exps, mu_exps = shared["mu"]
+                return m, e, bool(e.any())
+
+            # a longer table's prefix is the shorter one
+            self._mu, self._mu_exps, mu_exps = _hold("mu", mus.tobytes(), lambda t: t[0].shape[1] >= len(o._wt), gains)
         terms = terms * (factor if factor.ndim == 1 else factor[:, None, None, :])
         self._prefix = np.zeros((*terms.shape[:-1], width + 1), dtype=np.clongdouble)
         np.cumsum(terms, axis=-1, out=self._prefix[..., 1:])
@@ -939,29 +941,23 @@ class CesaroSum:
 
     def advance_to(self, n: int) -> None:
         """Move the sums to index n (never backwards)."""
-        orbit, k = self.orbit, self.stepped
+        orbit = self.orbit
         if orbit.translating:
             orbit.advance(n)
-            if (k := orbit.steps) != self.stepped:
+            if orbit.steps != self.stepped:
                 with np.errstate(over="ignore"):  # a plateau whose exact value overflows reads inf
-                    self._write(k)
+                    self._write(orbit.steps)
         else:
-            for first, states, _, _ in orbit._states(n - k):
-                k += len(states)
-                if self._unit.size:
-                    self._one = compensated_add(*self._one, states)
-                if period := self._period:  # state first + i into class (first + i) mod L: pad to whole rows of classes
-                    head = first % period
-                    block = np.pad(states, ((head, -(head + len(states)) % period), (0, 0)))
-                    self._classes = compensated_add(*self._classes, block.reshape(-1, period, states.shape[1]))
             flat = self.sum.reshape(len(self.lams), -1)
-            flat[self._unit] = self._one[0]
-            if self._period:  # rounded once into the sums
-                flat[: self._period] = np.fft.ifft(self._classes[0].astype(np.clongdouble) - self._classes[1], axis=0, norm="forward")
-            for j, acc in self._scaled:
-                acc.advance_to(n)
-                flat[j] = acc.sum[0].ravel()
-        self.stepped, self.n = k, n
+            for part_orbit, folds in self._folds:
+                for first, states, _, _ in part_orbit._states(n - part_orbit.steps):
+                    for _, classes in folds:  # state k into class k mod L: pad to whole rows of classes
+                        period = classes.shape[1]
+                        block = np.pad(states, ((first % period, -(first + len(states)) % period), (0, 0))) if period > 1 else states
+                        classes[:] = compensated_add(*classes, block.reshape(-1, period, states.shape[1]))
+                for rows, (total, comp) in folds:  # rounded once into the sums
+                    flat[rows] = total if len(total) == 1 else np.fft.ifft(total.astype(np.clongdouble) - comp, axis=0, norm="forward")
+        self.stepped, self.n = orbit.steps, n
 
     def norms(self, p: float) -> np.ndarray:
         """||M_n(lam T) x||_p for every lam of the grid."""
@@ -979,12 +975,8 @@ class CesaroSum:
         return _lp_norm(mags / (self.n + 1), p, axis=1)
 
     def mean(self) -> np.ndarray:
-        """M_n(T) x on the accumulator's coordinates (first grid point).
-
-        The real and imaginary parts are scaled apart: a complex product by a
-        real would add inf * 0 = NaN to the other part of an infinite cell.
-        """
-        return (self.sum[0].view(float) * (1.0 / (self.n + 1))).view(complex)
+        """M_n(T) x on the accumulator's coordinates (first grid point), scaled by parts (``_times``)."""
+        return _times(self.sum[0], 1.0 / (self.n + 1))
 
     def state(self) -> np.ndarray:
         """The current orbit state on the accumulator's coordinates."""
@@ -1019,19 +1011,24 @@ def compensated_add(total, comp, values: np.ndarray):
     return total, comp
 
 
+def _times(z: np.ndarray, c: float) -> np.ndarray:
+    """z times the real c, real and imaginary parts apart: a complex product would add inf * 0 = NaN to the other
+    part of an infinite entry.  z is contiguous."""
+    return (z.view(float) * c).view(complex)
+
+
 def lambda_mean_norms(spec: OperatorSpec, xs, lams, checkpoints: list[int], p: float) -> np.ndarray:
     """||M_n(lam T) x||_p at each checkpoint for every lam and every vector x of xs; shape (len(xs), len(lams),
     len(checkpoints)).
 
     The vectors are summed one at a time, each as its own ``CesaroSum``; they
-    share the running products mu^u, which only a wider window than any before
-    it rebuilds, and a fixed frame's power stack, built for the first vector
-    (``CesaroSum._sharing``).  Both are dropped on return.
+    read the held running products mu^u, which only a wider window than any
+    before it rebuilds, and a fixed frame's held power stack, built for the
+    first vector.
     """
-    shared: dict = {}
     out = np.zeros((len(xs), len(lams), len(checkpoints)))
     for v, x in enumerate(xs):
-        acc = CesaroSum._sharing(shared, spec, x, checkpoints[-1], lams)
+        acc = CesaroSum(spec, x, checkpoints[-1], lams)
         for j, n in enumerate(checkpoints):
             acc.advance_to(n)
             out[v, :, j] = acc.norms(p)
@@ -1212,26 +1209,30 @@ def lambda_grid(samples: int) -> np.ndarray:
     return lams
 
 
-def _grid_period(lams: np.ndarray) -> int:
-    """L when lams is exactly ``lambda_grid(L)``, element for element (lams[L:] is then the -1 of an odd grid), else 0."""
-    return next((s for s in (len(lams), len(lams) - 1) if s > 0 and np.array_equal(lams, lambda_grid(s))), 0)
+def _lambda_parts(lams: np.ndarray) -> list[tuple[complex, int, list[int]]]:
+    """The parts (lam, L, rows) that the sums over lams split into: (1, L, [0 .. L-1]) when lams begins with
+    ``lambda_grid(L)`` (the -1 that an odd grid appends is not part of it), and (lam, 1, [j]) for every other lam."""
+    size = 0
+    if len(lams) > 1 and lams[0] == 1 and (angle := float(np.angle(lams[1]))) > 0:  # lams[1] = e^{2 pi i/L}
+        period = round(2 * math.pi / angle)
+        if period <= len(lams) and np.array_equal(lams[: period + period % 2], lambda_grid(period)):
+            size = period
+    head = [(1, size, list(range(size)))] if size else []
+    return head + [(lam, 1, [j]) for j, lam in enumerate(lams) if j >= size]
 
 
 def lambda_operator_norms(spec: OperatorSpec, lams, checkpoints: list[int]) -> np.ndarray:
     """Exact ||M_n(lam T)|| at sorted checkpoints n >= 0 for every lam; shape (len(lams), len(checkpoints)).
 
-    When lams is exactly ``lambda_grid(L)`` (``_grid_period``), the L roots
-    of unity are one residue-DFT sweep (``_residue_norms``) over the powers of
-    A, evaluated at the exact roots e^{2 pi i j/L}; any other lam (and the -1
-    of an odd grid) is the one-point sweep of lam A.  A mean that holds a
-    non-finite entry reads as inf.
+    The L roots of unity of a head ``lambda_grid(L)`` (``_lambda_parts``) are
+    one residue-DFT sweep (``_residue_norms``) over the powers of A, evaluated
+    at the exact roots e^{2 pi i j/L}; any other lam (and the -1 of an odd
+    grid) is the one-point sweep of lam A.  A mean that holds a non-finite
+    entry reads as inf.
     """
-    lams = np.asarray(lams, dtype=complex)
     a = to_matrix(spec)
-    size = _grid_period(lams)
-    rows = [_residue_norms(a, size, checkpoints)] if size else []
-    rows += [_residue_norms(lam * a, 1, checkpoints) for lam in lams[size:]]
-    return np.vstack(rows)
+    parts = _lambda_parts(np.asarray(lams, dtype=complex))
+    return np.vstack([_residue_norms(a if period > 1 else lam * a, period, checkpoints) for lam, period, _ in parts])
 
 
 def _residue_norms(a: np.ndarray, period: int, checkpoints: list[int]) -> np.ndarray:
@@ -1301,19 +1302,23 @@ def media_residual(spec: OperatorSpec, x, n: int, p: float) -> float:
 
 
 def media_residual_max(spec: OperatorSpec, x, n_max: int, p: float, from_n: int = 1) -> float:
-    """Max residual of the mean identity over n in [from_n, n_max] (one orbit pass)."""
+    """Max residual of the mean identity over n in [from_n, n_max] (one orbit pass), states and means scaled by
+    parts (``_times``); a residual that is not finite raises FloatingPointError naming its n."""
     if n_max < 1 or from_n < 1 or from_n > n_max:
         raise ParameterError("need 1 <= from_n <= n_max")
     acc = CesaroSum(spec, x, n_max)
     prev_mean = acc.mean()
     worst = 0.0
-    for n in range(1, n_max + 1):
-        acc.advance_to(n)
-        mean = acc.mean()
-        if n >= from_n:
-            lhs = acc.state() * (1.0 / (n + 1))
-            worst = max(worst, acc.gap(lhs, mean - prev_mean * (n / (n + 1)), p))
-        prev_mean = mean
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, n_max + 1):
+            acc.advance_to(n)
+            mean = acc.mean()
+            if n >= from_n:
+                gap = acc.gap(_times(acc.state(), 1.0 / (n + 1)), mean - _times(prev_mean, n / (n + 1)), p)
+                if not math.isfinite(gap):
+                    raise FloatingPointError(f"the mean identity residual is not finite at n={n}: the orbit overflows")
+                worst = max(worst, gap)
+            prev_mean = mean
     return worst
 
 

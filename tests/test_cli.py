@@ -8,12 +8,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cesarolab import zoo
+from cesarolab import powers, zoo
 from cesarolab.cli import main, parse_operator, parse_vector, OperatorParseError
 from cesarolab.core import (
     BackwardShift,
     BilateralShift,
     BlockTZ,
+    Diagonal,
     Explicit,
     FiniteMatrix,
     ForwardShift,
@@ -23,7 +24,7 @@ from cesarolab.core import (
     basis_vector,
     weight_product,
 )
-from cesarolab.powers import power_apply, power_norm_exact
+from cesarolab.powers import lambda_grid, lambda_mean_norms, power_apply, power_norm_exact
 
 
 def run_cli(argv):
@@ -572,3 +573,18 @@ def test_exit_code_contract():
     assert run_cli(["zoo", "list"])[0] == 0
     assert run_cli(["classify", "not-a-thing", "--probes", "cb"])[0] == 2
     assert run_cli(["classify", "bshift:alpha="])[0] == 2
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["classify", "diag:0.5,dim=3", "--probes", "acb,uk", "--n-max", "64"], 0),
+    (["classify", "bshift:alpha=0.25", "--probes", "uk", "--n-max", "64"], 0),
+    (["classify", "bshift:alpha="], 2),
+    (["classify", "rotation", "--no-such-flag"], 2),
+])
+def test_a_command_leaves_no_table_held(argv, code):
+    # a stack and a gain table are held before the command (a library call) and while it runs; none after it
+    lambda_mean_norms(Diagonal(NAT, 0.5), [basis_vector(NAT, 1)], lambda_grid(8), [8], 2.0)
+    lambda_mean_norms(ForwardShift(NAT, PowerRatio(0.4, 1)), [basis_vector(NAT, 1)], lambda_grid(8), [8], 2.0)
+    assert set(powers._held) == {"stack", "mu"}
+    assert run_cli(argv)[0] == code
+    assert not powers._held

@@ -1146,14 +1146,19 @@ def test_lambda_grid_holds_one_and_minus_one_exactly(samples):
 
 
 def test_lambda_sweep_off_the_grid_is_the_one_point_sweep():
-    # a grid that is not lambda_grid(L) element for element reads each lam as the one-point sweep of lam A
-    lams = lambda_grid(8)
-    lams[3] *= 1 + 2**-52
+    # a grid that is not lambda_grid(L) element for element reads each lam as the one-point sweep of lam A; a list
+    # that begins with lambda_grid(L) reads its L roots as that grid does, and each lam after them one-point
     a = np.array([[-1.0, 2.0], [0.0, -1.0]])
-    table = lambda_operator_norms(ASSANI, lams, _SWEEP_KS)
-    for lam, row in zip(lams, table):
-        spec = FiniteMatrix(tuple(map(tuple, (lam * a).tolist())))
-        assert row.tolist() == lambda_operator_norms(spec, [1.0], _SWEEP_KS)[0].tolist()
+    off = lambda_grid(8)
+    off[3] *= 1 + 2**-52
+    head = lambda_operator_norms(ASSANI, lambda_grid(7), _SWEEP_KS)[:7]
+    for lams in (off, [1j], [1j, 1], [*lambda_grid(7), 1]):
+        table = lambda_operator_norms(ASSANI, lams, _SWEEP_KS)
+        grid = 7 if len(lams) == 9 else 0
+        assert table[:grid].tolist() == head[:grid].tolist()
+        for lam, row in zip(lams[grid:], table[grid:], strict=True):
+            spec = FiniteMatrix(tuple(map(tuple, (lam * a).tolist())))
+            assert row.tolist() == lambda_operator_norms(spec, [1.0], _SWEEP_KS)[0].tolist()
 
 
 _FOLD_KS = [0, 1, 5, 63, 64, 65, 1000, 4097, 2**16]
@@ -1206,20 +1211,26 @@ def test_fixed_frame_grid_sums_are_residue_sums_at_the_exact_roots(period):
 
 def test_fixed_frame_sums_off_the_grid_are_one_point_sums():
     # a grid that is not lambda_grid(L) element for element reads each lam as the one-point sum of lam T, as does the
-    # -1 of an odd grid; lam = 1 is T's own orbit
+    # -1 of an odd grid and every lam after a head lambda_grid(L), whose rows are that grid's; lam = 1 is T's own
+    # orbit, which advances (the state is T^n x) whether or not a lam = 1 reads it
     off = lambda_grid(8)
     off[3] *= 1 + 2**-52
+    cases = ((off, range(8)), (lambda_grid(7), [7]), ([1j], [0]), ([1j, 1], [0, 1]), ([*lambda_grid(7), 1], [7, 8]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for spec, x, _ in _exact_fixed_frame_cases():
-            for lams, rows in ((off, range(8)), (lambda_grid(7), [7])):
+            for lams, rows in cases:
                 for n in (1, 7, 64, 1000):
                     acc = CesaroSum(spec, x, n, lams)
                     acc.advance_to(n)
+                    grid = CesaroSum(spec, x, n, lambda_grid(7))
+                    grid.advance_to(n)
+                    assert acc.sum[: rows[0]].tobytes() == grid.sum[: rows[0]].tobytes(), (spec, n)
                     for j in rows:
-                        single = CesaroSum(scale(lams[j], spec), x, n)
+                        single = CesaroSum(spec if lams[j] == 1 else scale(lams[j], spec), x, n)
                         single.advance_to(n)
-                        assert np.array_equal(acc.sum[j], single.sum[0]), (spec, n, j)
+                        assert acc.sum[j].tobytes() == single.sum[0].tobytes(), (spec, n, j)
+                    assert acc.state().tobytes() == _dense_on(power_apply(spec, x, n), acc.lo, acc.sum.shape[2]).tobytes()
 
 
 def test_cesaro_sweep_and_kreiss_row_one_agree_within_two_dft_roundings():
@@ -1274,6 +1285,17 @@ def test_media_residual_max_sweep():
     rng = np.random.default_rng(13)
     x = rand_vec(NAT, rng, 1, 10)
     assert media_residual_max(DuplicatingShift(), x, 64, 2) < 1e-11
+
+
+def test_media_residual_max_names_the_first_residual_that_is_not_finite():
+    # T^3 x holds 1e300 * 1e300: the residual there is inf - inf, which max() would pass over as NaN
+    spec = BackwardShift(NAT, Explicit((1.0, 2.0, 1e-300, 3.0, 1e300, 1e300)))
+    x = make_vector(NAT, [(7, 1.0), (8, 1.0)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert media_residual_max(spec, x, 2, 2) < 1e-11
+        with pytest.raises(FloatingPointError, match="n=3"):
+            media_residual_max(spec, x, 10, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -1361,11 +1383,6 @@ def test_normseq_validation():
         NormSeq(((0, 1.0), (0, 2.0)), "vector-orbit", 2)
     with pytest.raises(ParameterError):
         NormSeq(((0, -1.0),), "vector-orbit", 2)
-
-
-def test_normseq_dyadic():
-    seq = NormSeq(tuple((n, float(n)) for n in range(1, 20)), "vector-orbit", 2)
-    assert seq.dyadic().ns() == [1, 2, 4, 8, 16]
 
 
 def test_diag_plus_nilpotent_orbit_squares():

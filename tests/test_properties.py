@@ -66,7 +66,7 @@ from cesarolab.core import (
     vec_scale,
     weight_product,
 )
-from cesarolab.dynamics import ergodic_family, hypercyclicity_probe
+from cesarolab.dynamics import ergodic_family, hypercyclicity_probe, mean_ergodic_probe
 from cesarolab.powers import (
     CesaroSum,
     lambda_grid,
@@ -300,8 +300,10 @@ def test_family_lambda_sweeps_match_one_vector_sweeps(data, case, extra, angles)
     checkpoints = checkpoint_set(n)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        powers.drop_tables()
         family = lambda_mean_norms(spec, xs, lams, checkpoints, 2.0)
         for v, y in enumerate(xs):
+            powers.drop_tables()  # a table of its own
             assert np.array_equal(family[v], lambda_mean_norms(spec, [y], lams, checkpoints, 2.0)[0]), v
 
 
@@ -313,12 +315,27 @@ def test_family_lambda_sweeps_match_one_vector_sweeps(data, case, extra, angles)
 ], ids=["fshift", "bshift", "blocktz:bilateral", "dupshift"])
 def test_probe_reports_do_not_depend_on_a_shared_gain_table(spec, monkeypatch):
     cfg = ProbeConfig(n_max=96, basis_probes=4, seeded_probes=6, lambda_samples=8)
+
+    def reports() -> list:
+        out = []
+        for probe in (uniform_kreiss_probe, cesaro_bounded_probe):
+            powers.drop_tables()
+            out.append(probe(spec, cfg).to_dict())
+        return out
+
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        shared = [probe(spec, cfg).to_dict() for probe in (uniform_kreiss_probe, cesaro_bounded_probe)]
-        monkeypatch.setattr(CesaroSum, "_sharing", classmethod(lambda cls, _, *args: cls(*args)))  # each its own mu^u
-        alone = [probe(spec, cfg).to_dict() for probe in (uniform_kreiss_probe, cesaro_bounded_probe)]
+        shared = reports()
+        monkeypatch.setattr(powers, "_held", _NeverHeld())  # each sum its own mu^u
+        alone = reports()
     assert shared == alone
+
+
+class _NeverHeld(dict):
+    """A holder that never holds: every lookup misses, so each power stack and gain table is built for its reader."""
+
+    def get(self, key, default=None):
+        return default
 
 
 def _contraction(seed: int, d: int, size: float) -> FiniteMatrix:
@@ -343,25 +360,27 @@ def test_probe_families_read_one_power_stack(spec, windows, monkeypatch):
     # A diagonal's width-1 basis windows read one and its wider seeded windows another, unless a basis window sees
     # another weight (e_2 under the override at 2 sits between e_1 and e_3).  The coverage calls run the longer orbit
     # first, so the shorter one reads a prefix, while run shortest first the longer one builds its own.  A diagonal's
-    # pb norms are exact.
+    # pb norms are exact.  The -1 of an odd grid is the one-point sum of -T: each vector's builds its own stack, which
+    # leaves T's held for the next vector.  Each family starts with nothing held.
     pair = isinstance(spec, BlockTZ)
     cfg = ProbeConfig(n_max=96, basis_probes=4, seeded_probes=4, probe_support=8, lambda_samples=8, p=2.0 if pair else 1.0)
     xs = [x for _, x in probe_vectors(spec, cfg)]
 
     def coverage(ns) -> list:
-        shared: dict = {}
-        return [hypercyclicity_probe(spec, xs[-1], xs[-1], n, shared=shared).to_dict(verbose=True) for n in ns]
+        return [hypercyclicity_probe(spec, xs[-1], xs[-1], n).to_dict(verbose=True) for n in ns]
 
     families = {
         "mean": lambda: [(label, v.to_dict()) for label, v in ergodic_family(spec, "mean", 2**12, seed=3)[1]],
         "weak": lambda: [(label, v.to_dict()) for label, v in ergodic_family(spec, "weak", 2**12, seed=3)[1]],
         "lambda": lambda: lambda_mean_norms(spec, xs, lambda_grid(8), checkpoint_set(cfg.n_max), cfg.p).tolist(),
+        "lambda, odd grid": lambda: lambda_mean_norms(spec, xs, lambda_grid(7), checkpoint_set(cfg.n_max), cfg.p).tolist(),
         "acb": lambda: acb_constant(spec, cfg).to_dict(),
         "pb": lambda: power_bounded_probe(spec, cfg).to_dict(),
         "coverage": lambda: coverage((200, 50)),
         "coverage, shortest first": lambda: coverage((50, 200)),
     }
-    stacks = {"pb": 0 if isinstance(spec, Diagonal) else windows, "coverage": 1, "coverage, shortest first": 2}
+    stacks = {"pb": 0 if isinstance(spec, Diagonal) else windows, "coverage": 1, "coverage, shortest first": 2,
+              "lambda, odd grid": windows + len(xs)}
     builds = []
     build = powers._power_stack
     monkeypatch.setattr(powers, "_power_stack", lambda op, size: builds.append(size) or build(op, size))
@@ -369,13 +388,42 @@ def test_probe_families_read_one_power_stack(spec, windows, monkeypatch):
         warnings.simplefilter("error")
         shared = {}
         for name, family in families.items():
+            powers.drop_tables()
             builds.clear()
             shared[name] = family()
             assert len(builds) == stacks.get(name, windows), (name, builds)
-        monkeypatch.setattr(CesaroSum, "_sharing", classmethod(lambda cls, _, *args: cls(*args)))
-        monkeypatch.setattr(powers, "_fixed_stack", lambda op, size, _: powers._power_stack(op, size))  # one each
+        monkeypatch.setattr(powers, "_held", _NeverHeld())  # one stack per orbit
         alone = {name: family() for name, family in families.items()}
     assert shared == alone
+
+
+@pytest.mark.parametrize("specs", [
+    (_contraction(5, 12, 0.9), Diagonal(NAT, 0.999 * cmath.exp(0.3j), ((2, 0.5),))),
+    (ForwardShift(NAT, PowerRatio(0.4, 1)), scale(cmath.exp(0.5j), DuplicatingShift())),
+    (BlockTZ(Diagonal(NAT, cmath.exp(1j))), BlockTZ(BilateralShift(Explicit((), 1.0)))),
+], ids=["matrix+diag", "fshift+dupshift", "blocktz:diag+blocktz:bilateral"])
+def test_interleaved_families_read_what_fresh_tables_give(specs, monkeypatch):
+    # the calls of two specs' families alternate, so each call finds the other spec's power stack or gain table held
+    # (or, in the second, shorter round, a longer one of its own), and reads what tables built for it alone give
+    cfg = ProbeConfig(n_max=96, basis_probes=2, seeded_probes=2, probe_support=8, lambda_samples=8, p=2.0)
+
+    def calls(spec):
+        xs = [x for _, x in probe_vectors(spec, cfg)]
+        for n in (96, 40):
+            for x in xs:
+                yield lambda x=x, n=n: lambda_mean_norms(spec, [x], lambda_grid(8), checkpoint_set(n), 2.0).tolist()
+                yield lambda x=x, n=n: mean_ergodic_probe(spec, x, 8 * n).to_dict()
+                yield lambda x=x, n=n: hypercyclicity_probe(spec, x, x, n).to_dict(verbose=True)
+
+    def interleaved() -> list:
+        powers.drop_tables()
+        return [call() for pair in zip(*map(calls, specs), strict=True) for call in pair]
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        held = interleaved()
+        monkeypatch.setattr(powers, "_held", _NeverHeld())
+        assert held == interleaved()
 
 
 growing = st.one_of(
