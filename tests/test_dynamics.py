@@ -1,6 +1,8 @@
 import cmath
 import math
 import warnings
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,6 +30,8 @@ from cesarolab.core import (
     p_norm,
 )
 from cesarolab.dynamics import (
+    SUMMABILITY_TERMS,
+    TAIL_NODES,
     balanced_witness,
     chaos_criterion_shift_adjoint,
     circle_cell_count,
@@ -117,7 +121,77 @@ def test_chaos_summability_partial_sum_oracle():
     # sum of p(1)/p(n+1) = sum 1/(n+1)^2 = pi^2/6 - 1
     verdict = chaos_criterion_shift_adjoint(Polynomial((0.0, 0.0, 1.0)))
     total = verdict.summability["partial_sum"] + verdict.summability["tail_bound"]
-    assert verdict.summability["partial_sum"] < math.pi**2 / 6 - 1 < total + 1e-6
+    assert verdict.summability["partial_sum"] < math.pi**2 / 6 - 1 <= total
+
+
+def _alternating(x, powers, count=7):
+    # sum_{k < count} (-1)^k x^powers(k) / powers(k), ending on a positive term: above the alternating series' limit
+    return sum(Fraction((-1) ** k) * x ** powers(k) / powers(k) for k in range(count))
+
+
+_A = SUMMABILITY_TERMS + 1
+# p -> the exact int_N^oo p(1)/p(t+1) dt, N = SUMMABILITY_TERMS (from above where it is a series)
+_EXACT_TAILS = [((0.0,) * d + (1.0,), Fraction(1, (d - 1) * _A ** (d - 1))) for d in range(2, 7)] + [
+    ((0.0, 1.0, 0.0, 1.0), _alternating(Fraction(1, _A**2), lambda k: k + 1)),  # t + t^3: log(1 + 1/a^2)
+    ((1.0, 0.0, 1.0), 2 * _alternating(Fraction(1, _A), lambda k: 2 * k + 1)),  # 1 + t^2: 2 atan(1/a)
+    ((1.0, 2.0, 1.0), Fraction(4, _A + 1)),  # (t + 1)^2
+    ((0.0, 0.0, 1.0, 1.0), 2 * _alternating(Fraction(1, _A), lambda k: k + 2)),  # t^2 + t^3: 2/a - 2 log(1 + 1/a)
+    # (t - 10000.5)^2: p(a + z) = (z + 1/2)^2, a double root half a unit below a; 2 p(1)
+    ((100010000.25, -20001.0, 1.0), 2 * Fraction(99990000.25)),
+]
+_PI = 4 * (
+    4 * _alternating(Fraction(1, 5), lambda k: 2 * k + 1, 41) - _alternating(Fraction(1, 239), lambda k: 2 * k + 1, 41)
+)  # Machin's formula, to 1e-50
+_ATAN_HALF = _alternating(Fraction(1, 2), lambda k: 2 * k + 1, 81)  # to 1e-50
+# (t - 10000.5)^2 + 1: p(a + z) = (z + 1/2)^2 + 1, roots -1/2 +- i; p(1) (pi/2 - atan(1/2))
+_EXACT_TAILS.append(((100010001.25, -20001.0, 1.0), Fraction(99990001.25) * (_PI / 2 - _ATAN_HALF)))
+with localcontext(prec=60):  # t^2 + 10^6 t, whose root -10^6 lies past a: (1 + 10^-6) log(1 + 10^6/a), to 1e-58
+    _EXACT_TAILS.append(((0.0, 1e6, 1.0), Fraction(Decimal(1000001) / 10**6 * (1 + Decimal(10**6) / _A).ln())))
+
+
+@pytest.mark.parametrize("coefficients, exact", _EXACT_TAILS, ids=[str(c) for c, _ in _EXACT_TAILS])
+def test_chaos_tail_bound_is_the_integral_rounded_up(coefficients, exact):
+    p = Polynomial(coefficients)
+    tail = chaos_criterion_shift_adjoint(p).summability["tail_bound"]
+    assert exact <= Fraction(tail) <= exact * (1 + Fraction(1, 10**12))
+    assert exact * (1 + Fraction(1, 2**42)) <= Fraction(tail)  # the allowance for leggauss's weights is in the bound
+    ns = np.arange(SUMMABILITY_TERMS + 1, SUMMABILITY_TERMS + 10**6 + 1, dtype=float)
+    assert math.fsum((p(1.0) / p(ns + 1.0)).tolist()) <= tail
+
+
+def test_chaos_tail_bound_is_infinite_where_p_is_not_increasing():
+    # (t - 20000)^2 + 1 is positive on the naturals but falls on [N + 1, 20000]: no integral bound is claimed
+    verdict = chaos_criterion_shift_adjoint(Polynomial((400000001.0, -40000.0, 1.0)))
+    assert verdict.status == "chaotic" and verdict.summability["converges"]
+    assert verdict.summability["tail_bound"] == math.inf
+    # nor where a scaled coefficient leaves the float range (c_1 ~ 3e309), or Q'(Z) would (degree 400), or the
+    # integral itself does (1e308 + 1e-320 t^2: about 1e308 pi/2 / 1e-6)
+    for coefficients in ((1e-320, 1e303, 1e-320), (1.0,) * 401, (1e308, 0.0, 1e-320)):
+        with np.errstate(over="ignore"):  # the partial sum's p(n + 1) overflows at degree 400
+            verdict = chaos_criterion_shift_adjoint(Polynomial(coefficients))
+        assert verdict.summability["tail_bound"] == math.inf
+
+
+def _legendre(n, x):
+    # P_n(x) and P_n'(x) by the three-term recurrence, in the arithmetic of x
+    p0, p1 = 1, x
+    for k in range(1, n):
+        p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
+    return p1, n * (x * p1 - p0) / (x * x - 1)
+
+
+def test_leggauss_meets_the_accuracy_the_tail_bound_assumes():
+    # _summability_tail's rounding allowance assumes nodes within 2^-52 and weights within 2^-42 relative
+    x, w = np.polynomial.legendre.leggauss(TAIL_NODES)
+    with localcontext(prec=60):
+        for xi, wi in zip(x.tolist(), w.tolist()):
+            root = Decimal(xi)
+            for _ in range(6):  # Newton from the float node: quadratic convergence to 60 digits
+                value, slope = _legendre(TAIL_NODES, root)
+                root -= value / slope
+            weight = 2 / ((1 - root * root) * _legendre(TAIL_NODES, root)[1] ** 2)
+            assert abs(Decimal(xi) - root) <= Decimal(2) ** -52
+            assert abs(Decimal(wi) - weight) <= Decimal(2) ** -42 * weight
 
 
 def test_chaos_bilateral_parity():
