@@ -371,7 +371,8 @@ def _screen_positive(p: Polynomial, lo: int, hi: int, require_even_degree: bool 
     while k <= hi:
         stop = min(hi, k + chunk - 1)
         ks = np.arange(k, stop + 1, dtype=float)
-        vals = p(ks)
+        with np.errstate(over="ignore"):  # a value past double range reads inf, which is positive
+            vals = p(ks)
         bad = np.nonzero(~(vals > 0.0))[0]
         if bad.size:
             j = int(ks[bad[0]])

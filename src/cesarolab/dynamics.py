@@ -30,7 +30,7 @@ from .core import (
     p_norm,
     weight_product,
 )
-from .powers import CesaroSum, compensated_add, make_orbit, shift_direction
+from .powers import CesaroSum, fixed_frame, make_orbit, shift_direction
 from .classify import DEFAULT_SEED, ProbeConfig, probe_vectors
 
 __all__ = [
@@ -55,6 +55,8 @@ SUMMABILITY_TERMS = 10**4
 TAIL_NODES = 32  # Gauss-Legendre nodes per piece of the summability tail's quadrature
 CAUCHY_REL_TOL = 1e-6
 HC_CHUNK = 2**16  # pairings binned per numpy pass: 1 MiB of complex values
+# Equal doubles that an extended-precision sum adds exactly: 2^11 with an x87 long double.
+_EXACT_ROWS = 2 ** max(np.finfo(np.longdouble).nmant - np.finfo(float).nmant, 6)
 
 
 @dataclass(frozen=True)
@@ -177,7 +179,11 @@ def chaos_criterion_shift_adjoint(p: Polynomial, side: str = "unilateral") -> Ch
     rounded up by a proven bound on its quadrature and rounding errors
     (`_summability_tail`).
     Where no bound is proven (degree < 2, or p not increasing past N + 1)
-    the tail bound is inf; `converges` follows the degree alone.
+    the tail bound is inf; `converges` follows the degree alone.  A term whose
+    p(n + 1) overflows in floats (at degree 400, from n = 5 on) reads 0: its
+    exact value is below p(1)/1.8e308, and all 10^4 such terms together lie
+    under half an ulp of the partial sum, whose first term is p(1)/p(2),
+    wherever p(2) < 1e288.
     """
     if side not in ("unilateral", "bilateral"):
         raise ParameterError(f"side must be unilateral or bilateral, got {side!r}")
@@ -195,7 +201,8 @@ def chaos_criterion_shift_adjoint(p: Polynomial, side: str = "unilateral") -> Ch
     if side == "unilateral":
         p1 = p(1.0)
         ns = np.arange(1, SUMMABILITY_TERMS + 1, dtype=float)
-        terms = p1 / p(ns + 1.0)
+        with np.errstate(over="ignore"):  # an overflowing p(n + 1) gives its term 0 (see above)
+            terms = p1 / p(ns + 1.0)
         partial = float(math.fsum(terms.tolist()))
         summability = {
             "partial_sum": partial,
@@ -498,31 +505,62 @@ def _inner_stream_stop(spec: OperatorSpec, x, y) -> int | None:
 def weak_ergodic_probe(spec: OperatorSpec, x, y, n_max: int = 2**14) -> ErgodicVerdict:
     """Cauchy test on <M_n(T) x, y> across dyadic n <= n_max.
 
-    For one-directional shifts (and their BlockTZ extensions) the pairing
-    stream vanishes once the orbit support passes y, so the partial sums
-    freeze and the remaining checkpoints are evaluated analytically.  Probes
-    of one fixed frame read one power stack (``make_orbit``).
+    A fixed frame pairs y with its Cesàro sums (``CesaroSum.inner``).  A
+    translating frame adds its pairing stream <T^k x, y> to a compensated
+    sum; for one-directional shifts (and their BlockTZ extensions) it
+    vanishes once the orbit support passes y, so the partial sums freeze and
+    the remaining checkpoints are evaluated analytically.  A pairing that is
+    not finite raises FloatingPointError naming its index.
     """
     if n_max < 8:
         raise ParameterError("n_max must be >= 8")
     dyadic = _dyadic_upto(n_max)
     checkpoints = sorted(set(dyadic) | {n + 1 for n in dyadic if n + 1 <= n_max})
-    stop = _inner_stream_stop(spec, x, y)
-    hard_stop = n_max if stop is None else min(stop, n_max)
-    orbit = make_orbit(spec, x, hard_stop)
-    total = orbit.inner_with(y)
-    comp = 0j
     mus: dict[int, complex] = {}
-    stepped = 0
-    for n in checkpoints:
-        values = orbit.inners(y, min(n, hard_stop) - stepped)
-        stepped += len(values)
-        total, comp = compensated_add(total, comp, values)
-        mus[n] = complex(total) / (n + 1)
+    if fixed_frame(spec):
+        acc = CesaroSum(spec, x, n_max)
+        for n in checkpoints:
+            with np.errstate(over="ignore", invalid="ignore"):
+                acc.advance_to(n)
+                mus[n] = acc.inner(y)
+            if not np.isfinite(mus[n]):
+                raise FloatingPointError(f"<M_n x, y> is not finite at n={n}: the orbit overflows")
+    else:
+        stop = _inner_stream_stop(spec, x, y)
+        hard_stop = n_max if stop is None else min(stop, n_max)
+        orbit = make_orbit(spec, x, hard_stop)
+        total = orbit.inner_with(y)
+        comp = 0j
+        stepped = 0
+        for n in checkpoints:
+            values = orbit.inners(y, min(n, hard_stop) - stepped)
+            stepped += len(values)
+            total, comp = _compensated_add(total, comp, values)
+            mus[n] = complex(total) / (n + 1)
     gaps = [(n, abs(mus[2 * n] - mus[n])) for n in dyadic if 2 * n in mus]
     parity_gaps = [(n, abs(mus[n + 1] - mus[n])) for n in dyadic if n + 1 in mus]
     limit = mus[checkpoints[-1]]
     return _cauchy_verdict("weak", gaps, parity_gaps, limit, abs(limit))
+
+
+def _compensated_add(total, comp, values: np.ndarray):
+    """(total, comp) after adding values[0] + values[1] + ... to a compensated running sum.
+
+    ``comp`` is the running residual with the sign of a Kahan correction
+    (the exact sum is total - comp).  Rows are summed in extended precision,
+    ``_EXACT_ROWS`` at a time, so a run of equal rows sums exactly; each partial
+    sum and its residual enter by a TwoSum update, which keeps ``total`` the
+    correctly rounded sum.
+    """
+    for j in range(0, len(values), _EXACT_ROWS):
+        exact = np.sum(values[j : j + _EXACT_ROWS], axis=0, dtype=np.clongdouble)
+        hi = exact.astype(complex)
+        t = total + hi
+        bb = t - total
+        low = ((exact - hi).astype(complex) + ((total - (t - bb)) + (hi - bb))) - comp  # total + hi == t + rounding error, exactly
+        total = t + low
+        comp = (total - t) - low
+    return total, comp
 
 
 def ergodic_family(spec: OperatorSpec, mode: str, n_max: int, seed: int = DEFAULT_SEED):

@@ -10,14 +10,13 @@ composes its inner frame (``_WindowOrbit``).  No orbit steps, and no table
 saturates: a product table is held as double mantissas times exact powers of
 two, so a state or a sum reads inf or 0 only where its exact value leaves
 double range.  Sums cover a grid of unimodular lam at once, a mean being the
-one-point grid [1].  On
-the roots-of-unity grid a fixed frame's sums are one inverse DFT of
-compensated (TwoSum) residue-class sums, as ``lambda_operator_norms`` reads a
-matrix's extended-precision power stack; any other lam is the one-point
-grid of lam T (``_lambda_parts``).  The last power stack and the last gain
-table mu^u are held by the bytes they are built from (``_held``), so a probe
-family builds each once; a prefix of a longer table is the shorter one bit for
-bit, so holding never changes a result.
+one-point grid [1].  A fixed frame's sums read the residue prefix sums of its
+extended power stack, on the roots-of-unity grid through one inverse DFT at
+the exact roots, as ``lambda_operator_norms`` reads a matrix's powers; any
+other lam is the one-point grid of lam T (``_lambda_parts``).  The last power
+stack and the last gain table mu^u are held by the bytes they are built from
+(``_held``), so a probe family builds each once; a prefix of a longer table is
+the shorter one bit for bit, so holding never changes a result.
 """
 
 from __future__ import annotations
@@ -72,9 +71,9 @@ __all__ = [
     "matrix_exponential",
     "make_orbit",
     "drop_tables",
+    "fixed_frame",
     "shift_direction",
     "CesaroSum",
-    "compensated_add",
     "lambda_mean_norms",
     "lambda_grid",
     "lambda_operator_norms",
@@ -82,8 +81,6 @@ __all__ = [
 
 _STACK_BYTES = 2**20  # cap on a fixed frame's power stack; it fixes the block length B
 _GATHER_BYTES = 2**17  # cap on the residue sums gathered for one chunk of checkpoints
-# Equal doubles that an extended-precision sum adds exactly: 2^11 with an x87 long double.
-_EXACT_ROWS = 2 ** max(np.finfo(np.longdouble).nmant - np.finfo(float).nmant, 6)
 _DOUBLE = np.finfo(float)
 
 
@@ -248,30 +245,51 @@ def _as_vector(universe, lo: int, vals: np.ndarray):
     return PairVec(*rows) if len(rows) == 2 else rows[0]
 
 
-def _power_stack(op: np.ndarray, size: int) -> np.ndarray:
-    """op^1 .. op^size of a matrix or a stack of 2 x 2 blocks (matrix powers) or a weight vector (elementwise powers).
+def _power_stack(op: np.ndarray, size: int, period: int | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+    """(op^1 .. op^size rounded to double, and for a period the residue prefix sums of the extended powers, else None),
+    of a matrix or a stack of 2 x 2 blocks (matrix powers) or a weight vector (elementwise powers).
 
     Built by doubling, stack[k : 2k] = stack[:k] op^k, in extended precision:
     log2(size) numpy calls fill it, and each power, rounded once to double, is
     as accurate as one step (in double, powers that share a factor op^k would
-    share its rounding error).
+    share its rounding error).  The residue sums are that extended stack,
+    built inside a residue table (``_residue_sums``, op^0 held as 0) and summed
+    over its rows in place.
     """
     mul = np.matmul if op.ndim >= 2 else np.multiply
-    stack = np.empty((size, *op.shape), dtype=np.clongdouble)
+    width = period or 1  # np.zeros: without a period the pages never written stay unmapped
+    sums = np.zeros(((size + width) // width + 1, width, *op.shape), dtype=np.clongdouble)
+    stack = sums.reshape(-1, *op.shape)[width + 1 : width + 1 + size]
     stack[0] = op
     k = 1
     while k < size:
         m = min(k, size - k)
         mul(stack[:m], stack[k - 1], out=stack[k : k + m])
         k += m
-    return stack.astype(complex)
+    rounded = stack.astype(complex)
+    if period is not None:
+        np.cumsum(sums, axis=0, out=sums)
+    return rounded, sums if period is not None else None
+
+
+def _residue_sums(table: np.ndarray, t, residues) -> np.ndarray:
+    """R_r(t), the sum of the powers a^s with s <= t and s = r mod L, for each r of residues, off a residue table.
+
+    A residue table (rows, L, *shape) holds a^s at flat position L + s below a
+    row of earlier sums (zeros at s = 0), and is then summed over its rows in
+    place, so R_r(t) sits at t + L - (t - r) mod L: in row t // L + 1 if
+    r <= t mod L, else in the row above (``_power_stack``,
+    ``_residue_norms``).  t and residues broadcast.
+    """
+    period = table.shape[1]
+    return table.reshape(-1, *table.shape[2:])[t + period - (t - residues) % period]
 
 
 _held: dict = {}  # "stack" and "mu": (key, table), the last power stack and gain table (``_hold``)
 
 
 def drop_tables() -> None:
-    """Drop the held power stack and gain table (``_fixed_stack``, ``CesaroSum._prefix_sums``) as a command ends."""
+    """Drop the held power stack and gain table (``_Orbit._tables``, ``CesaroSum._prefix_sums``) as a command ends."""
     _held.clear()
 
 
@@ -290,16 +308,6 @@ def _hold(name: str, key, fits, build):
     if held is None or not fits(held[1]):
         held = _held[name] = key, build()
     return held[1]
-
-
-def _fixed_stack(op: np.ndarray, size: int) -> np.ndarray:
-    """op^1 .. op^size (``_power_stack``), held by op's bytes (``_hold``): orbits whose operators agree byte for byte
-    (the probes of one matrix, windows of one diagonal that see the same weights) read one stack.
-
-    A prefix of a longer stack is the shorter stack to the bit: the doubling forms each power from the same two
-    factors whatever the length.  The orbit's own block length stays size, which sets the bits of every later block.
-    """
-    return _hold("stack", (op.shape, op.tobytes()), lambda stack: len(stack) >= size, lambda: _power_stack(op, size))[:size]
 
 
 def _apply_powers(stack: np.ndarray, vals: np.ndarray) -> np.ndarray:
@@ -328,8 +336,7 @@ class _Orbit:
     floor = None  # lowest index of the universe, when the window must not pass it
     d = 0  # coordinates the window moves per step: +-1 for a shift, 0 for a fixed frame
     horizon = 0  # steps the caller asked for; the power stack never exceeds what is left
-    held = True  # whether a fixed frame reads its power stack through the held one (``_fixed_stack``)
-    _stack = None
+    _stack = _floor = None
 
     def span(self, n_max: int) -> tuple[int, int]:
         """Coordinates the state can occupy within n_max steps, inside the universe."""
@@ -394,7 +401,7 @@ class _Orbit:
         """Move the orbit to step n (never backwards): a translating frame jumps, a fixed frame reads blocks of
         its power stack; a dead orbit stays where it died."""
         if not self.translating:
-            for _ in self._states(n - self.steps):
+            for _ in self._states(n - self.steps, last=True):
                 pass
             return
         n = n if self._death is None else min(n, self._death)
@@ -405,32 +412,64 @@ class _Orbit:
     def step(self) -> None:
         self.advance(self.steps + 1)
 
-    def _states(self, count: int):
+    def _tables(self, period: int | None = None, count: int = 0) -> np.ndarray | None:
+        """Read this fixed frame's power stack A^1 .. A^B, B filling a 1 MiB cap but not past the horizon (B >= 1),
+        and return the residue table of period built with it (``_power_stack``), both held by the operator's bytes
+        (``_hold``): orbits whose operators agree byte for byte (the probes of one matrix, windows of one diagonal
+        that see the same weights) read one stack, the sums of one period one table, and a reader without a period
+        any stack.
+
+        A prefix of a longer stack is the shorter stack to the bit, since the doubling forms each power from the same
+        two factors whatever the length, and a residue sum sits at the same entry of a longer table.  The orbit's own
+        block length stays B, which sets the bits of every later block.
+        """
+        op = self._op
+        size = min(max(_STACK_BYTES // (16 * op.size), 1), max(self.horizon - self.steps, count, 1))
+
+        def fits(held) -> bool:
+            return len(held[0]) >= size and (period is None or held[1] is not None and held[1].shape[1] == period)
+
+        stack, sums = _hold("stack", (op.shape, op.tobytes()), fits, lambda: _power_stack(op, size, period))
+        self._stack, self._floor = stack[:size], None
+        return sums
+
+    def _states(self, count: int, last: bool = False):
         """Yield (first step, states (m, rows * width), plateau values or None, exponents or None) for the next count steps.
 
         A translating frame reads them off its product table, in travel order, up
         to its death index, as mantissas and the exponents that scale them
         (``_exact``); a fixed frame off a power stack A^1 .. A^B, which the
-        orbits of A share (``_fixed_stack``), B filling a 1 MiB cap but not past
+        orbits of A share (``_tables``), B filling a 1 MiB cap but not past
         the horizon.  The first exactly zero state of an orbit that can die ends it.
+        With last, a diagonal's block forms its last state only (the same
+        product; ``steps`` counts the block) where none of its states can be 0:
+        some coordinate's smallest power in the stack times its entry now is at
+        least 2^-1000, so the largest part of each of its products is a normal
+        double, which rounding keeps.
         """
         while count > 0 and not self.dead:
-            first, exps = self.steps + 1, None
+            first, exps, skipped = self.steps + 1, None, 0
             if self.translating:
                 states, plateau, exps = self._travel_states(first, count)
             else:
                 if self._stack is None:
-                    size = min(max(_STACK_BYTES // (16 * self._op.size), 1), max(self.horizon - self.steps, count))
-                    self._stack = (_fixed_stack if self.held else _power_stack)(self._op, size)
-                states, plateau = _apply_powers(self._stack[: min(count, len(self._stack))], self.vals), None
-            if self.can_die:
+                    self._tables(count=count)
+                block, plateau = self._stack[: min(count, len(self._stack))], None
+                if last and self._op.ndim == 1:
+                    if self._floor is None:
+                        self._floor = np.abs(self._stack).min(axis=0)
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        if np.max(self._floor * np.abs(self.vals.ravel()), initial=0.0) >= 2.0**-1000:
+                            block, skipped = block[-1:], len(block) - 1
+                states = _apply_powers(block, self.vals)
+            if self.can_die and not skipped:
                 zero = ~states.reshape(len(states), -1).any(axis=1) & (True if plateau is None else ~plateau.any(axis=1))
                 if zero.any():
                     m = np.argmax(zero) + 1
                     states, plateau, self.dead = states[:m], None if plateau is None else plateau[:m], True
                     exps = None if exps is None else exps[:m]
-            self.steps += len(states)
-            count -= len(states)
+            self.steps += skipped + len(states)
+            count -= skipped + len(states)
             if self.translating:
                 self.dead |= self.steps == self._death
                 self._unhold()
@@ -603,7 +642,7 @@ class _WindowOrbit(_Orbit):
         self.dead = width == 0
         if self.dead:
             return
-        if scalar == 0:  # A = 0 moves nothing: a fixed frame of zero weights
+        if fixed_frame(spec):  # a diagonal, or A = 0, which moves nothing: a frame of zero weights
             self.d = 0
         elif isinstance(base, DuplicatingShift):
             return self._duplicating_frame(scalar, n_max)
@@ -744,7 +783,7 @@ def make_orbit(spec: OperatorSpec, x, n_max: int):
     """Exact engine for T^k x, k <= n_max: a matrix for finite specs, a window over the base operator otherwise.
 
     A fixed frame reads the held power stack when that is its operator's
-    (``_fixed_stack``), so the orbits of one probe family build it once.
+    (``_Orbit._tables``), so the orbits of one probe family build it once.
     """
     if expects_pair(spec) != isinstance(x, PairVec):
         kind = "ordered pairs of vectors" if expects_pair(spec) else "plain sparse vectors"
@@ -754,6 +793,15 @@ def make_orbit(spec: OperatorSpec, x, n_max: int):
     if spec_dim(spec) is not None:
         return _MatrixOrbit(spec, x, n_max)
     return _WindowOrbit(spec, x, n_max)
+
+
+def fixed_frame(spec: OperatorSpec) -> bool:
+    """Whether the orbits of spec are fixed frames (``make_orbit``): a matrix, a diagonal, or any base times a zero
+    scalar, under BlockTZ too."""
+    if spec_dim(spec) is not None:
+        return True
+    _, scalar, _, d = _frame_spec(spec)
+    return scalar == 0 or d == 0
 
 
 def shift_direction(spec: OperatorSpec) -> int | None:
@@ -779,13 +827,19 @@ class CesaroSum:
     mu^-i a(i) are taken in extended precision (a window whose weights span
     more than the extended range loses the terms below it) and read at their
     own powers of two, so a cell is the double product of a plain table
-    wherever that is normal.  A
-    fixed frame folds its states into compensated sums (``compensated_add``),
-    one fold per part of the grid (``_lambda_parts``): on a head
-    ``lambda_grid(L)`` state k into residue class k mod L, whose sums one
-    inverse DFT reads at the exact roots e^{2 pi i j/L}, in extended precision
-    and rounded once; any other lam into the one-point sum of lam T (T's own
-    orbit for lam = 1), which reads its compensated total, correctly rounded.
+    wherever that is normal.
+
+    A fixed frame's orbit steps in blocks off its power stack, and a block of
+    m steps from the double state v adds R(m) v to the sums, R(m) the residue
+    prefix sums of its extended power stack (``_power_stack``), so no state
+    is summed on its own.  One table serves each part of the grid
+    (``_lambda_parts``): on a head ``lambda_grid(L)`` step k joins residue
+    class k mod L, whose sums one inverse DFT reads at the exact roots
+    e^{2 pi i j/L}; any other lam is the one-point sum of lam T, on lam T's
+    own orbit (T's own for lam = 1).  ``lambda_mean_norms`` sums the parts one
+    after another; a grid that mixes them here serves direct callers.  The
+    sums are extended, ``_exact``, and rounded once into ``sum``, as are the
+    mean and the pairing they give.
     """
 
     def __init__(self, spec: OperatorSpec, x, n_max: int, lams=(1.0,)):
@@ -801,16 +855,19 @@ class CesaroSum:
             self._prefix_sums()
         state_cols, self._live = self._overlap()  # columns that can be nonzero; a translating frame narrows them
         self.sum[:, :, self._live] = self.orbit.vals[:, state_cols]
-        if not self.orbit.translating:  # (orbit, [(rows, classes)]), T's own first: it advances even when no part reads it
-            self._folds = [(self.orbit, [])]
+        if not self.orbit.translating:  # (orbit, [(rows, residue sums, class sums)]), T's own first: it always advances
             x0 = self.sum[0].ravel()
+            self._exact = np.repeat(x0[None].astype(np.clongdouble), len(self.lams), axis=0)
+            self._parts = [(self.orbit, [])]
             for lam, period, rows in _lambda_parts(self.lams):
-                classes = np.zeros((2, period, x0.size), dtype=complex)  # a compensated sum is total - comp
-                classes[0, 0] = x0  # state 0 opens class 0
-                if lam != 1:  # lam T's own orbit and stack, which leaves T's held for the family's next sum
-                    self._folds.append((make_orbit(scale(lam, spec), x, n_max), []))
-                    self._folds[-1][0].held = False
-                self._folds[0 if lam == 1 else -1][1].append((rows, classes))
+                orbit = self.orbit
+                if lam != 1:  # lam T's own orbit and tables
+                    orbit = make_orbit(scale(lam, spec), x, n_max)
+                    self._parts.append((orbit, []))
+                classes = np.zeros((period, x0.size), dtype=np.clongdouble)
+                classes[0] = x0  # state 0 opens class 0
+                if not orbit.dead:  # an empty window has no operator and never steps
+                    self._parts[0 if lam == 1 else -1][1].append((rows, orbit._tables(period), classes))
 
     def _prefix_sums(self) -> None:
         """Prefix sums of mu^-i a(i) (and mu^-i b(i), i mu^-i b(i)), times lam if padded; their references R per lam
@@ -948,15 +1005,18 @@ class CesaroSum:
                 with np.errstate(over="ignore"):  # a plateau whose exact value overflows reads inf
                     self._write(orbit.steps)
         else:
-            flat = self.sum.reshape(len(self.lams), -1)
-            for part_orbit, folds in self._folds:
-                for first, states, _, _ in part_orbit._states(n - part_orbit.steps):
-                    for _, classes in folds:  # state k into class k mod L: pad to whole rows of classes
-                        period = classes.shape[1]
-                        block = np.pad(states, ((first % period, -(first + len(states)) % period), (0, 0))) if period > 1 else states
-                        classes[:] = compensated_add(*classes, block.reshape(-1, period, states.shape[1]))
-                for rows, (total, comp) in folds:  # rounded once into the sums
-                    flat[rows] = total if len(total) == 1 else np.fft.ifft(total.astype(np.clongdouble) - comp, axis=0, norm="forward")
+            for part_orbit, parts in self._parts:
+                start = part_orbit.vals  # the state that a block of m steps starts from, at step first - 1
+                for first, _, _, _ in part_orbit._states(n - part_orbit.steps, last=True):
+                    m = part_orbit.steps - first + 1
+                    for _, sums, classes in parts:  # class r gains R_c(m) start, c = r - first + 1 mod L
+                        c = (np.arange(len(classes)) - first + 1) % len(classes)
+                        classes += _apply_powers(_residue_sums(sums, m, c), start)
+                    start = part_orbit.vals
+                for rows, _, classes in parts:
+                    self._exact[rows] = classes if len(classes) == 1 else np.fft.ifft(classes, axis=0, norm="forward")
+            with np.errstate(over="ignore"):  # rounded once; a sum past double range reads inf
+                self.sum.reshape(len(self.lams), -1)[:] = self._exact
         self.stepped, self.n = orbit.steps, n
 
     def norms(self, p: float) -> np.ndarray:
@@ -975,8 +1035,21 @@ class CesaroSum:
         return _lp_norm(mags / (self.n + 1), p, axis=1)
 
     def mean(self) -> np.ndarray:
-        """M_n(T) x on the accumulator's coordinates (first grid point), scaled by parts (``_times``)."""
-        return _times(self.sum[0], 1.0 / (self.n + 1))
+        """M_n(T) x on the accumulator's coordinates (first grid point), scaled by parts (``_times``); a fixed frame's
+        is its extended sum divided by n + 1 and rounded once."""
+        if self.orbit.translating:
+            return _times(self.sum[0], 1.0 / (self.n + 1))
+        mean = self._exact[0].view(np.longdouble) / (self.n + 1)  # real and imaginary parts apart
+        with np.errstate(over="ignore"):
+            return mean.astype(float).view(complex).reshape(self.sum.shape[1:])
+
+    def inner(self, y) -> complex:
+        """<M_n(T) x, y> (first grid point): a fixed frame's extended sum paired with y and rounded once, a
+        translating frame's sum (``mean``) paired in double."""
+        ylo, yv = _dense(y)
+        mine, theirs = _overlap(self.lo, self.sum.shape[2], ylo, yv.shape[1])
+        total = self.sum[0] if self.orbit.translating else self._exact[0].reshape(self.sum.shape[1:])
+        return complex(np.vdot(yv[:, theirs], total[:, mine]) / (self.n + 1))  # vdot conjugates its first argument
 
     def state(self) -> np.ndarray:
         """The current orbit state on the accumulator's coordinates."""
@@ -989,26 +1062,6 @@ class CesaroSum:
         """||a - b||_p of two arrays on the accumulator's coordinates."""
         self.orbit.check_p(p)
         return float(_lp_norm(np.abs(a - b).ravel(), p))
-
-
-def compensated_add(total, comp, values: np.ndarray):
-    """(total, comp) after adding values[0] + values[1] + ... to a compensated running sum.
-
-    ``comp`` is the running residual with the sign of a Kahan correction
-    (the exact sum is total - comp).  Rows are summed in extended precision,
-    ``_EXACT_ROWS`` at a time, so a run of equal rows sums exactly; each partial
-    sum and its residual enter by a TwoSum update, which keeps ``total`` the
-    correctly rounded sum.
-    """
-    for j in range(0, len(values), _EXACT_ROWS):
-        exact = np.sum(values[j : j + _EXACT_ROWS], axis=0, dtype=np.clongdouble)
-        hi = exact.astype(complex)
-        t = total + hi
-        bb = t - total
-        low = ((exact - hi).astype(complex) + ((total - (t - bb)) + (hi - bb))) - comp  # total + hi == t + rounding error, exactly
-        total = t + low
-        comp = (total - t) - low
-    return total, comp
 
 
 def _times(z: np.ndarray, c: float) -> np.ndarray:
@@ -1024,15 +1077,24 @@ def lambda_mean_norms(spec: OperatorSpec, xs, lams, checkpoints: list[int], p: f
     The vectors are summed one at a time, each as its own ``CesaroSum``; they
     read the held running products mu^u, which only a wider window than any
     before it rebuilds, and a fixed frame's held power stack, built for the
-    first vector.
+    first vector.  A fixed frame's lam list is summed one part
+    (``_lambda_parts``) after another, a lam off the grid as the one-point sum
+    of lam T, so that the vectors read one table of a part and no two parts'
+    tables are held at once.
     """
+    lams = np.asarray(lams, dtype=complex)
+    parts = [(list(range(len(lams))), spec, lams)]
+    if fixed_frame(spec):
+        parts = [(rows, spec, lams[rows]) if period > 1 else (rows, spec if lam == 1 else scale(lam, spec), [1.0])
+                 for lam, period, rows in _lambda_parts(lams)]
     out = np.zeros((len(xs), len(lams), len(checkpoints)))
-    for v, x in enumerate(xs):
-        acc = CesaroSum(spec, x, checkpoints[-1], lams)
-        for j, n in enumerate(checkpoints):
-            acc.advance_to(n)
-            out[v, :, j] = acc.norms(p)
-        del acc  # before the next sum is built
+    for rows, part, part_lams in parts:
+        for v, x in enumerate(xs):
+            acc = CesaroSum(part, x, checkpoints[-1], part_lams)
+            for j, n in enumerate(checkpoints):
+                acc.advance_to(n)
+                out[v, rows, j] = acc.norms(p)
+            del acc  # before the next sum is built
     return out
 
 
@@ -1210,12 +1272,13 @@ def lambda_grid(samples: int) -> np.ndarray:
 
 
 def _lambda_parts(lams: np.ndarray) -> list[tuple[complex, int, list[int]]]:
-    """The parts (lam, L, rows) that the sums over lams split into: (1, L, [0 .. L-1]) when lams begins with
-    ``lambda_grid(L)`` (the -1 that an odd grid appends is not part of it), and (lam, 1, [j]) for every other lam."""
+    """The parts (lam, L, rows) that the sums over lams split into: (1, L, [0 .. L-1]) when lams begins with the L
+    roots of ``lambda_grid(L)`` (the -1 that an odd grid appends is not one of them), and (lam, 1, [j]) for every
+    other lam."""
     size = 0
     if len(lams) > 1 and lams[0] == 1 and (angle := float(np.angle(lams[1]))) > 0:  # lams[1] = e^{2 pi i/L}
         period = round(2 * math.pi / angle)
-        if period <= len(lams) and np.array_equal(lams[: period + period % 2], lambda_grid(period)):
+        if period <= len(lams) and np.array_equal(lams[:period], lambda_grid(period)[:period]):
             size = period
     head = [(1, size, list(range(size)))] if size else []
     return head + [(lam, 1, [j]) for j, lam in enumerate(lams) if j >= size]
@@ -1244,9 +1307,8 @@ def _residue_norms(a: np.ndarray, period: int, checkpoints: list[int]) -> np.nda
     log(period) eps sum_r ||B_r(k)|| with the extended eps (Higham, Accuracy
     and Stability of Numerical Algorithms, ch. 24), far below the one
     rounding to double.  The powers a^0, a^1, ... are built in blocks of
-    whole rows of period powers under the stack cap.  Each block sits below
-    the previous block's last row of residue sums, so one in-place cumulative
-    sum over the rows makes row q hold the B_r of the q-th row's exponents.
+    whole rows of period powers under the stack cap, each a residue table
+    (``_residue_sums``) below the previous block's last row of sums.
     Checkpoints are gathered straight into residue order, divided by k+1 and
     rounded to double once; each chunk of checkpoints takes one batched
     largest singular value.  Shape (period, len(checkpoints)).
@@ -1282,9 +1344,7 @@ def _residue_norms(a: np.ndarray, period: int, checkpoints: list[int]) -> np.nda
             stop = int(np.searchsorted(ks, start + used * period))
             for lo in range(pos, stop, chunk):
                 hi = min(lo + chunk, stop)
-                t = ks[lo:hi, None] - start
-                # residue r of checkpoint start + t: row t // period + 1 if r <= t % period, else the row above
-                sums = np.fft.ifft(flat[t + period - (t - residues) % period], axis=1, norm="forward")
+                sums = np.fft.ifft(_residue_sums(buf, ks[lo:hi, None] - start, residues), axis=1, norm="forward")
                 sums /= (ks[lo:hi] + 1).astype(np.longdouble)[:, None, None, None]
                 sums = sums.astype(complex)
                 out[:, lo:hi] = largest_singular_value(sums.reshape(-1, d, d)).reshape(hi - lo, period).T

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cesarolab.classify import DEFAULT_SEED, ProbeConfig, probe_vectors
 from cesarolab.core import (
     INTS,
     NAT,
@@ -40,6 +41,8 @@ from cesarolab.dynamics import (
     mixing_criterion_backward_shift,
     weak_ergodic_probe,
 )
+from cesarolab.powers import CesaroSum
+
 LAM1, LAM2 = cmath.exp(1j), cmath.exp(1j * math.sqrt(2))
 HYPER4 = DiagPlusNilpotent(4, 2, LAM1, LAM2)
 ASSANI = FiniteMatrix(((-1.0, 2.0), (0.0, -1.0)))
@@ -165,9 +168,11 @@ def test_chaos_tail_bound_is_infinite_where_p_is_not_increasing():
     assert verdict.status == "chaotic" and verdict.summability["converges"]
     assert verdict.summability["tail_bound"] == math.inf
     # nor where a scaled coefficient leaves the float range (c_1 ~ 3e309), or Q'(Z) would (degree 400), or the
-    # integral itself does (1e308 + 1e-320 t^2: about 1e308 pi/2 / 1e-6)
+    # integral itself does (1e308 + 1e-320 t^2: about 1e308 pi/2 / 1e-6); the partial sum's p(n + 1), which
+    # overflows at degree 400, warns nowhere
     for coefficients in ((1e-320, 1e303, 1e-320), (1.0,) * 401, (1e308, 0.0, 1e-320)):
-        with np.errstate(over="ignore"):  # the partial sum's p(n + 1) overflows at degree 400
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             verdict = chaos_criterion_shift_adjoint(Polynomial(coefficients))
         assert verdict.summability["tail_bound"] == math.inf
 
@@ -362,6 +367,94 @@ def test_mean_implies_weak_on_probes():
         weak = weak_ergodic_probe(spec, x, x, 2**21)
         if mean.status == "converged":
             assert weak.status == "converged"
+
+
+_EPS = 2.0**-52
+_PROBES = ProbeConfig(basis_probes=4, seeded_probes=4, seed=DEFAULT_SEED)
+
+
+def _assani_sum(x, n: int) -> list[Fraction]:
+    # S_n x exactly, as [Re, Re, Im, Im] of its two coordinates: ASSANI^k = (-1)^k [[1, -2k], [0, 1]], so with
+    # s = sum_{k<=n} (-1)^k and t = sum_{k<=n} (-1)^k k, S_n x = (s x_1 - 2 t x_2, s x_2)
+    s = 1 - n % 2
+    t = Fraction(n, 2) if n % 2 == 0 else Fraction(-(n + 1), 2)
+    out = []
+    for part in ("real", "imag"):
+        x1, x2 = (Fraction(getattr(complex(x.entries.get(j, 0)), part)) for j in (1, 2))
+        out += [s * x1 - 2 * t * x2, s * x2]
+    return out
+
+
+def _ladder(n_max: int) -> list[int]:
+    dyadic = [2**k for k in range(n_max.bit_length()) if 2**k <= n_max]
+    return sorted(set(dyadic) | {n + 1 for n in dyadic if n + 1 <= n_max})
+
+
+def test_fixed_frame_mean_gaps_are_the_exact_gaps():
+    # the sums read the residue prefix sums of the extended power stack, so each of assani's ladder gaps lies within
+    # 1e-12 of its exact value (summing the rounded states one by one missed the seeded gaps by up to 1.1e-11)
+    probes = probe_vectors(ASSANI, _PROBES)
+    assert len(probes) == 6
+    for label, x in probes:
+        verdict = mean_ergodic_probe(ASSANI, x, 2**14)
+        for pairs, step in ((verdict.gaps, lambda n: 2 * n), (verdict.parity_gaps, lambda n: n + 1)):
+            assert pairs
+            for n, gap in pairs:
+                hi, lo = _assani_sum(x, step(n)), _assani_sum(x, n)
+                exact = math.sqrt(sum((a / (step(n) + 1) - b / (n + 1)) ** 2 for a, b in zip(hi, lo)))
+                assert abs(gap - exact) <= 1e-12 * exact, (label, n, gap, exact)
+
+
+def test_identity_mean_gaps_are_exactly_zero():
+    # (n + 1) x is summed exactly in extended precision and divided once: every mean is x to the bit
+    for label, x in probe_vectors(identity(NAT), _PROBES):
+        verdict = mean_ergodic_probe(identity(NAT), x, 2**16)
+        assert verdict.status == "converged", label
+        assert all(gap == 0.0 for _, gap in verdict.gaps + verdict.parity_gaps), label
+
+
+def _power(w: np.clongdouble, n: int) -> np.clongdouble:
+    # w^n by binary powering, about 2 log2(n) extended roundings
+    out = np.clongdouble(1)
+    while n:
+        if n & 1:
+            out *= w
+        w *= w
+        n >>= 1
+    return out
+
+
+@pytest.mark.parametrize("name", ["identity", "diag", "assani"])
+def test_fixed_frame_weak_pairings_agree_with_an_extended_reference(name):
+    # <M_n x, y> along the weak ladder (the pairings of CesaroSum's extended sums, rounded once) against
+    # sum_{k<=n} <T^k x, y> / (n + 1) in clongdouble or exactly: within 4 eps of the scale
+    # sum_{k<=n} sum_j |(T^k x)_j| |y_j| / (n + 1)
+    spec = {"identity": identity(NAT), "diag": Diagonal(NAT, cmath.exp(1j)), "assani": ASSANI}[name]
+    n_max = 2**14
+    xs = [x for _, x in probe_vectors(spec, _PROBES)]
+    for x, y in [(xs[0], xs[-1]), (xs[-2], xs[-1]), (xs[-1], xs[-1])]:
+        pair = sum(np.clongdouble(v) * np.conj(np.clongdouble(y.entries.get(j, 0))) for j, v in x.entries.items())
+        mags = sum(abs(v) * abs(y.entries.get(j, 0)) for j, v in x.entries.items())
+        acc = CesaroSum(spec, x, n_max)
+        for n in _ladder(n_max):
+            acc.advance_to(n)
+            got = acc.inner(y)
+            if name == "identity":
+                want, scale = pair, mags
+            elif name == "diag":
+                w = np.clongdouble(cmath.exp(1j))
+                want, scale = (_power(w, n + 1) - 1) / (w - 1) * pair / (n + 1), mags
+            else:
+                s = _assani_sum(x, n)
+                ys = [Fraction(getattr(complex(y.entries.get(j, 0)), part)) for j in (1, 2) for part in ("real", "imag")]
+                re = s[0] * ys[0] + s[2] * ys[1] + s[1] * ys[2] + s[3] * ys[3]  # sum_j Re(S_j conj(y_j))
+                im = s[2] * ys[0] - s[0] * ys[1] + s[3] * ys[2] - s[1] * ys[3]
+                want = complex(re / (n + 1), im / (n + 1))
+                x1, x2 = complex(x.entries.get(1, 0)), complex(x.entries.get(2, 0))
+                y1, y2 = abs(complex(y.entries.get(1, 0))), abs(complex(y.entries.get(2, 0)))
+                scale = (np.abs(x1 - 2 * np.arange(n + 1) * x2).sum() * y1 + (n + 1) * abs(x2) * y2) / (n + 1)
+            assert abs(complex(got - want)) <= 4 * _EPS * scale, (name, n, got, complex(want), scale)
+        assert weak_ergodic_probe(spec, x, y, n_max).limit_estimate == got  # the ladder reads these pairings
 
 
 def test_ergodic_validation():

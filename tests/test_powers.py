@@ -985,6 +985,33 @@ def test_cesaro_apply_single_term():
     assert cesaro_apply(ASSANI, x, 0) == x
 
 
+@pytest.mark.parametrize("spec", [ASSANI, Diagonal(NAT, cmath.exp(1j)), BlockTZ(Diagonal(NAT, 0.5))])
+def test_fixed_frame_mean_of_no_steps_needs_no_held_table(spec):
+    # M_0 x = x with nothing held: a fixed frame's tables are built for at least one step
+    x = basis_vector(U2, 2) if spec is ASSANI else make_vector(NAT, [(1, 0.5), (3, -2.0j)])
+    x = PairVec(x, x) if isinstance(spec, BlockTZ) else x
+    powers.drop_tables()
+    assert cesaro_apply(spec, x, 0) == x
+    powers.drop_tables()
+    acc = CesaroSum(spec, x, 0, lambda_grid(4))
+    acc.advance_to(0)
+    assert np.array_equal(acc.norms(2), np.full(4, p_norm(x, 2)))
+
+
+def test_translating_frame_pairing_is_its_mean_paired():
+    x = make_vector(NAT, [(1, 0.5), (2, 1.0 - 1.0j), (3, 2.0)])
+    y = make_vector(NAT, [(2, 1.0j), (40, 3.0)])
+    for spec in (BackwardShift(NAT, PowerRatio(0.5, 1)), ForwardShift(NAT, PowerRatio(0.5, 1))):
+        acc = CesaroSum(spec, x, 64)
+        for n in (0, 1, 5, 64):
+            acc.advance_to(n)
+            mine, theirs = powers._overlap(acc.lo, acc.sum.shape[2], 1, 40)
+            dense = np.zeros((1, 40), dtype=complex)
+            for j, v in y.entries.items():
+                dense[0, j - 1] = v
+            assert acc.inner(y) == pytest.approx(complex(np.vdot(dense[:, theirs], acc.mean()[:, mine])), rel=1e-14)
+
+
 def test_cesaro_apply_assani_m2():
     m2 = cesaro_apply(ASSANI, basis_vector(U2, 2), 2)
     assert m2.entries[1] == pytest.approx(-2.0 / 3.0, rel=1e-15)

@@ -353,15 +353,18 @@ def _contraction(seed: int, d: int, size: float) -> FiniteMatrix:
     (Diagonal(NAT, 0.999 * cmath.exp(0.3j), ((100, 0.5),)), 2),  # the override lies past every probe window
     (BlockTZ(Diagonal(NAT, cmath.exp(1j))), 2),
     (Diagonal(NAT, 0.999 * cmath.exp(0.3j), ((2, 0.5), (30, 0.0))), 4),
-], ids=["assani", "hyper4", "contraction12", "diag", "blocktz:diag", "diag:overrides"])
+    (ForwardShift(NAT, PowerRatio(0.4, 1)), 0),  # a translating frame: no power stack
+], ids=["assani", "hyper4", "contraction12", "diag", "blocktz:diag", "diag:overrides", "fshift"])
 def test_probe_families_read_one_power_stack(spec, windows, monkeypatch):
     # Each family of fixed-frame orbits builds one power stack per run of probes whose operators agree byte for byte
     # (``windows``), and its reports are those of orbits that build their own.  A matrix's probes all read one stack.
     # A diagonal's width-1 basis windows read one and its wider seeded windows another, unless a basis window sees
     # another weight (e_2 under the override at 2 sits between e_1 and e_3).  The coverage calls run the longer orbit
     # first, so the shorter one reads a prefix, while run shortest first the longer one builds its own.  A diagonal's
-    # pb norms are exact.  The -1 of an odd grid is the one-point sum of -T: each vector's builds its own stack, which
-    # leaves T's held for the next vector.  Each family starts with nothing held.
+    # pb norms are exact.  The -1 of an odd grid is the one-point sum of -T, summed for every vector after the grid's
+    # roots, so it reads one stack of -T per run as well.  Every stack that a Cesàro sum reads (the mean and weak
+    # ladders, the lam sweeps) is built with its table of residue sums, in the same extended build; an orbit alone
+    # builds none, and a translating frame neither.  Each family starts with nothing held.
     pair = isinstance(spec, BlockTZ)
     cfg = ProbeConfig(n_max=96, basis_probes=4, seeded_probes=4, probe_support=8, lambda_samples=8, p=2.0 if pair else 1.0)
     xs = [x for _, x in probe_vectors(spec, cfg)]
@@ -380,10 +383,16 @@ def test_probe_families_read_one_power_stack(spec, windows, monkeypatch):
         "coverage, shortest first": lambda: coverage((50, 200)),
     }
     stacks = {"pb": 0 if isinstance(spec, Diagonal) else windows, "coverage": 1, "coverage, shortest first": 2,
-              "lambda, odd grid": windows + len(xs)}
+              "lambda, odd grid": 2 * windows} if windows else {}
+    tables = {name: stacks.get(name, windows) for name in ("mean", "weak", "lambda", "lambda, odd grid")}
     builds = []
     build = powers._power_stack
-    monkeypatch.setattr(powers, "_power_stack", lambda op, size: builds.append(size) or build(op, size))
+
+    def counted(op, size, period=None):
+        builds.append(period)
+        return build(op, size, period)
+
+    monkeypatch.setattr(powers, "_power_stack", counted)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         shared = {}
@@ -392,6 +401,7 @@ def test_probe_families_read_one_power_stack(spec, windows, monkeypatch):
             builds.clear()
             shared[name] = family()
             assert len(builds) == stacks.get(name, windows), (name, builds)
+            assert sum(period is not None for period in builds) == tables.get(name, 0), (name, builds)
         monkeypatch.setattr(powers, "_held", _NeverHeld())  # one stack per orbit
         alone = {name: family() for name, family in families.items()}
     assert shared == alone
@@ -611,7 +621,7 @@ def test_contraction_lambda_sweeps_are_bounded_by_the_averaged_power_norms(case,
         warnings.simplefilter("error")
         uk = lambda_operator_norms(spec, lambda_grid(samples), ks)
         cb = lambda_operator_norms(spec, [1.0], list(range(1, n_max + 1)))[0]
-        norms = np.concatenate(([1.0], largest_singular_value(powers._power_stack(a, n_max))))
+        norms = np.concatenate(([1.0], largest_singular_value(powers._power_stack(a, n_max)[0])))
     s = np.array([math.fsum(norms[: k + 1]) / (k + 1) for k in ks])
     ext = np.array([(k + 2 * d * math.log2(k + 2) + math.log2(samples) + 2) * _U_EXT for k in ks])
     err = (8 * eps + ext) * s
