@@ -453,7 +453,8 @@ def mean_ergodic_probe(spec: OperatorSpec, x, n_max: int = 2**14, p: float = 2.0
     Once the orbit state is exactly zero the running sum is frozen and the
     remaining dyadic means are scalar multiples of it, so the ladder finishes
     analytically.  Probes of one fixed frame read one power stack
-    (``make_orbit``).
+    (``make_orbit``).  A mean that is not finite raises FloatingPointError
+    naming its n.
     """
     if n_max < 8:
         raise ParameterError("n_max must be >= 8")
@@ -464,8 +465,11 @@ def mean_ergodic_probe(spec: OperatorSpec, x, n_max: int = 2**14, p: float = 2.0
     gaps = []
     parity_gaps = []
     for n in checkpoints:
-        acc.advance_to(n)
-        mean = acc.mean()
+        with np.errstate(over="ignore", invalid="ignore"):
+            acc.advance_to(n)
+            mean = acc.mean()
+        if not np.isfinite(mean.view(float)).all():  # parts as doubles: numpy's complex isfinite is slower
+            raise FloatingPointError(f"M_n x is not finite at n={n}: the orbit overflows")
         if n - 1 in means:
             parity_gaps.append((n - 1, acc.gap(mean, means[n - 1], p)))
         if n % 2 == 0 and n // 2 in means:

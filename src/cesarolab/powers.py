@@ -10,10 +10,11 @@ composes its inner frame (``_WindowOrbit``).  No orbit steps, and no table
 saturates: a product table is held as double mantissas times exact powers of
 two, so a state or a sum reads inf or 0 only where its exact value leaves
 double range.  Sums cover a grid of unimodular lam at once, a mean being the
-one-point grid [1].  A fixed frame's sums read the residue prefix sums of its
-extended power stack, on the roots-of-unity grid through one inverse DFT at
-the exact roots, as ``lambda_operator_norms`` reads a matrix's powers; any
-other lam is the one-point grid of lam T (``_lambda_parts``).  The last power
+one-point grid [1].  A fixed frame's sums and the matrix sweeps
+(``lambda_operator_norms``) read the residue prefix sums of one extended power
+builder, ``_power_stack``, on a roots-of-unity grid through one inverse DFT at
+the exact roots; any other lam is the one-point grid of lam T, summed apart
+(``_lambda_parts``, ``lambda_mean_norms``).  The last power
 stack and the last gain table mu^u are held by the bytes they are built from
 (``_held``), so a probe family builds each once; a prefix of a longer table is
 the shorter one bit for bit, so holding never changes a result.
@@ -245,9 +246,10 @@ def _as_vector(universe, lo: int, vals: np.ndarray):
     return PairVec(*rows) if len(rows) == 2 else rows[0]
 
 
-def _power_stack(op: np.ndarray, size: int, period: int | None = None) -> tuple[np.ndarray, np.ndarray | None]:
-    """(op^1 .. op^size rounded to double, and for a period the residue prefix sums of the extended powers, else None),
-    of a matrix or a stack of 2 x 2 blocks (matrix powers) or a weight vector (elementwise powers).
+def _power_stack(op: np.ndarray, size: int, period: int | None = None) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """(op^1 .. op^size rounded to double; for a period the residue prefix sums of the extended powers, else None;
+    the extended op^size, which carries a reader past the stack), of a matrix or a stack of 2 x 2 blocks (matrix
+    powers) or a weight vector (elementwise powers): the one builder of extended powers (``_residue_norms`` too).
 
     Built by doubling, stack[k : 2k] = stack[:k] op^k, in extended precision:
     log2(size) numpy calls fill it, and each power, rounded once to double, is
@@ -266,20 +268,21 @@ def _power_stack(op: np.ndarray, size: int, period: int | None = None) -> tuple[
         m = min(k, size - k)
         mul(stack[:m], stack[k - 1], out=stack[k : k + m])
         k += m
-    rounded = stack.astype(complex)
-    if period is not None:
-        np.cumsum(sums, axis=0, out=sums)
-    return rounded, sums if period is not None else None
+    rounded, last = stack.astype(complex), stack[-1].copy()
+    if period is None:
+        return rounded, None, last
+    np.cumsum(sums, axis=0, out=sums)
+    return rounded, sums, last
 
 
 def _residue_sums(table: np.ndarray, t, residues) -> np.ndarray:
     """R_r(t), the sum of the powers a^s with s <= t and s = r mod L, for each r of residues, off a residue table.
 
     A residue table (rows, L, *shape) holds a^s at flat position L + s below a
-    row of earlier sums (zeros at s = 0), and is then summed over its rows in
-    place, so R_r(t) sits at t + L - (t - r) mod L: in row t // L + 1 if
-    r <= t mod L, else in the row above (``_power_stack``,
-    ``_residue_norms``).  t and residues broadcast.
+    row of zeros (zero at s = 0), and is then summed over its rows in place,
+    so R_r(t) sits at t + L - (t - r) mod L: in row t // L + 1 if
+    r <= t mod L, else in the row above (``_power_stack``).  t and residues
+    broadcast.
     """
     period = table.shape[1]
     return table.reshape(-1, *table.shape[2:])[t + period - (t - residues) % period]
@@ -429,7 +432,8 @@ class _Orbit:
         def fits(held) -> bool:
             return len(held[0]) >= size and (period is None or held[1] is not None and held[1].shape[1] == period)
 
-        stack, sums = _hold("stack", (op.shape, op.tobytes()), fits, lambda: _power_stack(op, size, period))
+        with np.errstate(over="ignore", invalid="ignore"):  # overflowing powers read inf, as in ``_residue_norms``
+            stack, sums, _ = _hold("stack", (op.shape, op.tobytes()), fits, lambda: _power_stack(op, size, period))
         self._stack, self._floor = stack[:size], None
         return sums
 
@@ -832,14 +836,13 @@ class CesaroSum:
     A fixed frame's orbit steps in blocks off its power stack, and a block of
     m steps from the double state v adds R(m) v to the sums, R(m) the residue
     prefix sums of its extended power stack (``_power_stack``), so no state
-    is summed on its own.  One table serves each part of the grid
-    (``_lambda_parts``): on a head ``lambda_grid(L)`` step k joins residue
-    class k mod L, whose sums one inverse DFT reads at the exact roots
-    e^{2 pi i j/L}; any other lam is the one-point sum of lam T, on lam T's
-    own orbit (T's own for lam = 1).  ``lambda_mean_norms`` sums the parts one
-    after another; a grid that mixes them here serves direct callers.  The
-    sums are extended, ``_exact``, and rounded once into ``sum``, as are the
-    mean and the pairing they give.
+    is summed on its own.  Its grid is one part (``_lambda_parts``), summed on
+    one orbit and one table: [1], or a head ``lambda_grid(L)``, where step k
+    joins residue class k mod L, whose sums one inverse DFT reads at the
+    exact roots e^{2 pi i j/L}.  Any other grid raises ParameterError:
+    ``lambda_mean_norms`` sums it part by part, an off-grid lam as the
+    one-point sum of lam T.  The sums are extended, ``_exact``, and rounded
+    once into ``sum``, as are the mean and the pairing they give.
     """
 
     def __init__(self, spec: OperatorSpec, x, n_max: int, lams=(1.0,)):
@@ -855,19 +858,15 @@ class CesaroSum:
             self._prefix_sums()
         state_cols, self._live = self._overlap()  # columns that can be nonzero; a translating frame narrows them
         self.sum[:, :, self._live] = self.orbit.vals[:, state_cols]
-        if not self.orbit.translating:  # (orbit, [(rows, residue sums, class sums)]), T's own first: it always advances
+        if not self.orbit.translating:
+            parts = _lambda_parts(self.lams)
+            if len(parts) != 1 or parts[0][0] != 1:
+                raise ParameterError("a fixed frame sums [1] or a head lambda_grid(L); lambda_mean_norms sums any lams")
             x0 = self.sum[0].ravel()
             self._exact = np.repeat(x0[None].astype(np.clongdouble), len(self.lams), axis=0)
-            self._parts = [(self.orbit, [])]
-            for lam, period, rows in _lambda_parts(self.lams):
-                orbit = self.orbit
-                if lam != 1:  # lam T's own orbit and tables
-                    orbit = make_orbit(scale(lam, spec), x, n_max)
-                    self._parts.append((orbit, []))
-                classes = np.zeros((period, x0.size), dtype=np.clongdouble)
-                classes[0] = x0  # state 0 opens class 0
-                if not orbit.dead:  # an empty window has no operator and never steps
-                    self._parts[0 if lam == 1 else -1][1].append((rows, orbit._tables(period), classes))
+            self._classes = np.zeros((len(self.lams), x0.size), dtype=np.clongdouble)
+            self._classes[0] = x0  # state 0 opens class 0; an empty window has no operator and never steps
+            self._table = None if self.orbit.dead else self.orbit._tables(len(self.lams))
 
     def _prefix_sums(self) -> None:
         """Prefix sums of mu^-i a(i) (and mu^-i b(i), i mu^-i b(i)), times lam if padded; their references R per lam
@@ -1004,17 +1003,14 @@ class CesaroSum:
             if orbit.steps != self.stepped:
                 with np.errstate(over="ignore"):  # a plateau whose exact value overflows reads inf
                     self._write(orbit.steps)
-        else:
-            for part_orbit, parts in self._parts:
-                start = part_orbit.vals  # the state that a block of m steps starts from, at step first - 1
-                for first, _, _, _ in part_orbit._states(n - part_orbit.steps, last=True):
-                    m = part_orbit.steps - first + 1
-                    for _, sums, classes in parts:  # class r gains R_c(m) start, c = r - first + 1 mod L
-                        c = (np.arange(len(classes)) - first + 1) % len(classes)
-                        classes += _apply_powers(_residue_sums(sums, m, c), start)
-                    start = part_orbit.vals
-                for rows, _, classes in parts:
-                    self._exact[rows] = classes if len(classes) == 1 else np.fft.ifft(classes, axis=0, norm="forward")
+        elif n > orbit.steps and not orbit.dead:
+            classes, period = self._classes, len(self._classes)
+            start = orbit.vals  # the state that a block of m steps starts from, at step first - 1
+            for first, _, _, _ in orbit._states(n - orbit.steps, last=True):
+                m = orbit.steps - first + 1  # class r gains R_c(m) start, c = r - first + 1 mod L
+                classes += _apply_powers(_residue_sums(self._table, m, (np.arange(period) - first + 1) % period), start)
+                start = orbit.vals
+            self._exact = classes if period == 1 else np.fft.ifft(classes, axis=0, norm="forward")
             with np.errstate(over="ignore"):  # rounded once; a sum past double range reads inf
                 self.sum.reshape(len(self.lams), -1)[:] = self._exact
         self.stepped, self.n = orbit.steps, n
@@ -1061,7 +1057,8 @@ class CesaroSum:
     def gap(self, a: np.ndarray, b: np.ndarray, p: float) -> float:
         """||a - b||_p of two arrays on the accumulator's coordinates."""
         self.orbit.check_p(p)
-        return float(_lp_norm(np.abs(a - b).ravel(), p))
+        with np.errstate(over="ignore"):  # powers of entries past the root of double range: rescaled by _lp_norm
+            return float(_lp_norm(np.abs(a - b).ravel(), p))
 
 
 def _times(z: np.ndarray, c: float) -> np.ndarray:
@@ -1306,51 +1303,44 @@ def _residue_norms(a: np.ndarray, period: int, checkpoints: list[int]) -> np.nda
     grid, in extended precision, at the exact roots: its rounding grows like
     log(period) eps sum_r ||B_r(k)|| with the extended eps (Higham, Accuracy
     and Stability of Numerical Algorithms, ch. 24), far below the one
-    rounding to double.  The powers a^0, a^1, ... are built in blocks of
-    whole rows of period powers under the stack cap, each a residue table
-    (``_residue_sums``) below the previous block's last row of sums.
-    Checkpoints are gathered straight into residue order, divided by k+1 and
-    rounded to double once; each chunk of checkpoints takes one batched
-    largest singular value.  Shape (period, len(checkpoints)).
+    rounding to double.  The residue table R(t) of a^1 .. a^S
+    (``_power_stack``, S whole rows of period powers under the stack cap) is
+    built once and read for every block of S powers, as ``CesaroSum`` reads it
+    for a state: from the sums at the block's start, base = B(start), and
+    P = a^start, kept extended, checkpoint k reads base + R(k - start) P; the
+    next block starts from base + R(S) P and P a^S.  The identity a^0 opens
+    class 0 of base.  Checkpoints are gathered straight into residue order,
+    divided by k+1 and rounded to double once; each chunk of checkpoints
+    takes one batched largest singular value.  Shape (period, len(checkpoints)).
     """
     d = len(a)
     ks = np.asarray(checkpoints, dtype=np.int64)
     out = np.empty((period, len(ks)))
     point = 32 * period * d * d  # bytes of one checkpoint's residue sums
-    rows = min(max(_STACK_BYTES // point, 2), int(ks[-1]) // period + 2)
+    size = (min(max(_STACK_BYTES // point, 2), int(ks[-1]) // period + 2) - 1) * period
     chunk = max(_GATHER_BYTES // point, 1)
-    buf = np.empty((rows, period, d, d), dtype=np.clongdouble)
-    buf[0] = 0
-    flat = buf.reshape(-1, d, d)
-    op = a.astype(np.clongdouble)
-    squares = [op]  # op^(2^i), the doubling factors
-    first = np.eye(d, dtype=np.clongdouble)  # the power that opens the next block
     residues = np.arange(period)
-    start, pos = 0, 0  # exponent of the block's first power; first checkpoint not yet read
+    base = np.zeros((period, d, d), dtype=np.clongdouble)
+    base[0] = np.eye(d)
+    carry = None  # a^start, the extended right-hand side of the block; None for a^0
+    start, pos = 0, 0  # base sums the powers up to a^start; first checkpoint not yet read
     with np.errstate(over="ignore", invalid="ignore"):  # overflowing means read as inf
+        table, last = _power_stack(a, size, period)[1:]  # the rounded stack is dropped at once
         while pos < len(ks):
-            used = min(rows - 1, (int(ks[-1]) - start) // period + 1)
-            block = flat[period : period * (used + 1)]  # a^start, a^(start+1), ...
-            block[0] = first
-            done = 1
-            while done < len(block):  # block[done : 2 done] = block[:done] op^done
-                if len(squares) < done.bit_length():
-                    squares.append(squares[-1] @ squares[-1])
-                m = min(done, len(block) - done)
-                np.matmul(block[:m], squares[done.bit_length() - 1], out=block[done : done + m])
-                done += m
-            first = block[-1] @ op
-            np.cumsum(buf[: used + 1], axis=0, out=buf[: used + 1])
-            stop = int(np.searchsorted(ks, start + used * period))
+            stop = int(np.searchsorted(ks, start + size, side="right"))
             for lo in range(pos, stop, chunk):
                 hi = min(lo + chunk, stop)
-                sums = np.fft.ifft(_residue_sums(buf, ks[lo:hi, None] - start, residues), axis=1, norm="forward")
+                sums = _residue_sums(table, ks[lo:hi, None] - start, residues)
+                sums = sums if carry is None else sums @ carry
+                sums += base
+                sums = np.fft.ifft(sums, axis=1, norm="forward")
                 sums /= (ks[lo:hi] + 1).astype(np.longdouble)[:, None, None, None]
                 sums = sums.astype(complex)
                 out[:, lo:hi] = largest_singular_value(sums.reshape(-1, d, d)).reshape(hi - lo, period).T
-            buf[0] = buf[used]
-            start += used * period
-            pos = stop
+            block = _residue_sums(table, size, residues)
+            base += block if carry is None else block @ carry
+            carry = last if carry is None else carry @ last
+            start, pos = start + size, stop
     return out
 
 

@@ -158,9 +158,10 @@ def test_classify_overflowing_matrix_prints_no_warnings():
     # the non-finite powers and means become verdicts, not numpy RuntimeWarnings
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code, out, err = run_cli(["classify", "matrix:[[2,0],[0,1]]", "--probes", "pb,cb,uk", "--json"])
+        code, out, err = run_cli(["classify", "matrix:[[2,0],[0,1]]", "--probes", "pb,cb,uk,kreiss,sk,acb", "--json"])
     assert code == 0, err
-    assert [probe["result"]["status"] for probe in json.loads(out)["probes"]] == ["violated"] * 3
+    assert err == ""
+    assert [probe["result"]["status"] for probe in json.loads(out)["probes"][:3]] == ["violated"] * 3
 
 
 def _overflowing_mean_at(base: int, ns) -> int:
@@ -230,6 +231,18 @@ def test_pairing_overflow_exits_1_naming_the_index(argv):
     assert code == 1
     assert out == ""
     assert "n=39" in err
+
+
+@pytest.mark.parametrize(("probes", "named"), [("me", "M_n x"), ("we", "<M_n x, y>")])
+def test_overflowing_matrix_ladders_exit_1_naming_the_index(probes, named):
+    # diag(2, 1): T^1024 e_1 leaves double range, so the ladders' sums past it are not finite; the report names the
+    # checkpoint, and no overflow warning reaches stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["classify", "matrix:[[2,0],[0,1]]", "--probes", probes, "--json"])
+    assert code == 1
+    assert out == ""
+    assert err == f"runtime failure: {named} is not finite at n=1025: the orbit overflows\n"
 
 
 def test_power_bounded_overflowing_power_ratio_is_violated():

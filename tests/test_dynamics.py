@@ -290,6 +290,13 @@ def test_mean_ergodic_assani_diverges():
     assert verdict.parity_gaps[-1][1] > 1.0
 
 
+def test_mean_ergodic_names_the_first_mean_that_overflows():
+    # diag(2, 1): T^1024 e_1 = 2^1024 is past double range, so M_1025 e_1, summed on from that state, is not finite;
+    # the ladder names that checkpoint instead of judging NaN gaps
+    with pytest.raises(FloatingPointError, match=r"M_n x is not finite at n=1025\b"):
+        mean_ergodic_probe(FiniteMatrix(((2.0, 0.0), (0.0, 1.0))), basis_vector(U2, 1), 2**14)
+
+
 def test_mean_ergodic_identity_converges_exactly():
     x = make_vector(NAT, [(1, 0.6), (3, 0.8)])
     verdict = mean_ergodic_probe(identity(NAT), x, 2**10)

@@ -396,6 +396,18 @@ def _oracle_sums(states, lams, lo, width, ns):
     return out
 
 
+def _part_sums(spec, x, n_max, lams):
+    """[(sum, rows, c)]: CesaroSums that together cover the grid lams, the rows of lams each holds, and the scalar c of
+    the operator c T it steps.  A translating frame sums the whole grid; a fixed frame one part (``_lambda_parts``)
+    at a time, as ``lambda_mean_norms`` does: a head lambda_grid(L) on T, any other lam as the one-point sum of lam T."""
+    lams = np.asarray(lams, dtype=complex)
+    if not powers.fixed_frame(spec):
+        return [(CesaroSum(spec, x, n_max, lams), list(range(len(lams))), 1)]
+    return [(CesaroSum(spec, x, n_max, lams[rows]), rows, 1) if period > 1 else
+            (CesaroSum(spec if lam == 1 else scale(lam, spec), x, n_max), rows, lam)
+            for lam, period, rows in powers._lambda_parts(lams)]
+
+
 def test_block_path_matches_stepping(monkeypatch):
     # fixed frames read blocks off a power stack; the reference steps n-fold core.apply.  A small stack cap makes
     # blocks of a few to a few hundred states, and the horizon keeps the underflow death at step 1075 inside it.
@@ -413,8 +425,8 @@ def test_block_path_matches_stepping(monkeypatch):
 
         # rounding scales (Higham ch. 3-4): ||T^n|| ||x|| for a state, sum_k ||T^k x|| for a sum
         sizes = np.array([p_norm(v, 2) for v in states])
-        sums = [CesaroSum(spec, x, n_top), CesaroSum(spec, x, n_top, lams)]
-        want_sums = _oracle_sums(states, lams, sums[0].lo, sums[0].sum.shape[2], {min(n, death or n) for n in ns})
+        sums = [(CesaroSum(spec, x, n_top), [0], 1), *_part_sums(spec, x, n_top, lams)]
+        want_sums = _oracle_sums(states, lams, sums[0][0].lo, sums[0][0].sum.shape[2], {min(n, death or n) for n in ns})
         for n in ns:
             dies = n if death is None else min(n, death)  # steps taken: the death index ends the orbit
             orbit = make_orbit(spec, x, n_top)
@@ -428,14 +440,14 @@ def test_block_path_matches_stepping(monkeypatch):
                 _close(state.vals, _dense_on(states[dies], state.lo, state.vals.shape[1]), power * p_norm(x, 2))
             inners = make_orbit(spec, x, n_top).inners(y, n)
             _close(inners, np.array([inner(v, y) for v in states[1 : dies + 1]]), sizes[1 : dies + 1] * p_norm(y, 2))
-            for acc in sums:
+            for acc, rows, c in sums:
                 acc.advance_to(n)
                 assert acc.stepped == dies
-                want = want_sums[dies][: len(acc.lams)]
+                want = want_sums[dies][rows]
                 summed = sizes[: dies + 1].sum()
                 _close(acc.sum, want, summed)
                 _close(acc.norms(2), np.linalg.norm(want.reshape(len(want), -1), axis=1) / (n + 1), summed / (n + 1))
-                _close(acc.state(), _dense_on(states[dies], acc.lo, acc.sum.shape[2]), power * p_norm(x, 2))
+                _close(acc.state(), c**dies * _dense_on(states[dies], acc.lo, acc.sum.shape[2]), power * p_norm(x, 2))
 
 
 def _translating_cases():
@@ -784,8 +796,8 @@ def test_composed_frames_match_apply(monkeypatch):
         death = zero[0] if zero else None
         sizes = _composed_scales(states, a, kappa, x, n_top)
         y = x if kappa is None else PairVec(x.bottom, x.top)
-        sums = [CesaroSum(spec, x, n_top), CesaroSum(spec, x, n_top, lams)]
-        assert all(acc.orbit.translating or acc.orbit.fixed for acc in sums)
+        sums = [(CesaroSum(spec, x, n_top), [0]), *((acc, rows) for acc, rows, _ in _part_sums(spec, x, n_top, lams))]
+        assert all(acc.orbit.translating or acc.orbit.fixed for acc, _ in sums)
         for n in ns:
             dies = n if death is None else min(n, death)
             orbit = make_orbit(spec, x, n_top)
@@ -802,12 +814,12 @@ def test_composed_frames_match_apply(monkeypatch):
                 _close(state.vals, _dense_on(states[dies], state.lo, width), sizes[dies])
             inners = make_orbit(spec, x, n_top).inners(y, n)
             _close(inners, np.array([inner(v, y) for v in states[1 : dies + 1]]), sizes[1 : dies + 1] * p_norm(y, 2))
-            for acc in sums:
+            for acc, rows in sums:
                 acc.advance_to(n)
                 assert acc.stepped == dies
                 width = acc.sum.shape[2]
                 want = [sum(lam**k * _dense_on(v, acc.lo, width) for k, v in enumerate(states[: dies + 1]))
-                        for lam in acc.lams]
+                        for lam in lams[rows]]
                 summed = sizes[: dies + 1].sum()
                 _close(acc.sum, np.array(want), summed)
                 _close(acc.norms(2), np.array([np.linalg.norm(w) for w in want]) / (n + 1), summed / (n + 1))
@@ -1216,14 +1228,16 @@ def _exact_fixed_frame_cases():
 @pytest.mark.parametrize("period", [4, 7, 64])
 def test_fixed_frame_grid_sums_are_residue_sums_at_the_exact_roots(period):
     # with B_r(n) the sum of the states k <= n with k = r mod L, the grid row j is sum_r w^{jr} B_r(n), w = e^{2 pi i/L},
-    # within the _assert_sweep bound 4 eps (sum_r ||B_r(n)|| + ||sum||); the -1 of an odd grid is sum_k (-1)^k T^k x
+    # within the _assert_sweep bound 4 eps (sum_r ||B_r(n)|| + ||sum||); the -1 of an odd grid, the one-point sum of
+    # -T, is sum_k (-1)^k T^k x
     roots = _exact_roots(period)[:period]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for spec, x, states in _exact_fixed_frame_cases():
-            acc = CesaroSum(spec, x, _FOLD_KS[-1], lambda_grid(period))
+            parts = _part_sums(spec, x, _FOLD_KS[-1], lambda_grid(period))
             for n in _FOLD_KS:
-                acc.advance_to(n)
+                for acc, _, _ in parts:
+                    acc.advance_to(n)
                 padded = np.zeros((-(-(n + 1) // period) * period, *states.shape[1:]), dtype=np.clongdouble)
                 padded[: n + 1] = states[: n + 1]
                 classes = padded.reshape(-1, period, *states.shape[1:]).sum(axis=0)
@@ -1231,15 +1245,15 @@ def test_fixed_frame_grid_sums_are_residue_sums_at_the_exact_roots(period):
                 if period % 2:
                     want = np.concatenate([want, np.sum(states[: n + 1] * ((-1.0) ** np.arange(n + 1))[:, None, None], axis=0)[None]])
                 scale_ = sum(np.linalg.norm(b.astype(complex)) for b in classes)
-                for got, row in zip(acc.sum, want, strict=True):
+                for got, row in zip(np.concatenate([acc.sum for acc, _, _ in parts]), want, strict=True):
                     error = np.linalg.norm((got - row).astype(complex))
                     assert error <= 4 * _EPS * (scale_ + np.linalg.norm(row.astype(complex))), (spec, n, error)
 
 
 def test_fixed_frame_sums_off_the_grid_are_one_point_sums():
-    # a grid that is not lambda_grid(L) element for element reads each lam as the one-point sum of lam T, as does the
-    # -1 of an odd grid and every lam after a head lambda_grid(L), whose rows are that grid's; lam = 1 is T's own
-    # orbit, which advances (the state is T^n x) whether or not a lam = 1 reads it
+    # on a fixed frame lambda_mean_norms reads a grid that is not lambda_grid(L) element for element as one-point sums
+    # of lam T, and so the -1 of an odd grid and every lam after a head lambda_grid(L), whose rows are that grid's sum
+    # on T's own orbit, as for lam = 1
     off = lambda_grid(8)
     off[3] *= 1 + 2**-52
     cases = ((off, range(8)), (lambda_grid(7), [7]), ([1j], [0]), ([1j, 1], [0, 1]), ([*lambda_grid(7), 1], [7, 8]))
@@ -1248,16 +1262,27 @@ def test_fixed_frame_sums_off_the_grid_are_one_point_sums():
         for spec, x, _ in _exact_fixed_frame_cases():
             for lams, rows in cases:
                 for n in (1, 7, 64, 1000):
-                    acc = CesaroSum(spec, x, n, lams)
-                    acc.advance_to(n)
-                    grid = CesaroSum(spec, x, n, lambda_grid(7))
+                    table = lambda_mean_norms(spec, [x], lams, [n], 2.0)[0, :, 0]
+                    grid = CesaroSum(spec, x, n, lambda_grid(7)[:7])
                     grid.advance_to(n)
-                    assert acc.sum[: rows[0]].tobytes() == grid.sum[: rows[0]].tobytes(), (spec, n)
+                    assert table[: rows[0]].tobytes() == grid.norms(2.0)[: rows[0]].tobytes(), (spec, n)
                     for j in rows:
                         single = CesaroSum(spec if lams[j] == 1 else scale(lams[j], spec), x, n)
                         single.advance_to(n)
-                        assert acc.sum[j].tobytes() == single.sum[0].tobytes(), (spec, n, j)
-                    assert acc.state().tobytes() == _dense_on(power_apply(spec, x, n), acc.lo, acc.sum.shape[2]).tobytes()
+                        assert table[j] == single.norms(2.0)[0], (spec, n, j)
+                    assert grid.state().tobytes() == _dense_on(power_apply(spec, x, n), grid.lo, grid.sum.shape[2]).tobytes()
+
+
+def test_fixed_frame_sums_take_one_part_of_the_grid():
+    # a fixed frame sums lam = 1 or a head lambda_grid(L) on one table; any other list is refused and named to
+    # lambda_mean_norms, while a translating frame sums any list
+    x = make_vector(U2, [(1, 0.5), (2, -0.25)])
+    for lams in ([1j], [1, 1j], [1, 1], lambda_grid(7), [*lambda_grid(8), 1]):
+        with pytest.raises(ParameterError, match="lambda_mean_norms"):
+            CesaroSum(ASSANI, x, 8, lams)
+    for lams in ([1], lambda_grid(2), lambda_grid(7)[:7], lambda_grid(64)):
+        assert len(CesaroSum(ASSANI, x, 8, lams).sum) == len(lams)
+    assert len(CesaroSum(ForwardShift(NAT, PowerRatio(0.4, 1)), basis_vector(NAT, 1), 8, [1j, 1]).sum) == 2
 
 
 def test_cesaro_sweep_and_kreiss_row_one_agree_within_two_dft_roundings():

@@ -63,6 +63,7 @@ from cesarolab.core import (
     p_norm,
     PairVec,
     scale,
+    spec_universe,
     vec_scale,
     weight_product,
 )
@@ -479,8 +480,8 @@ def excursion_cases(draw):
 def test_means_are_bounded_by_their_orbit_norms(case, angles):
     # ||M_n(lam T) x|| <= (1/(n+1)) sum_{k<=n} ||T^k x|| <= max_{k<=n} ||T^k x||: a mean is an average of unimodular
     # multiples of the orbit, so power bounded implies absolutely Cesàro bounded implies uniformly Kreiss bounded.
-    # The left side is CesaroSum's, the right side the orbit's norms; both read the same table, for which the
-    # inequalities are exact.  Rounding, u = eps / 2: a state entry takes at most 8 roundings (x / W, a + n b under
+    # The left side is lambda_mean_norms' (one CesaroSum over the grid, or on a fixed frame one per lam, the sum of
+    # lam T), the right side the orbit's norms; both read the same table, for which the inequalities are exact.  Rounding, u = eps / 2: a state entry takes at most 8 roundings (x / W, a + n b under
     # BlockTZ, times W), its norm width + 2 more and the mean of the norms n + 1 more; a sum cell takes at most 8
     # (term, gain, their product, the rounded span) relative to the sum of its terms' magnitudes, whose l2 norm over
     # the cells is at most sum_k ||T^k x||, and its norm cells + 2 more.  So the computed left side exceeds the
@@ -489,17 +490,16 @@ def test_means_are_bounded_by_their_orbit_norms(case, angles):
     if x.is_zero():
         return
     lams = np.exp(1j * np.array(angles))
+    lo, hi = make_orbit(spec, x, n).span(n)  # the cells of the sums
     with warnings.catch_warnings(), np.errstate(over="ignore"):  # as the probes read overflowing orbits
         warnings.simplefilter("error")
-        acc = CesaroSum(spec, x, n, lams)
-        acc.advance_to(n)
-        means = acc.norms(2.0)
+        means = lambda_mean_norms(spec, [x], lams, [n], 2.0)[0, :, 0]
         orbit = make_orbit(spec, x, n)
         norms = np.zeros(n + 1)
         norms[0] = orbit.norm(2.0)
         steps = orbit.norms(2.0, n)
         norms[1 : len(steps) + 1] = steps  # a dead orbit stays zero
-    tol = (20 + 2 * acc.sum.shape[2] + n) * np.finfo(float).eps / 2  # the state's width is at most the cells
+    tol = (20 + 2 * (hi - lo + 1) + n) * np.finfo(float).eps / 2  # the state's width is at most the cells
     for bound in (norms.sum() / (n + 1), norms.max()):
         assert np.all(means <= bound * (1 + tol)), (means, bound)
 
@@ -627,3 +627,46 @@ def test_contraction_lambda_sweeps_are_bounded_by_the_averaged_power_norms(case,
     err = (8 * eps + ext) * s
     assert np.all(uk <= s * (1 + 4 * eps) + err), np.max(uk - s)
     assert np.all(np.abs(cb[np.array(ks) - 1] - uk[0]) <= 2 * err), np.max(np.abs(cb[np.array(ks) - 1] - uk[0]) / err)
+
+
+_SWEEP_KS = [0, 1, 5, 6, 7, 20, 21, 22, 63, 64, 65, 127, 128, 300]
+
+
+@pytest.mark.parametrize("stack_bytes", [None, 2**12])
+@pytest.mark.parametrize("grid", [[1.0], lambda_grid(7)[:7], lambda_grid(8), lambda_grid(64)], ids=["1", "7", "8", "64"])
+def test_matrix_sweeps_are_the_largest_singular_values_of_the_basis_means(grid, stack_bytes, monkeypatch):
+    # The two readers of ``_power_stack`` agree: lambda_operator_norms (one residue table, carried past its length by
+    # the extended a^S) and the CesaroSum means of e_1 .. e_d (the orbit's blocks of its own table, from rounded
+    # states).  The largest singular value of the matrix whose columns are those means lies within the lam-sweep
+    # bound 4 eps (sum_r ||B_r(k)|| / (k+1) + ||M_k||) of the sweep, B_r(k) the sum of the powers m <= k, m = r mod L.
+    # At 2^12 bytes a sweep block holds 7 to 64 powers and an orbit block one state.
+    if stack_bytes:
+        monkeypatch.setattr(powers, "_STACK_BYTES", stack_bytes)
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+    a *= 0.9 / np.linalg.norm(a, 2)
+    specs = [zoo.get_entry(name).spec for name in ("assani", "lambda-block", "hyper4", "blocktz-nilpotent", "rotation")]
+    period = len(grid)
+    for spec in [*specs, FiniteMatrix(tuple(map(tuple, a.tolist())))]:
+        m = powers.to_matrix(spec)
+        d = len(m)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sweep = lambda_operator_norms(spec, grid, _SWEEP_KS)
+            means = np.zeros((period, len(_SWEEP_KS), d, d), dtype=complex)
+            for j in range(d):
+                acc = CesaroSum(spec, basis_vector(spec_universe(spec), j + 1), _SWEEP_KS[-1], grid)
+                for c, k in enumerate(_SWEEP_KS):
+                    acc.advance_to(k)
+                    means[:, c, :, j] = acc.sum[:, 0] / (k + 1)
+        power = np.eye(d, dtype=np.clongdouble)  # sum_r ||B_r(k)|| / (k+1), stepped in clongdouble
+        classes = np.zeros((period, d, d), dtype=np.clongdouble)
+        scale_ = []
+        for k in range(_SWEEP_KS[-1] + 1):
+            classes[k % period] += power
+            power = power @ m
+            if k in _SWEEP_KS:
+                scale_.append(sum(np.linalg.norm(b.astype(complex), 2) for b in classes) / (k + 1))
+        want = largest_singular_value(means)
+        bound = 4 * np.finfo(float).eps * (np.array(scale_) + want)
+        assert np.all(np.abs(sweep - want) <= bound), (spec, np.max(np.abs(sweep - want) / bound))
