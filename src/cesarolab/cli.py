@@ -310,7 +310,7 @@ def cmd_classify(args) -> int:
     seed = _parse_seed(args.seed)
     entry = zoo.get_entry(args.operator.strip()) if args.operator.strip() in zoo.ENTRIES else None
     spec, hints = (entry.spec, {}) if entry else parse_operator(args.operator)
-    cfg = ProbeConfig(n_max=args.n_max or 1024, p=hints.get("p", 2.0), tolerance=args.tol or 1e-9, seed=seed)
+    cfg = ProbeConfig(n_max=args.n_max, p=hints.get("p", 2.0), tolerance=args.tol, seed=seed)
     probes: list[dict] = []
     timings: dict[str, float] = {}
     exit_code = 0
@@ -402,7 +402,7 @@ def cmd_orbit(args) -> int:
 def cmd_isometry(args) -> int:
     seed = _parse_seed(args.seed)
     spec, _ = parse_operator(args.operator)
-    cfg = ProbeConfig(basis_probes=8, seeded_probes=8, seed=seed, tolerance=args.tol or 1e-9)
+    cfg = ProbeConfig(basis_probes=8, seeded_probes=8, seed=seed, tolerance=args.tol)
     reports = isometry.isometry_table(spec, args.m_max, cfg)
     order = next((rep.m_tested for rep in reports if rep.passed), None)
     defects = [
@@ -585,9 +585,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cls.add_argument("operator", nargs="?", default="")
     tokens = ", ".join(f"{t} ({probe.name})" for t, probe in zoo.TOKENS.items())
     p_cls.add_argument("--probes", default="", help=f"comma list of tokens: {tokens}")
-    p_cls.add_argument("--n-max", dest="n_max", type=int, default=None)
+    p_cls.add_argument("--n-max", dest="n_max", type=int, default=1024)
     p_cls.add_argument("--timing", action="store_true", help="include wall times in the report")
-    p_cls.add_argument("--tol", type=float, default=None, help="probe tolerance")
+    p_cls.add_argument("--tol", type=float, default=1e-9, help="probe tolerance")
     _add_common(p_cls)
     p_cls.set_defaults(func=cmd_classify)
 
@@ -604,7 +604,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_iso = sub.add_parser("isometry", help="defect table, strict order, covariance forms")
     p_iso.add_argument("operator", nargs="?", default="")
     p_iso.add_argument("--m-max", dest="m_max", type=int, default=8)
-    p_iso.add_argument("--tol", type=float, default=None, help="probe tolerance")
+    p_iso.add_argument("--tol", type=float, default=1e-9, help="probe tolerance")
     _add_common(p_iso)
     p_iso.set_defaults(func=cmd_isometry)
 

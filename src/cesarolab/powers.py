@@ -11,9 +11,11 @@ saturates: a product table is held as double mantissas times exact powers of
 two, so a state or a sum reads inf or 0 only where its exact value leaves
 double range.  Sums cover a grid of unimodular lam at once, a mean being the
 one-point grid [1].  A fixed frame's sums and the matrix sweeps
-(``lambda_operator_norms``) read the residue prefix sums of one extended power
-builder, ``_power_stack``, on a roots-of-unity grid through one inverse DFT at
-the exact roots; any other lam is the one-point grid of lam T, summed apart
+(``lambda_operator_norms``) are one fold (``_Fold``) of the residue prefix sums
+of one extended power builder, ``_power_stack``: class sums of a^m v, carried
+past the table by its extended last power and never restarted from a rounded
+state, read on a roots-of-unity grid through one inverse DFT at the exact
+roots; any other lam is the one-point grid of lam T, summed apart
 (``_lambda_parts``, ``lambda_mean_norms``).  The last power
 stack and the last gain table mu^u are held by the bytes they are built from
 (``_held``), so a probe family builds each once; a prefix of a longer table is
@@ -255,7 +257,7 @@ def _power_stack(op: np.ndarray, size: int, period: int | None = None) -> tuple[
     log2(size) numpy calls fill it, and each power, rounded once to double, is
     as accurate as one step (in double, powers that share a factor op^k would
     share its rounding error).  The residue sums are that extended stack,
-    built inside a residue table (``_residue_sums``, op^0 held as 0) and summed
+    built inside a residue table (``_Fold``, op^0 held as 0) and summed
     over its rows in place.
     """
     mul = np.matmul if op.ndim >= 2 else np.multiply
@@ -275,17 +277,37 @@ def _power_stack(op: np.ndarray, size: int, period: int | None = None) -> tuple[
     return rounded, sums, last
 
 
-def _residue_sums(table: np.ndarray, t, residues) -> np.ndarray:
-    """R_r(t), the sum of the powers a^s with s <= t and s = r mod L, for each r of residues, off a residue table.
+class _Fold:
+    """The extended class sums B_c(k) = sum_{m <= k, m = c mod L} a^m v of a flat state v, or of the identity (v None),
+    shape (L, *v.shape): the one fold of a residue table into sums (``CesaroSum``, ``_residue_norms``).
 
-    A residue table (rows, L, *shape) holds a^s at flat position L + s below a
-    row of zeros (zero at s = 0), and is then summed over its rows in place,
-    so R_r(t) sits at t + L - (t - r) mod L: in row t // L + 1 if
-    r <= t mod L, else in the row above (``_power_stack``).  t and residues
-    broadcast.
+    The table (``_power_stack``) holds a^s at flat position L + s (zero at s = 0) in rows of L, summed over its rows,
+    so R_r(t), the sum of a^s over s <= t, s = r mod L, sits at t + L - (t - r) mod L, for t up to S.  From
+    base = B(start) and P v = a^start v, checkpoint k in [start, start + S] reads base + R(k - start) P v, class c from
+    R's class (c - start) mod L, as S need not be a multiple of L; a block moves base += R(S) P v, then
+    P v <- a^S P v with the extended a^S, so no block restarts from a rounded state.  a^0 v opens class 0.
     """
-    period = table.shape[1]
-    return table.reshape(-1, *table.shape[2:])[t + period - (t - residues) % period]
+
+    def __init__(self, table: np.ndarray, last: np.ndarray, size: int, v: np.ndarray | None = None):
+        self.table, self.last, self.size, self.start = table, last, size, 0
+        self.carry = None if v is None else v.astype(np.clongdouble)  # P v; the identity's first block takes no product
+        self.base = np.zeros((table.shape[1], *(last.shape if v is None else v.shape)), dtype=np.clongdouble)
+        self.base[0] = np.eye(len(last)) if v is None else v
+
+    def at(self, ks: np.ndarray) -> np.ndarray:
+        """B(k) for the sorted checkpoints ks, carried to the block of ks[0], for those of ks in that block (the
+        first len(result))."""
+        while self.start + self.size < ks[0]:
+            self.base = self.at(np.array([self.start + self.size]))[0]
+            self.carry = self.last if self.carry is None else _apply_powers(self.last, self.carry, self.last.ndim)
+            self.start += self.size
+        period = self.table.shape[1]
+        t = ks[: np.searchsorted(ks, self.start + self.size, side="right"), None] - self.start
+        sums = self.table.reshape(-1, *self.table.shape[2:])[t + period - (t - np.arange(period) + self.start) % period]
+        if self.carry is not None:
+            sums = _apply_powers(sums, self.carry, self.last.ndim)
+        sums += self.base
+        return sums
 
 
 _held: dict = {}  # "stack" and "mu": (key, table), the last power stack and gain table (``_hold``)
@@ -313,14 +335,16 @@ def _hold(name: str, key, fits, build):
     return held[1]
 
 
-def _apply_powers(stack: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """A fixed frame's states op^k x for a stack of powers (m, *op.shape), flattened (m, rows * width)."""
-    m = len(stack)
-    if stack.ndim == 3:  # matrix powers: one gemv for the whole block
-        return (stack.reshape(-1, vals.size) @ vals.ravel()).reshape(m, -1)
-    if stack.ndim == 4:  # per-coordinate 2 x 2 blocks acting on the rows (top; bottom)
-        return np.einsum("mjik,kj->mij", stack, vals).reshape(m, -1)
-    return stack * vals.ravel()
+def _apply_powers(powers: np.ndarray, x: np.ndarray, ndim: int) -> np.ndarray:
+    """Powers (..., *op.shape) of an operator with ndim axes applied to a flat state x (rows * width), shape
+    (..., x.size): matrix powers in one product over every leading axis (one gemv for a block of states), which also
+    takes a matrix right-hand side x (rows * width, k); a weight vector's elementwise; 2 x 2 blocks on the rows."""
+    lead = powers.shape[: powers.ndim - ndim]
+    if ndim == 2:
+        return (powers.reshape(-1, len(x)) @ x).reshape(*lead, *x.shape)
+    rows = x.reshape(-1, powers.shape[-ndim])  # (top; bottom) under 2 x 2 blocks
+    out = powers * x if ndim == 1 else np.einsum("...jik,kj->...ij", powers, rows)
+    return out.reshape(*lead, -1)
 
 
 class _Orbit:
@@ -339,7 +363,7 @@ class _Orbit:
     floor = None  # lowest index of the universe, when the window must not pass it
     d = 0  # coordinates the window moves per step: +-1 for a shift, 0 for a fixed frame
     horizon = 0  # steps the caller asked for; the power stack never exceeds what is left
-    _stack = _floor = None
+    _stack = None
 
     def span(self, n_max: int) -> tuple[int, int]:
         """Coordinates the state can occupy within n_max steps, inside the universe."""
@@ -404,7 +428,7 @@ class _Orbit:
         """Move the orbit to step n (never backwards): a translating frame jumps, a fixed frame reads blocks of
         its power stack; a dead orbit stays where it died."""
         if not self.translating:
-            for _ in self._states(n - self.steps, last=True):
+            for _ in self._states(n - self.steps):
                 pass
             return
         n = n if self._death is None else min(n, self._death)
@@ -415,16 +439,17 @@ class _Orbit:
     def step(self) -> None:
         self.advance(self.steps + 1)
 
-    def _tables(self, period: int | None = None, count: int = 0) -> np.ndarray | None:
+    def _tables(self, period: int | None = None, count: int = 0) -> tuple[np.ndarray | None, np.ndarray, int]:
         """Read this fixed frame's power stack A^1 .. A^B, B filling a 1 MiB cap but not past the horizon (B >= 1),
-        and return the residue table of period built with it (``_power_stack``), both held by the operator's bytes
-        (``_hold``): orbits whose operators agree byte for byte (the probes of one matrix, windows of one diagonal
-        that see the same weights) read one stack, the sums of one period one table, and a reader without a period
-        any stack.
+        and return (the residue table of period built with it, the extended last power, the held length S >= B) for a
+        ``_Fold``, all held by the operator's bytes (``_hold``): orbits whose operators agree byte for byte (the probes
+        of one matrix, windows of one diagonal that see the same weights) read one stack, the sums of one period one
+        table, and a reader without a period any stack.
 
         A prefix of a longer stack is the shorter stack to the bit, since the doubling forms each power from the same
         two factors whatever the length, and a residue sum sits at the same entry of a longer table.  The orbit's own
-        block length stays B, which sets the bits of every later block.
+        block length stays B, which sets the bits of every later block.  The fold's block length is S: a reader whose
+        horizon passes the cap gets the cap-length table, and none is longer; any other reader never carries.
         """
         op = self._op
         size = min(max(_STACK_BYTES // (16 * op.size), 1), max(self.horizon - self.steps, count, 1))
@@ -433,11 +458,11 @@ class _Orbit:
             return len(held[0]) >= size and (period is None or held[1] is not None and held[1].shape[1] == period)
 
         with np.errstate(over="ignore", invalid="ignore"):  # overflowing powers read inf, as in ``_residue_norms``
-            stack, sums, _ = _hold("stack", (op.shape, op.tobytes()), fits, lambda: _power_stack(op, size, period))
-        self._stack, self._floor = stack[:size], None
-        return sums
+            stack, sums, last = _hold("stack", (op.shape, op.tobytes()), fits, lambda: _power_stack(op, size, period))
+        self._stack = stack[:size]
+        return sums, last, len(stack)
 
-    def _states(self, count: int, last: bool = False):
+    def _states(self, count: int):
         """Yield (first step, states (m, rows * width), plateau values or None, exponents or None) for the next count steps.
 
         A translating frame reads them off its product table, in travel order, up
@@ -445,35 +470,24 @@ class _Orbit:
         (``_exact``); a fixed frame off a power stack A^1 .. A^B, which the
         orbits of A share (``_tables``), B filling a 1 MiB cap but not past
         the horizon.  The first exactly zero state of an orbit that can die ends it.
-        With last, a diagonal's block forms its last state only (the same
-        product; ``steps`` counts the block) where none of its states can be 0:
-        some coordinate's smallest power in the stack times its entry now is at
-        least 2^-1000, so the largest part of each of its products is a normal
-        double, which rounding keeps.
         """
         while count > 0 and not self.dead:
-            first, exps, skipped = self.steps + 1, None, 0
+            first, exps = self.steps + 1, None
             if self.translating:
                 states, plateau, exps = self._travel_states(first, count)
             else:
                 if self._stack is None:
                     self._tables(count=count)
                 block, plateau = self._stack[: min(count, len(self._stack))], None
-                if last and self._op.ndim == 1:
-                    if self._floor is None:
-                        self._floor = np.abs(self._stack).min(axis=0)
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        if np.max(self._floor * np.abs(self.vals.ravel()), initial=0.0) >= 2.0**-1000:
-                            block, skipped = block[-1:], len(block) - 1
-                states = _apply_powers(block, self.vals)
-            if self.can_die and not skipped:
+                states = _apply_powers(block, self.vals.ravel(), self._op.ndim)
+            if self.can_die:
                 zero = ~states.reshape(len(states), -1).any(axis=1) & (True if plateau is None else ~plateau.any(axis=1))
                 if zero.any():
                     m = np.argmax(zero) + 1
                     states, plateau, self.dead = states[:m], None if plateau is None else plateau[:m], True
                     exps = None if exps is None else exps[:m]
-            self.steps += skipped + len(states)
-            count -= skipped + len(states)
+            self.steps += len(states)
+            count -= len(states)
             if self.translating:
                 self.dead |= self.steps == self._death
                 self._unhold()
@@ -833,13 +847,14 @@ class CesaroSum:
     own powers of two, so a cell is the double product of a plain table
     wherever that is normal.
 
-    A fixed frame's orbit steps in blocks off its power stack, and a block of
-    m steps from the double state v adds R(m) v to the sums, R(m) the residue
-    prefix sums of its extended power stack (``_power_stack``), so no state
-    is summed on its own.  Its grid is one part (``_lambda_parts``), summed on
-    one orbit and one table: [1], or a head ``lambda_grid(L)``, where step k
-    joins residue class k mod L, whose sums one inverse DFT reads at the
-    exact roots e^{2 pi i j/L}.  Any other grid raises ParameterError:
+    A fixed frame's sums at n are the fold (``_Fold``) of its operator's held
+    residue table with the initial state x: the class sums of a^m x, carried
+    from block to block by the extended power applied to x, so nothing is
+    rounded before the sums themselves and the orbit never steps (``state``
+    moves it when read).  Its grid is one part (``_lambda_parts``), summed on
+    one table: [1], or a head ``lambda_grid(L)``, where step k joins residue
+    class k mod L, whose sums one inverse DFT reads at the exact roots
+    e^{2 pi i j/L}.  Any other grid raises ParameterError:
     ``lambda_mean_norms`` sums it part by part, an off-grid lam as the
     one-point sum of lam T.  The sums are extended, ``_exact``, and rounded
     once into ``sum``, as are the mean and the pairing they give.
@@ -853,7 +868,7 @@ class CesaroSum:
         self.lo, hi = self.orbit.span(n_max)
         self.sum = np.zeros((len(self.lams), self.orbit.rows, max(hi - self.lo + 1, 0)), dtype=complex)
         self._mags = None  # |sum| of a translating frame once norms are read: each write refreshes its own cells
-        self.n = self.stepped = self._final = 0
+        self.n = self.stepped = self._final = 0  # stepped: the last index summed, short of n once an orbit dies
         if self.orbit.translating:  # written, never accumulated: no compensation
             self._prefix_sums()
         state_cols, self._live = self._overlap()  # columns that can be nonzero; a translating frame narrows them
@@ -864,9 +879,8 @@ class CesaroSum:
                 raise ParameterError("a fixed frame sums [1] or a head lambda_grid(L); lambda_mean_norms sums any lams")
             x0 = self.sum[0].ravel()
             self._exact = np.repeat(x0[None].astype(np.clongdouble), len(self.lams), axis=0)
-            self._classes = np.zeros((len(self.lams), x0.size), dtype=np.clongdouble)
-            self._classes[0] = x0  # state 0 opens class 0; an empty window has no operator and never steps
-            self._table = None if self.orbit.dead else self.orbit._tables(len(self.lams))
+            # an empty window has no operator, and its sums stay empty
+            self._fold = None if self.orbit.dead else _Fold(*self.orbit._tables(len(self.lams)), x0)
 
     def _prefix_sums(self) -> None:
         """Prefix sums of mu^-i a(i) (and mu^-i b(i), i mu^-i b(i)), times lam if padded; their references R per lam
@@ -1003,17 +1017,14 @@ class CesaroSum:
             if orbit.steps != self.stepped:
                 with np.errstate(over="ignore"):  # a plateau whose exact value overflows reads inf
                     self._write(orbit.steps)
-        elif n > orbit.steps and not orbit.dead:
-            classes, period = self._classes, len(self._classes)
-            start = orbit.vals  # the state that a block of m steps starts from, at step first - 1
-            for first, _, _, _ in orbit._states(n - orbit.steps, last=True):
-                m = orbit.steps - first + 1  # class r gains R_c(m) start, c = r - first + 1 mod L
-                classes += _apply_powers(_residue_sums(self._table, m, (np.arange(period) - first + 1) % period), start)
-                start = orbit.vals
-            self._exact = classes if period == 1 else np.fft.ifft(classes, axis=0, norm="forward")
+            self.stepped = orbit.steps
+        elif n > self.stepped and self._fold is not None:
+            classes = self._fold.at(np.array([n]))[0]
+            self._exact = classes if len(classes) == 1 else np.fft.ifft(classes, axis=0, norm="forward")
             with np.errstate(over="ignore"):  # rounded once; a sum past double range reads inf
                 self.sum.reshape(len(self.lams), -1)[:] = self._exact
-        self.stepped, self.n = orbit.steps, n
+            self.stepped = n
+        self.n = n
 
     def norms(self, p: float) -> np.ndarray:
         """||M_n(lam T) x||_p for every lam of the grid."""
@@ -1048,7 +1059,8 @@ class CesaroSum:
         return complex(np.vdot(yv[:, theirs], total[:, mine]) / (self.n + 1))  # vdot conjugates its first argument
 
     def state(self) -> np.ndarray:
-        """The current orbit state on the accumulator's coordinates."""
+        """The current orbit state on the accumulator's coordinates; a fixed frame's orbit moves to n when it is read."""
+        self.orbit.advance(self.n)  # a translating frame's orbit is there already
         out = np.zeros(self.sum.shape[1:], dtype=complex)
         state_cols, cols = self._overlap()
         out[:, cols] = self.orbit.vals[:, state_cols]
@@ -1303,15 +1315,12 @@ def _residue_norms(a: np.ndarray, period: int, checkpoints: list[int]) -> np.nda
     grid, in extended precision, at the exact roots: its rounding grows like
     log(period) eps sum_r ||B_r(k)|| with the extended eps (Higham, Accuracy
     and Stability of Numerical Algorithms, ch. 24), far below the one
-    rounding to double.  The residue table R(t) of a^1 .. a^S
-    (``_power_stack``, S whole rows of period powers under the stack cap) is
-    built once and read for every block of S powers, as ``CesaroSum`` reads it
-    for a state: from the sums at the block's start, base = B(start), and
-    P = a^start, kept extended, checkpoint k reads base + R(k - start) P; the
-    next block starts from base + R(S) P and P a^S.  The identity a^0 opens
-    class 0 of base.  Checkpoints are gathered straight into residue order,
-    divided by k+1 and rounded to double once; each chunk of checkpoints
-    takes one batched largest singular value.  Shape (period, len(checkpoints)).
+    rounding to double.  The residue table of a^1 .. a^S (``_power_stack``, S
+    whole rows of period powers under the stack cap) is built once, not held,
+    and folded with the identity as its right-hand side (``_Fold``), as a fixed
+    frame's ``CesaroSum`` folds it with a state.  The checkpoints of a block are
+    read in chunks, divided by k+1 and rounded to double once; each chunk takes
+    one batched largest singular value.  Shape (period, len(checkpoints)).
     """
     d = len(a)
     ks = np.asarray(checkpoints, dtype=np.int64)
@@ -1319,28 +1328,16 @@ def _residue_norms(a: np.ndarray, period: int, checkpoints: list[int]) -> np.nda
     point = 32 * period * d * d  # bytes of one checkpoint's residue sums
     size = (min(max(_STACK_BYTES // point, 2), int(ks[-1]) // period + 2) - 1) * period
     chunk = max(_GATHER_BYTES // point, 1)
-    residues = np.arange(period)
-    base = np.zeros((period, d, d), dtype=np.clongdouble)
-    base[0] = np.eye(d)
-    carry = None  # a^start, the extended right-hand side of the block; None for a^0
-    start, pos = 0, 0  # base sums the powers up to a^start; first checkpoint not yet read
+    lo = 0  # first checkpoint not yet read
     with np.errstate(over="ignore", invalid="ignore"):  # overflowing means read as inf
-        table, last = _power_stack(a, size, period)[1:]  # the rounded stack is dropped at once
-        while pos < len(ks):
-            stop = int(np.searchsorted(ks, start + size, side="right"))
-            for lo in range(pos, stop, chunk):
-                hi = min(lo + chunk, stop)
-                sums = _residue_sums(table, ks[lo:hi, None] - start, residues)
-                sums = sums if carry is None else sums @ carry
-                sums += base
-                sums = np.fft.ifft(sums, axis=1, norm="forward")
-                sums /= (ks[lo:hi] + 1).astype(np.longdouble)[:, None, None, None]
-                sums = sums.astype(complex)
-                out[:, lo:hi] = largest_singular_value(sums.reshape(-1, d, d)).reshape(hi - lo, period).T
-            block = _residue_sums(table, size, residues)
-            base += block if carry is None else block @ carry
-            carry = last if carry is None else carry @ last
-            start, pos = start + size, stop
+        fold = _Fold(*_power_stack(a, size, period)[1:], size)  # the rounded stack is dropped at once
+        while lo < len(ks):
+            sums = np.fft.ifft(fold.at(ks[lo : lo + chunk]), axis=1, norm="forward")
+            hi = lo + len(sums)
+            sums /= (ks[lo:hi] + 1).astype(np.longdouble)[:, None, None, None]
+            sums = sums.astype(complex)
+            out[:, lo:hi] = largest_singular_value(sums.reshape(-1, d, d)).reshape(hi - lo, period).T
+            lo = hi
     return out
 
 

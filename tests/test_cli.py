@@ -235,14 +235,14 @@ def test_pairing_overflow_exits_1_naming_the_index(argv):
 
 @pytest.mark.parametrize(("probes", "named"), [("me", "M_n x"), ("we", "<M_n x, y>")])
 def test_overflowing_matrix_ladders_exit_1_naming_the_index(probes, named):
-    # diag(2, 1): T^1024 e_1 leaves double range, so the ladders' sums past it are not finite; the report names the
-    # checkpoint, and no overflow warning reaches stderr
+    # diag(2, 1): M_n e_1 = (2^(n+1) - 1) / (n + 1) e_1 first leaves double range at the checkpoint n = 2048 (M_1025 e_1
+    # is finite, although T^1024 e_1 is not); the report names it, and no overflow warning reaches stderr
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run_cli(["classify", "matrix:[[2,0],[0,1]]", "--probes", probes, "--json"])
     assert code == 1
     assert out == ""
-    assert err == f"runtime failure: {named} is not finite at n=1025: the orbit overflows\n"
+    assert err == f"runtime failure: {named} is not finite at n=2048: the orbit overflows\n"
 
 
 def test_power_bounded_overflowing_power_ratio_is_violated():
@@ -543,6 +543,23 @@ def test_ignored_flags_are_not_accepted():
     code, out, _ = run_cli(["classify", "matrix:[[0.5]]", "--probes", "pb", "--tol", "1e-6", "--timing", "--json"])
     assert code == 0
     assert set(json.loads(out)["timing"]) == {"pb"}
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["classify", "rotation", "--probes", "cb", "--n-max", "0", "--json"], "n_max must be >= 1"),
+        (["classify", "rotation", "--probes", "cb", "--tol", "0", "--json"], "tolerance must be > 0"),
+        (["isometry", "rotation", "--m-max", "2", "--tol", "0", "--json"], "tolerance must be > 0"),
+    ],
+    ids=["classify-n-max", "classify-tol", "isometry-tol"],
+)
+def test_zero_n_max_and_tol_are_rejected_not_defaulted(argv, message):
+    # a zero is a value the user gave, not a missing flag: the probe config rejects it
+    code, out, err = run_cli(argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_unknown_probe_token_exits_2_before_the_table(monkeypatch):

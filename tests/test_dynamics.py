@@ -291,9 +291,9 @@ def test_mean_ergodic_assani_diverges():
 
 
 def test_mean_ergodic_names_the_first_mean_that_overflows():
-    # diag(2, 1): T^1024 e_1 = 2^1024 is past double range, so M_1025 e_1, summed on from that state, is not finite;
-    # the ladder names that checkpoint instead of judging NaN gaps
-    with pytest.raises(FloatingPointError, match=r"M_n x is not finite at n=1025\b"):
+    # diag(2, 1): M_n e_1 = (2^(n+1) - 1) / (n + 1) e_1 is finite at n = 1025 and past double range at n = 2048, the
+    # first checkpoint whose exact mean overflows; the ladder names it instead of judging NaN gaps
+    with pytest.raises(FloatingPointError, match=r"M_n x is not finite at n=2048\b"):
         mean_ergodic_probe(FiniteMatrix(((2.0, 0.0), (0.0, 1.0))), basis_vector(U2, 1), 2**14)
 
 

@@ -23,6 +23,7 @@ absolute Cesàro or uniform Kreiss boundedness.
 import cmath
 import math
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -635,11 +636,11 @@ _SWEEP_KS = [0, 1, 5, 6, 7, 20, 21, 22, 63, 64, 65, 127, 128, 300]
 @pytest.mark.parametrize("stack_bytes", [None, 2**12])
 @pytest.mark.parametrize("grid", [[1.0], lambda_grid(7)[:7], lambda_grid(8), lambda_grid(64)], ids=["1", "7", "8", "64"])
 def test_matrix_sweeps_are_the_largest_singular_values_of_the_basis_means(grid, stack_bytes, monkeypatch):
-    # The two readers of ``_power_stack`` agree: lambda_operator_norms (one residue table, carried past its length by
-    # the extended a^S) and the CesaroSum means of e_1 .. e_d (the orbit's blocks of its own table, from rounded
-    # states).  The largest singular value of the matrix whose columns are those means lies within the lam-sweep
-    # bound 4 eps (sum_r ||B_r(k)|| / (k+1) + ||M_k||) of the sweep, B_r(k) the sum of the powers m <= k, m = r mod L.
-    # At 2^12 bytes a sweep block holds 7 to 64 powers and an orbit block one state.
+    # The two readers of the one fold (``_Fold``) agree: lambda_operator_norms (its own residue table, the identity as
+    # right-hand side) and the CesaroSum means of e_1 .. e_d (the held table, e_j as right-hand side), both carried
+    # past the table by the extended a^S.  The largest singular value of the matrix whose columns are those means lies
+    # within the lam-sweep bound 4 eps (sum_r ||B_r(k)|| / (k+1) + ||M_k||) of the sweep, B_r(k) the sum of the powers
+    # m <= k, m = r mod L.  At 2^12 bytes a sweep block holds 7 to 64 powers and a CesaroSum block 1 to 64.
     if stack_bytes:
         monkeypatch.setattr(powers, "_STACK_BYTES", stack_bytes)
     rng = np.random.default_rng(7)
@@ -670,3 +671,32 @@ def test_matrix_sweeps_are_the_largest_singular_values_of_the_basis_means(grid, 
         want = largest_singular_value(means)
         bound = 4 * np.finfo(float).eps * (np.array(scale_) + want)
         assert np.all(np.abs(sweep - want) <= bound), (spec, np.max(np.abs(sweep - want) / bound))
+
+
+@pytest.mark.parametrize("name", ["assani", "blocktz-nilpotent"])
+def test_fixed_frame_means_are_correctly_rounded(name):
+    # A fixed frame's sum is the fold of one residue table, carried block to block by the extended power from x itself
+    # and rounded once, so its mean is the exact mean rounded: each entry's real and imaginary part lies within half an
+    # ulp of the largest |entry| of a 40-digit stepping reference.  The horizon 2^12 is one table of 4096 powers, so
+    # n = 4097 reads a carried block.
+    spec = zoo.get_entry(name).spec
+    a = [[int(v.real) for v in row] for row in powers.to_matrix(spec)]  # integer entries, exact in Decimal
+    family = probe_vectors(spec, ProbeConfig(basis_probes=4, seeded_probes=4))
+    for label, x in family:
+        if not label.startswith("seeded"):
+            continue
+        acc = CesaroSum(spec, x, 2**12)
+        with localcontext() as ctx:
+            ctx.prec = 40
+            state = [[Decimal(z.real), Decimal(z.imag)] for z in (x.entries.get(j + 1, 0j) for j in range(len(a)))]
+            total, k = [list(z) for z in state], 0
+            for n in (1024, 1025, 2048, 4097):
+                for k in range(k + 1, n + 1):
+                    state = [[sum(c * z[part] for c, z in zip(row, state) if c) for part in (0, 1)] for row in a]
+                    total = [[t + z for t, z in zip(tz, sz)] for tz, sz in zip(total, state)]
+                acc.advance_to(n)
+                mean = acc.mean().ravel()
+                want = [[t / (n + 1) for t in tz] for tz in total]
+                half = Decimal(math.ulp(max(math.hypot(re, im) for re, im in want))) / 2
+                for z, (re, im) in zip(mean, want):
+                    assert abs(Decimal(z.real) - re) <= half and abs(Decimal(z.imag) - im) <= half, (label, n)
