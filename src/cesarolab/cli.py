@@ -367,21 +367,17 @@ def cmd_orbit(args) -> int:
     spec, hints = parse_operator(args.operator)
     p = args.p or hints.get("p", 2.0)
     x = parse_vector(args.vector, spec, seed)
-    rows = ["n,norm"]
     if args.pair:
         y = parse_vector(args.pair, spec, seed, index=1)
-        rows = ["n,re,im"]
         orbit = powers.make_orbit(spec, x, args.N)
         values = np.zeros(args.N + 1, dtype=complex)
         values[0] = orbit.inner_with(y)
         inners = orbit.inners(y, args.N)
         values[1 : len(inners) + 1] = inners
-        for n, v in enumerate(values.tolist()):
-            rows.append(f"{n},{v.real!r},{v.imag!r}")
+        rows = ["n,re,im", *map("{},{!r},{!r}".format, range(len(values)), values.real.tolist(), values.imag.tolist())]
     else:
-        seq = powers.orbit_norms(spec, x, p, args.N)
-        for n, value in seq.entries:
-            rows.append(f"{n},{value!r}")
+        values = powers.orbit_norm_array(spec, x, p, args.N)
+        rows = ["n,norm", *map("{},{!r}".format, range(len(values)), values.tolist())]
     content = "\n".join(rows) + "\n"
     if args.out:
         try:

@@ -662,10 +662,6 @@ class FiniteMatrix(OperatorSpec):
         return FiniteRange(self.dim)
 
 
-def finite_matrix(rows) -> FiniteMatrix:
-    return FiniteMatrix(tuple(tuple(row) for row in rows))
-
-
 @dataclass(frozen=True)
 class BlockTZ(OperatorSpec):
     """The 2x2 block operator [[T, T-I], [0, T]] acting on ordered pairs."""
@@ -1060,11 +1056,3 @@ def describe(spec: OperatorSpec) -> str:
     if isinstance(spec, DuplicatingShift):
         return "duplicating_shift()"
     return repr(spec)
-
-
-def describe_vector(x: Vector) -> str:
-    if isinstance(x, PairVec):
-        return f"pair({describe_vector(x.top)};{describe_vector(x.bottom)})"
-    if not x.entries:
-        return "0"
-    return "+".join(f"({_fmt_complex(v)})e[{k}]" for k, v in sorted(x.entries.items()))

@@ -4,7 +4,8 @@ Every orbit is a frame, whose states, norms, pairings and Cesàro sums are
 read off a closed form: a matrix or a diagonal (and BlockTZ over it) is a
 fixed frame stepped B powers per numpy call off a power stack A^1 .. A^B built
 in extended precision (B set by a 1 MiB cap); a
-weighted shift is a translating frame read off one cumulative product table;
+weighted shift is a translating frame read off one cumulative product table,
+whose lam-batched norms come in closed form off lam-free magnitude tables;
 the duplicating shift is the unweighted shift plus a plateau; BlockTZ
 composes its inner frame (``_WindowOrbit``).  No orbit steps, and no table
 saturates: a product table is held as double mantissas times exact powers of
@@ -18,7 +19,8 @@ state, read on a roots-of-unity grid through one inverse DFT at the exact
 roots; any other lam is the one-point grid of lam T, summed apart
 (``_lambda_parts``, ``lambda_mean_norms``).  The last power
 stack and the last gain table mu^u are held by the bytes they are built from
-(``_held``), so a probe family builds each once; a prefix of a longer table is
+(``_held``), so a probe family builds each once (mu^u only where a sum is
+written, not for a weighted shift's norms); a prefix of a longer table is
 the shorter one bit for bit, so holding never changes a result.
 """
 
@@ -65,6 +67,7 @@ __all__ = [
     "power_apply",
     "power_norm_exact",
     "orbit_norms",
+    "orbit_norm_array",
     "cesaro_apply",
     "cesaro_operator_norm",
     "media_residual",
@@ -314,7 +317,7 @@ _held: dict = {}  # "stack" and "mu": (key, table), the last power stack and gai
 
 
 def drop_tables() -> None:
-    """Drop the held power stack and gain table (``_Orbit._tables``, ``CesaroSum._prefix_sums``) as a command ends."""
+    """Drop the held power stack and gain table (``_Orbit._tables``, ``CesaroSum._write_tables``) as a command ends."""
     _held.clear()
 
 
@@ -566,6 +569,21 @@ def _running_products(factors: np.ndarray, count: int) -> tuple[np.ndarray, np.n
         m[:, j + 1 : j + run.shape[1]] = run[:, 1:]
         carry = run[:, -1:]
     return m, e
+
+
+def _running_sums(terms: np.ndarray, exps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The running sums of terms 2^exps (extended terms in [0, 2), integer exponents) as s 2^peak, peak the running
+    maximum of exps.  They are summed at z, peak rounded up to a multiple of 2^12, so no term within 2^-12000 of the
+    largest so far loses a bit, and each run of one z is one extended cumulative sum, carried into the next run."""
+    peak = np.maximum.accumulate(exps)
+    z = -(-peak // 2**12) * 2**12
+    sums = np.ldexp(terms, exps - z)
+    starts = [0, *(np.flatnonzero(np.diff(z)) + 1)]
+    for lo, hi in zip(starts, [*starts[1:], len(z)]):
+        np.cumsum(sums[lo:hi], out=sums[lo:hi])
+        if lo:
+            sums[lo:hi] += np.ldexp(sums[lo - 1], z[lo - 1] - z[lo])
+    return np.ldexp(sums, z - peak), peak
 
 
 def _overlap(lo: int, width: int, other_lo: int, other_width: int) -> tuple[slice, slice]:
@@ -838,14 +856,18 @@ class CesaroSum:
     """Sums sum_{k<=n} lam^k T^k x over a grid of unimodular lam; a single Cesàro mean is the one-point grid ``[1]``.
 
     Once the orbit state is exactly zero the sums freeze.  On a translating
-    frame they are written off the product table (``_write``) with gains
-    mu^u W(u), mu = lam s, read off running products mu^u, mantissas and
-    exponents like the table, which the sums of one mu read off the held table
-    (``_prefix_sums``).  The prefix sums of the terms
-    mu^-i a(i) are taken in extended precision (a window whose weights span
-    more than the extended range loses the terms below it) and read at their
-    own powers of two, so a cell is the double product of a plain table
-    wherever that is normal.
+    frame the prefix sums of the terms mu^-i a(i), mu = lam s, are taken in
+    extended precision (``_prefix_sums``; a window whose weights span more
+    than the extended range loses the terms below it).  A weighted shift, or a
+    multiple of one (no BlockTZ part b, no plateau, no pad: ``_closed``),
+    reads its norms off them in closed form (``_closed_norms``): |lam^u| = 1,
+    so a cell's magnitude is a lam-free gain |W(u)| times a span of the prefix
+    sums.  Its sums, and every sum of BlockTZ and the duplicating shift, are
+    written off the product table (``_write``) with gains mu^u W(u), read off
+    running products mu^u, mantissas and exponents like the table, which the
+    sums of one mu read off the held table and which the first write builds
+    (``_write_tables``); a span is read at its own power of two, so a cell is
+    the double product of a plain table wherever that is normal.
 
     A fixed frame's sums at n are the fold (``_Fold``) of its operator's held
     residue table with the initial state x: the class sums of a^m x, carried
@@ -869,10 +891,16 @@ class CesaroSum:
         self.sum = np.zeros((len(self.lams), self.orbit.rows, max(hi - self.lo + 1, 0)), dtype=complex)
         self._mags = None  # |sum| of a translating frame once norms are read: each write refreshes its own cells
         self.n = self.stepped = self._final = 0  # stepped: the last index summed, short of n once an orbit dies
+        self._rounded = None  # ``_write_tables``, built by the first write
+        # a weighted shift, or a multiple of one, reads its norms in closed form (``_closed_norms``); a pad comes with
+        # a BlockTZ part b or a duplicating plateau q, whose sums are written (``_write``)
+        o = self.orbit
+        self._closed = o.translating and o._b is None and o._q is None and not o._pad
         if self.orbit.translating:  # written, never accumulated: no compensation
             self._prefix_sums()
         state_cols, self._live = self._overlap()  # columns that can be nonzero; a translating frame narrows them
         self.sum[:, :, self._live] = self.orbit.vals[:, state_cols]
+        self._start = np.abs(self.orbit.vals).ravel()  # |x|: the closed form's sum of no step
         if not self.orbit.translating:
             parts = _lambda_parts(self.lams)
             if len(parts) != 1 or parts[0][0] != 1:
@@ -883,19 +911,28 @@ class CesaroSum:
             self._fold = None if self.orbit.dead else _Fold(*self.orbit._tables(len(self.lams)), x0)
 
     def _prefix_sums(self) -> None:
-        """Prefix sums of mu^-i a(i) (and mu^-i b(i), i mu^-i b(i)), times lam if padded; their references R per lam
-        and index (``_reference``), and the sums rounded to double at 2^-R; their closing differences total -
-        prefix[j], j in [1, width), at their own references; and mu^u (None: every mu is 1)."""
+        """Prefix sums of mu^-i a(i) (and mu^-i b(i), i mu^-i b(i)), times lam if padded, in extended precision."""
         o = self.orbit
         width = o._a.shape[1]
         terms = (o._a[None] if o._b is None else np.stack([o._a, o._b, np.arange(width) * o._b]))[None]
         factor = np.ldexp(np.ones(width, dtype=np.longdouble), -o._exps)  # a(i) = a'(i) 2^-E(i)
+        if not (np.all(self.lams == 1) and o._scalar == 1):
+            inverse = np.ones((len(self.lams), width), dtype=np.clongdouble)
+            inverse[:, 1:] = 1 / (self.lams * o._scalar)[:, None].astype(np.clongdouble)
+            factor = factor * np.cumprod(inverse, axis=1) * self.lams[:, None] ** o._pad
+        terms = terms * (factor if factor.ndim == 1 else factor[:, None, None, :])
+        self._prefix = np.zeros((*terms.shape[:-1], width + 1), dtype=np.clongdouble)
+        np.cumsum(terms, axis=-1, out=self._prefix[..., 1:])
+
+    def _write_tables(self) -> None:
+        """What ``_write`` reads besides the prefix sums, built by its first call: the references R of the prefix sums
+        per lam and index (``_reference``) and the sums rounded to double at 2^-R; their closing differences total -
+        prefix[j], j in [1, width), at their own references; and mu^u (None: every mu is 1)."""
+        o = self.orbit
+        width = o._a.shape[1]
         self._mu, mu_exps = None, False
         if not (np.all(self.lams == 1) and o._scalar == 1):
             mus = self.lams * o._scalar
-            inverse = np.ones((len(mus), width), dtype=np.clongdouble)
-            inverse[:, 1:] = 1 / mus[:, None].astype(np.clongdouble)
-            factor = factor * np.cumprod(inverse, axis=1) * self.lams[:, None] ** o._pad
 
             def gains():  # mu^u for u < len(W), and whether an exponent is nonzero
                 m, e = _running_products(mus[:, None], len(o._wt) - 1)
@@ -903,12 +940,9 @@ class CesaroSum:
 
             # a longer table's prefix is the shorter one
             self._mu, self._mu_exps, mu_exps = _hold("mu", mus.tobytes(), lambda t: t[0].shape[1] >= len(o._wt), gains)
-        terms = terms * (factor if factor.ndim == 1 else factor[:, None, None, :])
-        self._prefix = np.zeros((*terms.shape[:-1], width + 1), dtype=np.clongdouble)
-        np.cumsum(terms, axis=-1, out=self._prefix[..., 1:])
         # a column exponent or |s| != 1 spreads the terms past 2^+-128; else every span stays in double range at R = 0
         spread = o._exps.any() or abs(o._scalar) != 1
-        self._ref = _reference(self._prefix, (1, 2)) if spread else np.zeros((len(terms), width + 1), dtype=int)
+        self._ref = _reference(self._prefix, (1, 2)) if spread else np.zeros((len(self._prefix), width + 1), dtype=int)
         self._rounded = _scaled(self._prefix, -self._ref[:, None, None]).astype(complex)
         closing = self._prefix[..., width:] - self._prefix[..., 1:width]  # the same at every checkpoint
         self._closing_ref = _reference(closing, (1, 2)) if spread else self._ref[:, 1:width]
@@ -955,6 +989,8 @@ class CesaroSum:
         infinities.
         """
         o = self.orbit
+        if self._rounded is None:
+            self._write_tables()
         width, pad = o._a.shape[1], o._pad
         start = o._trail - self.lo  # accumulator column of travel coordinate 0
         top = k + width - 1 - pad if o.d > 0 else min(k + width - 1 - pad, start)  # not past the floor
@@ -1027,7 +1063,10 @@ class CesaroSum:
         self.n = n
 
     def norms(self, p: float) -> np.ndarray:
-        """||M_n(lam T) x||_p for every lam of the grid."""
+        """||M_n(lam T) x||_p for every lam of the grid: a weighted shift's in closed form (``_closed_norms``), any
+        other frame's of its sum."""
+        if self._closed:
+            return self._closed_norms(np.array([self.stepped]), np.array([self.n]), p)[:, 0]
         self.orbit.check_p(p)
         if not self.orbit.translating:
             mags = np.abs(self.sum[..., self._live])
@@ -1040,6 +1079,104 @@ class CesaroSum:
         if self.stepped < self.n:  # frozen
             return _lp_norm(mags, p, axis=1) / (self.n + 1)
         return _lp_norm(mags / (self.n + 1), p, axis=1)
+
+    def _closed_norms(self, ks: np.ndarray, ns: np.ndarray, p: float) -> np.ndarray:
+        """||M_n(lam T) x||_p of a weighted shift (``_closed``), shape (lams, checkpoints): the norms of the sums over
+        steps 0..k, k in ks (n, or the death index once the orbit died), divided by n + 1, n in ns.
+
+        Identity.  In travel coordinates the frame's state m is (A^m x)(u) = W(u) a(u - m), the scalar folded into
+        W, so cell u of the sum over m <= k is lam^u W(u) S(u) with S(u) = sum lam^-i a(i) over i in
+        [u - k, u] and in [0, w), w the width: a difference of the prefix sums P(j) = sum_{i<j} lam^-i a(i)
+        (``_prefix_sums``).  As |lam^u| = 1, |cell u|^p = g(u) |S(u)|^p with g(u) = |W(u)|^p free of lam, and S(u)
+        is P(u + 1) for u <= min(k, w - 1), P(u + 1) - P(u - k) for k < u < w, the total T = P(w) for
+        w <= u <= k, and C(j) = T - P(j), j = u - k, for the closing cells max(w, k + 1) <= u <= k + w - 1, so
+
+            ||sum||_p^p = sum_{u <= min(k, w-1)} g(u) |P(u+1)|^p + sum_{k < u < w} g(u) |P(u+1) - P(u-k)|^p
+                          + |T|^p sum_{w <= u <= k} g(u) + sum_{0 < j < w, k + j >= w} g(k + j) |C(j)|^p.
+
+        The third term is one lam-free running sum of g, taken in extended precision (``_running_sums``), the
+        fourth one (checkpoints x w) by (w x lams) product, and the second only meets k < w - 1.  A vector costs
+        O(k + checkpoints w lams) for every checkpoint, where its written sum costs lams times the live cells at each.
+
+        Range.  |W(u)| = f 2^t with f in [1/2, 1), so g(u) = gamma(u) 2^q(u) with q = floor(p t) and
+        gamma = f^p 2^(p t - q) in (2^-p, 2).  The spans are differences of P 2^-r, r the binary exponent of each
+        lam's largest |P|, held as a high and a low part, so a difference keeps the bits of the extended P.  Each
+        checkpoint's terms are taken relative to the largest q it meets, and the root takes 2^(q / p + r) once, so a
+        norm reads inf or 0 only where its exact value leaves double range, and never NaN.  The terms are summed in
+        double where that provably loses nothing the extended sum keeps: cell 0, g(0) |a(0)|^p with W(0) = 1, is
+        at least 2^-(p R) of the reference, R the binary range of the nonzero |a(i)| and |W(u)| plus log2 w + 3, so
+        with p R < 900 every term lost below 2^-1022 is below 2^-64 of the sum.  Elsewhere they are summed in
+        extended precision, which, as ``_write`` does, loses a term more than the extended range below the largest.
+        """
+        self.orbit.check_p(p)
+        o = self.orbit
+        width = o._a.shape[1]
+        top = int(ks.max(initial=0))
+        with np.errstate(over="ignore", under="ignore", divide="ignore"):
+            f, t = np.frexp(np.abs(o._wt[: top + width]))
+            t = t + o._we[: top + width]  # |W(u)| = f 2^t
+            column = np.abs(o._a).max(axis=0)
+            ta = (np.frexp(column)[1] - o._exps)[column > 0]
+            spread = np.ptp(ta) + np.ptp(t[f > 0]) + np.log2(width) + 3
+            real = float if column[0] and p * spread < 900 else np.longdouble
+            prefix = self._prefix[:, 0]  # P(j) per lam and row: (lams, rows, w + 1)
+            ref = np.frexp(np.abs(prefix).max(axis=(1, 2)))[1]
+            scaled = prefix * np.ldexp(np.longdouble(1), -ref)[:, None, None]  # exact: a power of two
+            high = scaled.astype(np.result_type(real, 1j))
+            low = (scaled - high).astype(high.dtype)
+
+            def spans(i, j):  # sum over the rows of |P(i) - P(j)|^p 2^-pr, (lams, ...)
+                s = (high[..., i] - high[..., j]) + (low[..., i] - low[..., j])
+                squares = s.real**2 + s.imag**2
+                return np.sum(squares if p == 2 else squares ** (p / 2), axis=1)
+
+            heads, closing = spans(np.arange(1, width + 1), [0]), spans([width], np.arange(1, width))
+            logs = p * t
+            q = np.floor(logs).astype(np.int64)
+            gamma = f**p * np.exp2(logs - q)  # g = gamma 2^q
+            za = q[:width].max()
+            ga = np.ldexp(gamma[:width].astype(real), q[:width] - za)
+
+            def opening(k):  # the terms g(u) |P(u+1) - P(u-k)|^p of the cells k < u < w of the sorted checkpoints k,
+                # (lams, cells), at 2^za, and where each checkpoint's cells start
+                rows, u = np.nonzero(np.arange(width) > k[:, None])
+                return spans(u + 1, u - k[rows]) * ga[u], np.searchsorted(rows, range(len(k)))
+
+            head = np.cumsum(heads * ga, axis=1)[:, np.minimum(ks, width - 1)]  # cells u <= min(k, w - 1), at 2^za
+            early = np.flatnonzero(ks < width - 1)
+            while early.size:  # in calls of at most 1 MiB of spans
+                cells_left = np.cumsum(width - 1 - ks[early])
+                take = max(np.searchsorted(cells_left, _STACK_BYTES // (16 * ref.size), "right"), 1)
+                head[:, early[:take]] += np.add.reduceat(*opening(ks[early[:take]]), axis=1)
+                early = early[take:]
+            mids, zm = _running_sums(gamma[width : top + 1].astype(np.longdouble), q[width : top + 1])
+            past = np.flatnonzero(ks >= width)
+            mid, zk = np.zeros(len(ks), dtype=real), np.full(len(ks), za)
+            mid[past], zk[past] = mids[ks[past] - width], zm[ks[past] - width]
+            cells = ks[:, None] + np.arange(1, width)  # the closing cells u = k + j
+            live = cells >= width
+            z = np.maximum(zk, np.max(q[cells], axis=1, where=live, initial=za))  # the reference of checkpoint k
+            tail = np.where(live, np.ldexp(gamma[cells].astype(real), q[cells] - z[:, None]), 0) @ closing.T
+            total = np.ldexp(head, za - z) + np.ldexp(mid, zk - z) * heads[:, -1:] + tail.T
+            e = np.floor(z / p).astype(np.int64)
+            frac = np.exp2(z / p - e)
+            root = total ** (1 / p) * frac  # ||sum||_p 2^-(e + r)
+            norms = np.ldexp(root / (ns + 1), e + ref[:, None])
+            norms[:, ks == 0] = _lp_norm(self._start, p) / (ns[ks == 0] + 1)  # the sum of no step: x, read as it is
+            # a cell past double range is inf in the written sum, and so in its mean (``mean``): so is the norm
+            past_range = (np.ldexp(root, e + ref[:, None]) > _DOUBLE.max) & (norms <= _DOUBLE.max)
+            for i in np.flatnonzero(past_range.any(axis=0)):  # the largest cell of each group, at 2^z
+                k, u, cut = ks[i], cells[i][live[i]], min(ks[i], width - 1) + 1
+
+                def gains(v):
+                    return np.ldexp(gamma[v].astype(real), q[v] - z[i])
+
+                peak = np.max([np.ldexp(np.max(heads[:, :cut] * ga[:cut], axis=1), za - z[i]),
+                               np.ldexp(opening(ks[i : i + 1])[0].max(axis=1, initial=0), za - z[i]),
+                               heads[:, -1] * gains(np.arange(width, k + 1)).max(initial=0),
+                               np.max(closing[:, u - k - 1] * gains(u), axis=1, initial=0)], axis=0)
+                norms[np.ldexp(peak ** (1 / p) * frac[i], e[i] + ref) > _DOUBLE.max, i] = np.inf
+            return norms.astype(float).repeat(len(self.lams) // len(norms), axis=0)  # one row when every lam is 1
 
     def mean(self) -> np.ndarray:
         """M_n(T) x on the accumulator's coordinates (first grid point), scaled by parts (``_times``); a fixed frame's
@@ -1083,10 +1220,12 @@ def lambda_mean_norms(spec: OperatorSpec, xs, lams, checkpoints: list[int], p: f
     """||M_n(lam T) x||_p at each checkpoint for every lam and every vector x of xs; shape (len(xs), len(lams),
     len(checkpoints)).
 
-    The vectors are summed one at a time, each as its own ``CesaroSum``; they
-    read the held running products mu^u, which only a wider window than any
-    before it rebuilds, and a fixed frame's held power stack, built for the
-    first vector.  A fixed frame's lam list is summed one part
+    The vectors are summed one at a time, each as its own ``CesaroSum``.  A
+    weighted shift's sum reads every checkpoint in one call, in closed form
+    (``CesaroSum._closed_norms``), and builds no running products mu^u; a
+    written sum (BlockTZ, the duplicating shift) reads the held mu^u, which
+    only a wider window than any before it rebuilds, and a fixed frame the
+    held power stack, built for the first vector.  A fixed frame's lam list is summed one part
     (``_lambda_parts``) after another, a lam off the grid as the one-point sum
     of lam T, so that the vectors read one table of a part and no two parts'
     tables are held at once.
@@ -1097,12 +1236,17 @@ def lambda_mean_norms(spec: OperatorSpec, xs, lams, checkpoints: list[int], p: f
         parts = [(rows, spec, lams[rows]) if period > 1 else (rows, spec if lam == 1 else scale(lam, spec), [1.0])
                  for lam, period, rows in _lambda_parts(lams)]
     out = np.zeros((len(xs), len(lams), len(checkpoints)))
+    ns = np.asarray(checkpoints)
     for rows, part, part_lams in parts:
         for v, x in enumerate(xs):
             acc = CesaroSum(part, x, checkpoints[-1], part_lams)
-            for j, n in enumerate(checkpoints):
-                acc.advance_to(n)
-                out[v, rows, j] = acc.norms(p)
+            if acc._closed:  # every checkpoint in one call; a dead orbit's sums stay those of its death index
+                death = acc.orbit._death
+                out[v, rows] = acc._closed_norms(ns if death is None else np.minimum(ns, death), ns, p)
+            else:
+                for j, n in enumerate(checkpoints):
+                    acc.advance_to(n)
+                    out[v, rows, j] = acc.norms(p)
             del acc  # before the next sum is built
     return out
 
@@ -1230,8 +1374,8 @@ def power_norm_exact(spec: OperatorSpec, n: int, p: float) -> float:
     )
 
 
-def orbit_norms(spec: OperatorSpec, x, p: float, n_max: int) -> NormSeq:
-    """(n, ||T^n x||_p) for n = 0..n_max with incremental application.
+def orbit_norm_array(spec: OperatorSpec, x, p: float, n_max: int) -> np.ndarray:
+    """||T^n x||_p for n = 0..n_max as an array, zero past the death of an orbit.
 
     An orbit that overflows raises FloatingPointError naming the first n
     whose norm is not finite.
@@ -1247,7 +1391,12 @@ def orbit_norms(spec: OperatorSpec, x, p: float, n_max: int) -> NormSeq:
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         raise FloatingPointError(f"||T^n x|| is not finite at n={bad[0]}: the orbit overflows")
-    return NormSeq(tuple(enumerate(values.tolist())), "vector-orbit", p)
+    return values
+
+
+def orbit_norms(spec: OperatorSpec, x, p: float, n_max: int) -> NormSeq:
+    """(n, ||T^n x||_p) for n = 0..n_max (``orbit_norm_array``)."""
+    return NormSeq(tuple(enumerate(orbit_norm_array(spec, x, p, n_max).tolist())), "vector-orbit", p)
 
 
 def cesaro_apply(spec: OperatorSpec, x, n: int):

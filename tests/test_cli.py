@@ -15,6 +15,7 @@ from cesarolab.core import (
     BilateralShift,
     BlockTZ,
     Diagonal,
+    DuplicatingShift,
     Explicit,
     FiniteMatrix,
     ForwardShift,
@@ -357,6 +358,36 @@ def test_orbit_csv_values():
     assert float(row3[1]) == pytest.approx(math.sqrt(37.0), rel=1e-12)
 
 
+def test_orbit_csv_is_the_repr_of_each_value():
+    # the rows are written off the checked array in one pass: the bytes are the repr of each float, as one f-string a
+    # row over orbit_norms' NormSeq (or over the pairings) writes them
+    spec, _ = parse_operator("fshift:alpha=0.4")
+    x, y = parse_vector("window:64", spec, 5), parse_vector("e70", spec, 5)
+    code, out, _ = run_cli(["orbit", "fshift:alpha=0.4", "--vector", "window:64", "--N", "3000", "--seed", "5"])
+    assert code == 0
+    assert out == "n,norm\n" + "".join(f"{n},{v!r}\n" for n, v in powers.orbit_norms(spec, x, 2.0, 3000).entries)
+    code, out, _ = run_cli(["orbit", "fshift:alpha=0.4", "--vector", "window:64", "--pair", "e70", "--N", "300",
+                            "--seed", "5"])
+    orbit = powers.make_orbit(spec, x, 300)
+    values = [orbit.inner_with(y), *orbit.inners(y, 300).tolist()]
+    assert code == 0
+    assert out == "n,re,im\n" + "".join(f"{n},{v.real!r},{v.imag!r}\n" for n, v in enumerate(values))
+
+
+def test_uk_witness_tie_on_a_basis_vector_is_lam_1():
+    # on e_1 every span of the sum is a(0), free of lam, so the grid's norms at n = 1 are one double (the written
+    # sums rounded |lam^u| to three doubles an ulp apart), and the first grid point, lam = 1, is the witness
+    spec, _ = parse_operator("fshift:alpha=0.4")
+    column = lambda_mean_norms(spec, [basis_vector(NAT, 1)], lambda_grid(64), [1, 2], 2.0)[0, :, 0]
+    assert len(set(column.tolist())) == 1
+    for seed in ("3", "7"):
+        code, out, _ = run_cli(["classify", "fshift:alpha=0.4", "--probes", "uk", "--n-max", "2048", "--json",
+                                "--seed", seed])
+        witness = json.loads(out)["probes"][0]["result"]["witness"]
+        assert code == 0 and (witness["vector"], witness["n"], witness["lam"]) == ("e[1]", 1, [1.0, 0.0])
+        assert witness["value"] == column[0]
+
+
 def test_orbit_identity_all_ones():
     code, out, _ = run_cli(["orbit", "diag:1,dim=3", "--vector", "e1", "--N", "5"])
     assert code == 0
@@ -614,7 +645,7 @@ def test_exit_code_contract():
 def test_a_command_leaves_no_table_held(argv, code):
     # a stack and a gain table are held before the command (a library call) and while it runs; none after it
     lambda_mean_norms(Diagonal(NAT, 0.5), [basis_vector(NAT, 1)], lambda_grid(8), [8], 2.0)
-    lambda_mean_norms(ForwardShift(NAT, PowerRatio(0.4, 1)), [basis_vector(NAT, 1)], lambda_grid(8), [8], 2.0)
+    lambda_mean_norms(DuplicatingShift(), [basis_vector(NAT, 1)], lambda_grid(8), [8], 2.0)  # a written sum
     assert set(powers._held) == {"stack", "mu"}
     assert run_cli(argv)[0] == code
     assert not powers._held

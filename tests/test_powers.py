@@ -941,12 +941,34 @@ def test_gains_are_rounded_as_whole_rows():
     for spec in specs:
         for lams in ([cmath.exp(0.7j)], [cmath.exp(0.7j), cmath.exp(2.1j)], lambda_grid(64)):
             acc = CesaroSum(spec, x, 50, lams)
+            acc.advance_to(1)  # the first write builds the gains mu^u; closed-form norms never do
             wt = acc.orbit._wt
             rows = acc._mu[:, : len(wt)].copy()
             rows *= wt
             for lo in range(len(wt)):
                 for hi in range(lo + 1, min(lo + 3, len(wt)) + 1):
                     assert acc._gains(lo, hi).tobytes() == rows[:, lo:hi].tobytes(), (spec, len(lams), lo, hi)
+
+
+def test_only_weighted_shifts_read_norms_in_closed_form(monkeypatch):
+    # a weighted shift's sums read their norms in closed form and are never written for them; BlockTZ (a B part)
+    # and the duplicating shift (a plateau) write their sums (``_write``) and take the norms of the cells
+    writes = []
+    write = CesaroSum._write
+    monkeypatch.setattr(CesaroSum, "_write", lambda self, k: (writes.append(type(self.orbit)), write(self, k)))
+    rng = np.random.default_rng(31)
+    shift = ForwardShift(NAT, PowerRatio(0.4, 1))
+    cases = [
+        (shift, rand_vec(NAT, rng, 1, 6), True),
+        (scale(0.5j, BackwardShift(NAT, PowerRatio(0.25, 0))), rand_vec(NAT, rng, 3, 6), True),
+        (BlockTZ(shift), PairVec(rand_vec(NAT, rng, 1, 4), rand_vec(NAT, rng, 2, 4)), False),
+        (DuplicatingShift(), rand_vec(NAT, rng, 1, 4), False),
+    ]
+    for spec, x, closed in cases:
+        writes.clear()
+        assert CesaroSum(spec, x, 8, lambda_grid(4))._closed == closed
+        lambda_mean_norms(spec, [x], lambda_grid(4), [1, 2, 8], 2.0)
+        assert bool(writes) != closed, spec
 
 
 def test_single_lambda_sum_is_the_one_point_grid():

@@ -176,6 +176,49 @@ def test_translating_cesaro_sums_match_apply(case, angles):
         _close(acc.norms(2)[i], np.linalg.norm(want) / (n + 1), magnitude / (n + 1))
 
 
+@st.composite
+def closed_cases(draw):
+    """(spec, x, n) of a weighted shift: ``shift_cases``, a steep forward power ratio (alpha 100 .. 300) whose table
+    leaves double range within 40 steps, or either times a scalar far from 1 (|s| 1/4 .. 1/2 or 4 .. 16)."""
+    spec, x, _, n = draw(shift_cases())
+    if draw(st.booleans()):
+        spec = ForwardShift(NAT, PowerRatio(draw(st.floats(100.0, 300.0)), draw(st.integers(1, 3))))
+        x = make_vector(NAT, [(j + 1, complex(1.0, j)) for j in range(draw(st.integers(1, 6)))])
+    if draw(st.booleans()):
+        size = draw(st.sampled_from([draw(st.floats(0.25, 0.5)), draw(st.floats(4.0, 16.0))]))
+        spec = scale(size * cmath.exp(1j * draw(unit)), spec)
+    return spec, x, n
+
+
+@SETTINGS
+@given(closed_cases(), st.lists(unit, max_size=3), st.sampled_from([1.0, 2.0, 3.0]))
+def test_closed_form_norms_match_the_written_means(case, angles, p):
+    # The closed form (``CesaroSum._closed_norms``) against p_norm(cesaro_apply(lam T, x, n), p), the written sum's
+    # mean, at a few checkpoints; both are inf at once where a cell of the sum leaves double range.  Bound: both
+    # round the same exact norm.  The written mean's cell u <= n + w - 1 carries the gain (lam s)^u W(u), and
+    # |lam| = 1 + delta with |delta| <= eps, so its cell is off by up to (n + w) eps relative, and lam T's rounded
+    # weights add as much; the closed form takes |lam^u| = 1 exactly.  Spans, gains, their products, the sums of
+    # positive terms, the means and the p-th roots add a few eps each on both sides, within 64 eps: so the norms
+    # agree within (2 (n + w) + 64) eps relative.
+    spec, x, n = case
+    lams = np.exp(1j * np.array([0.0, *angles]))
+    checkpoints = sorted({n // 3, n - 1, n} - {-1})
+    width = max(x.entries) - min(x.entries) + 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = lambda_mean_norms(spec, [x], lams, checkpoints, p)[0]
+        acc = CesaroSum(spec, x, n, lams)
+        assert acc._closed
+        acc.advance_to(n)
+        got = np.column_stack((table, acc.norms(p)))
+        want = np.array([[p_norm(powers.cesaro_apply(spec if lam == 1 else scale(lam, spec), x, m), p)
+                          for m in (*checkpoints, n)] for lam in lams])
+    assert not np.isnan(got).any()
+    assert np.array_equal(np.isinf(got), np.isinf(want)), (got, want)
+    finite = np.isfinite(want)
+    tol = (2 * (n + width) + 64) * np.finfo(float).eps
+    assert np.all(np.abs(got[finite] - want[finite]) <= tol * want[finite]), np.max(np.abs(got - want) / want)
+
+
 @SETTINGS
 @given(shift_cases())
 def test_power_norm_bounds_basis_orbits(case):
