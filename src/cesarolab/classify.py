@@ -44,7 +44,7 @@ from .powers import (
     largest_singular_value,
     make_orbit,
     matrix_exponential,
-    power_norm_exact,
+    power_norms_exact,
 )
 
 __all__ = [
@@ -293,7 +293,7 @@ def _cut(ns, values, params: dict) -> int:
     """
     bad = np.flatnonzero(~np.isfinite(np.asarray(values, dtype=float)))
     if bad.size:
-        n = int(ns[bad[0]])
+        n = np.asarray(ns[bad[0]]).item()  # an int index, or a float radius
         params["non_finite_at"] = min(n, params.get("non_finite_at", n))
         return int(bad[0])
     return len(values)
@@ -305,8 +305,9 @@ def _unviolated(params: dict) -> str:
 
 
 def _exact_norm_values(spec, cfg) -> list[tuple[int, float]] | None:
+    ns = checkpoint_set(cfg.n_max)
     try:
-        return [(n, power_norm_exact(spec, n, cfg.p)) for n in checkpoint_set(cfg.n_max)]
+        return list(zip(ns, power_norms_exact(spec, ns, cfg.p)))
     except (UnsupportedVariantError, ParameterError):
         return None
 
@@ -412,66 +413,33 @@ def cesaro_bounded_probe(spec: OperatorSpec, cfg: ProbeConfig) -> ClassVerdict:
 
 
 def uniform_kreiss_probe(spec: OperatorSpec, cfg: ProbeConfig) -> ClassVerdict:
-    """sup over unimodular lam and n of ||M_n(lam T)|| (grid x checkpoint evidence)."""
+    """sup over unimodular lam and n of ||M_n(lam T)|| (grid x checkpoint evidence): a matrix's exact table, else one
+    table per probe vector.  Ties go to the first in (vector, lam, n) order, for the best and the violation witness."""
     lams = lambda_grid(cfg.lambda_samples)
     checkpoints = checkpoint_set(cfg.n_max)
     params = cfg.echo(probe="uniformly_kreiss", lambda_grid_size=len(lams))
     if spec_dim(spec) is not None:
-        table = lambda_operator_norms(spec, lams, checkpoints)
-        # the whole grid is judged up to the first checkpoint where any lam is non-finite
-        table = table[:, : _cut(checkpoints, table.max(axis=0), params)]
-        if not table.size:
-            return ClassVerdict("uniformly_kreiss", "inconclusive", "exact", cfg.n_max, 0.0, None, params)
-        best = float(table.max())
-        flat = int(np.argmax(table))
-        li, ci = divmod(flat, table.shape[1])
-        best_witness = {"lam": [float(lams[li].real), float(lams[li].imag)], "n": checkpoints[ci], "value": best}
-        violations = [(wv, i, wn) for i, wn, wv in _row_divergences(checkpoints, table)]
-        if violations:
-            wv, i, wn = max(violations)
-            witness = {
-                "spec": describe(spec),
-                "lam": [float(lams[i].real), float(lams[i].imag)],
-                "n": wn,
-                "value": wv,
-            }
-            return ClassVerdict("uniformly_kreiss", "violated", "exact", cfg.n_max, best, witness, params)
-        return ClassVerdict("uniformly_kreiss", _unviolated(params), "exact", cfg.n_max, best, best_witness, params)
-
-    best = 0.0
-    best_witness = None
-    violations = []
-    probes = probe_vectors(spec, cfg)
-    with np.errstate(over="ignore", invalid="ignore"):
-        tables = lambda_mean_norms(spec, [x for _, x in probes], lams, checkpoints, cfg.p)
+        certainty, probes = "exact", [(None, None)]
+        tables = lambda_operator_norms(spec, lams, checkpoints)[None]
+    else:
+        certainty, probes = "probe", probe_vectors(spec, cfg)
+        with np.errstate(over="ignore", invalid="ignore"):
+            tables = lambda_mean_norms(spec, [x for _, x in probes], lams, checkpoints, cfg.p)
+    points = [[float(lam.real), float(lam.imag)] for lam in lams]
+    best, best_witness, violated_witness = 0.0, None, None
     for (label, _), table in zip(probes, tables):
         # the whole grid is judged up to the first checkpoint where any lam is non-finite
         table = table[:, : _cut(checkpoints, table.max(axis=0), params)]
-        if not table.size:
-            continue
-        local = float(table.max())
-        if local > best:
-            best = local
-            flat = int(np.argmax(table))
-            li, ci = divmod(flat, table.shape[1])
-            best_witness = {
-                "vector": label,
-                "lam": [float(lams[li].real), float(lams[li].imag)],
-                "n": checkpoints[ci],
-                "value": local,
-            }
-        violations += [(wv, i, wn, label) for i, wn, wv in _row_divergences(checkpoints, table)]
-    if violations:
-        wv, i, wn, label = max(violations)
-        witness = {
-            "spec": describe(spec),
-            "vector": label,
-            "lam": [float(lams[i].real), float(lams[i].imag)],
-            "n": wn,
-            "value": wv,
-        }
-        return ClassVerdict("uniformly_kreiss", "violated", "probe", cfg.n_max, best, witness, params)
-    return ClassVerdict("uniformly_kreiss", _unviolated(params), "probe", cfg.n_max, best, best_witness, params)
+        vector = {} if label is None else {"vector": label}
+        if table.size and (local := float(table.max())) > best:
+            li, ci = divmod(int(np.argmax(table)), table.shape[1])
+            best, best_witness = local, {**vector, "lam": points[li], "n": checkpoints[ci], "value": local}
+        for i, wn, wv in _row_divergences(checkpoints, table):
+            if violated_witness is None or wv > violated_witness["value"]:
+                violated_witness = {"spec": describe(spec), **vector, "lam": points[i], "n": wn, "value": wv}
+    if violated_witness is not None:
+        return ClassVerdict("uniformly_kreiss", "violated", certainty, cfg.n_max, best, violated_witness, params)
+    return ClassVerdict("uniformly_kreiss", _unviolated(params), certainty, cfg.n_max, best, best_witness, params)
 
 
 def kreiss_resolvent_constant(
@@ -527,7 +495,12 @@ def kreiss_resolvent_constant(
 def strong_kreiss_exp_probe(
     spec: OperatorSpec, radii=(1.0, 2.0, 4.0, 8.0, 16.0), arg_samples: int = 16
 ) -> ClassVerdict:
-    """sup over sampled z of ||e^{zT}|| e^{-|z|}; bounded when stable across radii."""
+    """sup over sampled z of ||e^{zT}|| e^{-|z|}; bounded when stable across radii.
+
+    The radius series is judged on its finite prefix (``_cut``): a value past
+    double range records its radius as ``non_finite_at``, and a cut series is
+    never bounded.
+    """
     radii = sorted(float(r) for r in radii)
     if not radii or radii[0] <= 0:
         raise ParameterError("radii must be positive")
@@ -543,18 +516,15 @@ def strong_kreiss_exp_probe(
         values = largest_singular_value(matrix_exponential(np.array(zs)[:, None, None] * a)) * damping
         worst = int(np.argmax(values))
         per_radius.append((r, float(values[worst]), float(args[worst])))
-    best = max(v for _, v, _ in per_radius)
-    params = {
-        "radii": radii,
-        "arg_samples": int(arg_samples),
-        "per_radius": [[rv, vv, av] for rv, vv, av in per_radius],
-    }
-    first, last = per_radius[0][1], per_radius[-1][1]
-    if first > 0 and last >= 2.0 * first:
+    params = {"radii": radii, "arg_samples": int(arg_samples)}
+    per_radius = per_radius[: _cut(radii, [v for _, v, _ in per_radius], params)]
+    params["per_radius"] = [[rv, vv, av] for rv, vv, av in per_radius]
+    best = max((v for _, v, _ in per_radius), default=0.0)
+    if per_radius and 0 < per_radius[0][1] and 2.0 * per_radius[0][1] <= per_radius[-1][1]:
         rv, vv, av = per_radius[-1]
         witness = {"spec": describe(spec), "radius": rv, "arg": av, "value": vv}
         return ClassVerdict("strongly_kreiss", "violated", "exact", len(radii), best, witness, params)
-    return ClassVerdict("strongly_kreiss", "bounded_up_to", "exact", len(radii), best, None, params)
+    return ClassVerdict("strongly_kreiss", _unviolated(params), "exact", len(radii), best, None, params)
 
 
 # ---------------------------------------------------------------------------

@@ -636,7 +636,7 @@ def main(argv=None) -> int:
     except Exception as exc:  # runtime failure
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 1
-    finally:  # the power stack and gain table held for the command's probe families
+    finally:  # the power tables and gain table held for the command's probe families
         powers.drop_tables()
 
 

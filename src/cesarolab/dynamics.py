@@ -572,7 +572,7 @@ def ergodic_family(spec: OperatorSpec, mode: str, n_max: int, seed: int = DEFAUL
 
     Returns (status, [(label, verdict), ...]); any diverged probe makes the
     family diverged, and it converges only when every probe converges.  The
-    probes of a fixed frame read one power stack, built for the first probe.
+    probes of a fixed frame read one power table, built for the first probe.
     """
     if mode not in ("mean", "weak"):
         raise ParameterError(f"mode must be mean or weak, got {mode!r}")

@@ -2,8 +2,7 @@
 
 Every orbit is a frame, whose states, norms, pairings and Cesàro sums are
 read off a closed form: a matrix or a diagonal (and BlockTZ over it) is a
-fixed frame stepped B powers per numpy call off a power stack A^1 .. A^B built
-in extended precision (B set by a 1 MiB cap); a
+fixed frame, read off one held table of its operator (``_table``); a
 weighted shift is a translating frame read off one cumulative product table,
 whose lam-batched norms come in closed form off lam-free magnitude tables;
 the duplicating shift is the unweighted shift plus a plateau; BlockTZ
@@ -11,19 +10,23 @@ composes its inner frame (``_WindowOrbit``).  No orbit steps, and no table
 saturates: a product table is held as double mantissas times exact powers of
 two, so a state or a sum reads inf or 0 only where its exact value leaves
 double range.  Sums cover a grid of unimodular lam at once, a mean being the
-one-point grid [1].  A fixed frame's sums and the matrix sweeps
-(``lambda_operator_norms``) are one fold (``_Fold``) of the residue prefix sums
-of one extended power builder, ``_power_stack``: class sums of a^m v, carried
-past the table by its extended last power and never restarted from a rounded
-state, read on a roots-of-unity grid through one inverse DFT at the exact
-roots; any other lam is the one-point grid of lam T, summed apart
-(``_lambda_parts``, ``lambda_mean_norms``).  The last power
-stack and the last gain table mu^u are held by the bytes they are built from
-(``_held``), so a probe family builds each once (mu^u only where a sum is
-written, not for a weighted shift's norms); a prefix of a longer table is
-the shorter one bit for bit, so holding never changes a result.
-"""
+one-point grid [1].
 
+A fixed frame's table is the one extended power builder, ``_power_stack``:
+A^1 .. A^S, S set by one size rule (the extended powers fill a 1 MiB cap),
+rounded once for the orbit states and ``pb``'s norms, and summed into
+residue prefix sums of a period L.  Its sums, the matrix sweeps
+(``lambda_operator_norms``) and ``pb`` past S are one fold (``_Fold``):
+class sums of a^m v, carried past the table by its extended last power and
+never restarted from a rounded state, read on a roots-of-unity grid through
+one inverse DFT at the exact roots; any other lam is the one-point grid of
+lam T, summed apart (``_lambda_parts``, ``lambda_mean_norms``).  One table
+per period and the last gain table mu^u are held by the bytes they are built
+from (``_held``), so a command builds each once (mu^u only where a sum is
+written, not for a weighted shift's norms); a table depends on nothing else,
+and a longer mu^u's prefix is the shorter one bit for bit, so holding never
+changes a result.
+"""
 from __future__ import annotations
 
 import math
@@ -66,6 +69,7 @@ __all__ = [
     "NormSeq",
     "power_apply",
     "power_norm_exact",
+    "power_norms_exact",
     "orbit_norms",
     "orbit_norm_array",
     "cesaro_apply",
@@ -85,7 +89,7 @@ __all__ = [
     "lambda_operator_norms",
 ]
 
-_STACK_BYTES = 2**20  # cap on a fixed frame's power stack; it fixes the block length B
+_STACK_BYTES = 2**20  # cap on a fixed frame's extended powers A^1 .. A^S: the one size rule, it fixes S (``_table``)
 _GATHER_BYTES = 2**17  # cap on the residue sums gathered for one chunk of checkpoints
 _DOUBLE = np.finfo(float)
 
@@ -166,9 +170,10 @@ def matrix_exponential(a, tol: float = 1e-14) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore"):  # no geometric tail bound while q >= 1
             tail = _norm1(term[live]) * q / (1.0 - q)
         live = live[~((q < 1.0) & (tail <= tol * np.maximum(_norm1(total[live]), 1.0)))]
-    for s in range(1, int(squarings.max(initial=0)) + 1):
-        due = np.flatnonzero(squarings >= s)
-        total[due] = total[due] @ total[due]
+    with np.errstate(over="ignore", invalid="ignore"):  # a square past double range reads inf or NaN
+        for s in range(1, int(squarings.max(initial=0)) + 1):
+            due = np.flatnonzero(squarings >= s)
+            total[due] = total[due] @ total[due]
     return total.reshape(a.shape)
 
 
@@ -251,10 +256,10 @@ def _as_vector(universe, lo: int, vals: np.ndarray):
     return PairVec(*rows) if len(rows) == 2 else rows[0]
 
 
-def _power_stack(op: np.ndarray, size: int, period: int | None = None) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-    """(op^1 .. op^size rounded to double; for a period the residue prefix sums of the extended powers, else None;
-    the extended op^size, which carries a reader past the stack), of a matrix or a stack of 2 x 2 blocks (matrix
-    powers) or a weight vector (elementwise powers): the one builder of extended powers (``_residue_norms`` too).
+def _power_stack(op: np.ndarray, size: int, period: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(op^1 .. op^size rounded to double, the residue prefix sums of the extended powers for period, the extended
+    op^size, which carries a reader past the stack) of a matrix or a stack of 2 x 2 blocks (matrix powers) or a weight
+    vector (elementwise powers): the one builder of extended powers, which ``_table`` holds.
 
     Built by doubling, stack[k : 2k] = stack[:k] op^k, in extended precision:
     log2(size) numpy calls fill it, and each power, rounded once to double, is
@@ -264,9 +269,8 @@ def _power_stack(op: np.ndarray, size: int, period: int | None = None) -> tuple[
     over its rows in place.
     """
     mul = np.matmul if op.ndim >= 2 else np.multiply
-    width = period or 1  # np.zeros: without a period the pages never written stay unmapped
-    sums = np.zeros(((size + width) // width + 1, width, *op.shape), dtype=np.clongdouble)
-    stack = sums.reshape(-1, *op.shape)[width + 1 : width + 1 + size]
+    sums = np.zeros(((size + period) // period + 1, period, *op.shape), dtype=np.clongdouble)
+    stack = sums.reshape(-1, *op.shape)[period + 1 : period + 1 + size]
     stack[0] = op
     k = 1
     while k < size:
@@ -274,15 +278,25 @@ def _power_stack(op: np.ndarray, size: int, period: int | None = None) -> tuple[
         mul(stack[:m], stack[k - 1], out=stack[k : k + m])
         k += m
     rounded, last = stack.astype(complex), stack[-1].copy()
-    if period is None:
-        return rounded, None, last
     np.cumsum(sums, axis=0, out=sums)
     return rounded, sums, last
 
 
+def _table(op: np.ndarray, period: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``_power_stack`` of a fixed frame's operator for period (orbit states read period 1's rounded stack), held:
+    the one reader of extended powers.  One size rule: the extended op^1 .. op^S fill ``_STACK_BYTES`` (S >= 1),
+    whatever the horizon, so a table depends on the operator, the period and the cap alone, and holding it never
+    changes a result.  One table is held per period (``_hold``), keyed by the operator's shape and bytes, so readers
+    that alternate periods within a command (``cb``, the ladders and ``pb`` 1, ``uk`` L) build each once."""
+    size = max(_STACK_BYTES // (32 * op.size), 1)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing power reads inf
+        return _hold(("stack", period), (size, op.shape, op.tobytes()), lambda: _power_stack(op, size, period))
+
+
 class _Fold:
     """The extended class sums B_c(k) = sum_{m <= k, m = c mod L} a^m v of a flat state v, or of the identity (v None),
-    shape (L, *v.shape): the one fold of a residue table into sums (``CesaroSum``, ``_residue_norms``).
+    shape (L, *v.shape), off the held table of a for period L (``_table``): the one fold of a residue table into sums
+    (``CesaroSum``, ``_residue_norms``), whose carry also reads powers past the stack (``_matrix_power_norms``).
 
     The table (``_power_stack``) holds a^s at flat position L + s (zero at s = 0) in rows of L, summed over its rows,
     so R_r(t), the sum of a^s over s <= t, s = r mod L, sits at t + L - (t - r) mod L, for t up to S.  From
@@ -291,19 +305,24 @@ class _Fold:
     P v <- a^S P v with the extended a^S, so no block restarts from a rounded state.  a^0 v opens class 0.
     """
 
-    def __init__(self, table: np.ndarray, last: np.ndarray, size: int, v: np.ndarray | None = None):
-        self.table, self.last, self.size, self.start = table, last, size, 0
+    def __init__(self, op: np.ndarray, period: int, v: np.ndarray | None = None):
+        self.stack, self.table, self.last = _table(op, period)
+        self.size, self.start = len(self.stack), 0
         self.carry = None if v is None else v.astype(np.clongdouble)  # P v; the identity's first block takes no product
-        self.base = np.zeros((table.shape[1], *(last.shape if v is None else v.shape)), dtype=np.clongdouble)
-        self.base[0] = np.eye(len(last)) if v is None else v
+        self.base = np.zeros((period, *(op.shape if v is None else v.shape)), dtype=np.clongdouble)
+        self.base[0] = np.eye(len(op)) if v is None else v
+
+    def reach(self, k: int) -> None:
+        """Carry the fold to the block of checkpoint k: start < k <= start + S, or k <= S in the first block."""
+        while self.start + self.size < k:
+            self.base = self.at(np.array([self.start + self.size]))[0]
+            self.carry = self.last if self.carry is None else _apply_powers(self.last, self.carry, self.last.ndim)
+            self.start += self.size
 
     def at(self, ks: np.ndarray) -> np.ndarray:
         """B(k) for the sorted checkpoints ks, carried to the block of ks[0], for those of ks in that block (the
         first len(result))."""
-        while self.start + self.size < ks[0]:
-            self.base = self.at(np.array([self.start + self.size]))[0]
-            self.carry = self.last if self.carry is None else _apply_powers(self.last, self.carry, self.last.ndim)
-            self.start += self.size
+        self.reach(ks[0])
         period = self.table.shape[1]
         t = ks[: np.searchsorted(ks, self.start + self.size, side="right"), None] - self.start
         sums = self.table.reshape(-1, *self.table.shape[2:])[t + period - (t - np.arange(period) + self.start) % period]
@@ -313,16 +332,17 @@ class _Fold:
         return sums
 
 
-_held: dict = {}  # "stack" and "mu": (key, table), the last power stack and gain table (``_hold``)
+_held: dict = {}  # ("stack", L) and "mu": (key, table), the last power table of each period and gain table (``_hold``)
 
 
 def drop_tables() -> None:
-    """Drop the held power stack and gain table (``_Orbit._tables``, ``CesaroSum._write_tables``) as a command ends."""
+    """Drop the held power tables and gain table (``_table``, ``CesaroSum._write_tables``) as a command ends."""
     _held.clear()
 
 
-def _hold(name: str, key, fits, build):
-    """The table held under name when it was built for key and fits(table), else build(), held in its place.
+def _hold(name, key, build, fits=None):
+    """The table held under name when it was built for key (and fits(table), if given), else build(), held in its
+    place.
 
     Another key's table is dropped before the new one is built; a longer one for the same key is built first, since
     freeing the shorter first moves glibc's dynamic mmap threshold, and the sums of fshift:alpha=0.4's uk family then
@@ -333,7 +353,7 @@ def _hold(name: str, key, fits, build):
     if held is not None and held[0] != key:
         _held.pop(name, None)
         held = None
-    if held is None or not fits(held[1]):
+    if held is None or (fits is not None and not fits(held[1])):
         held = _held[name] = key, build()
     return held[1]
 
@@ -365,7 +385,6 @@ class _Orbit:
     steps = 0
     floor = None  # lowest index of the universe, when the window must not pass it
     d = 0  # coordinates the window moves per step: +-1 for a shift, 0 for a fixed frame
-    horizon = 0  # steps the caller asked for; the power stack never exceeds what is left
     _stack = None
 
     def span(self, n_max: int) -> tuple[int, int]:
@@ -442,37 +461,14 @@ class _Orbit:
     def step(self) -> None:
         self.advance(self.steps + 1)
 
-    def _tables(self, period: int | None = None, count: int = 0) -> tuple[np.ndarray | None, np.ndarray, int]:
-        """Read this fixed frame's power stack A^1 .. A^B, B filling a 1 MiB cap but not past the horizon (B >= 1),
-        and return (the residue table of period built with it, the extended last power, the held length S >= B) for a
-        ``_Fold``, all held by the operator's bytes (``_hold``): orbits whose operators agree byte for byte (the probes
-        of one matrix, windows of one diagonal that see the same weights) read one stack, the sums of one period one
-        table, and a reader without a period any stack.
-
-        A prefix of a longer stack is the shorter stack to the bit, since the doubling forms each power from the same
-        two factors whatever the length, and a residue sum sits at the same entry of a longer table.  The orbit's own
-        block length stays B, which sets the bits of every later block.  The fold's block length is S: a reader whose
-        horizon passes the cap gets the cap-length table, and none is longer; any other reader never carries.
-        """
-        op = self._op
-        size = min(max(_STACK_BYTES // (16 * op.size), 1), max(self.horizon - self.steps, count, 1))
-
-        def fits(held) -> bool:
-            return len(held[0]) >= size and (period is None or held[1] is not None and held[1].shape[1] == period)
-
-        with np.errstate(over="ignore", invalid="ignore"):  # overflowing powers read inf, as in ``_residue_norms``
-            stack, sums, last = _hold("stack", (op.shape, op.tobytes()), fits, lambda: _power_stack(op, size, period))
-        self._stack = stack[:size]
-        return sums, last, len(stack)
-
     def _states(self, count: int):
         """Yield (first step, states (m, rows * width), plateau values or None, exponents or None) for the next count steps.
 
         A translating frame reads them off its product table, in travel order, up
         to its death index, as mantissas and the exponents that scale them
-        (``_exact``); a fixed frame off a power stack A^1 .. A^B, which the
-        orbits of A share (``_tables``), B filling a 1 MiB cap but not past
-        the horizon.  The first exactly zero state of an orbit that can die ends it.
+        (``_exact``); a fixed frame off the held power stack A^1 .. A^S of its
+        operator (``_table``), S states a numpy call.  The first exactly zero
+        state of an orbit that can die ends it.
         """
         while count > 0 and not self.dead:
             first, exps = self.steps + 1, None
@@ -480,9 +476,8 @@ class _Orbit:
                 states, plateau, exps = self._travel_states(first, count)
             else:
                 if self._stack is None:
-                    self._tables(count=count)
-                block, plateau = self._stack[: min(count, len(self._stack))], None
-                states = _apply_powers(block, self.vals.ravel(), self._op.ndim)
+                    self._stack = _table(self._op)[0]
+                states, plateau = _apply_powers(self._stack[:count], self.vals.ravel(), self._op.ndim), None
             if self.can_die:
                 zero = ~states.reshape(len(states), -1).any(axis=1) & (True if plateau is None else ~plateau.any(axis=1))
                 if zero.any():
@@ -810,7 +805,6 @@ class _MatrixOrbit(_Orbit):
     def __init__(self, spec: OperatorSpec, x, n_max: int):
         self._op = to_matrix(spec)
         self.universe = spec_universe(spec)
-        self.horizon = n_max
         self.rows = 2 if isinstance(x, PairVec) else 1
         self.vals = _dense(x, 1, self._op.shape[0] // self.rows)[1]
 
@@ -818,8 +812,8 @@ class _MatrixOrbit(_Orbit):
 def make_orbit(spec: OperatorSpec, x, n_max: int):
     """Exact engine for T^k x, k <= n_max: a matrix for finite specs, a window over the base operator otherwise.
 
-    A fixed frame reads the held power stack when that is its operator's
-    (``_Orbit._tables``), so the orbits of one probe family build it once.
+    A fixed frame reads its operator's held power stack (``_table``), so the
+    orbits of one probe family build it once.
     """
     if expects_pair(spec) != isinstance(x, PairVec):
         kind = "ordered pairs of vectors" if expects_pair(spec) else "plain sparse vectors"
@@ -908,7 +902,7 @@ class CesaroSum:
             x0 = self.sum[0].ravel()
             self._exact = np.repeat(x0[None].astype(np.clongdouble), len(self.lams), axis=0)
             # an empty window has no operator, and its sums stay empty
-            self._fold = None if self.orbit.dead else _Fold(*self.orbit._tables(len(self.lams)), x0)
+            self._fold = None if self.orbit.dead else _Fold(self.orbit._op, len(self.lams), x0)
 
     def _prefix_sums(self) -> None:
         """Prefix sums of mu^-i a(i) (and mu^-i b(i), i mu^-i b(i)), times lam if padded, in extended precision."""
@@ -939,7 +933,7 @@ class CesaroSum:
                 return m, e, bool(e.any())
 
             # a longer table's prefix is the shorter one
-            self._mu, self._mu_exps, mu_exps = _hold("mu", mus.tobytes(), lambda t: t[0].shape[1] >= len(o._wt), gains)
+            self._mu, self._mu_exps, mu_exps = _hold("mu", mus.tobytes(), gains, lambda t: t[0].shape[1] >= len(o._wt))
         # a column exponent or |s| != 1 spreads the terms past 2^+-128; else every span stays in double range at R = 0
         spread = o._exps.any() or abs(o._scalar) != 1
         self._ref = _reference(self._prefix, (1, 2)) if spread else np.zeros((len(self._prefix), width + 1), dtype=int)
@@ -1225,10 +1219,11 @@ def lambda_mean_norms(spec: OperatorSpec, xs, lams, checkpoints: list[int], p: f
     (``CesaroSum._closed_norms``), and builds no running products mu^u; a
     written sum (BlockTZ, the duplicating shift) reads the held mu^u, which
     only a wider window than any before it rebuilds, and a fixed frame the
-    held power stack, built for the first vector.  A fixed frame's lam list is summed one part
-    (``_lambda_parts``) after another, a lam off the grid as the one-point sum
-    of lam T, so that the vectors read one table of a part and no two parts'
-    tables are held at once.
+    held table of its operator and period (``_table``), built for the first
+    vector.  A fixed frame's lam list is summed one part (``_lambda_parts``)
+    after another, a lam off the grid as the one-point sum of lam T, so that
+    the vectors read one table of a part; the off-grid parts share period 1,
+    so each replaces the last.
     """
     lams = np.asarray(lams, dtype=complex)
     parts = [(list(range(len(lams))), spec, lams)]
@@ -1329,7 +1324,12 @@ def _power(base: float, n: int) -> float:
 
 
 def power_norm_exact(spec: OperatorSpec, n: int, p: float) -> float:
-    """Exact ||T^n|| for shifts (any p), diagonals, and finite matrices (p=2).
+    """Exact ||T^n|| for shifts (any p), diagonals, and finite matrices (p=2): ``power_norms_exact`` at one n."""
+    return power_norms_exact(spec, [n], p)[0]
+
+
+def power_norms_exact(spec: OperatorSpec, ns, p: float) -> list[float]:
+    """Exact ||T^n|| at each n of the sorted ns for shifts (any p), diagonals, and finite matrices (p=2).
 
     A shift's norm is the supremum of its n-term weight products over basis
     starts s, each a telescoping closed form.  A power ratio on N has products
@@ -1342,36 +1342,57 @@ def power_norm_exact(spec: OperatorSpec, n: int, p: float) -> float:
     pieces (``_poly_sup``); a finite range every start.  A zero scalar
     multiple has norm 0.  A scalar multiple c T has norm |c|^n ||T^n||; where
     either factor saturates in double, it is exp(n log|c| + log ||T^n||) with
-    the closed-form log norm (``_log_power_norm``).
+    the closed-form log norm (``_log_power_norm``).  A diagonal's norm is
+    max|d|^n; any other matrix's are read off its held power stack in one
+    pass (``_matrix_power_norms``).
     """
-    if n < 1:
+    ns = list(ns)
+    if min(ns, default=1) < 1:
         raise ParameterError("power must be >= 1")
     if p < 1:
         raise ParameterError(f"p must be >= 1, got {p}")
     if isinstance(spec, ScalarMultiple):
         if not spec.scalar:
-            return 0.0
-        outer, inner = _power(abs(spec.scalar), n), power_norm_exact(spec.inner, n, p)
-        if 0 < outer < math.inf and 0 < inner < math.inf:
-            return outer * inner
-        with np.errstate(over="ignore"):  # a factor saturates: one exp of the log norm, 0 or inf only where it is
-            return float(np.exp(_log_power_norm(spec, n, p)))
+            return [0.0] * len(ns)
+        norms = []
+        for n, inner in zip(ns, power_norms_exact(spec.inner, ns, p)):
+            outer = _power(abs(spec.scalar), n)
+            exact = 0 < outer < math.inf and 0 < inner < math.inf
+            with np.errstate(over="ignore"):  # a factor saturates: one exp of the log norm, 0 or inf only where it is
+                norms.append(outer * inner if exact else float(np.exp(_log_power_norm(spec, n, p))))
+        return norms
     if isinstance(spec, Diagonal):
         candidates = [abs(v) for _, v in spec.overrides]
         if not (isinstance(spec.universe, FiniteRange) and len(spec.overrides) >= spec.universe.dim):
             candidates.append(abs(spec.default))
-        return _power(max(candidates), n)
+        return [_power(max(candidates), n) for n in ns]
     if isinstance(spec, (BackwardShift, ForwardShift, BilateralShift)):
-        return _shift_power_norm(spec, n)
-    dim = spec_dim(spec)
-    if dim is not None:
+        return [_shift_power_norm(spec, n) for n in ns]
+    if spec_dim(spec) is not None:
         if p != 2:
             raise ParameterError("operator norms of matrices are computed for p=2 only")
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing power has norm inf
-            return largest_singular_value(np.linalg.matrix_power(to_matrix(spec), n))
+        return _matrix_power_norms(to_matrix(spec), ns).tolist()
     raise UnsupportedVariantError(
         f"no closed-form power norm for {type(spec).__name__}; use orbit probes for lower bounds"
     )
+
+
+def _matrix_power_norms(a: np.ndarray, ns) -> np.ndarray:
+    """||a^n||_2 at the sorted n >= 1 of ns, off the held power stack a^1 .. a^S (``_table``) and one batched largest
+    singular value per block: the rounded a^n for n <= S, and past S a^n = a^t a^s with s the multiple of S below n,
+    the rounded a^t times ``_Fold``'s extended carry a^s, rounded once."""
+    fold = _Fold(a, 1)
+    ns = np.asarray(ns, dtype=np.int64)
+    out = np.empty(len(ns))
+    lo = 0
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing power has norm inf
+        while lo < len(ns):
+            fold.reach(ns[lo])
+            hi = int(np.searchsorted(ns, fold.start + fold.size, side="right"))
+            block = fold.stack[ns[lo:hi] - fold.start - 1]
+            out[lo:hi] = largest_singular_value(block if fold.carry is None else (block @ fold.carry).astype(complex))
+            lo = hi
+    return out
 
 
 def orbit_norm_array(spec: OperatorSpec, x, p: float, n_max: int) -> np.ndarray:
@@ -1464,9 +1485,8 @@ def _residue_norms(a: np.ndarray, period: int, checkpoints: list[int]) -> np.nda
     grid, in extended precision, at the exact roots: its rounding grows like
     log(period) eps sum_r ||B_r(k)|| with the extended eps (Higham, Accuracy
     and Stability of Numerical Algorithms, ch. 24), far below the one
-    rounding to double.  The residue table of a^1 .. a^S (``_power_stack``, S
-    whole rows of period powers under the stack cap) is built once, not held,
-    and folded with the identity as its right-hand side (``_Fold``), as a fixed
+    rounding to double.  The held residue table of a for period (``_table``)
+    is folded with the identity as its right-hand side (``_Fold``), as a fixed
     frame's ``CesaroSum`` folds it with a state.  The checkpoints of a block are
     read in chunks, divided by k+1 and rounded to double once; each chunk takes
     one batched largest singular value.  Shape (period, len(checkpoints)).
@@ -1474,12 +1494,10 @@ def _residue_norms(a: np.ndarray, period: int, checkpoints: list[int]) -> np.nda
     d = len(a)
     ks = np.asarray(checkpoints, dtype=np.int64)
     out = np.empty((period, len(ks)))
-    point = 32 * period * d * d  # bytes of one checkpoint's residue sums
-    size = (min(max(_STACK_BYTES // point, 2), int(ks[-1]) // period + 2) - 1) * period
-    chunk = max(_GATHER_BYTES // point, 1)
+    chunk = max(_GATHER_BYTES // (32 * period * d * d), 1)  # checkpoints per gather of residue sums
     lo = 0  # first checkpoint not yet read
     with np.errstate(over="ignore", invalid="ignore"):  # overflowing means read as inf
-        fold = _Fold(*_power_stack(a, size, period)[1:], size)  # the rounded stack is dropped at once
+        fold = _Fold(a, period)
         while lo < len(ks):
             sums = np.fft.ifft(fold.at(ks[lo : lo + chunk]), axis=1, norm="forward")
             hi = lo + len(sums)

@@ -379,8 +379,7 @@ def _mixing(spec: OperatorSpec, prof: Profile) -> tuple[dict, str]:
 
 def _coverage(spec: OperatorSpec, prof: Profile) -> tuple[dict, str]:
     w = dynamics.balanced_witness(spec, prof.cfg.seed)
-    # the longest orbit first: the shorter ones read prefixes of its power stack
-    counts = [len(dynamics.hypercyclicity_probe(spec, w, w, n).hits) for n in (2**13, 2**10, 2**7)][::-1]
+    counts = [len(dynamics.hypercyclicity_probe(spec, w, w, n).hits) for n in (2**7, 2**10, 2**13)]
     status = "increasing" if counts[0] < counts[1] < counts[2] else "stalled"
     return {"status": status, "hit_counts": counts}, status
 

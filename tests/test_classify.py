@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -285,6 +286,21 @@ def test_strong_kreiss_assani_violated():
     per_radius = {r: v for r, v, _ in verdict.parameters["per_radius"]}
     expected = np.linalg.svd(np.array([[1.0, -32.0], [0.0, 1.0]]), compute_uv=False)[0]
     assert per_radius[16.0] == pytest.approx(expected, rel=1e-6)
+
+
+def test_strong_kreiss_cuts_its_radii_at_the_first_overflow():
+    # e^{r A} e^{-r} for diag(100, 1) is e^{99 r}, past double range from r = 8 on: the prefix r <= 4 diverges.  For
+    # diag(1e200, 1) no radius is finite, and an empty series is inconclusive with constant 0, never inf or bounded
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cut = strong_kreiss_exp_probe(FiniteMatrix(((100.0, 0.0), (0.0, 1.0))))
+        empty = strong_kreiss_exp_probe(FiniteMatrix(((1e200, 0.0), (0.0, 1.0))))
+    assert cut.status == "violated" and cut.parameters["non_finite_at"] == 8.0
+    assert [r for r, _, _ in cut.parameters["per_radius"]] == [1.0, 2.0, 4.0]
+    assert cut.best_constant == pytest.approx(math.exp(396), rel=1e-9)
+    assert cut.witness["radius"] == 4.0
+    assert empty.status == "inconclusive" and empty.parameters["non_finite_at"] == 1.0
+    assert empty.parameters["per_radius"] == [] and empty.best_constant == 0.0 and empty.witness is None
 
 
 # ---------------------------------------------------------------------------

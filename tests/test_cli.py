@@ -165,6 +165,60 @@ def test_classify_overflowing_matrix_prints_no_warnings():
     assert [probe["result"]["status"] for probe in json.loads(out)["probes"][:3]] == ["violated"] * 3
 
 
+def test_classify_matrix_past_double_range_prints_no_warnings():
+    # diag(1e200, 1): A^2 and e^{zA} at every radius leave double range.  pb, cb and uk cut their series at n = 2 and
+    # sk its radii at the first; no probe reports inf as a constant, or a cut series as bounded
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["classify", "matrix:[[1e200,0],[0,1]]", "--probes", "pb,cb,uk,sk", "--json"])
+    assert code == 0, err
+    assert err == ""
+    results = [probe["result"] for probe in json.loads(out)["probes"]]
+    assert [r["status"] for r in results] == ["inconclusive"] * 4
+    assert [r["parameters"]["non_finite_at"] for r in results] == [2, 2, 2, 1.0]
+    assert all(math.isfinite(r["best_constant"]) for r in results)
+
+
+def _contraction_literal(seed: int, d: int) -> str:
+    """`matrix:` literal of a seeded complex d x d matrix scaled to spectral norm 0.9 (d = 12: the benchmark's)."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    a *= 0.9 / np.linalg.norm(a, 2)
+    return "matrix:[" + ",".join("[" + ",".join(f"{z.real:.6f}{z.imag:+.6f}i" for z in row) + "]" for row in a) + "]"
+
+
+@pytest.mark.parametrize("operator", ["assani", "lambda-block", "hyper4", "blocktz-nilpotent", "rotation",
+                                      _contraction_literal(7, 12)],
+                         ids=["assani", "lambda-block", "hyper4", "blocktz-nilpotent", "rotation", "contraction12"])
+def test_a_matrix_command_builds_one_power_table_per_period(operator, monkeypatch):
+    # pb, cb, the me ladder and every orbit read the table of period 1, uk the table of its 64-point grid: each is
+    # built once, at the cap length, whatever the horizons of its readers
+    builds = []
+    build = powers._power_stack
+
+    def counted(op, size, period=1):
+        builds.append((op.shape, op.tobytes(), period))
+        return build(op, size, period)
+
+    monkeypatch.setattr(powers, "_power_stack", counted)
+    powers.drop_tables()
+    code, _, err = run_cli(["classify", operator, "--probes", "pb,cb,uk,me", "--json", "--seed", "7"])
+    assert code == 0, err
+    assert len(set(builds)) == len(builds), [period for *_, period in builds]
+    assert sorted(period for *_, period in builds) == [1, 64]
+
+
+@pytest.mark.parametrize("operator, probes", [("polyshift:p=1,0,1;side=bi", "uk"), ("fshift:alpha=200", "uk,cb")])
+def test_uniform_kreiss_ties_name_the_first_lam(operator, probes):
+    # a weighted shift's grid norms on a basis vector are one double for every lam, so its violations tie across the
+    # grid: the witness is the first in (vector, lam, n) order, lam = 1, as the best witness is
+    code, out, err = run_cli(["classify", operator, "--probes", probes, "--json", "--seed", "1"])
+    assert code == 0, err
+    uk = json.loads(out)["probes"][0]["result"]
+    assert uk["class_name"] == "uniformly_kreiss" and uk["status"] == "violated"
+    assert uk["witness"]["lam"] == [1.0, 0.0]
+
+
 def _overflowing_mean_at(base: int, ns) -> int:
     """First n whose mean (1/(n+1)) sum_{k<=n} base^k rounds past the largest double."""
     for n in ns:
@@ -643,9 +697,10 @@ def test_exit_code_contract():
     (["classify", "rotation", "--no-such-flag"], 2),
 ])
 def test_a_command_leaves_no_table_held(argv, code):
-    # a stack and a gain table are held before the command (a library call) and while it runs; none after it
+    # a power table (of period 8) and a gain table are held before the command (a library call) and while it runs;
+    # none after it
     lambda_mean_norms(Diagonal(NAT, 0.5), [basis_vector(NAT, 1)], lambda_grid(8), [8], 2.0)
     lambda_mean_norms(DuplicatingShift(), [basis_vector(NAT, 1)], lambda_grid(8), [8], 2.0)  # a written sum
-    assert set(powers._held) == {"stack", "mu"}
+    assert set(powers._held) == {("stack", 8), "mu"}
     assert run_cli(argv)[0] == code
     assert not powers._held

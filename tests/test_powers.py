@@ -126,6 +126,25 @@ def test_power_norm_assani_singular_value():
     assert power_norm_exact(ASSANI, 1, 2) == pytest.approx(1 + math.sqrt(2), rel=1e-12)
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_matrix_power_norms_match_matrix_power_across_carries(seed, monkeypatch):
+    # at a 2^12-byte cap the table holds 4 to 32 powers, so n <= 4096 crosses many carries of the extended a^S; the
+    # oracle is numpy's binary powering in double, within about 3e-13 of the exact norm on these matrices
+    monkeypatch.setattr(powers, "_STACK_BYTES", 2**12)
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(2, 7))
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    a = np.triu(a) if seed % 2 else a  # a triangular matrix is far from normal
+    a *= rng.uniform(0.9, 1.02) / np.abs(np.linalg.eigvals(a)).max()
+    spec = FiniteMatrix(tuple(map(tuple, a.tolist())))
+    ns = sorted({*range(1, 65), *(2**k for k in range(13)), 1000, 4095})
+    want = np.array([largest_singular_value(np.linalg.matrix_power(a, n)) for n in ns])
+    got = np.array(powers.power_norms_exact(spec, ns, 2))
+    assert len(powers._table(a)[0]) <= 32
+    assert np.all(np.abs(got - want) <= 1e-12 * want), np.max(np.abs(got - want) / want)
+    assert [power_norm_exact(spec, n, 2) for n in ns[::9]] == got[::9].tolist()  # one n reads the same fold
+
+
 def test_power_norm_matches_attaining_basis_vector():
     specs = [
         BackwardShift(NAT, PowerRatio(0.25, 0)),
@@ -1182,7 +1201,7 @@ def _assert_sweep(a, period, want, monkeypatch, stack_bytes):
 @pytest.mark.parametrize("stack_bytes", [None, 2**12])
 @pytest.mark.parametrize("period", [1, 4, 7, 64])
 def test_lambda_sweep_matches_geometric_sums_on_diagonals(period, stack_bytes, monkeypatch):
-    # at 2^12 bytes a block holds 7 to 64 powers, so the checkpoints span many blocks
+    # at 2^12 bytes a block holds 8 to 32 powers, so the checkpoints span many blocks
     rng = np.random.default_rng(41)
     rotation = np.diag(np.diag(powers.to_matrix(zoo.get_entry("rotation").spec)))
     diagonals = [rotation, np.diag([2.0, 1.0]), np.diag(rng.uniform(0, 1, 3) * np.exp(2j * np.pi * rng.uniform(size=3)))]

@@ -401,15 +401,15 @@ def _contraction(seed: int, d: int, size: float) -> FiniteMatrix:
     (ForwardShift(NAT, PowerRatio(0.4, 1)), 0),  # a translating frame: no power stack
 ], ids=["assani", "hyper4", "contraction12", "diag", "blocktz:diag", "diag:overrides", "fshift"])
 def test_probe_families_read_one_power_stack(spec, windows, monkeypatch):
-    # Each family of fixed-frame orbits builds one power stack per run of probes whose operators agree byte for byte
-    # (``windows``), and its reports are those of orbits that build their own.  A matrix's probes all read one stack.
+    # Each family of fixed-frame orbits builds one power table per run of probes whose operators agree byte for byte
+    # (``windows``), and its reports are those of orbits that build their own.  A matrix's probes all read one table.
     # A diagonal's width-1 basis windows read one and its wider seeded windows another, unless a basis window sees
-    # another weight (e_2 under the override at 2 sits between e_1 and e_3).  The coverage calls run the longer orbit
-    # first, so the shorter one reads a prefix, while run shortest first the longer one builds its own.  A diagonal's
-    # pb norms are exact.  The -1 of an odd grid is the one-point sum of -T, summed for every vector after the grid's
-    # roots, so it reads one stack of -T per run as well.  Every stack that a Cesàro sum reads (the mean and weak
-    # ladders, the lam sweeps) is built with its table of residue sums, in the same extended build; an orbit alone
-    # builds none, and a translating frame neither.  Each family starts with nothing held.
+    # another weight (e_2 under the override at 2 sits between e_1 and e_3).  Every table is built at the cap length
+    # whatever the horizon, so the coverage calls build one in either order.  A diagonal's pb norms are exact, and a
+    # matrix's read the table of period 1 that its orbits and means read.  The -1 of an odd grid is the one-point sum
+    # of -T, summed for every vector after the grid's roots, so it reads one table of -T per run as well.  Every
+    # table holds the residue sums of its period (1 for an orbit, a mean and the pb norms, L for a sweep of
+    # lambda_grid(L)); a translating frame builds none.  Each family starts with nothing held.
     pair = isinstance(spec, BlockTZ)
     cfg = ProbeConfig(n_max=96, basis_probes=4, seeded_probes=4, probe_support=8, lambda_samples=8, p=2.0 if pair else 1.0)
     xs = [x for _, x in probe_vectors(spec, cfg)]
@@ -427,13 +427,13 @@ def test_probe_families_read_one_power_stack(spec, windows, monkeypatch):
         "coverage": lambda: coverage((200, 50)),
         "coverage, shortest first": lambda: coverage((50, 200)),
     }
-    stacks = {"pb": 0 if isinstance(spec, Diagonal) else windows, "coverage": 1, "coverage, shortest first": 2,
+    stacks = {"pb": 0 if isinstance(spec, Diagonal) else windows, "coverage": 1, "coverage, shortest first": 1,
               "lambda, odd grid": 2 * windows} if windows else {}
-    tables = {name: stacks.get(name, windows) for name in ("mean", "weak", "lambda", "lambda, odd grid")}
+    periods = {"lambda": {8}, "lambda, odd grid": {7, 1}}
     builds = []
     build = powers._power_stack
 
-    def counted(op, size, period=None):
+    def counted(op, size, period=1):
         builds.append(period)
         return build(op, size, period)
 
@@ -446,7 +446,7 @@ def test_probe_families_read_one_power_stack(spec, windows, monkeypatch):
             builds.clear()
             shared[name] = family()
             assert len(builds) == stacks.get(name, windows), (name, builds)
-            assert sum(period is not None for period in builds) == tables.get(name, 0), (name, builds)
+            assert set(builds) <= periods.get(name, {1}), (name, builds)
         monkeypatch.setattr(powers, "_held", _NeverHeld())  # one stack per orbit
         alone = {name: family() for name, family in families.items()}
     assert shared == alone
@@ -679,11 +679,11 @@ _SWEEP_KS = [0, 1, 5, 6, 7, 20, 21, 22, 63, 64, 65, 127, 128, 300]
 @pytest.mark.parametrize("stack_bytes", [None, 2**12])
 @pytest.mark.parametrize("grid", [[1.0], lambda_grid(7)[:7], lambda_grid(8), lambda_grid(64)], ids=["1", "7", "8", "64"])
 def test_matrix_sweeps_are_the_largest_singular_values_of_the_basis_means(grid, stack_bytes, monkeypatch):
-    # The two readers of the one fold (``_Fold``) agree: lambda_operator_norms (its own residue table, the identity as
-    # right-hand side) and the CesaroSum means of e_1 .. e_d (the held table, e_j as right-hand side), both carried
+    # The two readers of the one fold (``_Fold``) agree: lambda_operator_norms (the held table, the identity as
+    # right-hand side) and the CesaroSum means of e_1 .. e_d (the same table, e_j as right-hand side), both carried
     # past the table by the extended a^S.  The largest singular value of the matrix whose columns are those means lies
     # within the lam-sweep bound 4 eps (sum_r ||B_r(k)|| / (k+1) + ||M_k||) of the sweep, B_r(k) the sum of the powers
-    # m <= k, m = r mod L.  At 2^12 bytes a sweep block holds 7 to 64 powers and a CesaroSum block 1 to 64.
+    # m <= k, m = r mod L.  At 2^12 bytes a block holds 1 to 32 powers.
     if stack_bytes:
         monkeypatch.setattr(powers, "_STACK_BYTES", stack_bytes)
     rng = np.random.default_rng(7)
