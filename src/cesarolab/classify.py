@@ -3,16 +3,27 @@
 A probe is a finite computation providing evidence for an asymptotic
 property, never a certificate.  Verdicts are ``bounded_up_to`` (with the
 best constant seen), ``violated`` (with a replayable witness: operator
-description, probe vector, index, value), or ``inconclusive``.  Divergence
-is declared by a fixed dyadic protocol: checkpoints start at N = 8, and a
-quantity is violated when its checkpoint maximum reaches twice the first
-checkpoint value and the final checkpoint sustains at least 0.8x the max.
+description, probe vector, index, value), or ``inconclusive``.
+
+The n-indexed probes (``acb``, ``pb``, ``cb``, ``uk``) build tables and
+hand them to one judge (``_judge``).  A table is a group of rows (a probe
+vector's lam rows, or one row) over the indices n, each entry located by
+witness fields.  A group is cut before its first column with a non-finite
+entry, the least such n being ``non_finite_at``; a cut verdict is never
+bounded (``inconclusive`` unless it diverges before the cut).  The
+best constant is the largest entry, the first in (group, row, n) order.
+Divergence is the dyadic protocol (``_divergences``): on the columns with
+n >= 8 that are a power of two or the last, a row diverges when its peak
+reaches twice its first positive value and its last value sustains at
+least 0.8x the peak.  The violation witness is the largest diverging peak
+over every row, the first in (group, row) order on ties.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -202,7 +213,7 @@ def probe_vectors(spec: OperatorSpec, cfg: ProbeConfig) -> list[tuple[str, Spars
 
 
 # ---------------------------------------------------------------------------
-# checkpoint / divergence protocol
+# checkpoint / divergence protocol and the judge
 
 
 def checkpoint_set(n_max: int, head: int = 64) -> list[int]:
@@ -216,87 +227,39 @@ def checkpoint_set(n_max: int, head: int = 64) -> list[int]:
     return sorted(pts)
 
 
-def _protocol_points(values: list[tuple[int, float]], start: int = 8) -> list[tuple[int, float]]:
-    if not values:
-        return []
-    n_last = values[-1][0]
-    return [(n, v) for n, v in values if n >= start and ((n & (n - 1)) == 0 or n == n_last)]
+def _divergences(ns, table) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, peak columns, peaks) of the rows of a (rows x len(ns)) table that the dyadic protocol (module docstring)
+    finds diverging, in row order; the protocol's columns are picked once for the table."""
+    ns = np.asarray(ns, dtype=np.int64)
+    cols = np.flatnonzero((ns >= 8) & (((ns & (ns - 1)) == 0) | (np.arange(len(ns)) == len(ns) - 1)))
+    if cols.size < 2:
+        return np.empty(0, dtype=np.int64), cols[:0], np.empty(0)
+    pts = np.asarray(table, dtype=float)[:, cols]
+    positive = pts > 0
+    first = np.take_along_axis(pts, np.argmax(positive, axis=1)[:, None], axis=1)[:, 0]
+    peak_at = np.argmax(pts, axis=1)
+    peak = np.take_along_axis(pts, peak_at[:, None], axis=1)[:, 0]
+    rows = np.flatnonzero(positive.any(axis=1) & (peak >= 2.0 * first) & (pts[:, -1] >= 0.8 * peak))
+    return rows, cols[peak_at[rows]], peak[rows]
 
 
-def _row_divergences(checkpoints: list[int], table: np.ndarray):
-    """(row, witness n, witness value) of each row of a (rows, checkpoints) table that ``dyadic_divergence`` finds
-    diverging.  Each row is handed only the columns ``_protocol_points`` keeps, selected once for the table; the
-    protocol is idempotent, so the verdicts are the same."""
-    ns = np.asarray(checkpoints[: table.shape[1]], dtype=np.int64)
-    cols = np.flatnonzero((ns >= 8) & (((ns & (ns - 1)) == 0) | (ns == ns[-1:])))  # ns[-1:]: empty for an empty table
-    ns = ns[cols].tolist()
-    for i, row in enumerate(table[:, cols].tolist()):
-        hit, wn, wv = dyadic_divergence(list(zip(ns, row)))
-        if hit:
-            yield i, wn, wv
-
-
-def dyadic_divergence(values: list[tuple[int, float]], factor: float = 2.0, sustain: float = 0.8):
-    """(violated, witness_n, witness_value) under the dyadic growth protocol."""
-    pts = _protocol_points(values)
-    firsts = [v for _, v in pts if v > 0]
-    if len(pts) < 2 or not firsts:
-        return False, None, None
-    first = firsts[0]
-    peak_n, peak = max(pts, key=lambda t: t[1])
-    last = pts[-1][1]
-    if peak >= factor * first and last >= sustain * peak:
-        return True, peak_n, peak
-    return False, None, None
-
-
-# ---------------------------------------------------------------------------
-# probes
-
-
-def acb_constant(spec: OperatorSpec, cfg: ProbeConfig) -> ClassVerdict:
-    """Best constant in (1/N) sum_{j<=N} ||T^j x|| over unit probes, N <= n_max.
-
-    Each probe's averages are judged on their finite prefix (see ``_cut``).
-    The probes of a fixed frame read one power stack (``make_orbit``).
-    """
-    best = 0.0
-    best_witness = None
-    violated_witness = None
-    params = cfg.echo(probe="absolutely_cesaro_bounded")
-    for label, x in probe_vectors(spec, cfg):
-        with np.errstate(over="ignore", invalid="ignore"):
-            norms = make_orbit(spec, x, cfg.n_max).norms(cfg.p, cfg.n_max)
-            # prefix sums in extended precision stand in for a compensated running sum
-            avgs = (np.cumsum(norms, dtype=np.longdouble) / np.arange(1, len(norms) + 1)).astype(float)
-        avgs = avgs[: _cut(range(1, len(avgs) + 1), avgs, params)].tolist()
-        if avgs and max(avgs) > best:
-            best = max(avgs)
-            best_witness = {"vector": label, "N": avgs.index(best) + 1, "value": best}
-        checkpoints = [(j, avgs[j - 1]) for j in range(8, len(avgs) + 1) if (j & (j - 1)) == 0 or j == cfg.n_max]
-        hit, wn, wv = dyadic_divergence(checkpoints)
-        if hit and violated_witness is None:
-            violated_witness = {"spec": describe(spec), "vector": label, "N": wn, "value": wv}
-    if violated_witness is not None:
-        return ClassVerdict(
-            "absolutely_cesaro_bounded", "violated", "probe", cfg.n_max, best, violated_witness, params
-        )
-    return ClassVerdict(
-        "absolutely_cesaro_bounded", _unviolated(params), "probe", cfg.n_max, best, best_witness, params
-    )
+def dyadic_divergence(values: list[tuple[int, float]]):
+    """(violated, witness_n, witness_value) of one (n, value) series under the dyadic protocol (``_divergences``)."""
+    ns = [n for n, _ in values]
+    rows, cols, peaks = _divergences(ns, [[v for _, v in values]])
+    return (True, ns[cols[0]], float(peaks[0])) if rows.size else (False, None, None)
 
 
 def _cut(ns, values, params: dict) -> int:
-    """Length of a series (values at the indices ns) before its first non-finite value.
-
-    The least such index over the series judged is ``non_finite_at``.
-    """
-    bad = np.flatnonzero(~np.isfinite(np.asarray(values, dtype=float)))
+    """Length of a series (values at the indices ns), or of a table's columns, before the first non-finite value;
+    the least such index over the series judged is ``non_finite_at``."""
+    finite = np.atleast_2d(np.isfinite(np.asarray(values, dtype=float))).all(axis=0)
+    bad = np.flatnonzero(~finite)
     if bad.size:
         n = np.asarray(ns[bad[0]]).item()  # an int index, or a float radius
         params["non_finite_at"] = min(n, params.get("non_finite_at", n))
         return int(bad[0])
-    return len(values)
+    return len(finite)
 
 
 def _unviolated(params: dict) -> str:
@@ -304,19 +267,59 @@ def _unviolated(params: dict) -> str:
     return "inconclusive" if "non_finite_at" in params else "bounded_up_to"
 
 
-def _exact_norm_values(spec, cfg) -> list[tuple[int, float]] | None:
-    ns = checkpoint_set(cfg.n_max)
-    try:
-        return list(zip(ns, power_norms_exact(spec, ns, cfg.p)))
-    except (UnsupportedVariantError, ParameterError):
-        return None
+def _judge(class_name: str, certainty: str, spec, cfg: ProbeConfig, params: dict, groups) -> ClassVerdict:
+    """The verdict of an n-indexed quantity, read off groups (ns, table, where): a (rows x len(ns)) table of values
+    at the indices ns, and where(row, col), the witness fields that locate an entry (see the module docstring)."""
+    best, best_witness, peak, violated_witness = 0.0, None, None, None
+    for ns, table, where in groups:
+        table = np.asarray(table, dtype=float)
+        table = table[:, : _cut(ns, table, params)]
+        if table.size:
+            r, c = divmod(int(np.argmax(table)), table.shape[1])
+            if best_witness is None or table[r, c] > best:
+                best = float(table[r, c])
+                best_witness = {**where(r, c), "value": best}
+        rows, cols, peaks = _divergences(ns[: table.shape[1]], table)
+        if peaks.size and (peak is None or peaks.max() > peak):
+            i = int(np.argmax(peaks))
+            peak = peaks[i]
+            violated_witness = {"spec": describe(spec), **where(int(rows[i]), int(cols[i])), "value": float(peak)}
+    if violated_witness is not None:
+        return ClassVerdict(class_name, "violated", certainty, cfg.n_max, best, violated_witness, params)
+    return ClassVerdict(class_name, _unviolated(params), certainty, cfg.n_max, best, best_witness, params)
+
+
+# ---------------------------------------------------------------------------
+# probes
+
+
+def acb_constant(spec: OperatorSpec, cfg: ProbeConfig) -> ClassVerdict:
+    """Best constant in (1/N) sum_{j<=N} ||T^j x|| over unit probes, N <= n_max: one row of running averages per
+    probe, located by (vector, N).  The probes of a fixed frame read one power stack (``make_orbit``)."""
+
+    def groups():
+        for label, x in probe_vectors(spec, cfg):
+            with np.errstate(over="ignore", invalid="ignore"):
+                norms = make_orbit(spec, x, cfg.n_max).norms(cfg.p, cfg.n_max)
+                # prefix sums in extended precision stand in for a compensated running sum
+                avgs = (np.cumsum(norms, dtype=np.longdouble) / np.arange(1, len(norms) + 1)).astype(float)
+            yield range(1, len(avgs) + 1), avgs[None], lambda r, c, label=label: {"vector": label, "N": c + 1}
+
+    params = cfg.echo(probe="absolutely_cesaro_bounded")
+    return _judge("absolutely_cesaro_bounded", "probe", spec, cfg, params, groups())
 
 
 def power_bounded_probe(spec: OperatorSpec, cfg: ProbeConfig) -> ClassVerdict:
-    """sup_n ||T^n||: exact norms where closed forms exist, else orbit suprema."""
-    values = _exact_norm_values(spec, cfg)
-    if values is not None:
-        return _exact_verdict("power_bounded", spec, cfg, values, cfg.echo(probe="power_bounded"))
+    """sup_n ||T^n||: exact norms at the checkpoints where closed forms exist, located by n; else the supremum of the
+    probe orbits at each n, located by n and the first probe that attains it."""
+    params = cfg.echo(probe="power_bounded")
+    ns = checkpoint_set(cfg.n_max)
+    try:
+        norms = power_norms_exact(spec, ns, cfg.p)
+    except (UnsupportedVariantError, ParameterError):
+        pass
+    else:
+        return _judge("power_bounded", "exact", spec, cfg, params, [(ns, [norms], lambda r, c: {"n": ns[c]})])
     probes = probe_vectors(spec, cfg)
     sup = np.full(cfg.n_max, -1.0)  # sup[n - 1] over the probes whose orbit reached n
     sup_vec = np.zeros(cfg.n_max, dtype=int)
@@ -329,117 +332,53 @@ def power_bounded_probe(spec: OperatorSpec, cfg: ProbeConfig) -> ClassVerdict:
         sup[better] = norms[better]
         sup_vec[better] = i
         reached = max(reached, len(norms))
-    params = cfg.echo(probe="power_bounded")
-    values = list(enumerate(sup[: _cut(range(1, reached + 1), sup[:reached], params)].tolist(), start=1)) or [(1, 0.0)]
-    best_n, best = max(values, key=lambda t: t[1])
-    hit, wn, wv = dyadic_divergence(values)
-    if hit:
-        witness = {"spec": describe(spec), "n": wn, "value": wv, "vector": probes[sup_vec[wn - 1]][0]}
-        return ClassVerdict("power_bounded", "violated", "probe", cfg.n_max, best, witness, params)
-    return ClassVerdict(
-        "power_bounded", _unviolated(params), "probe", cfg.n_max, best, {"n": best_n, "value": best}, params
-    )
+    where = lambda r, c: {"n": c + 1, "vector": probes[sup_vec[c]][0]}  # noqa: E731
+    return _judge("power_bounded", "probe", spec, cfg, params, [(range(1, reached + 1), [sup[:reached]], where)])
 
 
-def _exact_verdict(class_name: str, spec, cfg: ProbeConfig, values, params: dict) -> ClassVerdict:
-    """Verdict on an exact (n, value) series, judged on its finite prefix.
-
-    The dyadic protocol firing on the prefix gives ``violated``; a series cut
-    by a non-finite value is otherwise ``inconclusive``, never bounded.  A
-    cut records its index as ``non_finite_at``.
-    """
-    values = values[: _cut([n for n, _ in values], [v for _, v in values], params)]
-    best_n, best = max(values, key=lambda t: t[1], default=(None, 0.0))
-    hit, wn, wv = dyadic_divergence(values)
-    if hit:
-        witness = {"spec": describe(spec), "n": wn, "value": wv}
-        return ClassVerdict(class_name, "violated", "exact", cfg.n_max, best, witness, params)
-    witness = {"n": best_n, "value": best} if values else None
-    return ClassVerdict(class_name, _unviolated(params), "exact", cfg.n_max, best, witness, params)
-
-
-def _is_nat_universe(spec) -> bool:
-    return isinstance(spec_universe(spec), NatFromOne)
+def _vector_groups(spec, cfg: ProbeConfig, lams, checkpoints, where) -> list:
+    """One group per probe vector: its (lam x checkpoint) table of ||M_n(lam T) x|| (``lambda_mean_norms``), an entry
+    located by where(vector label, row, col)."""
+    probes = probe_vectors(spec, cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        tables = lambda_mean_norms(spec, [x for _, x in probes], lams, checkpoints, cfg.p)
+    return [(checkpoints, table, partial(where, label)) for (label, _), table in zip(probes, tables)]
 
 
 def cesaro_bounded_probe(spec: OperatorSpec, cfg: ProbeConfig) -> ClassVerdict:
-    """sup_n ||M_n(T)||: exact for finite matrices, probe families otherwise."""
+    """sup_n ||M_n(T)||: a finite matrix's exact row for n <= n_max, located by n; else one row per probe vector at the
+    checkpoints, located by (vector, n), and on the naturals the adversarial series ||M_{n-1}(T) x_n|| at dyadic n,
+    located by (adversarial[n=...], n - 1)."""
     params = cfg.echo(probe="cesaro_bounded")
     if spec_dim(spec) is not None:
         ns = list(range(1, cfg.n_max + 1))
-        values = list(zip(ns, lambda_operator_norms(spec, [1.0], ns)[0].tolist()))
-        return _exact_verdict("cesaro_bounded", spec, cfg, values, params)
-
+        groups = [(ns, lambda_operator_norms(spec, [1.0], ns), lambda r, c: {"n": ns[c]})]
+        return _judge("cesaro_bounded", "exact", spec, cfg, params, groups)
     checkpoints = checkpoint_set(cfg.n_max)
-    best = 0.0
-    best_witness = None
-    violated_witness = None
-    probes = probe_vectors(spec, cfg)
-    with np.errstate(over="ignore", invalid="ignore"):
-        tables = lambda_mean_norms(spec, [x for _, x in probes], [1.0], checkpoints, cfg.p)
-    for (label, _), norms in zip(probes, tables[:, 0]):
-        norms = norms[: _cut(checkpoints, norms, params)]
-        if norms.size and (v_best := float(norms.max())) > best:
-            best = v_best
-            best_witness = {"vector": label, "n": checkpoints[int(np.argmax(norms))], "value": v_best}
-        hit = next(_row_divergences(checkpoints, norms[None]), None)
-        if hit and violated_witness is None:
-            violated_witness = {"spec": describe(spec), "vector": label, "n": hit[1], "value": hit[2]}
-    if cfg.include_adversarial and _is_nat_universe(spec) and not expects_pair(spec):
-        series = []
-        n = 8
-        while n <= cfg.n_max:
-            xn = adversarial_vector(n, cfg.p)
-            with np.errstate(over="ignore", invalid="ignore"):
-                series.append((n, p_norm(cesaro_apply(spec, xn, n - 1), cfg.p)))
-            n *= 2
-        series = series[: _cut([n for n, _ in series], [v for _, v in series], params)]
-        for n, value in series:
-            if value > best:
-                best = value
-                best_witness = {"vector": f"adversarial[n={n}]", "n": n - 1, "value": value}
-        hit, wn, wv = dyadic_divergence(series)
-        if hit and violated_witness is None:
-            violated_witness = {
-                "spec": describe(spec),
-                "vector": f"adversarial[n={wn}]",
-                "n": wn - 1,
-                "value": wv,
-            }
-        params["adversarial_series"] = [[n, v] for n, v in series]
-    if violated_witness is not None:
-        return ClassVerdict("cesaro_bounded", "violated", "probe", cfg.n_max, best, violated_witness, params)
-    return ClassVerdict("cesaro_bounded", _unviolated(params), "probe", cfg.n_max, best, best_witness, params)
+    groups = _vector_groups(spec, cfg, [1.0], checkpoints, lambda label, r, c: {"vector": label, "n": checkpoints[c]})
+    if cfg.include_adversarial and isinstance(spec_universe(spec), NatFromOne) and not expects_pair(spec):
+        ns = [2**k for k in range(3, cfg.n_max.bit_length())]  # 8, 16, .. <= n_max
+        with np.errstate(over="ignore", invalid="ignore"):
+            series = [p_norm(cesaro_apply(spec, adversarial_vector(n, cfg.p), n - 1), cfg.p) for n in ns]
+        series = series[: _cut(ns, series, params)]
+        params["adversarial_series"] = [list(t) for t in zip(ns, series)]
+        groups.append((ns, [series], lambda r, c: {"vector": f"adversarial[n={ns[c]}]", "n": ns[c] - 1}))
+    return _judge("cesaro_bounded", "probe", spec, cfg, params, groups)
 
 
 def uniform_kreiss_probe(spec: OperatorSpec, cfg: ProbeConfig) -> ClassVerdict:
-    """sup over unimodular lam and n of ||M_n(lam T)|| (grid x checkpoint evidence): a matrix's exact table, else one
-    table per probe vector.  Ties go to the first in (vector, lam, n) order, for the best and the violation witness."""
+    """sup over unimodular lam and n of ||M_n(lam T)|| (grid x checkpoint evidence): a matrix's exact table, located by
+    (lam, n), else one table per probe vector, located by (vector, lam, n)."""
     lams = lambda_grid(cfg.lambda_samples)
     checkpoints = checkpoint_set(cfg.n_max)
     params = cfg.echo(probe="uniformly_kreiss", lambda_grid_size=len(lams))
-    if spec_dim(spec) is not None:
-        certainty, probes = "exact", [(None, None)]
-        tables = lambda_operator_norms(spec, lams, checkpoints)[None]
-    else:
-        certainty, probes = "probe", probe_vectors(spec, cfg)
-        with np.errstate(over="ignore", invalid="ignore"):
-            tables = lambda_mean_norms(spec, [x for _, x in probes], lams, checkpoints, cfg.p)
     points = [[float(lam.real), float(lam.imag)] for lam in lams]
-    best, best_witness, violated_witness = 0.0, None, None
-    for (label, _), table in zip(probes, tables):
-        # the whole grid is judged up to the first checkpoint where any lam is non-finite
-        table = table[:, : _cut(checkpoints, table.max(axis=0), params)]
-        vector = {} if label is None else {"vector": label}
-        if table.size and (local := float(table.max())) > best:
-            li, ci = divmod(int(np.argmax(table)), table.shape[1])
-            best, best_witness = local, {**vector, "lam": points[li], "n": checkpoints[ci], "value": local}
-        for i, wn, wv in _row_divergences(checkpoints, table):
-            if violated_witness is None or wv > violated_witness["value"]:
-                violated_witness = {"spec": describe(spec), **vector, "lam": points[i], "n": wn, "value": wv}
-    if violated_witness is not None:
-        return ClassVerdict("uniformly_kreiss", "violated", certainty, cfg.n_max, best, violated_witness, params)
-    return ClassVerdict("uniformly_kreiss", _unviolated(params), certainty, cfg.n_max, best, best_witness, params)
+    where = lambda r, c: {"lam": points[r], "n": checkpoints[c]}  # noqa: E731
+    if spec_dim(spec) is not None:
+        groups = [(checkpoints, lambda_operator_norms(spec, lams, checkpoints), where)]
+        return _judge("uniformly_kreiss", "exact", spec, cfg, params, groups)
+    groups = _vector_groups(spec, cfg, lams, checkpoints, lambda label, r, c: {"vector": label, **where(r, c)})
+    return _judge("uniformly_kreiss", "probe", spec, cfg, params, groups)
 
 
 def kreiss_resolvent_constant(

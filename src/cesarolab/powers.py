@@ -264,9 +264,14 @@ def _power_stack(op: np.ndarray, size: int, period: int = 1) -> tuple[np.ndarray
     Built by doubling, stack[k : 2k] = stack[:k] op^k, in extended precision:
     log2(size) numpy calls fill it, and each power, rounded once to double, is
     as accurate as one step (in double, powers that share a factor op^k would
-    share its rounding error).  The residue sums are that extended stack,
-    built inside a residue table (``_Fold``, op^0 held as 0) and summed
-    over its rows in place.
+    share its rounding error).  The doubling stops at a dead power: one that
+    is all zero, as every later power is (the zeroed buffer holds them), or
+    that has no finite entry, whose later powers are filled as NaN.  It is
+    found at the first block whose last power is dead.  A stack of 2 x 2
+    BlockTZ blocks qualifies too: their lower-left 0 stays finite only while
+    the powers do, as a product with an infinite factor makes it 0 inf = NaN.
+    The residue sums are that extended stack, built inside a residue table
+    (``_Fold``, op^0 held as 0) and summed over its rows in place.
     """
     mul = np.matmul if op.ndim >= 2 else np.multiply
     sums = np.zeros(((size + period) // period + 1, period, *op.shape), dtype=np.clongdouble)
@@ -277,6 +282,11 @@ def _power_stack(op: np.ndarray, size: int, period: int = 1) -> tuple[np.ndarray
         m = min(k, size - k)
         mul(stack[:m], stack[k - 1], out=stack[k : k + m])
         k += m
+        if not (stack[k - 1].any() and np.isfinite(stack[k - 1]).any()):
+            block = stack[k - m : k].reshape(m, -1)
+            dead = k - m + int(np.argmax(~block.any(axis=1) | ~np.isfinite(block).any(axis=1)))
+            stack[dead + 1 :] = np.nan if stack[dead].any() else 0
+            break
     rounded, last = stack.astype(complex), stack[-1].copy()
     np.cumsum(sums, axis=0, out=sums)
     return rounded, sums, last

@@ -28,6 +28,7 @@ from cesarolab.core import (
     BlockTZ,
     Diagonal,
     DomainError,
+    DuplicatingShift,
     Explicit,
     FiniteMatrix,
     FiniteRange,
@@ -39,8 +40,17 @@ from cesarolab.core import (
     identity,
     p_norm,
     scale,
+    spec_dim,
 )
-from cesarolab.powers import NormSeq, cesaro_apply, power_norm_exact
+from cesarolab.powers import (
+    NormSeq,
+    cesaro_apply,
+    lambda_mean_norms,
+    lambda_operator_norms,
+    make_orbit,
+    power_norm_exact,
+    power_norms_exact,
+)
 from cesarolab.core import INTS as INTS_
 
 ASSANI = FiniteMatrix(((-1.0, 2.0), (0.0, -1.0)))
@@ -171,6 +181,7 @@ def test_cesaro_bounded_non_cesaro_shift_violated():
     verdict = cesaro_bounded_probe(NON_CESARO, cfg)
     assert verdict.status == "violated"
     assert "adversarial" in verdict.witness["vector"]
+    assert _replayed(NON_CESARO, cfg, "cb", verdict.witness) == verdict.witness["value"]
     # logarithmic lower bound at n = 2^10 with c = 0.4309644
     c = (2.0 / 3.0) * (1.0 - 2.0 ** (-1.5))
     n = 2**10
@@ -411,3 +422,80 @@ def test_matrix_lambda_sweep_matches_single_lambda():
             mean = sum(np.linalg.matrix_power(lam * a, k) for k in range(n + 1)) / (n + 1)
             assert table[i, j] == pytest.approx(single[j], rel=1e-12)
             assert table[i, j] == pytest.approx(np.linalg.norm(mean, 2), rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# the judge's witnesses
+
+
+def _acb_averages(spec, x, cfg) -> np.ndarray:
+    """(1/N) sum_{j<=N} ||T^j x|| for N <= n_max, one vector's call of the acb probe."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = make_orbit(spec, x, cfg.n_max).norms(cfg.p, cfg.n_max)
+        return (np.cumsum(norms, dtype=np.longdouble) / np.arange(1, len(norms) + 1)).astype(float)
+
+
+def test_acb_and_cb_violations_name_the_largest_divergence():
+    # several probes of blocktz:fshift:alpha=0.4 diverge; the witness is the largest diverging peak over every probe,
+    # the first on ties, and the first probe to diverge (pair(e[1];0)) is not the one with the largest peak
+    spec = BlockTZ(ForwardShift(NAT, PowerRatio(0.4, 1)))
+    cfg = ProbeConfig(n_max=512, seed=1)
+    checkpoints = checkpoint_set(cfg.n_max)
+    acb, cb = [], []
+    for label, x in probe_vectors(spec, cfg):
+        avgs = _acb_averages(spec, x, cfg)
+        hit, n, value = dyadic_divergence(list(zip(range(1, len(avgs) + 1), avgs.tolist())))
+        acb += [(value, label, n)] if hit else []
+        means = lambda_mean_norms(spec, [x], [1.0], checkpoints, cfg.p)[0, 0]
+        hit, n, value = dyadic_divergence(list(zip(checkpoints, means.tolist())))
+        cb += [(value, label, n)] if hit else []
+    for verdict, hits, index in ((acb_constant(spec, cfg), acb, "N"), (cesaro_bounded_probe(spec, cfg), cb, "n")):
+        value, label, n = max(hits, key=lambda t: t[0])  # max keeps the first of equal peaks
+        assert verdict.status == "violated"
+        assert (verdict.witness["vector"], verdict.witness[index], verdict.witness["value"]) == (label, n, value)
+    assert acb[0][0] < max(acb)[0]
+
+
+def _replayed(spec, cfg: ProbeConfig, probe: str, witness: dict) -> float:
+    """The value a witness names, recomputed by one vector's (or the operator's) call on the probe's own grid."""
+    x = dict(probe_vectors(spec, cfg)).get(witness.get("vector"))
+    checkpoints = checkpoint_set(cfg.n_max)
+    n = witness.get("n")
+    if probe == "acb":
+        return float(_acb_averages(spec, x, cfg)[witness["N"] - 1])
+    if probe == "pb" and x is None:
+        return float(power_norms_exact(spec, checkpoints, cfg.p)[checkpoints.index(n)])
+    if probe == "pb":
+        return float(make_orbit(spec, x, cfg.n_max).norms(cfg.p, cfg.n_max)[n - 1])
+    if probe == "cb" and spec_dim(spec) is not None:
+        return float(lambda_operator_norms(spec, [1.0], list(range(1, cfg.n_max + 1)))[0, n - 1])
+    if probe == "cb" and x is None:  # adversarial[n=n + 1]
+        return p_norm(cesaro_apply(spec, adversarial_vector(n + 1, cfg.p), n), cfg.p)
+    lams = lambda_grid(cfg.lambda_samples) if probe == "uk" else [1.0]
+    row = 0 if probe == "cb" else [[lam.real, lam.imag] for lam in lams].index(witness["lam"])
+    if x is None:
+        table = lambda_operator_norms(spec, lams, checkpoints)
+    else:
+        table = lambda_mean_norms(spec, [x], lams, checkpoints, cfg.p)[0]
+    return float(table[row, checkpoints.index(n)])
+
+
+@pytest.mark.parametrize("spec", [
+    KREISS_FWD,
+    NON_CESARO,
+    ASSANI,
+    BlockTZ(ForwardShift(NAT, PowerRatio(0.4, 1))),
+    BlockTZ(BilateralShift(Explicit((), 1.0))),
+    BlockTZ(BackwardShift(NAT, PowerRatio(0.25, 0))),
+    DuplicatingShift(),
+    Diagonal(FiniteRange(3), cmath.exp(1j)),
+], ids=["fshift", "noncesaro-bshift", "assani", "blocktz:fshift", "blocktz:bilateral", "blocktz:bshift", "dupshift",
+        "unitary-diag"])
+def test_every_witness_replays_its_value(spec):
+    # each best or violated witness of the four probes names the entry it reports: its value, bit for bit
+    cfg = ProbeConfig(n_max=256, basis_probes=3, seeded_probes=3, lambda_samples=8, seed=7)
+    probes = {"acb": acb_constant, "pb": power_bounded_probe, "cb": cesaro_bounded_probe, "uk": uniform_kreiss_probe}
+    for name, probe in probes.items():
+        verdict = probe(spec, cfg)
+        assert verdict.witness is not None, name
+        assert _replayed(spec, cfg, name, verdict.witness) == verdict.witness["value"], (name, verdict.witness)

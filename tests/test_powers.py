@@ -1446,6 +1446,33 @@ def test_row_norms_rescale_where_powers_leave_the_normal_range():
             assert np.all(np.abs(got - want) <= rel * want + 2**-1074)
 
 
+@pytest.mark.parametrize("op, dead, zero", [
+    (np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex), 1, True),  # nilpotent: A^2 = 0
+    (np.array([1e100, 1e90j]), 54, False),  # both weights overflow the extended range, 1e90 at its 55th power
+    (np.array([1e-100, 1e-90j]), 55, True),  # both weights underflow the extended range, 1e-90 at its 56th power
+    (np.array([[[1e100, 1e100 - 1.0], [0.0, 1e100]]], dtype=complex), 64, False),  # a BlockTZ block: 0 inf = NaN
+], ids=["nilpotent", "overflow", "underflow", "blocktz-block"])
+def test_power_stack_stops_at_a_dead_power(op, dead, zero):
+    # the doubling stops at the first power that is all 0 or has no finite entry: up to it the stack is a plain full
+    # doubling's, and past it every power is 0 or NaN, as is the extended last power that carries a reader past S
+    size = 256
+    full = np.zeros((size, *op.shape), dtype=np.clongdouble)
+    full[0] = op
+    mul = np.matmul if op.ndim >= 2 else np.multiply
+    with np.errstate(over="ignore", invalid="ignore"):
+        k = 1
+        while k < size:
+            m = min(k, size - k)
+            full[k : k + m] = mul(full[:m], full[k - 1])
+            k += m
+        stack, _, last = powers._power_stack(op, size)
+        want = full[: dead + 1].astype(complex)
+    assert [bool(p.any()) and bool(np.isfinite(p).any()) for p in full[: dead + 1]] == [True] * dead + [False]
+    assert np.array_equal(stack[: dead + 1], want, equal_nan=True)
+    tail = np.concatenate([stack[dead + 1 :].ravel(), [last.ravel()[0]]])
+    assert np.all(tail == 0) if zero else np.all(np.isnan(tail))
+
+
 def test_largest_singular_value_against_svd():
     rng = np.random.default_rng(17)
     for d in (1, 2, 3, 5, 8):
