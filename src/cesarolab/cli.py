@@ -310,7 +310,7 @@ def cmd_classify(args) -> int:
     seed = _parse_seed(args.seed)
     entry = zoo.get_entry(args.operator.strip()) if args.operator.strip() in zoo.ENTRIES else None
     spec, hints = (entry.spec, {}) if entry else parse_operator(args.operator)
-    cfg = ProbeConfig(n_max=args.n_max, p=hints.get("p", 2.0), tolerance=args.tol, seed=seed)
+    cfg = ProbeConfig(n_max=args.n_max, p=hints.get("p", 2.0), seed=seed)
     probes: list[dict] = []
     timings: dict[str, float] = {}
     exit_code = 0
@@ -583,7 +583,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cls.add_argument("--probes", default="", help=f"comma list of tokens: {tokens}")
     p_cls.add_argument("--n-max", dest="n_max", type=int, default=1024)
     p_cls.add_argument("--timing", action="store_true", help="include wall times in the report")
-    p_cls.add_argument("--tol", type=float, default=1e-9, help="probe tolerance")
     _add_common(p_cls)
     p_cls.set_defaults(func=cmd_classify)
 
@@ -636,7 +635,7 @@ def main(argv=None) -> int:
     except Exception as exc:  # runtime failure
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 1
-    finally:  # the power tables and gain table held for the command's probe families
+    finally:  # the power tables held for the command's probe families
         powers.drop_tables()
 
 

@@ -10,7 +10,7 @@ and cross-checked in the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,19 +63,6 @@ class IsometryReport:
     max_defect: float
     scale: float
     witness: str | None = None
-    strict_order: int | None = None
-    degree_profile: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "m_tested": self.m_tested,
-            "passed": self.passed,
-            "max_defect": self.max_defect,
-            "scale": self.scale,
-            "witness": self.witness,
-            "strict_order": self.strict_order,
-            "degree_profile": self.degree_profile,
-        }
 
 
 @dataclass(frozen=True)

@@ -20,12 +20,11 @@ residue prefix sums of a period L.  Its sums, the matrix sweeps
 class sums of a^m v, carried past the table by its extended last power and
 never restarted from a rounded state, read on a roots-of-unity grid through
 one inverse DFT at the exact roots; any other lam is the one-point grid of
-lam T, summed apart (``_lambda_parts``, ``lambda_mean_norms``).  One table
-per period and the last gain table mu^u are held by the bytes they are built
-from (``_held``), so a command builds each once (mu^u only where a sum is
-written, not for a weighted shift's norms); a table depends on nothing else,
-and a longer mu^u's prefix is the shorter one bit for bit, so holding never
-changes a result.
+lam T, summed apart (``_lambda_parts``, ``lambda_mean_norms``).  One power
+table per period is held by the bytes it is built from (``_held``), so a
+command builds each once; a table depends on nothing else, so holding never
+changes a result.  Nothing else is held: a written sum builds its own gain
+table (lam s)^u W(u) the way W is built (``CesaroSum._write_tables``).
 """
 from __future__ import annotations
 
@@ -110,9 +109,6 @@ class NormSeq:
             if not (math.isfinite(value) and value >= 0):
                 raise ParameterError(f"NormSeq values must be finite and >= 0, got {value!r} at n={n}")
             prev = n
-
-    def ns(self) -> list[int]:
-        return [n for n, _ in self.entries]
 
     def values(self) -> list[float]:
         return [v for _, v in self.entries]
@@ -292,15 +288,30 @@ def _power_stack(op: np.ndarray, size: int, period: int = 1) -> tuple[np.ndarray
     return rounded, sums, last
 
 
+_held: dict = {}  # ("stack", L): (key, table), the last power table of each period (``_table``)
+
+
+def drop_tables() -> None:
+    """Drop the held power tables (``_table``) as a command ends."""
+    _held.clear()
+
+
 def _table(op: np.ndarray, period: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The ``_power_stack`` of a fixed frame's operator for period (orbit states read period 1's rounded stack), held:
     the one reader of extended powers.  One size rule: the extended op^1 .. op^S fill ``_STACK_BYTES`` (S >= 1),
     whatever the horizon, so a table depends on the operator, the period and the cap alone, and holding it never
-    changes a result.  One table is held per period (``_hold``), keyed by the operator's shape and bytes, so readers
-    that alternate periods within a command (``cb``, the ladders and ``pb`` 1, ``uk`` L) build each once."""
+    changes a result.  One table is held per period (``_held``), keyed by the operator's shape and bytes, so readers
+    that alternate periods within a command (``cb``, the ladders and ``pb`` 1, ``uk`` L) build each once; another
+    operator's table of that period is dropped before the new one is built.  A caller reads the table returned, never
+    the holder, which another thread may change."""
     size = max(_STACK_BYTES // (32 * op.size), 1)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing power reads inf
-        return _hold(("stack", period), (size, op.shape, op.tobytes()), lambda: _power_stack(op, size, period))
+    name, key = ("stack", period), (size, op.shape, op.tobytes())
+    held = _held.get(name)
+    if held is None or held[0] != key:
+        _held.pop(name, None)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing power reads inf
+            held = _held[name] = key, _power_stack(op, size, period)
+    return held[1]
 
 
 class _Fold:
@@ -340,32 +351,6 @@ class _Fold:
             sums = _apply_powers(sums, self.carry, self.last.ndim)
         sums += self.base
         return sums
-
-
-_held: dict = {}  # ("stack", L) and "mu": (key, table), the last power table of each period and gain table (``_hold``)
-
-
-def drop_tables() -> None:
-    """Drop the held power tables and gain table (``_table``, ``CesaroSum._write_tables``) as a command ends."""
-    _held.clear()
-
-
-def _hold(name, key, build, fits=None):
-    """The table held under name when it was built for key (and fits(table), if given), else build(), held in its
-    place.
-
-    Another key's table is dropped before the new one is built; a longer one for the same key is built first, since
-    freeing the shorter first moves glibc's dynamic mmap threshold, and the sums of fshift:alpha=0.4's uk family then
-    ran 15-20 % slower (2-vCPU x86-64 host).  The caller reads the table returned, never the holder, which another
-    thread may change.
-    """
-    held = _held.get(name)
-    if held is not None and held[0] != key:
-        _held.pop(name, None)
-        held = None
-    if held is None or (fits is not None and not fits(held[1])):
-        held = _held[name] = key, build()
-    return held[1]
 
 
 def _apply_powers(powers: np.ndarray, x: np.ndarray, ndim: int) -> np.ndarray:
@@ -542,7 +527,8 @@ def _windows(table: np.ndarray, width: int) -> np.ndarray:
 
 def _running_products(factors: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
     """Each row's running products 1, f0, f0 f1, ... of a (rows, count) array of factors, or of a (rows, 1) column
-    repeated count times, as m 2^e: double mantissas m and int32 exponents e, shape (rows, count + 1) each.
+    repeated count times, as m 2^e: double mantissas m and int32 exponents e, shape (rows, count + 1) each.  Extended
+    factors stay extended until the one rounding.
 
     e is the multiple of 2^8 nearest the running sum of log2|f| (stopping at
     +-2^29), and each factor gives up the exact power of two between
@@ -564,7 +550,7 @@ def _running_products(factors: np.ndarray, count: int) -> tuple[np.ndarray, np.n
     e = np.broadcast_to(np.int32(0), (rows, count + 1))
     if sums.max(initial=0) >= 2**7 or sums.min(initial=0) < -(2**7):
         e = np.pad(_coarse(np.clip(sums, -(2**29), 2**29)).astype(np.int32), ((0, 0), (1, 0)))
-        factors = _scaled(factors.astype(complex), -np.diff(e, axis=1))
+        factors = _scaled(factors.astype(np.result_type(factors, 1j)), -np.diff(e, axis=1))
     del logs, sums
     m = np.ones((rows, count + 1), dtype=complex)
     carry = np.ones((rows, 1), dtype=np.clongdouble)
@@ -659,7 +645,7 @@ class _WindowOrbit(_Orbit):
     value per row, affine in n under BlockTZ.  A scalar s makes state n
     s^(n-1) times the state with s folded into a: the rows of its windows.
 
-    Range.  Every table (W, the powers s^u, the sums' gains mu^u) is held as
+    Range.  Every table (W, the powers s^u, the sums' gains) is held as
     W(u) = m(u) 2^e(u) (``_running_products``), and the sources a(j) = a'(j)
     2^-E(j), a'(j) = x(j) / m(j) and E(j) = e(j) (e(j - 1) padded), each
     column moved by a multiple of 2^8 to within 2^+-128 (b with a).  State n
@@ -701,15 +687,18 @@ class _WindowOrbit(_Orbit):
         live = None if self.floor is None or d > 0 else trail - self.floor + 1  # W vanishes from here on
         death = None if live is None else live + pad
         length = (n_max if death is None else min(n_max, death)) + width
-        # the weights at travel 0 .. length - 2, in travel order; zero past the floor
-        weights = _weight_table(base, trail, trail + length - 2) if d > 0 else _weight_table(base, trail - length + 2, trail)[::-1]
-        wt, we = (t[0] for t in _running_products((weights if scalar == 1 else scalar * weights)[None], length - 1))
+
+        def weights():  # at travel 0 .. length - 2, in travel order, the scalar folded in; zero past the floor
+            w = _weight_table(base, trail, trail + length - 2) if d > 0 else _weight_table(base, trail - length + 2, trail)[::-1]
+            return w if scalar == 1 else scalar * w
+
+        wt, we = (t[0] for t in _running_products(weights()[None], length - 1))
         src = self.vals[:, ::d] / wt[:width]  # x / W, column j scaled by 2^e(j)
         if not pad:
-            return self._frame(src, None, wt, we, we[:width], trail, death, 0)
+            return self._frame(src, None, weights, wt, we, we[:width], trail, death, 0)
         exps = np.append(we[0], we[:width])  # column j holds x(j - 1) / W(j - 1)
         prev_y = _scaled(src[1], exps[:width] - we[:width])  # y / W, column j at column j's exponent
-        self._frame(np.concatenate((np.zeros((self.rows, 1)), src), axis=1), prev_y, wt, we, exps, trail, death, 1)
+        self._frame(np.concatenate((np.zeros((self.rows, 1)), src), axis=1), prev_y, weights, wt, we, exps, trail, death, 1)
 
     def _duplicating_frame(self, scalar: complex, n_max: int) -> None:
         x = self.vals
@@ -722,19 +711,20 @@ class _WindowOrbit(_Orbit):
         rows = max(n_max, 1)  # state 0 too has a window
         powers, exps = (t[0] for t in _running_products(np.full((1, 1), scalar), rows + width - 1))  # s^u, u < rows + width
         ones, zeros = np.ones(rows + width, dtype=complex), np.zeros(rows + width, dtype=np.int32)  # W = 1
-        self._frame(a, None if self.kappa is None else x[1], ones, zeros, zeros[: a.shape[1]], self.lo, None, 1)
+        self._frame(a, None if self.kappa is None else x[1], lambda: np.ones(1), ones, zeros, zeros[: a.shape[1]], self.lo, None, 1)
         self._scalar, self._q = scalar, q if first.any() else None  # the sums' gains are (lam s)^u
         shape = (rows, a.shape[1])  # s^(n-1) for state n: row n - 1
         self._windows = np.broadcast_to(powers[:rows, None], shape)
         self._window_exps = np.broadcast_to(exps[:rows, None], shape) if exps.any() else None
 
-    def _frame(self, a, prev_y, wt, we, exps, trail, death, pad) -> None:
+    def _frame(self, a, prev_y, weights, wt, we, exps, trail, death, pad) -> None:
         """Hold a frame's sources a and, under BlockTZ, b = [y_n, 0] - kappa [y_{n-1}] from a's rows and prev_y, at
-        the column exponents exps, each column moved to within 2^+-128 (see the class docstring)."""
+        the column exponents exps, each column moved to within 2^+-128 (see the class docstring), and weights(), which
+        rebuilds its travel weights w, W's factors (one weight when all are 1), for the few sums that read them."""
         b = None if prev_y is None else np.stack((a[1] - self.kappa * np.append(prev_y, 0), np.zeros_like(a[1])))
         shift = _reference(a if b is None else np.concatenate((a, b)), 0)
         a, b, exps = _scaled(a, -shift), None if b is None else _scaled(b, -shift), exps - shift
-        self._a, self._b, self._exps, self._wt, self._we = a, b, exps, wt, we
+        self._a, self._b, self._exps, self._weights, self._wt, self._we = a, b, exps, weights, wt, we
         self._trail, self._death, self._pad = trail, death, pad
         self._scalar, self._q = 1, None
         self._x0 = self.vals[:, :: self.d] if pad else None  # the initial state, in travel order, of a padded frame
@@ -867,11 +857,12 @@ class CesaroSum:
     reads its norms off them in closed form (``_closed_norms``): |lam^u| = 1,
     so a cell's magnitude is a lam-free gain |W(u)| times a span of the prefix
     sums.  Its sums, and every sum of BlockTZ and the duplicating shift, are
-    written off the product table (``_write``) with gains mu^u W(u), read off
-    running products mu^u, mantissas and exponents like the table, which the
-    sums of one mu read off the held table and which the first write builds
-    (``_write_tables``); a span is read at its own power of two, so a cell is
-    the double product of a plain table wherever that is normal.
+    written off the product table (``_write``) with gains G(u) = mu^u W(u):
+    one table per sum, the running products of mu w(u) (w the travel weights,
+    W's factors), mantissas and exponents built the way W is, by the first
+    write (``_write_tables``); when every mu is 1, G is W.  A span is read at
+    its own power of two, so a cell is the double product of a plain table
+    wherever that is normal.
 
     A fixed frame's sums at n are the fold (``_Fold``) of its operator's held
     residue table with the initial state x: the class sums of a^m x, carried
@@ -893,7 +884,6 @@ class CesaroSum:
             raise ParameterError("lam must be unimodular")
         self.lo, hi = self.orbit.span(n_max)
         self.sum = np.zeros((len(self.lams), self.orbit.rows, max(hi - self.lo + 1, 0)), dtype=complex)
-        self._mags = None  # |sum| of a translating frame once norms are read: each write refreshes its own cells
         self.n = self.stepped = self._final = 0  # stepped: the last index summed, short of n once an orbit dies
         self._rounded = None  # ``_write_tables``, built by the first write
         # a weighted shift, or a multiple of one, reads its norms in closed form (``_closed_norms``); a pad comes with
@@ -929,21 +919,18 @@ class CesaroSum:
         np.cumsum(terms, axis=-1, out=self._prefix[..., 1:])
 
     def _write_tables(self) -> None:
-        """What ``_write`` reads besides the prefix sums, built by its first call: the references R of the prefix sums
-        per lam and index (``_reference``) and the sums rounded to double at 2^-R; their closing differences total -
-        prefix[j], j in [1, width), at their own references; and mu^u (None: every mu is 1)."""
+        """What ``_write`` reads besides the prefix sums, built by its first call: the gains G(u) = mu^u W(u), the
+        running products of mu w(u) as W is built (``_running_products``; W itself, one row for every lam, when every
+        mu is 1), mantissas and exponents; the references R of the prefix sums per lam and index (``_reference``) and
+        the sums rounded to double at 2^-R; and their closing differences total - prefix[j], j in [1, width), at their
+        own references."""
         o = self.orbit
         width = o._a.shape[1]
-        self._mu, mu_exps = None, False
-        if not (np.all(self.lams == 1) and o._scalar == 1):
-            mus = self.lams * o._scalar
-
-            def gains():  # mu^u for u < len(W), and whether an exponent is nonzero
-                m, e = _running_products(mus[:, None], len(o._wt) - 1)
-                return m, e, bool(e.any())
-
-            # a longer table's prefix is the shorter one
-            self._mu, self._mu_exps, mu_exps = _hold("mu", mus.tobytes(), gains, lambda t: t[0].shape[1] >= len(o._wt))
+        mus = self.lams * o._scalar
+        if np.all(mus == 1):
+            self._gain, self._gain_exp = o._wt[None], o._we[None]
+        else:
+            self._gain, self._gain_exp = _running_products(mus[:, None] * o._weights().astype(np.clongdouble), len(o._wt) - 1)
         # a column exponent or |s| != 1 spreads the terms past 2^+-128; else every span stays in double range at R = 0
         spread = o._exps.any() or abs(o._scalar) != 1
         self._ref = _reference(self._prefix, (1, 2)) if spread else np.zeros((len(self._prefix), width + 1), dtype=int)
@@ -953,21 +940,7 @@ class CesaroSum:
         closing = _scaled(closing, -self._closing_ref[:, None, None])
         self._closing = closing if o._b is not None else closing[:, 0].astype(complex)
         # whether any cell's 2^(e + R) differs from 1; when none does, the writes skip the exponent bookkeeping
-        self._scales = bool(mu_exps or o._we.any() or self._ref.any() or self._closing_ref.any())
-
-    def _gain_exps(self, lo: int, hi: int) -> np.ndarray:
-        """The exponents of the gains mu^u W(u), u in [lo, hi), one row per lam (one row for all if every mu is 1)."""
-        we = self.orbit._we[lo:hi]
-        return we[None] if self._mu is None else self._mu_exps[:, lo:hi] + we
-
-    def _gains(self, lo: int, hi: int) -> np.ndarray:
-        """The mantissas of the gains mu^u W(u), u in [lo, hi), one row per lam, rounded as whole rows are: numpy
-        rounds a lone complex product in a 2-D array differently, so that one is taken 1-D."""
-        wt = self.orbit._wt[lo:hi]
-        if self._mu is None:
-            return wt[None]
-        mu = self._mu[:, lo:hi]
-        return mu * wt if mu.size != 1 else (mu.ravel() * wt)[None]
+        self._scales = bool(self._gain_exp.any() or self._ref.any() or self._closing_ref.any())
 
     def _write(self, k: int) -> None:
         """Write the sums over steps 0..k of a translating frame.
@@ -1007,7 +980,7 @@ class CesaroSum:
         plateau = o._q is not None and k > 1
         peak = cell = 0  # the plateau's largest gain exponent, and the cells' exponent until it is added, per lam
         if rescale := plateau and self._scales:
-            peak = self._gain_exps(1, k).max(axis=1)[:, None, None]
+            peak = self._gain_exp[:, 1:k].max(axis=1)[:, None, None]
             cell = np.maximum(peak, 0)
         for lo_u, hi_u in ((0, a), (a, width), (final, b), (b, top + 1)):  # i in [max(u - k0, 0), min(u, width - 1)]
             if lo_u < (hi_u := min(hi_u, top + 1)):
@@ -1023,27 +996,24 @@ class CesaroSum:
                     spans, r = self._closing[..., cols], self._closing_ref[:, cols]
                     spans = spans if o._b is None else moments(spans, u)
                 cells = out[:, :, lo_u:hi_u]
-                np.multiply(spans.astype(complex, copy=False), self._gains(lo_u, hi_u)[:, None], out=cells)
+                np.multiply(spans.astype(complex, copy=False), self._gain[:, None, lo_u:hi_u], out=cells)
                 if self._scales:
-                    _scaled(cells, (self._gain_exps(lo_u, hi_u) + r)[:, None] - cell, inplace=True)
+                    _scaled(cells, (self._gain_exp[:, lo_u:hi_u] + r)[:, None] - cell, inplace=True)
         self._final = b
         if pad:
             out[:, :, : o._x0.shape[1]] += _scaled(o._x0, -cell)
         if plateau:  # mu^j / 2^peak, j = 1 .. k-1
-            g = self._gains(1, k)[:, None]
-            g = _scaled(g, self._gain_exps(1, k)[:, None] - peak if self._scales else 0).astype(np.clongdouble)
+            g = _scaled(self._gain[:, None, 1:k], self._gain_exp[:, None, 1:k] - peak if self._scales else 0)
+            g = g.astype(np.clongdouble)
             r0 = np.cumsum(g[..., ::-1], axis=-1)[..., ::-1]
             r1 = np.cumsum((np.arange(1, k) * g)[..., ::-1], axis=-1)[..., ::-1]
             qa, qb = o._q[0][None, :, None], o._q[1][None, :, None]
             cells = (((qa + qb) * r0 + qb * r1) * self.lams[:, None, None]).astype(complex)
             out[:, :, : k - 1] += _scaled(cells, peak - cell)
-        for lo_u, hi_u in ((0, width), (final, top + 1)):  # the cells written
-            if lo_u < (hi_u := min(hi_u, top + 1)):
-                if rescale:
+        if rescale:
+            for lo_u, hi_u in ((0, width), (final, top + 1)):  # the cells written
+                if lo_u < (hi_u := min(hi_u, top + 1)):
                     _scaled(out[:, :, lo_u:hi_u], cell, inplace=True)
-                if self._mags is not None:  # in accumulator order: numpy rounds |z| by layout too
-                    cols = slice(start + lo_u, start + hi_u) if o.d > 0 else slice(start + 1 - hi_u, start + 1 - lo_u)
-                    np.abs(self.sum[..., cols], out=self._mags[..., cols])
 
     def _overlap(self) -> tuple[slice, slice]:
         """(state columns, accumulator columns) where the orbit window meets the sums."""
@@ -1072,14 +1042,7 @@ class CesaroSum:
         if self._closed:
             return self._closed_norms(np.array([self.stepped]), np.array([self.n]), p)[:, 0]
         self.orbit.check_p(p)
-        if not self.orbit.translating:
-            mags = np.abs(self.sum[..., self._live])
-        else:  # a final cell's magnitude is taken once
-            if self._mags is None:
-                self._mags = np.zeros(self.sum.shape)
-                self._mags[..., self._live] = np.abs(self.sum[..., self._live])
-            mags = self._mags[..., self._live]
-        mags = mags.reshape(len(self.lams), -1)
+        mags = np.abs(self.sum[..., self._live]).reshape(len(self.lams), -1)
         if self.stepped < self.n:  # frozen
             return _lp_norm(mags, p, axis=1) / (self.n + 1)
         return _lp_norm(mags / (self.n + 1), p, axis=1)
@@ -1226,11 +1189,10 @@ def lambda_mean_norms(spec: OperatorSpec, xs, lams, checkpoints: list[int], p: f
 
     The vectors are summed one at a time, each as its own ``CesaroSum``.  A
     weighted shift's sum reads every checkpoint in one call, in closed form
-    (``CesaroSum._closed_norms``), and builds no running products mu^u; a
-    written sum (BlockTZ, the duplicating shift) reads the held mu^u, which
-    only a wider window than any before it rebuilds, and a fixed frame the
-    held table of its operator and period (``_table``), built for the first
-    vector.  A fixed frame's lam list is summed one part (``_lambda_parts``)
+    (``CesaroSum._closed_norms``); a written sum (BlockTZ, the duplicating
+    shift) builds its own gain table (``CesaroSum._write_tables``), and a
+    fixed frame reads the held table of its operator and period (``_table``),
+    built for the first vector.  A fixed frame's lam list is summed one part (``_lambda_parts``)
     after another, a lam off the grid as the one-point sum of lam T, so that
     the vectors read one table of a part; the off-grid parts share period 1,
     so each replaces the last.

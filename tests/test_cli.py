@@ -510,6 +510,29 @@ def test_probe_chaos_requires_polyshift():
     assert "polyshift" in err
 
 
+@pytest.mark.parametrize(("operator", "status", "degree", "line"), [
+    ("polyshift:p=0,0,1", "chaotic", 2, "  summability: partial=0.644834 tail<0.0001"),
+    ("polyshift:p=0,1", "mixing_only", 1, "  summability: partial=8.78771 tail<inf"),
+    ("polyshift:p=1;side=bi", "neither", 0, None),
+])
+def test_probe_chaos_reads_the_polynomial_degree(operator, status, degree, line):
+    code, out, _ = run_cli(["probe", "chaos", operator])
+    assert code == 0
+    assert out.splitlines() == [f"chaos {operator}: {status} (degree {degree})", *([line] if line else [])]
+    code, out, _ = run_cli(["probe", "chaos", operator, "--json"])
+    assert code == 0
+    result = json.loads(out)["probes"][0]["result"]
+    assert (result["status"], result["degree"]) == (status, degree)
+    summability = result["summability"]
+    if status == "chaotic":
+        assert summability["converges"] and 0 < summability["tail_bound"] < math.inf
+    elif status == "mixing_only":
+        assert not summability["converges"] and summability["tail_bound"] == math.inf
+        assert '"tail_bound": Infinity' in out
+    else:
+        assert summability is None and '"summability": null' in out
+
+
 def test_probe_hc_small_run():
     code, out, _ = run_cli(["probe", "hc", "hyper4", "--N", "2000", "--json"])
     assert code == 0
@@ -625,7 +648,8 @@ def test_ignored_flags_are_not_accepted():
     assert run_cli(["probe", "mixing", "bshift:alpha=0.25", "--tol", "2"])[0] == 2
     assert run_cli(["probe", "mixing", "bshift:alpha=0.25", "--timing"])[0] == 2
     assert run_cli(["isometry", "rotation", "--m-max", "2", "--timing"])[0] == 2
-    code, out, _ = run_cli(["classify", "matrix:[[0.5]]", "--probes", "pb", "--tol", "1e-6", "--timing", "--json"])
+    assert run_cli(["classify", "matrix:[[0.5]]", "--probes", "pb", "--tol", "1e-6"])[0] == 2  # no class probe reads it
+    code, out, _ = run_cli(["classify", "matrix:[[0.5]]", "--probes", "pb", "--timing", "--json"])
     assert code == 0
     assert set(json.loads(out)["timing"]) == {"pb"}
 
@@ -634,10 +658,9 @@ def test_ignored_flags_are_not_accepted():
     ("argv", "message"),
     [
         (["classify", "rotation", "--probes", "cb", "--n-max", "0", "--json"], "n_max must be >= 1"),
-        (["classify", "rotation", "--probes", "cb", "--tol", "0", "--json"], "tolerance must be > 0"),
         (["isometry", "rotation", "--m-max", "2", "--tol", "0", "--json"], "tolerance must be > 0"),
     ],
-    ids=["classify-n-max", "classify-tol", "isometry-tol"],
+    ids=["classify-n-max", "isometry-tol"],
 )
 def test_zero_n_max_and_tol_are_rejected_not_defaulted(argv, message):
     # a zero is a value the user gave, not a missing flag: the probe config rejects it
@@ -697,10 +720,10 @@ def test_exit_code_contract():
     (["classify", "rotation", "--no-such-flag"], 2),
 ])
 def test_a_command_leaves_no_table_held(argv, code):
-    # a power table (of period 8) and a gain table are held before the command (a library call) and while it runs;
-    # none after it
+    # a power table (of period 8) is held before the command (a library call) and while it runs, none after it; a
+    # written sum holds nothing: its gain table is its own
     lambda_mean_norms(Diagonal(NAT, 0.5), [basis_vector(NAT, 1)], lambda_grid(8), [8], 2.0)
     lambda_mean_norms(DuplicatingShift(), [basis_vector(NAT, 1)], lambda_grid(8), [8], 2.0)  # a written sum
-    assert set(powers._held) == {("stack", 8), "mu"}
+    assert set(powers._held) == {("stack", 8)}
     assert run_cli(argv)[0] == code
     assert not powers._held

@@ -777,10 +777,10 @@ def _apply_oracle(spec, x, n):
     return states
 
 
-def _dense_on(v, lo, width):
+def _dense_on(v, lo, width, dtype=complex):
     """A plain or pair vector as a (rows, width) array on the coordinates lo .. lo + width - 1."""
     rows = (v.top, v.bottom) if isinstance(v, PairVec) else (v,)
-    out = np.zeros((len(rows), width), dtype=complex)
+    out = np.zeros((len(rows), width), dtype=dtype)
     for r, row in enumerate(rows):
         for k, value in row.entries.items():
             out[r, k - lo] = value
@@ -950,23 +950,69 @@ def test_cesaro_sum_of_a_constant_orbit_is_correctly_rounded():
         assert acc.sum[0, 0].tolist() == want
 
 
+def _written_cases(rng):
+    """(spec, x) of written lam-sums whose gains are not all 1: scaled shifts, a scaled duplicating shift, BlockTZ."""
+    s = 0.9 * cmath.exp(2j)
+    bwd = BackwardShift(NAT, PowerRatio(0.25, 0))
+    return [
+        (scale(cmath.exp(0.4j), ForwardShift(NAT, PowerRatio(0.4, 1))), rand_vec(NAT, rng, 1, 6)),  # complex W
+        (scale(s, bwd), rand_vec(NAT, rng, 1, 6)),
+        (scale(cmath.exp(1j), DuplicatingShift()), basis_vector(NAT, 2)),
+        (scale(1.1 * cmath.exp(1j), DuplicatingShift()), rand_vec(NAT, rng, 1, 6)),
+        (scale(s, BlockTZ(bwd)), PairVec(rand_vec(NAT, rng, 40, 50), rand_vec(NAT, rng, 42, 52))),
+        (BlockTZ(scale(s, ForwardShift(NAT, PowerRatio(0.4, 1)))), PairVec(rand_vec(NAT, rng, 1, 6), rand_vec(NAT, rng, 2, 7))),
+        (scale(1.05 * cmath.exp(1j), BlockTZ(DuplicatingShift())), PairVec(rand_vec(NAT, rng, 1, 5), rand_vec(NAT, rng, 1, 5))),
+    ]
+
+
 def test_gains_are_rounded_as_whole_rows():
-    # a write takes the gains mu^u W(u) of a few cells at a time; each must be the product a whole row of the table
-    # gets, one lam or many, one cell or many (numpy rounds a lone complex product in a 2-D array differently)
+    # a write multiplies the spans of a few cells at a time by their gains; a cell must not depend on how many cells
+    # or lams a write takes, so the sums written at every checkpoint 1..n are the bytes of the sums written at n alone
     rng = np.random.default_rng(29)
-    x = rand_vec(NAT, rng, 1, 6)
-    specs = [scale(cmath.exp(0.4j), ForwardShift(NAT, PowerRatio(0.4, 1))),  # complex W: its products round
-             scale(0.9 * cmath.exp(2j), BackwardShift(NAT, PowerRatio(0.25, 0)))]
-    for spec in specs:
+    for spec, x in _written_cases(rng):
         for lams in ([cmath.exp(0.7j)], [cmath.exp(0.7j), cmath.exp(2.1j)], lambda_grid(64)):
-            acc = CesaroSum(spec, x, 50, lams)
-            acc.advance_to(1)  # the first write builds the gains mu^u; closed-form norms never do
-            wt = acc.orbit._wt
-            rows = acc._mu[:, : len(wt)].copy()
-            rows *= wt
-            for lo in range(len(wt)):
-                for hi in range(lo + 1, min(lo + 3, len(wt)) + 1):
-                    assert acc._gains(lo, hi).tobytes() == rows[:, lo:hi].tobytes(), (spec, len(lams), lo, hi)
+            dense, once = CesaroSum(spec, x, 50, lams), CesaroSum(spec, x, 50, lams)
+            for k in range(1, 51):
+                dense.advance_to(k)
+            once.advance_to(50)
+            assert dense.sum.tobytes() == once.sum.tobytes(), (spec, len(lams))
+
+
+def _extended(v):
+    """A plain or pair vector with clongdouble entries, which ``core.apply`` steps in extended precision."""
+    if isinstance(v, PairVec):
+        return PairVec(_extended(v.top), _extended(v.bottom))
+    return type(v)(v.universe, {k: np.clongdouble(z) for k, z in v.entries.items()})
+
+
+def test_written_lambda_sums_match_extended_stepping():
+    # a written sum with gains (lam s)^u W(u) != 1 against n-fold core.apply stepped in extended precision: each gain
+    # is its extended running product rounded once, and each cell is within n ulps of the size of its sum (the
+    # first-order bound of n-fold double stepping; the largest error seen is under 3 ulps)
+    rng = np.random.default_rng(5)
+    n = 60
+    for spec, x in _written_cases(rng):
+        states = [_extended(x)]
+        for _ in range(n):
+            states.append(apply(spec, states[-1]))
+        for lams in ([cmath.exp(0.7j)], [cmath.exp(0.7j), cmath.exp(2.1j)], lambda_grid(64)):
+            acc = CesaroSum(spec, x, n, lams)
+            acc.advance_to(n)
+            o = acc.orbit
+            factors = (acc.lams * o._scalar)[:, None] * o._weights().astype(np.clongdouble)
+            factors = np.broadcast_to(factors, (len(lams), len(o._wt) - 1))
+            exact = np.cumprod(np.pad(factors, ((0, 0), (1, 0)), constant_values=1), axis=1)
+            assert np.array_equal(np.ldexp(acc._gain.real, acc._gain_exp) + 1j * np.ldexp(acc._gain.imag, acc._gain_exp),
+                                  exact.astype(complex)), spec
+            rows = 2 if isinstance(x, PairVec) else 1
+            for i, lam in enumerate(np.asarray(lams, dtype=np.clongdouble)):
+                want = np.zeros((rows, acc.sum.shape[2]), dtype=np.clongdouble)
+                size = np.longdouble(0)
+                for k, v in enumerate(states):
+                    term = _dense_on(v, acc.lo, acc.sum.shape[2], np.clongdouble) * lam**k
+                    want += term
+                    size += np.sqrt(np.sum(np.abs(term) ** 2))
+                assert np.all(np.abs(acc.sum[i] - want) <= n * np.finfo(float).eps * size), (spec, len(lams), i)
 
 
 def test_only_weighted_shifts_read_norms_in_closed_form(monkeypatch):

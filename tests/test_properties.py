@@ -332,8 +332,8 @@ def _same_support(draw, x):
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
 @given(st.data(), frame_cases(), st.integers(1, 3), st.lists(unit, max_size=2))
 def test_family_lambda_sweeps_match_one_vector_sweeps(data, case, extra, angles):
-    # a basis vector first builds the running products mu^u on its narrow window, x's wider window grows them, and
-    # the basis vector again reads a prefix of the grown table
+    # a family's norms are those of its vectors summed one at a time, whatever the order of their windows: a narrow
+    # basis vector, x's wider window, and the basis vector again
     spec, x, n = case
     if x.is_zero():
         return
@@ -371,13 +371,13 @@ def test_probe_reports_do_not_depend_on_a_shared_gain_table(spec, monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         shared = reports()
-        monkeypatch.setattr(powers, "_held", _NeverHeld())  # each sum its own mu^u
+        monkeypatch.setattr(powers, "_held", _NeverHeld())  # no table held across sums
         alone = reports()
     assert shared == alone
 
 
 class _NeverHeld(dict):
-    """A holder that never holds: every lookup misses, so each power stack and gain table is built for its reader."""
+    """A holder that never holds: every lookup misses, so each power stack is built for its reader."""
 
     def get(self, key, default=None):
         return default
